@@ -27,7 +27,6 @@ from finorch.dataops.retrieval import (
 from finorch.errors import (
     ConfigError,
     EngineError,
-    EmptyQuery,
     ExtractionFailure,
     UnreadableDocument,
 )
@@ -245,8 +244,10 @@ def analyze_document(
     text = _read_document(path)
     chunks = chunk_text(text, chunk_size=chunk_size, overlap=overlap)
     index = index_documents(chunks)
-    indicators: list[Indicator] = []
-    failures: list[tuple[str, str]] = []
+    # Retrieve and render every topic first, then run the extractions
+    # together; each topic keeps either its passages or its failure.
+    staged: list[tuple[str, list[RetrievedPassage] | EngineError]] = []
+    requests = []
     for topic in topics:
         try:
             passages = retrieve(index, topic, k=min(top_k, len(chunks)))
@@ -257,10 +258,22 @@ def analyze_document(
                 {"topic": topic, "passages": _passages_block(passages)},
                 language,
             )
-            exchange = gateway.chat(
-                backend_id, [ChatMessage(role="user", content=prompt)]
-            )
-            reply = exchange.response_text
+        except EngineError as exc:
+            staged.append((topic, exc))
+            continue
+        staged.append((topic, passages))
+        requests.append((backend_id, [ChatMessage(role="user", content=prompt)]))
+    outcomes = iter(gateway.chat_many(requests))
+    indicators: list[Indicator] = []
+    failures: list[tuple[str, str]] = []
+    for topic, prepared in staged:
+        try:
+            if isinstance(prepared, EngineError):
+                raise prepared
+            outcome = next(outcomes)
+            if isinstance(outcome, EngineError):
+                raise outcome
+            reply = outcome.response_text
             if ABSENT_MARKER in reply and "```tool" not in reply:
                 continue
             call = text2params(reply, [RECORD_INDICATOR])
@@ -271,12 +284,12 @@ def analyze_document(
                     unit=str(call.arguments.get("unit", "")),
                     period=str(call.arguments.get("period", "")),
                     topic=topic,
-                    source_ids=tuple(p.doc_id for p in passages),
+                    source_ids=tuple(p.doc_id for p in prepared),
                 )
             )
         except ExtractionFailure as exc:
             failures.append((topic, exc.cause))
-        except (EmptyQuery, EngineError) as exc:
+        except EngineError as exc:
             failures.append((topic, str(exc)))
     return DocumentAnalysis(
         doc_path=path,
@@ -359,8 +372,17 @@ def generate_report(
         },
     )
 
+    def section_failed(name: str, exc: EngineError) -> EngineError:
+        trace.emit(
+            ROLE_FINANCIAL_ANALYST,
+            {"event": "error", "section": name, "error": str(exc)},
+        )
+        return exc.with_role(ROLE_FINANCIAL_ANALYST)
+
+    # Render every section prompt first, then write the sections together.
     indicators_block = _indicator_block(analysis)
-    sections: list[ReportSection] = []
+    staged: list[tuple[str, tuple[str, ...]]] = []
+    requests = []
     for name, query in REPORT_SECTIONS:
         try:
             passages = retrieve(
@@ -376,18 +398,16 @@ def generate_report(
                 },
                 language,
             )
-            exchange = gateway.chat(
-                backend_id, [ChatMessage(role="user", content=prompt)]
-            )
         except EngineError as exc:
-            trace.emit(
-                ROLE_FINANCIAL_ANALYST,
-                {"event": "error", "section": name, "error": str(exc)},
-            )
-            raise exc.with_role(ROLE_FINANCIAL_ANALYST)
-        refs = tuple(p.doc_id for p in passages)
+            raise section_failed(name, exc)
+        staged.append((name, tuple(p.doc_id for p in passages)))
+        requests.append((backend_id, [ChatMessage(role="user", content=prompt)]))
+    sections: list[ReportSection] = []
+    for (name, refs), outcome in zip(staged, gateway.chat_many(requests)):
+        if isinstance(outcome, EngineError):
+            raise section_failed(name, outcome)
         sections.append(
-            ReportSection(name=name, body=exchange.response_text, refs=refs)
+            ReportSection(name=name, body=outcome.response_text, refs=refs)
         )
         trace.emit(
             ROLE_FINANCIAL_ANALYST,

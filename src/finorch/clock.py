@@ -8,6 +8,7 @@ hands out a deterministic, strictly increasing sequence.
 from __future__ import annotations
 
 import datetime as dt
+import threading
 from typing import Protocol
 
 UTC = dt.timezone.utc
@@ -27,17 +28,22 @@ class SystemClock:
 
 
 class FixedClock:
-    """Deterministic clock: starts at ``start`` and advances ``step`` seconds per call."""
+    """Deterministic clock: starts at ``start`` and advances ``step`` seconds per call.
+
+    Thread-safe: concurrent callers each get a distinct stamp.
+    """
 
     def __init__(self, start: dt.datetime = _DEFAULT_EPOCH, step: float = 1.0):
         if start.tzinfo is None:
             start = start.replace(tzinfo=UTC)
         self._next = start
         self._step = dt.timedelta(seconds=step)
+        self._lock = threading.Lock()
 
     def now(self) -> dt.datetime:
-        current = self._next
-        self._next = current + self._step
+        with self._lock:
+            current = self._next
+            self._next = current + self._step
         return current
 
 

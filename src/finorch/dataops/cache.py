@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Mapping
@@ -73,6 +74,12 @@ class ResponseCache:
                 raise ImmutableEntry(
                     f"cache entry {key} already exists with different bytes"
                 )
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            # A unique temp name: other processes may put the same key.
+            fd, tmp = tempfile.mkstemp(dir=self._root, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise

@@ -7,6 +7,10 @@ from choices[0].message.content), which the supported backends all speak.
 
 A deterministic scripted mock transport ships alongside the HTTP one so
 every higher layer is testable offline.
+
+Independent requests go through ``Gateway.chat_many``, which keeps up to
+``MAX_IN_FLIGHT`` of them in flight at once and returns their outcomes in
+submission order.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from finorch.clock import Clock, SystemClock
 from finorch.errors import (
     ConfigError,
     DuplicateBackend,
+    EngineError,
     MalformedResponse,
     RegistrySealed,
     Timeout,
@@ -39,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "BACKOFF_INITIAL",
+    "MAX_IN_FLIGHT",
     "MOCK_SENTINEL",
     "BackendSpec",
     "ChatExchange",
@@ -54,6 +60,10 @@ ROLES = ("system", "user", "assistant")
 
 #: First backoff window in seconds; each retry doubles it (full jitter).
 BACKOFF_INITIAL = 0.5
+
+#: Most requests one ``chat_many`` batch keeps in flight; stays below the
+#: default ``requests`` connection pool of 10 per host.
+MAX_IN_FLIGHT = 8
 
 #: Reply for mock requests no scripted rule matches.
 MOCK_SENTINEL = "MOCK-NO-MATCH"
@@ -270,7 +280,6 @@ class Gateway:
         self._clock: Clock = clock or SystemClock()
         self._sleep = sleeper or time.sleep
         self._rng = rng or random.Random()
-        self._lock = threading.Lock()
 
     # -- registry ----------------------------------------------------------
 
@@ -342,7 +351,7 @@ class Gateway:
             "temperature": spec.temperature if temperature is None else temperature,
             "max_tokens": spec.max_tokens if max_tokens is None else max_tokens,
         }
-        transport = self._transports.get(backend_id, self._default_transport)
+        transport = self._transport_for(backend_id)
         started = self._clock.now()
         last_error: TransportError | None = None
         for attempt in range(spec.max_retries + 1):
@@ -377,3 +386,40 @@ class Gateway:
             f"backend {backend_id!r}: all {attempts} attempt(s) failed: "
             f"{last_error}"
         ) from last_error
+
+    def chat_many(
+        self, batch: Sequence[tuple[str, Sequence[ChatMessage]]]
+    ) -> list[ChatExchange | EngineError]:
+        """Run independent chats; one outcome per request, in submission order.
+
+        An outcome is the request's ``ChatExchange`` or the ``EngineError``
+        it raised; any other exception propagates. Up to ``MAX_IN_FLIGHT``
+        requests run at once on worker threads that end before this
+        returns. A single request, or a batch whose backends are all
+        in-process mocks, runs inline in submission order: threads cannot
+        speed up a scripted reply, and inline keeps offline clock stamps
+        and mock fail budgets in a fixed order.
+        """
+        batch = list(batch)
+        if len(batch) < 2 or all(
+            isinstance(self._transport_for(backend_id), MockTransport)
+            for backend_id, _ in batch
+        ):
+            return [self._outcome(request) for request in batch]
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(
+            max_workers=min(MAX_IN_FLIGHT, len(batch))
+        ) as pool:
+            return list(pool.map(self._outcome, batch))
+
+    def _outcome(
+        self, request: tuple[str, Sequence[ChatMessage]]
+    ) -> ChatExchange | EngineError:
+        try:
+            return self.chat(*request)
+        except EngineError as exc:
+            return exc
+
+    def _transport_for(self, backend_id: str) -> Transport:
+        return self._transports.get(backend_id, self._default_transport)

@@ -378,12 +378,11 @@ class Scheduler:
 
     # ------------------------------------------------------------- grading
 
-    def _judge_chat(self, prompt: str, backend_id: str | None) -> str:
-        chosen = backend_id or self._judge_backend_id
-        if chosen is None:
+    def _judge_chat(self, prompt: str) -> str:
+        if self._judge_backend_id is None:
             raise ConfigError("no judge backend configured for judged grading")
         exchange = self._gateway.chat(
-            chosen, [ChatMessage(role="user", content=prompt)]
+            self._judge_backend_id, [ChatMessage(role="user", content=prompt)]
         )
         return exchange.response_text
 
@@ -403,7 +402,7 @@ class Scheduler:
             },
             self._language,
         )
-        reply = self._judge_chat(prompt, None)
+        reply = self._judge_chat(prompt)
         score = parse_self_score(reply)
         if score is None:
             raise GradeParseFailure(
@@ -434,28 +433,34 @@ class Scheduler:
                     f"record {record.record_id!r} changes dimension labels"
                 )
 
-        per_dimension: dict[str, list[float]] = {d: [] for d in dimensions}
-        excluded = 0
-        for record in dataset:
-            prompt = self._store.render(
+        # The golden probes are independent: send them together, then
+        # grade the replies in dataset order.
+        prompts = [
+            self._store.render(
                 profile.adaptor_prompt_id,
                 {"input_text": record.input_text},
                 self._language,
             )
-            try:
-                exchange = self._gateway.chat(
-                    profile.backend_id,
-                    [ChatMessage(role="user", content=prompt)],
-                )
-            except EngineError as exc:
+            for record in dataset
+        ]
+        outcomes = self._gateway.chat_many(
+            [
+                (profile.backend_id, [ChatMessage(role="user", content=prompt)])
+                for prompt in prompts
+            ]
+        )
+        per_dimension: dict[str, list[float]] = {d: [] for d in dimensions}
+        excluded = 0
+        for record, outcome in zip(dataset, outcomes):
+            if isinstance(outcome, EngineError):
                 raise GatewayFailure(
                     f"agent {agent_id!r} failed on record "
-                    f"{record.record_id!r}: {exc}",
+                    f"{record.record_id!r}: {outcome}",
                     record_id=record.record_id,
-                ) from exc
+                ) from outcome
             try:
                 grades = {
-                    d: self._grade_dimension(d, exchange.response_text, record)
+                    d: self._grade_dimension(d, outcome.response_text, record)
                     for d in dimensions
                 }
             except GradeParseFailure:
@@ -625,7 +630,7 @@ class Scheduler:
             },
             self._language,
         )
-        reply = self._judge_chat(prompt, None)
+        reply = self._judge_chat(prompt)
         grade = parse_self_score(reply)
         reflections = self.reflections_for(workflow_id)
         self_scores = tuple(

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per shipped guarantee, ten in total.
+"""Acceptance gate: one test per shipped guarantee, ten in total, plus a
+second test for criterion 7 so offline byte-determinism covers reports too.
 
 Each test is independent, rebuilds what it needs from committed fixtures,
 checks the guarantee against an oracle implemented locally (never against
@@ -384,6 +385,31 @@ def test_criterion_07_offline_forecast_is_byte_deterministic(tmp_path):
     assert elapsed < 30.0, f"two runs took {elapsed:.1f}s"
     _ok(7, "offline forecast produced byte-identical forecast.json and "
            f"trace.jsonl twice in {elapsed:.2f}s")
+
+
+def test_criterion_07_offline_report_is_byte_deterministic(tmp_path):
+    runner = CliRunner()
+    config_path = write_config(tmp_path)
+    doc = FIXTURES / "acme_filing.txt"
+    args = ["report", str(doc), "--offline", "--config", str(config_path)]
+    names = ("report.md", "report.txt", "analysis.json", "trace.jsonl")
+    started = time.perf_counter()
+
+    first = runner.invoke(cli, args)
+    assert first.exit_code == 0, first.output
+    run_dir = tmp_path / "runs" / "report-acme-filing-acme_filing-en"
+    before = {name: (run_dir / name).read_bytes() for name in names}
+    assert all(before.values())
+
+    second = runner.invoke(cli, args)
+    assert second.exit_code == 0, second.output
+    elapsed = time.perf_counter() - started
+    for name in names:
+        assert (run_dir / name).read_bytes() == before[name], name
+    assert second.output == first.output
+    assert elapsed < 30.0, f"two runs took {elapsed:.1f}s"
+    _ok(7, "offline report produced byte-identical report.md, report.txt, "
+           f"analysis.json and trace.jsonl twice in {elapsed:.2f}s")
 
 
 # --------------------------------------------------------------------- 8

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +143,23 @@ class TestReportCommand:
         for name, blob in before.items():
             assert (run_dir / name).read_bytes() == blob, name
         assert second.output == first.output
+
+    def test_offline_report_starts_no_thread_pool(self, config_path):
+        """Scripted backends answer inline, so an offline run never even
+        imports the executor."""
+        code = (
+            "import sys; from finorch.cli import cli; "
+            "cli(sys.argv[1:], standalone_mode=False); "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "report", str(self.DOC), "--offline",
+             "--config", str(config_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_custom_subject(self, runner, config_path):
         result = invoke(

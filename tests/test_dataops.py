@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 import random
+import threading
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,50 @@ def test_cache_leaves_no_temp_files(tmp_path: Path) -> None:
     key = cache_key("p", "profile", {"symbol": "AAPL"})
     cache.put(key, b"payload")
     assert [p.name for p in tmp_path.iterdir()] == [key]
+
+
+def test_cache_concurrent_puts_from_two_instances_leave_one_entry(
+    tmp_path: Path,
+) -> None:
+    key = cache_key("p", "profile", {"symbol": "AAPL"})
+    payload = b'{"name":"Apple"}' * 4096
+    for round_n in range(20):  # each round races two fresh instances once
+        root = tmp_path / f"round-{round_n}"
+        caches = [ResponseCache(root), ResponseCache(root)]
+        start = threading.Barrier(2, timeout=5)
+        errors: list[BaseException] = []
+
+        def put(cache: ResponseCache) -> None:
+            start.wait()
+            try:
+                cache.put(key, payload)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=put, args=(c,)) for c in caches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p.name for p in root.iterdir()] == [key]
+        assert (root / key).read_bytes() == payload
+
+
+def test_cache_failed_put_removes_its_temp_file(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    cache = ResponseCache(tmp_path)
+    key = cache_key("p", "profile", {"symbol": "AAPL"})
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cache.put(key, b"payload")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- tokenizer

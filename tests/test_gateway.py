@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import threading
 
 import pytest
 import requests
@@ -22,6 +23,7 @@ from finorch.errors import (
 )
 from finorch.gateway import (
     BACKOFF_INITIAL,
+    MAX_IN_FLIGHT,
     MOCK_SENTINEL,
     BackendSpec,
     ChatMessage,
@@ -391,3 +393,159 @@ def test_gateway_payload_carries_model_params():
     assert payload["temperature"] == 0.3
     assert payload["max_tokens"] == 64
     assert payload["messages"] == [{"role": "user", "content": "hi"}]
+
+
+# --------------------------------------------------------------- chat_many
+
+
+class RecordingTransport:
+    """Non-mock transport that answers each request with ``behave(text)``
+    (or raises what it raises) and records threads and in-flight counts."""
+
+    def __init__(self, behave):
+        self._behave = behave
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.threads: list[threading.Thread] = []
+
+    def send(self, spec, payload):
+        text = payload["messages"][-1]["content"]
+        with self._lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            self.threads.append(threading.current_thread())
+        try:
+            return ok_body(self._behave(text))
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def fanout_gateway(behave) -> tuple[Gateway, RecordingTransport]:
+    transport = RecordingTransport(behave)
+    gateway, _ = make_gateway()
+    gateway.register_backend(
+        BackendSpec(
+            backend_id="remote",
+            base_url="http://remote.test",
+            model_name="m",
+            max_retries=0,
+        ),
+        transport=transport,
+    )
+    return gateway, transport
+
+
+def batch(count: int) -> list[tuple[str, list[ChatMessage]]]:
+    return [("remote", user(f"request {i}")) for i in range(count)]
+
+
+def test_chat_many_returns_submission_order_when_later_requests_finish_first():
+    count = 4
+    finished = [threading.Event() for _ in range(count)]
+    completion: list[int] = []
+
+    def behave(text):
+        i = int(text.split()[-1])
+        if i + 1 < count:  # request i waits for request i + 1 to finish
+            assert finished[i + 1].wait(timeout=5)
+        completion.append(i)
+        finished[i].set()
+        return f"reply {i}"
+
+    gateway, transport = fanout_gateway(behave)
+    outcomes = gateway.chat_many(batch(count))
+    assert completion == [3, 2, 1, 0]
+    assert [o.response_text for o in outcomes] == [f"reply {i}" for i in range(count)]
+    assert all(t is not threading.current_thread() for t in transport.threads)
+
+
+def test_chat_many_overlaps_requests():
+    barrier = threading.Barrier(5, timeout=5)
+
+    def behave(text):
+        barrier.wait()  # raises BrokenBarrierError unless 5 are in flight
+        return "ok"
+
+    gateway, transport = fanout_gateway(behave)
+    outcomes = gateway.chat_many(batch(5))
+    assert [o.response_text for o in outcomes] == ["ok"] * 5
+    assert transport.max_in_flight == 5
+
+
+def test_chat_many_caps_requests_in_flight():
+    barrier = threading.Barrier(MAX_IN_FLIGHT, timeout=5)
+
+    def behave(text):
+        barrier.wait()
+        return "ok"
+
+    gateway, transport = fanout_gateway(behave)
+    outcomes = gateway.chat_many(batch(3 * MAX_IN_FLIGHT))
+    assert len(outcomes) == 3 * MAX_IN_FLIGHT
+    assert transport.max_in_flight == MAX_IN_FLIGHT
+
+
+def test_chat_many_failure_fills_its_own_slot():
+    def behave(text):
+        if text.endswith(" 1"):
+            raise TransportError("boom")
+        return text.upper()
+
+    gateway, _ = fanout_gateway(behave)
+    outcomes = gateway.chat_many(batch(3))
+    assert outcomes[0].response_text == "REQUEST 0"
+    assert isinstance(outcomes[1], TransportExhausted)
+    assert "boom" in str(outcomes[1])
+    assert outcomes[2].response_text == "REQUEST 2"
+
+
+def test_chat_many_propagates_non_engine_errors():
+    def behave(text):
+        if text.endswith(" 2"):
+            raise RuntimeError("bug")
+        return "ok"
+
+    gateway, _ = fanout_gateway(behave)
+    with pytest.raises(RuntimeError, match="bug"):
+        gateway.chat_many(batch(3))
+
+
+def test_chat_many_leaves_no_thread_running():
+    gateway, transport = fanout_gateway(lambda text: "ok")
+    gateway.chat_many(batch(2 * MAX_IN_FLIGHT))
+    assert transport.threads
+    assert not any(t.is_alive() for t in transport.threads)
+
+
+def test_chat_many_runs_mock_batches_inline_in_order():
+    seen: list[tuple[threading.Thread, str]] = []
+
+    class WatchedMock(MockTransport):
+        def send(self, spec, payload):
+            seen.append(
+                (threading.current_thread(), payload["messages"][-1]["content"])
+            )
+            return super().send(spec, payload)
+
+    gateway, _ = make_gateway()
+    for backend_id in ("a", "b"):
+        gateway.register_backend(
+            BackendSpec(backend_id=backend_id, base_url="mock://x", model_name="m"),
+            transport=WatchedMock([MockRule(match="", reply=backend_id)]),
+        )
+    requests = [("a", user("one")), ("b", user("two")), ("a", user("three"))]
+    outcomes = gateway.chat_many(requests)
+    assert [o.response_text for o in outcomes] == ["a", "b", "a"]
+    assert seen == [(threading.current_thread(), t) for t in ("one", "two", "three")]
+    # FixedClock stamps follow submission order: two ticks per call.
+    assert [o.finished_at.second for o in outcomes] == [1, 3, 5]
+
+
+def test_chat_many_runs_a_single_request_inline():
+    gateway, transport = fanout_gateway(lambda text: "ok")
+    (outcome,) = gateway.chat_many(batch(1))
+    assert outcome.response_text == "ok"
+    assert transport.threads == [threading.current_thread()]
+    assert gateway.chat_many([]) == []

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,17 @@ from finorch.apps.reports import (
     _indicator_block,
 )
 from finorch.clock import FixedClock
-from finorch.errors import UnknownTemplate, UnreadableDocument
-from finorch.gateway import Gateway
+from finorch.errors import (
+    EngineError,
+    TransportError,
+    TransportExhausted,
+    UnknownTemplate,
+    UnreadableDocument,
+)
+from finorch.gateway import BackendSpec, Gateway, MockTransport
 from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, GoldenRecord, Scheduler
+from finorch.workflow import ROLE_FINANCIAL_ANALYST
 
 FILING = Path(__file__).parent / "fixtures" / "acme_filing.txt"
 
@@ -207,10 +215,29 @@ def section_script(task_id: str) -> list[dict]:
     ]
 
 
-def report_setup(tmp_path: Path):
+REPORT_TASK_ID = "report-acme-industrial-acme_filing-en"
+
+
+def report_setup(tmp_path: Path, writer_transport=None):
+    """Analysis, gateway and scheduler with the writer agent scored.
+
+    The writer backend is the section script as a mock, unless
+    ``writer_transport`` is given."""
     analysis = analyzed()
-    task_id = "report-acme-industrial-acme_filing-en"
-    gateway = scripted_gateway({"writer-backend": section_script(task_id)})
+    if writer_transport is None:
+        gateway = scripted_gateway(
+            {"writer-backend": section_script(REPORT_TASK_ID)}
+        )
+    else:
+        gateway = scripted_gateway({})
+        gateway.register_backend(
+            BackendSpec(
+                backend_id="writer-backend",
+                base_url="http://writer.test",
+                model_name="m",
+            ),
+            transport=writer_transport,
+        )
     gateway.script_mock("judge", [{"match": "", "reply": "score: 1.0"}])
     scheduler = Scheduler(
         gateway=gateway,
@@ -319,3 +346,65 @@ def test_generate_report_requires_the_section_template(tmp_path: Path) -> None:
             prompt_store=PromptStore(bare),
             clock=FixedClock(),
         )
+
+
+def section_failure(tmp_path: Path, writer_transport=None):
+    """Run a report expected to fail; return the error and trace events."""
+    analysis, gateway, scheduler = report_setup(tmp_path, writer_transport)
+    with pytest.raises(EngineError) as err:
+        generate_report(
+            analysis,
+            "Acme Industrial",
+            scheduler=scheduler,
+            gateway=gateway,
+            prompt_store=PromptStore(),
+            runs_dir=tmp_path / "runs",
+            clock=FixedClock(),
+        )
+    trace = tmp_path / "runs" / REPORT_TASK_ID / "trace.jsonl"
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    return err.value, [r for r in records if r["event"] in ("section", "error")]
+
+
+def test_section_failure_raises_for_first_failing_section(tmp_path: Path) -> None:
+    script = [
+        {"match": '"Peer Comparison"', "fail": True},
+        {"match": '"Outlook"', "fail": True},
+        *section_script(REPORT_TASK_ID),
+    ]
+    error, events = section_failure(tmp_path, MockTransport(script))
+    assert isinstance(error, TransportExhausted)
+    assert error.role == ROLE_FINANCIAL_ANALYST
+    assert [(r["event"], r.get("name", r.get("section"))) for r in events] == [
+        ("section", "Company Overview"),
+        ("section", "Financial Performance"),
+        ("error", "Peer Comparison"),
+    ]
+
+
+def test_concurrent_section_failures_raise_for_first_section(
+    tmp_path: Path,
+) -> None:
+    """Outlook fails before Peer Comparison does; the error still names
+    Peer Comparison."""
+
+    class RacingSections:
+        def __init__(self):
+            self._mock = MockTransport(section_script(REPORT_TASK_ID))
+            self._outlook_failed = threading.Event()
+
+        def send(self, spec, payload):
+            text = payload["messages"][-1]["content"]
+            if '"Outlook"' in text:
+                self._outlook_failed.set()
+                raise TransportError("outlook down")
+            if '"Peer Comparison"' in text:
+                assert self._outlook_failed.wait(timeout=5)
+                raise TransportError("peers down")
+            return self._mock.send(spec, payload)
+
+    error, events = section_failure(tmp_path, RacingSections())
+    assert "peers down" in str(error)
+    assert error.role == ROLE_FINANCIAL_ANALYST
+    assert [r["event"] for r in events] == ["section", "section", "error"]
+    assert events[-1]["section"] == "Peer Comparison"

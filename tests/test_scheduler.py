@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from pathlib import Path
 
 import pytest
@@ -22,13 +23,14 @@ from finorch.errors import (
     GradeParseFailure,
     MissingDimension,
     NoScoredAgents,
+    TransportError,
     UnknownAgent,
     UnknownBackend,
     UnknownTask,
     WeightSumInvalid,
     WorkflowNotComplete,
 )
-from finorch.gateway import Gateway
+from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import (
     AgentProfile,
@@ -354,6 +356,53 @@ def test_gateway_failure_carries_record_id(tmp_path: Path) -> None:
     with pytest.raises(GatewayFailure) as err:
         scheduler.evaluate_agent("alpha", golden_dataset())
     assert err.value.record_id == "g1"
+
+
+def test_gateway_failure_names_first_failing_record_in_dataset_order(
+    tmp_path: Path,
+) -> None:
+    scheduler, _ = make_scheduler(
+        tmp_path,
+        {"flaky": [{"match": "g3:", "fail": True}, *correct_script()]},
+    )
+    register(scheduler, "alpha", "flaky")
+    with pytest.raises(GatewayFailure) as err:
+        scheduler.evaluate_agent("alpha", golden_dataset())
+    assert err.value.record_id == "g3"
+
+
+def test_concurrent_probe_failures_report_the_earliest_record(
+    tmp_path: Path,
+) -> None:
+    """g4 fails before g2 does; the error still names g2."""
+    g4_failed = threading.Event()
+
+    class RacingTransport:
+        def send(self, spec, payload):
+            text = payload["messages"][-1]["content"]
+            if "g4:" in text:
+                g4_failed.set()
+                raise TransportError("g4 down")
+            if "g2:" in text:
+                assert g4_failed.wait(timeout=5)
+                raise TransportError("g2 down")
+            return {"choices": [{"message": {"content": "no comment"}}]}
+
+    scheduler, gateway = make_scheduler(tmp_path, {})
+    gateway.register_backend(
+        BackendSpec(
+            backend_id="remote",
+            base_url="http://remote.test",
+            model_name="m",
+            max_retries=0,
+        ),
+        transport=RacingTransport(),
+    )
+    register(scheduler, "alpha", "remote")
+    with pytest.raises(GatewayFailure) as err:
+        scheduler.evaluate_agent("alpha", golden_dataset())
+    assert err.value.record_id == "g2"
+    assert not scheduler.scores_path.exists()
 
 
 def test_correct_vs_wrong_agents_score_one_and_zero(tmp_path: Path) -> None:
