@@ -21,8 +21,7 @@ from finorch.clock import Clock, SystemClock, isoformat
 from finorch.dataops.providers import MarketData
 from finorch.dataops.types import CompanyBundle
 from finorch.errors import (
-    ConfigError,
-    EngineError,
+    EmptyBundle,
     IncompleteBundle,
     MissingSection,
     UnparseablePrediction,
@@ -32,15 +31,11 @@ from finorch.prompts import PromptStore
 from finorch.scheduler import Scheduler, WorkflowEvaluation
 from finorch.workflow import (
     ROLE_ASSISTANT,
-    ROLE_DIRECTOR,
     ROLE_FINANCIAL_ANALYST,
+    Outcome,
     Task,
-    _TraceWriter,
-    basic_financials_text,
-    company_introduction_text,
-    perceive,
-    recent_news_text,
-    stock_price_changes_text,
+    Trace,
+    run_task,
 )
 
 EVIDENCE_TAGS = ("News", "Stock Price", "Basic Financials")
@@ -121,7 +116,134 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
     return start, end
 
 
+# ── perception (Assistant) ───────────────────────────────────────────────
+
+
+@dataclass(frozen=True)
+class PerceptionBundle:
+    """What the Assistant gathered for one forecast."""
+
+    company: CompanyBundle
+    assembled_at: str
+
+
+def perceive(
+    task: Task,
+    market_data: MarketData,
+    *,
+    clock: Clock | None = None,
+    window_days: int = 30,
+) -> PerceptionBundle:
+    """Draw the task's strictly pre-cutoff company bundle."""
+    clock = clock or SystemClock()
+    company = market_data.company_bundle(
+        task.subject, task.cutoff_date, window_days=window_days
+    )
+    if (
+        len(company.prices) == 0
+        and not company.news
+        and not company.financials.metrics
+    ):
+        raise EmptyBundle(
+            f"no data for {task.subject!r} before {task.cutoff_date}"
+        )
+    return PerceptionBundle(company=company, assembled_at=isoformat(clock.now()))
+
+
 # ── prompt construction ──────────────────────────────────────────────────
+
+
+_TEXT = {
+    "en": {
+        "intro": (
+            "{name} operates in the {industry} industry and is listed on "
+            "{exchange}. Market capitalization: {cap}."
+        ),
+        "price_move": (
+            "From {d0} to {d1}, {symbol}'s closing price moved from {c0} to "
+            "{c1}, a change of {pct}. Low was {lo} on {lod}; high was {hi} "
+            "on {hid}."
+        ),
+        "headline": "[Headline]: {headline}",
+        "summary": "[Summary]: {summary}",
+        "period": "Reporting period: {period}",
+    },
+    "zh": {
+        "intro": "{name}属于{industry}行业，于{exchange}上市。市值：{cap}。",
+        "price_move": (
+            "从{d0}到{d1}，{symbol}的收盘价由{c0}变为{c1}，涨跌幅{pct}。"
+            "期间最低{lo}（{lod}），最高{hi}（{hid}）。"
+        ),
+        "headline": "[新闻标题]: {headline}",
+        "summary": "[新闻摘要]: {summary}",
+        "period": "报告期：{period}",
+    },
+}
+
+
+def company_introduction_text(company: CompanyBundle, language: str) -> str:
+    t = _TEXT[language]
+    profile = company.profile
+    if not profile.name:
+        return ""
+    intro = t["intro"].format(
+        name=profile.name,
+        industry=profile.industry,
+        exchange=profile.exchange,
+        cap=f"{profile.market_cap:,.0f}",
+    )
+    if profile.description:
+        intro = f"{intro} {profile.description}"
+    return intro
+
+
+def stock_price_changes_text(company: CompanyBundle, language: str) -> str:
+    t = _TEXT[language]
+    obs = company.prices.observations
+    if len(obs) < 2:
+        return ""
+    first, last = obs[0], obs[-1]
+    pct = (last.close_value() / first.close_value() - 1.0) * 100.0
+    lo = min(obs, key=lambda o: o.close_value())
+    hi = max(obs, key=lambda o: o.close_value())
+    return t["price_move"].format(
+        d0=first.date.isoformat(),
+        d1=last.date.isoformat(),
+        symbol=company.symbol,
+        c0=first.close,
+        c1=last.close,
+        pct=f"{pct:+.2f}%",
+        lo=lo.close,
+        lod=lo.date.isoformat(),
+        hi=hi.close,
+        hid=hi.date.isoformat(),
+    )
+
+
+def recent_news_text(company: CompanyBundle, language: str) -> str:
+    t = _TEXT[language]
+    blocks = []
+    for item in company.news:
+        blocks.append(
+            "\n".join(
+                (
+                    f"[{item.dated.isoformat()}] ({item.source_id})",
+                    t["headline"].format(headline=item.headline),
+                    t["summary"].format(summary=item.summary),
+                )
+            )
+        )
+    return "\n\n".join(blocks)
+
+
+def basic_financials_text(company: CompanyBundle, language: str) -> str:
+    t = _TEXT[language]
+    snapshot = company.financials
+    if not snapshot.metrics:
+        return ""
+    lines = [t["period"].format(period=snapshot.period)]
+    lines.extend(f"{name}: {value:g}" for name, value in snapshot.items())
+    return "\n".join(lines)
 
 
 def build_forecast_prompt(
@@ -338,7 +460,6 @@ class ForecastRun:
 
     task: Task
     result: ForecastResult
-    model_text: str
     exchange: ChatExchange
     evaluation: WorkflowEvaluation | None = None
     run_dir: Path | None = None
@@ -346,6 +467,13 @@ class ForecastRun:
     @property
     def forecast_path(self) -> Path | None:
         return self.run_dir / "forecast.json" if self.run_dir else None
+
+
+def _factors(items: tuple[FactorItem, ...]) -> list[dict[str, Any]]:
+    return [
+        {"text": i.text, "evidence_tag": i.evidence_tag, "other_tag": i.other_tag}
+        for i in items
+    ]
 
 
 def run_forecaster(
@@ -362,7 +490,7 @@ def run_forecaster(
     clock: Clock | None = None,
     window_days: int = 30,
 ) -> ForecastRun:
-    """Route, perceive, prompt, parse, reflect, and persist one forecast."""
+    """Perceive, prompt and parse one forecast through the task runner."""
     clock = clock or SystemClock()
     task = Task(
         task_id=forecast_task_id(symbol, cutoff, horizon, language),
@@ -376,134 +504,73 @@ def run_forecaster(
         ),
         language=language,
     )
-    run_dir = (runs_dir / task.task_id) if runs_dir is not None else None
-    trace = _TraceWriter(
-        run_dir / "trace.jsonl" if run_dir is not None else None, clock
-    )
 
-    try:
-        chosen = scheduler.route(
-            task, recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec)
-        )
-    except EngineError as exc:
-        trace.emit(ROLE_DIRECTOR, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_DIRECTOR)
-    backend_id = scheduler.get_agent(chosen).backend_id
-
-    try:
-        perception = perceive(
-            task, market_data=market_data, clock=clock, window_days=window_days
-        )
-        bundle = perception.company
-        assert bundle is not None
-        messages = build_forecast_prompt(
-            bundle, task.cutoff_date, horizon, language, prompt_store
-        )
-    except EngineError as exc:
-        trace.emit(ROLE_ASSISTANT, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_ASSISTANT)
-    trace.emit(
-        ROLE_ASSISTANT,
-        {
-            "event": "perception",
-            "prices": len(bundle.prices),
-            "news": len(bundle.news),
-        },
-    )
-
-    try:
-        exchange = gateway.chat(backend_id, messages)
-        result = parse_forecast(exchange.response_text, language)
-    except EngineError as exc:
-        trace.emit(ROLE_FINANCIAL_ANALYST, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_FINANCIAL_ANALYST)
-    trace.emit(
-        ROLE_FINANCIAL_ANALYST,
-        {
-            "event": "forecast",
-            "direction": result.direction,
-            "band": result.band_text(),
-            "positives": len(result.positives),
-            "concerns": len(result.concerns),
-        },
-    )
-
-    assessment_prompt = prompt_store.render(
-        "self_assessment",
-        {"task_id": task.task_id, "output": exchange.response_text},
-        language,
-    )
-    assessment = gateway.chat(
-        backend_id, [ChatMessage(role="user", content=assessment_prompt)]
-    )
-    reflection = scheduler.record_reflection(
-        chosen, task.task_id, assessment.response_text
-    )
-    trace.emit(
-        ROLE_FINANCIAL_ANALYST,
-        {"event": "self_assessment", "self_score": reflection.self_score},
-    )
-
-    scheduler.mark_workflow_complete(
-        task.task_id,
-        final_output=exchange.response_text,
-        acceptance_text=task.instruction_text,
-    )
-    evaluation: WorkflowEvaluation | None = None
-    try:
-        evaluation = scheduler.finalize_workflow(task.task_id)
-        trace.emit(ROLE_DIRECTOR, {"event": "finalized", "grade": evaluation.grade})
-    except ConfigError as exc:
-        trace.emit(ROLE_DIRECTOR, {"event": "finalize_skipped", "reason": str(exc)})
-
-    if run_dir is not None:
-        start, end = horizon_window(task.cutoff_date, horizon)
-        artifact = {
-            "task_id": task.task_id,
-            "symbol": symbol,
-            "cutoff": task.cutoff_date.isoformat(),
-            "horizon_days": horizon,
-            "language": language,
-            "window": {"start": start.isoformat(), "end": end.isoformat()},
-            "agent": chosen,
-            "prediction": {
-                "direction": result.direction,
-                "low": result.low,
-                "high": result.high,
+    def act(backend_id: str, trace: Trace) -> Outcome:
+        with trace.stage(ROLE_ASSISTANT):
+            bundle = perceive(
+                task, market_data, clock=clock, window_days=window_days
+            ).company
+            messages = build_forecast_prompt(
+                bundle, task.cutoff_date, horizon, language, prompt_store
+            )
+        trace.emit(
+            ROLE_ASSISTANT,
+            {
+                "event": "perception",
+                "prices": len(bundle.prices),
+                "news": len(bundle.news),
             },
-            "positives": [
-                {
-                    "text": p.text,
-                    "evidence_tag": p.evidence_tag,
-                    "other_tag": p.other_tag,
-                }
-                for p in result.positives
-            ],
-            "concerns": [
-                {
-                    "text": c.text,
-                    "evidence_tag": c.evidence_tag,
-                    "other_tag": c.other_tag,
-                }
-                for c in result.concerns
-            ],
-            "analysis": result.analysis,
-            "model_text": exchange.response_text,
-            "grade": evaluation.grade if evaluation else None,
-            "self_score": reflection.self_score,
-            "generated_at": isoformat(clock.now()),
-        }
-        (run_dir / "forecast.json").write_text(
-            json.dumps(artifact, ensure_ascii=False, indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
+        )
+        with trace.stage(ROLE_FINANCIAL_ANALYST):
+            exchange = gateway.chat(backend_id, messages)
+            result = parse_forecast(exchange.response_text, language)
+        trace.emit(
+            ROLE_FINANCIAL_ANALYST,
+            {
+                "event": "forecast",
+                "direction": result.direction,
+                "band": result.band_text(),
+                "positives": len(result.positives),
+                "concerns": len(result.concerns),
+            },
+        )
+        start, end = horizon_window(task.cutoff_date, horizon)
+        return Outcome(
+            value=(result, exchange),
+            final_output=exchange.response_text,
+            artifact="forecast.json",
+            payload={
+                "symbol": symbol,
+                "cutoff": task.cutoff_date.isoformat(),
+                "horizon_days": horizon,
+                "language": language,
+                "window": {"start": start.isoformat(), "end": end.isoformat()},
+                "prediction": {
+                    "direction": result.direction,
+                    "low": result.low,
+                    "high": result.high,
+                },
+                "positives": _factors(result.positives),
+                "concerns": _factors(result.concerns),
+                "analysis": result.analysis,
+                "model_text": exchange.response_text,
+            },
         )
 
+    run = run_task(
+        task,
+        act,
+        scheduler=scheduler,
+        gateway=gateway,
+        prompt_store=prompt_store,
+        runs_dir=runs_dir,
+        clock=clock,
+    )
+    result, exchange = run.value
     return ForecastRun(
         task=task,
         result=result,
-        model_text=exchange.response_text,
         exchange=exchange,
-        evaluation=evaluation,
-        run_dir=run_dir,
+        evaluation=run.evaluation,
+        run_dir=run.run_dir,
     )

@@ -10,13 +10,11 @@ grounded in its own retrieved passages and the extracted indicators.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
 
-from finorch.clock import Clock, SystemClock, isoformat
+from finorch.clock import Clock
 from finorch.dataops.retrieval import (
     Document,
     RetrievalIndex,
@@ -25,7 +23,6 @@ from finorch.dataops.retrieval import (
     retrieve,
 )
 from finorch.errors import (
-    ConfigError,
     EngineError,
     ExtractionFailure,
     UnreadableDocument,
@@ -36,10 +33,11 @@ from finorch.scheduler import Scheduler, WorkflowEvaluation
 from finorch.tools.calls import ToolParam, ToolSchema, text2params
 from finorch.workflow import (
     ROLE_ASSISTANT,
-    ROLE_DIRECTOR,
     ROLE_FINANCIAL_ANALYST,
+    Outcome,
     Task,
-    _TraceWriter,
+    Trace,
+    run_task,
 )
 
 ABSENT_MARKER = "ABSENT"
@@ -333,8 +331,7 @@ def generate_report(
     clock: Clock | None = None,
     top_k: int = 3,
 ) -> ReportResult:
-    """Write the five-section research note through the routed agent."""
-    clock = clock or SystemClock()
+    """Write the five-section research note through the task runner."""
     task_id = f"report-{_slug(subject)}-{analysis.doc_path.stem}-{language}"
     task = Task(
         task_id=task_id,
@@ -348,139 +345,91 @@ def generate_report(
         ),
         language=language,
     )
-    run_dir = (runs_dir / task_id) if runs_dir is not None else None
-    trace = _TraceWriter(
-        run_dir / "trace.jsonl" if run_dir is not None else None, clock
-    )
 
-    try:
-        chosen = scheduler.route(
-            task, recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec)
-        )
-    except EngineError as exc:
-        trace.emit(ROLE_DIRECTOR, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_DIRECTOR)
-    backend_id = scheduler.get_agent(chosen).backend_id
-    trace.emit(
-        ROLE_ASSISTANT,
-        {
-            "event": "analysis",
-            "chunks": analysis.chunk_count,
-            "indicators": len(analysis.indicators),
-            "failures": len(analysis.failures),
-            "discrepancies": len(analysis.discrepancies),
-        },
-    )
-
-    def section_failed(name: str, exc: EngineError) -> EngineError:
+    def act(backend_id: str, trace: Trace) -> Outcome:
         trace.emit(
-            ROLE_FINANCIAL_ANALYST,
-            {"event": "error", "section": name, "error": str(exc)},
+            ROLE_ASSISTANT,
+            {
+                "event": "analysis",
+                "chunks": analysis.chunk_count,
+                "indicators": len(analysis.indicators),
+                "failures": len(analysis.failures),
+                "discrepancies": len(analysis.discrepancies),
+            },
         )
-        return exc.with_role(ROLE_FINANCIAL_ANALYST)
-
-    # Render every section prompt first, then write the sections together.
-    indicators_block = _indicator_block(analysis)
-    staged: list[tuple[str, tuple[str, ...]]] = []
-    requests = []
-    for name, query in REPORT_SECTIONS:
-        try:
-            passages = retrieve(
-                analysis.index, query, k=min(top_k, analysis.chunk_count)
+        # Render every section prompt first, then write the sections together.
+        indicators_block = _indicator_block(analysis)
+        staged: list[tuple[str, tuple[str, ...]]] = []
+        requests = []
+        for name, query in REPORT_SECTIONS:
+            with trace.stage(ROLE_FINANCIAL_ANALYST, section=name):
+                passages = retrieve(
+                    analysis.index, query, k=min(top_k, analysis.chunk_count)
+                )
+                prompt = prompt_store.render(
+                    "report_section",
+                    {
+                        "section_name": name,
+                        "subject": subject,
+                        "indicators": indicators_block,
+                        "passages": _passages_block(passages) or "(none)",
+                    },
+                    language,
+                )
+            staged.append((name, tuple(p.doc_id for p in passages)))
+            requests.append((backend_id, [ChatMessage(role="user", content=prompt)]))
+        sections: list[ReportSection] = []
+        for (name, refs), outcome in zip(staged, gateway.chat_many(requests)):
+            if isinstance(outcome, EngineError):
+                raise trace.fail(ROLE_FINANCIAL_ANALYST, outcome, section=name)
+            sections.append(
+                ReportSection(name=name, body=outcome.response_text, refs=refs)
             )
-            prompt = prompt_store.render(
-                "report_section",
-                {
-                    "section_name": name,
-                    "subject": subject,
-                    "indicators": indicators_block,
-                    "passages": _passages_block(passages) or "(none)",
-                },
-                language,
+            trace.emit(
+                ROLE_FINANCIAL_ANALYST,
+                {"event": "section", "name": name, "refs": list(refs)},
             )
-        except EngineError as exc:
-            raise section_failed(name, exc)
-        staged.append((name, tuple(p.doc_id for p in passages)))
-        requests.append((backend_id, [ChatMessage(role="user", content=prompt)]))
-    sections: list[ReportSection] = []
-    for (name, refs), outcome in zip(staged, gateway.chat_many(requests)):
-        if isinstance(outcome, EngineError):
-            raise section_failed(name, outcome)
-        sections.append(
-            ReportSection(name=name, body=outcome.response_text, refs=refs)
+        result = ReportResult(
+            task_id=task_id,
+            subject=subject,
+            sections=tuple(sections),
+            analysis=analysis,
         )
-        trace.emit(
-            ROLE_FINANCIAL_ANALYST,
-            {"event": "section", "name": name, "refs": list(refs)},
+        return Outcome(
+            value=result,
+            final_output="\n\n".join(f"{s.name}\n{s.body}" for s in sections),
+            artifact="analysis.json",
+            payload={
+                "subject": subject,
+                "chunks": analysis.chunk_count,
+                "indicators": [
+                    {
+                        "name": i.name,
+                        "value": i.value,
+                        "unit": i.unit,
+                        "period": i.period,
+                        "topic": i.topic,
+                        "sources": list(i.source_ids),
+                    }
+                    for i in analysis.indicators
+                ],
+                "failures": [list(f) for f in analysis.failures],
+                "discrepancies": [
+                    {"name": d.name, "values": list(d.values), "detail": d.detail}
+                    for d in analysis.discrepancies
+                ],
+                "sections": [s.name for s in sections],
+            },
+            texts={"report.txt": result.to_text(), "report.md": result.to_markdown()},
         )
 
-    joined = "\n\n".join(f"{s.name}\n{s.body}" for s in sections)
-    assessment_prompt = prompt_store.render(
-        "self_assessment", {"task_id": task_id, "output": joined}, language
+    run = run_task(
+        task,
+        act,
+        scheduler=scheduler,
+        gateway=gateway,
+        prompt_store=prompt_store,
+        runs_dir=runs_dir,
+        clock=clock,
     )
-    assessment = gateway.chat(
-        backend_id, [ChatMessage(role="user", content=assessment_prompt)]
-    )
-    reflection = scheduler.record_reflection(
-        chosen, task_id, assessment.response_text
-    )
-    trace.emit(
-        ROLE_FINANCIAL_ANALYST,
-        {"event": "self_assessment", "self_score": reflection.self_score},
-    )
-
-    scheduler.mark_workflow_complete(
-        task_id, final_output=joined, acceptance_text=task.instruction_text
-    )
-    evaluation: WorkflowEvaluation | None = None
-    try:
-        evaluation = scheduler.finalize_workflow(task_id)
-        trace.emit(ROLE_DIRECTOR, {"event": "finalized", "grade": evaluation.grade})
-    except ConfigError as exc:
-        trace.emit(ROLE_DIRECTOR, {"event": "finalize_skipped", "reason": str(exc)})
-
-    result = ReportResult(
-        task_id=task_id,
-        subject=subject,
-        sections=tuple(sections),
-        analysis=analysis,
-        evaluation=evaluation,
-        run_dir=run_dir,
-    )
-    if run_dir is not None:
-        (run_dir / "report.txt").write_text(result.to_text(), encoding="utf-8")
-        (run_dir / "report.md").write_text(
-            result.to_markdown(), encoding="utf-8"
-        )
-        summary: dict[str, Any] = {
-            "task_id": task_id,
-            "subject": subject,
-            "agent": chosen,
-            "chunks": analysis.chunk_count,
-            "indicators": [
-                {
-                    "name": i.name,
-                    "value": i.value,
-                    "unit": i.unit,
-                    "period": i.period,
-                    "topic": i.topic,
-                    "sources": list(i.source_ids),
-                }
-                for i in analysis.indicators
-            ],
-            "failures": [list(f) for f in analysis.failures],
-            "discrepancies": [
-                {"name": d.name, "values": list(d.values), "detail": d.detail}
-                for d in analysis.discrepancies
-            ],
-            "sections": [s.name for s in sections],
-            "grade": evaluation.grade if evaluation else None,
-            "self_score": reflection.self_score,
-            "generated_at": isoformat(clock.now()),
-        }
-        (run_dir / "analysis.json").write_text(
-            json.dumps(summary, ensure_ascii=False, indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-    return result
+    return replace(run.value, evaluation=run.evaluation, run_dir=run.run_dir)

@@ -53,7 +53,6 @@ from finorch.workflow import TASK_KINDS
 
 __all__ = [
     "AgentSettings",
-    "BackendSettings",
     "Engine",
     "EngineConfig",
     "ProviderSettings",
@@ -78,29 +77,13 @@ _TOP_LEVEL_KEYS = {
 
 _SECRET_KEYS = ("api_key", "token", "secret", "password")
 
-
-@dataclass(frozen=True)
-class BackendSettings:
-    backend_id: str
-    base_url: str
-    model_name: str
-    api_key_env: str = ""
-    max_tokens: int = 1024
-    temperature: float = 0.0
-    timeout: float = 30.0
-    max_retries: int = 2
-
-    def to_spec(self) -> BackendSpec:
-        return BackendSpec(
-            backend_id=self.backend_id,
-            base_url=self.base_url,
-            model_name=self.model_name,
-            api_key_env=self.api_key_env,
-            max_tokens=self.max_tokens,
-            temperature=self.temperature,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-        )
+# Optional numeric backend keys; absent ones take the BackendSpec default.
+_BACKEND_NUMBERS = {
+    "max_tokens": int,
+    "temperature": float,
+    "timeout": float,
+    "max_retries": int,
+}
 
 
 @dataclass(frozen=True)
@@ -119,7 +102,7 @@ class ProviderSettings:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    backends: tuple[BackendSettings, ...]
+    backends: tuple[BackendSpec, ...]
     agents: tuple[AgentSettings, ...]
     weights: Mapping[str, Mapping[str, float]]
     provider: ProviderSettings
@@ -161,34 +144,39 @@ def _reject_secrets(row: Mapping[str, Any], where: str) -> None:
             )
 
 
-def _parse_backend(row: Any, index: int) -> BackendSettings:
+def _parse_backend(row: Any, index: int) -> BackendSpec:
     where = f"backends[{index}]"
     if not isinstance(row, Mapping):
         raise ConfigError(f"{where} must be a mapping")
     _reject_secrets(row, where)
-    allowed = {
+    unknown = set(row) - {
         "backend_id",
         "base_url",
         "model_name",
         "api_key_env",
-        "max_tokens",
-        "temperature",
-        "timeout",
-        "max_retries",
+        *_BACKEND_NUMBERS,
     }
-    unknown = set(row) - allowed
     if unknown:
         raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
-    return BackendSettings(
-        backend_id=_require(row, "backend_id", where),
-        base_url=_require(row, "base_url", where),
-        model_name=_require(row, "model_name", where),
-        api_key_env=str(row.get("api_key_env", "")),
-        max_tokens=int(row.get("max_tokens", 1024)),
-        temperature=float(row.get("temperature", 0.0)),
-        timeout=float(row.get("timeout", 30.0)),
-        max_retries=int(row.get("max_retries", 2)),
-    )
+    numbers = {}
+    for key, kind in _BACKEND_NUMBERS.items():
+        if key in row:
+            try:
+                numbers[key] = kind(row[key])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{where} key {key!r} must be a number, got {row[key]!r}"
+                ) from None
+    try:
+        return BackendSpec(
+            backend_id=_require(row, "backend_id", where),
+            base_url=_require(row, "base_url", where),
+            model_name=_require(row, "model_name", where),
+            api_key_env=str(row.get("api_key_env", "")),
+            **numbers,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentSettings:
@@ -474,16 +462,15 @@ def build_engine(
             sleeper=lambda seconds: None,
             rng=random.Random(0),
         )
-        for settings in config.backends:
+        for spec in config.backends:
             gateway.script_mock(
-                settings.backend_id,
-                offline_scripts.script_for(settings.backend_id),
+                spec.backend_id, offline_scripts.script_for(spec.backend_id)
             )
         market_data = MarketData(FixtureProvider(config.fixture_dir))
     else:
         gateway = Gateway(clock=clock)
-        for settings in config.backends:
-            gateway.register_backend(settings.to_spec())
+        for spec in config.backends:
+            gateway.register_backend(spec)
         provider = LiveProvider(
             base_url=config.provider.base_url,
             token_env=config.provider.token_env,

@@ -125,17 +125,6 @@ class EmptyBundle(EngineError):
     pass
 
 
-class StepFailure(EngineError):
-    def __init__(self, step_index: int, cause: str):
-        self.step_index = step_index
-        self.cause = cause
-        super().__init__(f"step {step_index} failed: {cause}")
-
-
-class ToolValidationFailure(EngineError):
-    pass
-
-
 # ── tools ────────────────────────────────────────────────────────────────
 
 class NoCallBlock(EngineError):

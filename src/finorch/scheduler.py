@@ -285,6 +285,25 @@ def load_golden_dataset(path: Path | str) -> list[GoldenRecord]:
     return records
 
 
+def _read_rows(path: Path, row_type: type) -> list:
+    """Every row of one state file; a torn or malformed line is a
+    ConfigError naming the file and the line."""
+    if not path.exists():
+        return []
+    rows = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(row_type(**json.loads(line)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"state file {path} line {number} is malformed: {exc}"
+            ) from None
+    return rows
+
+
 # --------------------------------------------------------------- scheduler
 
 
@@ -313,8 +332,6 @@ class Scheduler:
         self._tasks: set[str] = set()
         self._completed_workflows: dict[str, dict] = {}
         self._write_lock = threading.Lock()
-        self._scores: list[TaskScore] = []
-        self._reflections: list[Reflection] = []
         self._load_state()
 
     # ---------------------------------------------------------- persistence
@@ -332,16 +349,10 @@ class Scheduler:
         return self._state_dir / "evaluations.jsonl"
 
     def _load_state(self) -> None:
-        if self.scores_path.exists():
-            for line in self.scores_path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    self._scores.append(TaskScore(**json.loads(line)))
-        if self.reflections_path.exists():
-            for line in self.reflections_path.read_text(
-                encoding="utf-8"
-            ).splitlines():
-                if line.strip():
-                    self._reflections.append(Reflection(**json.loads(line)))
+        self._scores: list[TaskScore] = _read_rows(self.scores_path, TaskScore)
+        self._reflections: list[Reflection] = _read_rows(
+            self.reflections_path, Reflection
+        )
 
     def _append(self, path: Path, row: Mapping) -> None:
         with self._write_lock:

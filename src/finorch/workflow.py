@@ -1,114 +1,38 @@
-"""Multi-agent workflow engine: Perception -> Brain -> Action.
+"""Multi-agent workflow: one runner drives every task kind.
 
-A task flows through four named roles:
+A task flows through the paper's named roles:
 
 * the Director routes it to the best-scored agent and owns final acceptance,
-* the Assistant assembles the perception bundle (market data or passages),
-* the LLM Analyst lays out the chain-of-thought plan,
-* the Financial Analyst injects quantitative summaries and executes the steps.
+* the Assistant assembles the evidence (market data or document analysis),
+* the Financial Analyst has the routed agent's backend write the output,
+  parses it, and assesses it.
 
-Every stage appends to an audit trace; errors are tagged with the role that
-owned the failing stage.
+``run_task`` owns routing, the audit trace, role tagging, self-assessment,
+finalization and artifact writing. Each app supplies only its act step:
+gather evidence, prompt, chat, parse, and name the artifacts to keep.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import heapq
 import json
-import math
-import statistics
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from finorch.analytics import RatioPanel, log_return, normalize_ratio_panel
 from finorch.clock import Clock, SystemClock, isoformat
-from finorch.dataops.providers import MarketData
-from finorch.dataops.retrieval import RetrievalIndex, RetrievedPassage, retrieve
-from finorch.dataops.types import CompanyBundle, parse_date
-from finorch.errors import (
-    ConfigError,
-    EmptyBundle,
-    EngineError,
-    HorizonTooLong,
-    StepFailure,
-)
-from finorch.gateway import ChatExchange, ChatMessage, Gateway
+from finorch.dataops.types import parse_date
+from finorch.errors import ConfigError, EngineError
+from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
 from finorch.scheduler import Scheduler, WorkflowEvaluation
-from finorch.tools.calls import ToolCall, ToolSchema, text2params
 
 TASK_KINDS = ("forecast", "report")
-STEP_KINDS = (
-    "financial_analysis",
-    "business_specific",
-    "market_analysis",
-    "valuation",
-)
 ROLE_DIRECTOR = "Director"
 ROLE_ASSISTANT = "Assistant"
-ROLE_LLM_ANALYST = "LLM Analyst"
 ROLE_FINANCIAL_ANALYST = "Financial Analyst"
-ROLES = (ROLE_DIRECTOR, ROLE_ASSISTANT, ROLE_LLM_ANALYST, ROLE_FINANCIAL_ANALYST)
-
-_STEP_TEMPLATES = {
-    "financial_analysis": "cot_financial_analysis",
-    "business_specific": "cot_business_specific",
-    "market_analysis": "cot_market_analysis",
-    "valuation": "cot_valuation",
-}
-
-_TEXT = {
-    "en": {
-        "intro": (
-            "{name} operates in the {industry} industry and is listed on "
-            "{exchange}. Market capitalization: {cap}."
-        ),
-        "price_move": (
-            "From {d0} to {d1}, {symbol}'s closing price moved from {c0} to "
-            "{c1}, a change of {pct}. Low was {lo} on {lod}; high was {hi} "
-            "on {hid}."
-        ),
-        "headline": "[Headline]: {headline}",
-        "summary": "[Summary]: {summary}",
-        "period": "Reporting period: {period}",
-        "returns": (
-            "Daily log returns over {n} observations: mean {mean}, "
-            "std {std}. Latest {h}-day log return: {r}."
-        ),
-        "no_returns": "(insufficient price history for log-return analysis)",
-        "no_ratios": "(no ratio data available)",
-        "from_passages": "(derived from the retrieved passages)",
-        "not_in_scope": "(not available from the document scope)",
-        "no_passages": "(no passages retrieved)",
-        "zline": "{name}: z-score {z} vs peers ({flag})",
-    },
-    "zh": {
-        "intro": "{name}属于{industry}行业，于{exchange}上市。市值：{cap}。",
-        "price_move": (
-            "从{d0}到{d1}，{symbol}的收盘价由{c0}变为{c1}，涨跌幅{pct}。"
-            "期间最低{lo}（{lod}），最高{hi}（{hid}）。"
-        ),
-        "headline": "[新闻标题]: {headline}",
-        "summary": "[新闻摘要]: {summary}",
-        "period": "报告期：{period}",
-        "returns": (
-            "基于{n}个观测值的日对数收益率：均值{mean}，标准差{std}。"
-            "最近{h}日对数收益率：{r}。"
-        ),
-        "no_returns": "（价格数据不足，无法计算对数收益率）",
-        "no_ratios": "（暂无财务比率数据）",
-        "from_passages": "（来自检索到的文档段落）",
-        "not_in_scope": "（文档范围内无此数据）",
-        "no_passages": "（未检索到相关段落）",
-        "zline": "{name}: 相对同业 z 分数 {z}（{flag}）",
-    },
-}
-
-
-# ── task and plan dataclasses ────────────────────────────────────────────
 
 
 @dataclass(frozen=True)
@@ -139,600 +63,131 @@ class Task:
         object.__setattr__(self, "cutoff_date", parse_date(self.cutoff_date))
 
 
-@dataclass(frozen=True)
-class PerceptionBundle:
-    """What the Assistant gathered for one task."""
+class Trace:
+    """The run's audit trace: one JSON line per record, stamped by role."""
 
-    task_id: str
-    company: CompanyBundle | None
-    passages: tuple[RetrievedPassage, ...]
-    assembled_at: str
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    step_kind: str
-    prompt_template_id: str
-    depends_on: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.step_kind not in STEP_KINDS:
-            raise ValueError(f"unknown step kind {self.step_kind!r}")
-
-
-@dataclass(frozen=True)
-class CoTPlan:
-    """An ordered set of reasoning steps with explicit dependencies."""
-
-    task_id: str
-    steps: tuple[PlanStep, ...]
-    plan_rationale: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("a plan needs at least one step")
-        for i, step in enumerate(self.steps):
-            for dep in step.depends_on:
-                if not 0 <= dep < len(self.steps):
-                    raise ValueError(
-                        f"step {i}: dependency {dep} out of range"
-                    )
-                if dep == i:
-                    raise ValueError(f"step {i} depends on itself")
-
-    def execution_order(self) -> list[int]:
-        """Topological order, ascending index among ready steps.
-
-        Raises ValueError if the dependency graph has a cycle.
-        """
-        n = len(self.steps)
-        indegree = [len(set(s.depends_on)) for s in self.steps]
-        dependents: list[list[int]] = [[] for _ in range(n)]
-        for i, step in enumerate(self.steps):
-            for dep in set(step.depends_on):
-                dependents[dep].append(i)
-        ready = [i for i in range(n) if indegree[i] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(i)
-            for j in dependents[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    heapq.heappush(ready, j)
-        if len(order) != n:
-            raise ValueError("plan has a dependency cycle")
-        return order
-
-
-@dataclass(frozen=True)
-class StepOutput:
-    step_index: int
-    step_kind: str
-    text: str
-    exchange: ChatExchange | None = None
-    tool_calls: tuple[ToolCall, ...] = ()
-
-
-@dataclass(frozen=True)
-class WorkflowResult:
-    """Full audit of one completed task run."""
-
-    task_id: str
-    plan: CoTPlan
-    perception: PerceptionBundle
-    step_outputs: tuple[StepOutput, ...]
-    final_output: str
-    role_trace: tuple[tuple[str, str], ...]
-    evaluation: WorkflowEvaluation | None = None
-    run_dir: Path | None = None
-
-    def __post_init__(self) -> None:
-        if not self.role_trace or self.role_trace[0][0] != ROLE_DIRECTOR:
-            raise ValueError("role trace must start with the Director")
-        if not any(r == ROLE_FINANCIAL_ANALYST for r, _ in self.role_trace):
-            raise ValueError("role trace must include an analyst step")
-
-
-# ── perception ───────────────────────────────────────────────────────────
-
-
-def perceive(
-    task: Task,
-    *,
-    market_data: MarketData | None = None,
-    index: RetrievalIndex | None = None,
-    clock: Clock | None = None,
-    window_days: int = 30,
-    top_k: int = 4,
-) -> PerceptionBundle:
-    """Assemble the task's evidence. Forecasts draw a strictly pre-cutoff
-    company bundle; reports retrieve passages from the document index.
-    """
-    clock = clock or SystemClock()
-    company: CompanyBundle | None = None
-    passages: tuple[RetrievedPassage, ...] = ()
-    if task.task_kind == "forecast":
-        if market_data is None:
-            raise ConfigError("forecast tasks need a market data source")
-        company = market_data.company_bundle(
-            task.subject, task.cutoff_date, window_days=window_days
-        )
-        if (
-            len(company.prices) == 0
-            and not company.news
-            and not company.financials.metrics
-        ):
-            raise EmptyBundle(
-                f"no data for {task.subject!r} before {task.cutoff_date}"
-            )
-    else:
-        if index is None:
-            raise ConfigError("report tasks need a document index")
-        query = task.instruction_text or task.subject
-        passages = tuple(retrieve(index, query, k=top_k))
-    return PerceptionBundle(
-        task_id=task.task_id,
-        company=company,
-        passages=passages,
-        assembled_at=isoformat(clock.now()),
-    )
-
-
-# ── planning ─────────────────────────────────────────────────────────────
-
-
-def plan_cot(task: Task, perception: PerceptionBundle) -> CoTPlan:
-    """Lay out the reasoning chain, pruning steps whose evidence is missing."""
-    rationale: list[str] = []
-    if task.task_kind == "forecast":
-        company = perception.company
-        if company is None:
-            raise EmptyBundle("forecast plan needs a company bundle")
-        kinds = []
-        if company.financials.metrics:
-            kinds.append("financial_analysis")
-        else:
-            rationale.append(
-                "financial_analysis pruned: no basic financials as of cutoff"
-            )
-        kinds.append("business_specific")
-        if company.news:
-            kinds.append("market_analysis")
-        else:
-            rationale.append("market_analysis pruned: no news before cutoff")
-        if len(company.prices) >= 2:
-            kinds.append("valuation")
-        else:
-            rationale.append("valuation pruned: insufficient price history")
-    else:
-        kinds = ["financial_analysis", "business_specific", "valuation"]
-        if not perception.passages:
-            rationale.append("no passages retrieved; steps run on thin evidence")
-    steps = tuple(
-        PlanStep(
-            step_kind=kind,
-            prompt_template_id=_STEP_TEMPLATES[kind],
-            depends_on=(i - 1,) if i else (),
-        )
-        for i, kind in enumerate(kinds)
-    )
-    rationale.insert(0, f"{len(steps)}-step chain for {task.task_kind}")
-    return CoTPlan(
-        task_id=task.task_id, steps=steps, plan_rationale=tuple(rationale)
-    )
-
-
-# ── quantitative bindings (Financial Analyst) ────────────────────────────
-
-
-def _fmt(value: float) -> str:
-    return format(value, "g")
-
-
-def company_introduction_text(company: CompanyBundle, language: str) -> str:
-    t = _TEXT[language]
-    profile = company.profile
-    if not profile.name:
-        return ""
-    intro = t["intro"].format(
-        name=profile.name,
-        industry=profile.industry,
-        exchange=profile.exchange,
-        cap=f"{profile.market_cap:,.0f}",
-    )
-    if profile.description:
-        intro = f"{intro} {profile.description}"
-    return intro
-
-
-def stock_price_changes_text(company: CompanyBundle, language: str) -> str:
-    t = _TEXT[language]
-    obs = company.prices.observations
-    if len(obs) < 2:
-        return ""
-    first, last = obs[0], obs[-1]
-    pct = (last.close_value() / first.close_value() - 1.0) * 100.0
-    lo = min(obs, key=lambda o: o.close_value())
-    hi = max(obs, key=lambda o: o.close_value())
-    return t["price_move"].format(
-        d0=first.date.isoformat(),
-        d1=last.date.isoformat(),
-        symbol=company.symbol,
-        c0=first.close,
-        c1=last.close,
-        pct=f"{pct:+.2f}%",
-        lo=lo.close,
-        lod=lo.date.isoformat(),
-        hi=hi.close,
-        hid=hi.date.isoformat(),
-    )
-
-
-def recent_news_text(company: CompanyBundle, language: str) -> str:
-    t = _TEXT[language]
-    blocks = []
-    for item in company.news:
-        blocks.append(
-            "\n".join(
-                (
-                    f"[{item.dated.isoformat()}] ({item.source_id})",
-                    t["headline"].format(headline=item.headline),
-                    t["summary"].format(summary=item.summary),
-                )
-            )
-        )
-    return "\n\n".join(blocks)
-
-
-def basic_financials_text(company: CompanyBundle, language: str) -> str:
-    t = _TEXT[language]
-    snapshot = company.financials
-    if not snapshot.metrics:
-        return ""
-    lines = [t["period"].format(period=snapshot.period)]
-    lines.extend(f"{name}: {_fmt(value)}" for name, value in snapshot.items())
-    return "\n".join(lines)
-
-
-def log_return_summary_text(
-    company: CompanyBundle, horizon: int, language: str
-) -> str:
-    t = _TEXT[language]
-    series = company.prices
-    if len(series) < 2:
-        return t["no_returns"]
-    daily = [r for _, r in log_return(series, 1)]
-    mean = math.fsum(daily) / len(daily)
-    std = statistics.pstdev(daily)
-    try:
-        latest_h = log_return(series, horizon)[-1][1]
-        h_used = horizon
-    except HorizonTooLong:
-        latest_h = daily[-1]
-        h_used = 1
-    return t["returns"].format(
-        n=len(series),
-        mean=f"{mean:+.6f}",
-        std=f"{std:.6f}",
-        h=h_used,
-        r=f"{latest_h:+.6f}",
-    )
-
-
-def ratio_summary_text(
-    company: CompanyBundle,
-    language: str,
-    peers: Mapping[str, Mapping[str, float]] | None = None,
-) -> str:
-    """One line per ratio; adds a peer z-score where a panel is supplied."""
-    t = _TEXT[language]
-    snapshot = company.financials
-    if not snapshot.metrics:
-        return t["no_ratios"]
-    lines = []
-    for name, value in snapshot.items():
-        line = f"{name}: {_fmt(value)}"
-        panel_values = (peers or {}).get(name)
-        if panel_values and company.symbol in panel_values:
-            verdict = normalize_ratio_panel(
-                RatioPanel(ratio_name=name, peers=panel_values, subject=company.symbol)
-            )
-            if verdict.zscore is not None:
-                line += "  " + t["zline"].format(
-                    name=name, z=f"{verdict.zscore:+.2f}", flag=verdict.flag
-                )
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def assemble_bindings(
-    task: Task,
-    perception: PerceptionBundle,
-    peers: Mapping[str, Mapping[str, float]] | None = None,
-) -> dict[str, str]:
-    """Everything the step templates may ask for, as rendered text blocks."""
-    t = _TEXT[task.language]
-    if task.task_kind == "forecast":
-        company = perception.company
-        if company is None:
-            raise EmptyBundle("forecast bindings need a company bundle")
-        return {
-            "symbol": company.symbol,
-            "company_introduction": company_introduction_text(
-                company, task.language
-            ),
-            "stock_price_changes": stock_price_changes_text(
-                company, task.language
-            ),
-            "recent_news": recent_news_text(company, task.language),
-            "basic_financials": basic_financials_text(company, task.language),
-            "log_return_summary": log_return_summary_text(
-                company, task.horizon, task.language
-            ),
-            "ratio_summary": ratio_summary_text(company, task.language, peers),
-        }
-    passage_lines = [
-        f"[{p.doc_id}] {p.text}" for p in perception.passages
-    ]
-    passages_block = "\n\n".join(passage_lines) or t["no_passages"]
-    return {
-        "symbol": task.subject,
-        "company_introduction": (
-            perception.passages[0].text if perception.passages else t["no_passages"]
-        ),
-        "stock_price_changes": t["not_in_scope"],
-        "recent_news": t["not_in_scope"],
-        "basic_financials": passages_block,
-        "log_return_summary": t["not_in_scope"],
-        "ratio_summary": t["from_passages"],
-    }
-
-
-# ── action ───────────────────────────────────────────────────────────────
-
-
-def act(
-    plan: CoTPlan,
-    bindings: Mapping[str, str],
-    *,
-    gateway: Gateway,
-    backend_id: str,
-    prompt_store: PromptStore,
-    language: str = "en",
-    tool_schemas: Sequence[ToolSchema] = (),
-    tool_handlers: Mapping[str, Callable[[ToolCall], Any]] | None = None,
-    recorder: Callable[[dict[str, Any]], None] | None = None,
-) -> list[StepOutput]:
-    """Execute the plan in dependency order, threading step outputs through
-    the ``previous`` binding. Any per-step error surfaces as StepFailure.
-    """
-    order = plan.execution_order()
-    texts: dict[int, str] = {}
-    outputs: dict[int, StepOutput] = {}
-    for i in order:
-        step = plan.steps[i]
-        try:
-            previous = "\n\n".join(
-                texts[d] for d in sorted(set(step.depends_on))
-            )
-            rendered = prompt_store.render(
-                step.prompt_template_id,
-                {**bindings, "previous": previous},
-                language,
-            )
-            exchange = gateway.chat(
-                backend_id, [ChatMessage(role="user", content=rendered)]
-            )
-            calls: list[ToolCall] = []
-            if tool_schemas and "```tool" in exchange.response_text:
-                call = text2params(exchange.response_text, list(tool_schemas))
-                if tool_handlers and call.tool_name in tool_handlers:
-                    tool_handlers[call.tool_name](call)
-                calls.append(call)
-        except EngineError as exc:
-            raise StepFailure(i, str(exc)).with_role(
-                ROLE_FINANCIAL_ANALYST
-            ) from exc
-        texts[i] = exchange.response_text
-        outputs[i] = StepOutput(
-            step_index=i,
-            step_kind=step.step_kind,
-            text=exchange.response_text,
-            exchange=exchange,
-            tool_calls=tuple(calls),
-        )
-        if recorder is not None:
-            recorder(
-                {
-                    "event": "step",
-                    "index": i,
-                    "kind": step.step_kind,
-                    "tools": [c.tool_name for c in calls],
-                    "chars": len(exchange.response_text),
-                }
-            )
-    return [outputs[i] for i in order]
-
-
-# ── orchestration ────────────────────────────────────────────────────────
-
-
-class _TraceWriter:
     def __init__(self, path: Path | None, clock: Clock):
         self._path = path
         self._clock = clock
-        self.records: list[dict[str, Any]] = []
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text("", encoding="utf-8")
 
     def emit(self, role: str, record: dict[str, Any]) -> None:
         full = {"role": role, "at": isoformat(self._clock.now()), **record}
-        self.records.append(full)
         if self._path is not None:
             with self._path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(full, ensure_ascii=False, sort_keys=True))
                 fh.write("\n")
 
+    def fail(self, role: str, exc: EngineError, **context: Any) -> EngineError:
+        """Record ``exc`` as the failure of ``role``'s stage and tag it."""
+        self.emit(role, {"event": "error", **context, "error": str(exc)})
+        return exc.with_role(role)
 
-def run_workflow(
+    @contextmanager
+    def stage(self, role: str, **context: Any) -> Iterator[None]:
+        """Any EngineError inside the block is ``role``'s failure."""
+        try:
+            yield
+        except EngineError as exc:
+            raise self.fail(role, exc, **context)
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What an app's act step hands back to the runner."""
+
+    value: Any  # the app's own result, returned untouched
+    final_output: str  # the text self-assessment and the judge read
+    artifact: str  # JSON file in the run dir: ``payload`` plus run fields
+    payload: Mapping[str, Any]
+    texts: Mapping[str, str] = field(default_factory=dict)  # file -> text
+
+
+@dataclass(frozen=True)
+class TaskRun:
+    """One finished task: the act step's value and the Director's grade."""
+
+    value: Any
+    evaluation: WorkflowEvaluation | None
+    run_dir: Path | None
+
+
+def run_task(
     task: Task,
+    act: Callable[[str, Trace], Outcome],
     *,
     scheduler: Scheduler,
     gateway: Gateway,
     prompt_store: PromptStore,
-    market_data: MarketData | None = None,
-    index: RetrievalIndex | None = None,
     runs_dir: Path | None = None,
     clock: Clock | None = None,
-    tool_schemas: Sequence[ToolSchema] = (),
-    tool_handlers: Mapping[str, Callable[[ToolCall], Any]] | None = None,
-    acceptance_text: str | None = None,
-    peers: Mapping[str, Mapping[str, float]] | None = None,
-    window_days: int = 30,
-) -> WorkflowResult:
-    """Drive one task through route -> perceive -> plan -> act -> finalize."""
+) -> TaskRun:
+    """Route -> act -> self-assess -> finalize -> write, for one task.
+
+    ``act`` receives the routed agent's backend id and the trace.
+    """
     clock = clock or SystemClock()
     run_dir = (runs_dir / task.task_id) if runs_dir is not None else None
-    trace = _TraceWriter(
-        run_dir / "trace.jsonl" if run_dir is not None else None, clock
-    )
-    role_trace: list[tuple[str, str]] = []
+    trace = Trace(run_dir / "trace.jsonl" if run_dir is not None else None, clock)
 
-    def stage(role: str, event: str) -> None:
-        role_trace.append((role, event))
-
-    # Director: choose the agent
-    try:
-        chosen = scheduler.route(
-            task,
-            recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec),
+    with trace.stage(ROLE_DIRECTOR):
+        agent = scheduler.route(
+            task, recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec)
         )
-    except EngineError as exc:
-        trace.emit(ROLE_DIRECTOR, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_DIRECTOR)
-    stage(ROLE_DIRECTOR, f"routed {task.task_kind} to {chosen}")
-    backend_id = scheduler.get_agent(chosen).backend_id
+    backend_id = scheduler.get_agent(agent).backend_id
+    outcome = act(backend_id, trace)
 
-    # Assistant: gather evidence
-    try:
-        perception = perceive(
-            task,
-            market_data=market_data,
-            index=index,
-            clock=clock,
-            window_days=window_days,
-        )
-    except EngineError as exc:
-        trace.emit(ROLE_ASSISTANT, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_ASSISTANT)
-    company = perception.company
-    trace.emit(
-        ROLE_ASSISTANT,
-        {
-            "event": "perception",
-            "prices": len(company.prices) if company else 0,
-            "news": len(company.news) if company else 0,
-            "passages": len(perception.passages),
-        },
-    )
-    stage(ROLE_ASSISTANT, "perception assembled")
-
-    # LLM Analyst: lay out the chain of thought
-    try:
-        plan = plan_cot(task, perception)
-    except EngineError as exc:
-        trace.emit(ROLE_LLM_ANALYST, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_LLM_ANALYST)
-    trace.emit(
-        ROLE_LLM_ANALYST,
-        {
-            "event": "plan",
-            "steps": [s.step_kind for s in plan.steps],
-            "rationale": list(plan.plan_rationale),
-        },
-    )
-    stage(ROLE_LLM_ANALYST, f"planned {len(plan.steps)} steps")
-
-    # Financial Analyst: quantitative bindings, then execute
-    bindings = assemble_bindings(task, perception, peers)
-    trace.emit(
-        ROLE_FINANCIAL_ANALYST,
-        {"event": "bindings", "keys": sorted(bindings)},
-    )
-    stage(ROLE_FINANCIAL_ANALYST, "quantitative bindings injected")
-    try:
-        outputs = act(
-            plan,
-            bindings,
-            gateway=gateway,
-            backend_id=backend_id,
-            prompt_store=prompt_store,
-            language=task.language,
-            tool_schemas=tool_schemas,
-            tool_handlers=tool_handlers,
-            recorder=lambda rec: trace.emit(ROLE_FINANCIAL_ANALYST, rec),
-        )
-    except EngineError as exc:
-        trace.emit(ROLE_FINANCIAL_ANALYST, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_FINANCIAL_ANALYST)
-    for out in outputs:
-        stage(
-            ROLE_FINANCIAL_ANALYST,
-            f"step {out.step_index} {out.step_kind} complete",
-        )
-    final_output = outputs[-1].text
-
-    # Financial Analyst: self-assessment feeds the evaluation loop
-    try:
-        assessment_prompt = prompt_store.render(
+    with trace.stage(ROLE_FINANCIAL_ANALYST):
+        prompt = prompt_store.render(
             "self_assessment",
-            {"task_id": task.task_id, "output": final_output},
+            {"task_id": task.task_id, "output": outcome.final_output},
             task.language,
         )
         assessment = gateway.chat(
-            backend_id, [ChatMessage(role="user", content=assessment_prompt)]
+            backend_id, [ChatMessage(role="user", content=prompt)]
         )
         reflection = scheduler.record_reflection(
-            chosen, task.task_id, assessment.response_text
+            agent, task.task_id, assessment.response_text
         )
-        trace.emit(
-            ROLE_FINANCIAL_ANALYST,
-            {"event": "self_assessment", "self_score": reflection.self_score},
-        )
-        stage(ROLE_FINANCIAL_ANALYST, "self-assessment recorded")
-    except EngineError as exc:
-        trace.emit(ROLE_FINANCIAL_ANALYST, {"event": "error", "error": str(exc)})
-        raise exc.with_role(ROLE_FINANCIAL_ANALYST)
+    trace.emit(
+        ROLE_FINANCIAL_ANALYST,
+        {"event": "self_assessment", "self_score": reflection.self_score},
+    )
 
-    # Director: acceptance
     scheduler.mark_workflow_complete(
         task.task_id,
-        final_output=final_output,
-        acceptance_text=acceptance_text or task.instruction_text,
+        final_output=outcome.final_output,
+        acceptance_text=task.instruction_text,
     )
     evaluation: WorkflowEvaluation | None = None
-    try:
-        evaluation = scheduler.finalize_workflow(task.task_id)
-        trace.emit(
-            ROLE_DIRECTOR, {"event": "finalized", "grade": evaluation.grade}
-        )
-        stage(ROLE_DIRECTOR, "workflow graded")
-    except ConfigError as exc:
-        trace.emit(
-            ROLE_DIRECTOR, {"event": "finalize_skipped", "reason": str(exc)}
-        )
-        stage(ROLE_DIRECTOR, "grading skipped: no judge backend")
+    with trace.stage(ROLE_DIRECTOR):
+        try:
+            evaluation = scheduler.finalize_workflow(task.task_id)
+        except ConfigError as exc:  # no judge backend: grading is skipped
+            trace.emit(
+                ROLE_DIRECTOR, {"event": "finalize_skipped", "reason": str(exc)}
+            )
+        else:
+            trace.emit(
+                ROLE_DIRECTOR, {"event": "finalized", "grade": evaluation.grade}
+            )
 
-    return WorkflowResult(
-        task_id=task.task_id,
-        plan=plan,
-        perception=perception,
-        step_outputs=tuple(outputs),
-        final_output=final_output,
-        role_trace=tuple(role_trace),
-        evaluation=evaluation,
-        run_dir=run_dir,
-    )
+    if run_dir is not None:
+        for name, text in outcome.texts.items():
+            (run_dir / name).write_text(text, encoding="utf-8")
+        payload = {
+            **outcome.payload,
+            "task_id": task.task_id,
+            "agent": agent,
+            "grade": evaluation.grade if evaluation else None,
+            "self_score": reflection.self_score,
+            "generated_at": isoformat(clock.now()),
+        }
+        (run_dir / outcome.artifact).write_text(
+            json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
+            + "\n",
+            encoding="utf-8",
+        )
+    return TaskRun(value=outcome.value, evaluation=evaluation, run_dir=run_dir)

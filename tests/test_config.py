@@ -8,13 +8,12 @@ from pathlib import Path
 import pytest
 
 from finorch.config import (
-    BackendSettings,
     EngineConfig,
     build_engine,
     load_config,
 )
 from finorch.errors import ConfigError
-from finorch.gateway import ChatMessage
+from finorch.gateway import BackendSpec, ChatMessage
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -85,7 +84,7 @@ class TestLoadConfig:
         config = load_config(write_config(tmp_path))
         assert isinstance(config, EngineConfig)
         assert config.backend_ids() == ["primary", "secondary", "judge"]
-        assert config.backends[0] == BackendSettings(
+        assert config.backends[0] == BackendSpec(
             backend_id="primary",
             base_url="https://api.example.com/v1",
             model_name="alpha-model",
@@ -216,6 +215,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="environment"):
             load_config(write_config(tmp_path, base))
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("timeout: 0", "timeout must be positive"),
+            ("temperature: 3", "temperature must lie in"),
+            ('max_tokens: "abc"', "max_tokens"),
+        ],
+    )
+    def test_invalid_backend_values(self, tmp_path, setting, message):
+        base = MINIMAL.format(
+            golden_dir=REPO / "fixtures" / "golden",
+            fixture_dir=REPO / "fixtures",
+        ).replace(
+            "api_key_env: OTHER_API_KEY",
+            f"api_key_env: OTHER_API_KEY\n    {setting}",
+        )
+        with pytest.raises(ConfigError, match=rf"backends\[1\].*{message}"):
+            load_config(write_config(tmp_path, base))
+
     def test_repo_config_is_valid(self):
         config = load_config(REPO / "config.yaml")
         assert config.backend_ids() == ["primary", "secondary", "judge"]
@@ -245,11 +263,11 @@ class TestBuildEngineOffline:
         # Simulate a wiring bug: a freshly registered backend with no
         # script must hit the guard, not the network.
         engine.gateway.register_backend(
-            BackendSettings(
+            BackendSpec(
                 backend_id="rogue",
                 base_url="https://live.example.com/v1",
                 model_name="rogue-model",
-            ).to_spec()
+            )
         )
         with pytest.raises(ConfigError, match="offline mode"):
             engine.gateway.chat(

@@ -26,6 +26,7 @@ from finorch.apps.forecaster import (
 from finorch.clock import FixedClock
 from finorch.dataops.providers import FixtureProvider, MarketData
 from finorch.errors import (
+    EngineError,
     IncompleteBundle,
     MissingSection,
     UnparseablePrediction,
@@ -383,15 +384,18 @@ Analysis: Weekly momentum is mildly positive and positioning is light, but the m
 """
 
 
-def build_pipeline(tmp_path: Path):
+def build_pipeline(tmp_path: Path, assessment: dict | None = None):
+    """Gateway and scheduler with the forecaster scored; ``assessment``
+    replaces the scripted answer to the self-assessment prompt."""
     task_id = forecast_task_id("AAPL", dt.date(2024, 4, 19), 7, "en")
+    assessment = assessment or {"reply": "score: 0.9 cited every block"}
     gateway = Gateway(
         clock=FixedClock(), sleeper=lambda _s: None, rng=random.Random(0)
     )
     gateway.script_mock(
         "forecaster-backend",
         [
-            {"match": task_id, "reply": "score: 0.9 cited every block"},
+            {"match": task_id, **assessment},
             {"match": "probe: weekly call", "reply": "up by 0-1%"},
             {"match": "AAPL", "reply": FORECAST_REPLY},
         ],
@@ -426,8 +430,8 @@ def build_pipeline(tmp_path: Path):
     return gateway, scheduler
 
 
-def run_once(tmp_path: Path):
-    gateway, scheduler = build_pipeline(tmp_path)
+def run_once(tmp_path: Path, assessment: dict | None = None):
+    gateway, scheduler = build_pipeline(tmp_path, assessment)
     return run_forecaster(
         "AAPL",
         dt.date(2024, 4, 19),
@@ -488,3 +492,21 @@ def test_run_forecaster_is_deterministic(tmp_path: Path) -> None:
     assert (first.run_dir / "trace.jsonl").read_bytes() == (
         second.run_dir / "trace.jsonl"
     ).read_bytes()
+
+
+def test_run_forecaster_self_assessment_failure_is_the_analysts(
+    tmp_path: Path,
+) -> None:
+    with pytest.raises(EngineError) as err:
+        run_once(tmp_path, assessment={"fail": True})
+    assert err.value.role == "Financial Analyst"
+    trace = tmp_path / "runs" / "forecast-AAPL-20240419-h7-en" / "trace.jsonl"
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [r["event"] for r in records] == [
+        "route",
+        "perception",
+        "forecast",
+        "error",
+    ]
+    assert records[-1]["role"] == "Financial Analyst"
+    assert str(err.value) in records[-1]["error"]

@@ -4,6 +4,7 @@ bilingual coverage, and byte-stability of rendered output.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,19 @@ def test_every_template_exists_in_both_languages(store: PromptStore) -> None:
     for tid in ids:
         for lang in LANGUAGES:
             assert (tid, lang) in pairs, f"{tid} missing {lang} variant"
+
+
+def test_every_template_is_named_in_the_code(store: PromptStore) -> None:
+    """A template whose id no string literal in the package names is dead."""
+    package = store.root.parent
+    literals = {
+        node.value
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    orphans = sorted({tid for tid, _ in store.available()} - literals)
+    assert not orphans, f"templates no code names: {orphans}"
 
 
 def test_placeholders_agree_across_languages(store: PromptStore) -> None:

@@ -408,3 +408,16 @@ def test_concurrent_section_failures_raise_for_first_section(
     assert error.role == ROLE_FINANCIAL_ANALYST
     assert [r["event"] for r in events] == ["section", "section", "error"]
     assert events[-1]["section"] == "Peer Comparison"
+
+
+def test_self_assessment_failure_is_the_analysts(tmp_path: Path) -> None:
+    script = [
+        {"match": REPORT_TASK_ID, "fail": True},
+        *section_script(REPORT_TASK_ID),
+    ]
+    error, events = section_failure(tmp_path, MockTransport(script))
+    assert isinstance(error, TransportExhausted)
+    assert error.role == ROLE_FINANCIAL_ANALYST
+    assert [r["event"] for r in events] == ["section"] * 5 + ["error"]
+    assert events[-1]["role"] == ROLE_FINANCIAL_ANALYST
+    assert "section" not in events[-1]

@@ -720,3 +720,28 @@ def test_scores_jsonl_is_append_only(tmp_path: Path) -> None:
         scheduler.scores_path.read_text(encoding="utf-8").splitlines()
     )
     assert second_len > first_len
+
+
+@pytest.mark.parametrize("name", ["task_scores.jsonl", "reflections.jsonl"])
+def test_torn_state_line_is_a_config_error(tmp_path: Path, name: str) -> None:
+    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    register(scheduler, "alpha", "good")
+    scheduler.evaluate_agent("alpha", golden_dataset())
+    scheduler.register_task("task-1")
+    scheduler.record_reflection("alpha", "task-1", "score: 0.8 well cited")
+    scheduler.record_reflection("alpha", "task-1", "score: 0.6 one gap")
+    path = tmp_path / "state" / name
+    data = path.read_bytes()
+    path.write_bytes(data[:-40])  # a crash in the middle of the last append
+    torn_line = len(data.splitlines())
+    with pytest.raises(ConfigError, match=rf"{name} line {torn_line}\b"):
+        make_scheduler(tmp_path, {"good": correct_script()})
+
+
+def test_malformed_state_row_is_a_config_error(tmp_path: Path) -> None:
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "task_scores.jsonl").write_text(
+        '{"agent_id": "alpha"}\n', encoding="utf-8"
+    )
+    with pytest.raises(ConfigError, match=r"task_scores.jsonl line 1\b"):
+        make_scheduler(tmp_path, {"good": correct_script()})
