@@ -23,6 +23,7 @@ from finorch.dataops.types import CompanyBundle
 from finorch.errors import (
     EmptyBundle,
     IncompleteBundle,
+    InvalidHorizon,
     MissingSection,
     UnparseablePrediction,
 )
@@ -102,7 +103,9 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
     the cutoff plus the horizon (rolled back off weekends).
     """
     if horizon_days < 1:
-        raise ValueError(f"horizon must be at least 1 day, got {horizon_days}")
+        raise InvalidHorizon(
+            f"horizon must be at least 1 day, got {horizon_days}"
+        )
     start = cutoff + dt.timedelta(days=1)
     while start.weekday() >= 5:
         start += dt.timedelta(days=1)
@@ -110,7 +113,7 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
     while end.weekday() >= 5:
         end -= dt.timedelta(days=1)
     if end < start:
-        raise ValueError(
+        raise InvalidHorizon(
             f"horizon of {horizon_days} day(s) from {cutoff} spans no weekday"
         )
     return start, end

@@ -160,11 +160,21 @@ class LiveProvider:
         return token
 
     def _get(self, path: str, params: dict[str, str]) -> Any:
+        import requests
+
         url = f"{self._base_url}{path}"
         query = dict(params)
         query["token"] = self._token()
         for attempt in range(self._rate_limit_retries + 1):
-            response = self._session.get(url, params=query, timeout=self._timeout)
+            try:
+                response = self._session.get(
+                    url, params=query, timeout=self._timeout
+                )
+            except requests.RequestException as exc:
+                # The exception text can carry the full URL, token included.
+                raise ProviderFailure(
+                    f"{path} request failed: {type(exc).__name__}"
+                ) from exc
             if response.status_code == 429:
                 retry_after = float(response.headers.get("Retry-After", "1"))
                 if attempt < self._rate_limit_retries:
@@ -183,7 +193,12 @@ class LiveProvider:
                     f"{path} answered HTTP {response.status_code}",
                     status=response.status_code,
                 )
-            return response.json()
+            try:
+                return response.json()
+            except ValueError as exc:
+                raise ProviderFailure(
+                    f"{path} answered a body that is not JSON: {exc}"
+                ) from exc
         raise AssertionError("unreachable")
 
     def fetch(self, endpoint: str, params: Mapping[str, str]) -> Any:

@@ -253,6 +253,11 @@ class UnparseablePrediction(EngineError):
         super().__init__("prediction line could not be parsed")
 
 
+class InvalidHorizon(EngineError, ValueError):
+    """A forecast horizon under one day, or whose window holds no
+    weekday."""
+
+
 class UnreadableDocument(EngineError):
     pass
 

@@ -15,6 +15,16 @@ reply must contain "score: <x>".
 State is kept as append-only JSON-lines files under the state directory
 (task_scores.jsonl, reflections.jsonl, evaluations.jsonl); the latest
 TaskScore per (agent, task kind) wins for routing.
+
+task_scores.jsonl is the source of truth. Beside it,
+task_scores.snapshot.json holds the fold of the log's first ``log_bytes``
+bytes (``log_lines`` lines): the latest row per (task kind, agent) in
+first-seen order, plus ``last_line``, the last line of that prefix. A load
+that finds the log still ending that prefix with that line starts from the
+snapshot and parses only the rows after it, so it costs O(agents + new
+rows) instead of O(history). A missing, unreadable or stale snapshot is
+ignored: the load replays the whole log and writes a fresh one. The
+snapshot can be deleted at any time.
 """
 
 from __future__ import annotations
@@ -22,7 +32,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -266,42 +278,159 @@ def grade_token_f1(response: str, reference: str) -> float:
 
 
 def load_golden_dataset(path: Path | str) -> list[GoldenRecord]:
-    """Read a JSON-lines golden dataset file."""
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        records.append(
-            GoldenRecord(
-                record_id=row["record_id"],
-                task_kind=row["task_kind"],
-                input_text=row["input_text"],
-                reference_answer=row["reference_answer"],
-                dimension_labels=tuple(row["dimension_labels"]),
-            )
-        )
-    return records
-
-
-def _read_rows(path: Path, row_type: type) -> list:
-    """Every row of one state file; a torn or malformed line is a
+    """Read a JSON-lines golden dataset file; a malformed line is a
     ConfigError naming the file and the line."""
-    if not path.exists():
-        return []
-    rows = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    records = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            rows.append(row_type(**json.loads(line)))
-        except (TypeError, ValueError) as exc:
+            row = json.loads(line)
+            records.append(
+                GoldenRecord(
+                    record_id=row["record_id"],
+                    task_kind=row["task_kind"],
+                    input_text=row["input_text"],
+                    reference_answer=row["reference_answer"],
+                    dimension_labels=tuple(row["dimension_labels"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
-                f"state file {path} line {number} is malformed: {exc}"
+                f"golden dataset {path} line {number} is malformed: "
+                f"{type(exc).__name__}: {exc}"
             ) from None
-    return rows
+    return records
+
+
+def _parse_row(path: Path, number: int, line: str | bytes, row_type: type):
+    """One state-file row; a torn or malformed line is a ConfigError
+    naming the file and the line."""
+    try:
+        return row_type(**json.loads(line))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"state file {path} line {number} is malformed: {exc}"
+        ) from None
+
+
+def _read_rows(path: Path, row_type: type) -> list:
+    """Every row of one state file."""
+    if not path.exists():
+        return []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [
+        _parse_row(path, number, line, row_type)
+        for number, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
+
+
+ScoreKey = tuple[str, str]  # (task_kind, agent_id)
+
+
+@dataclass
+class _ScoreFold:
+    """The latest TaskScore per key over the log's first ``log_bytes``
+    bytes (``log_lines`` lines), of which ``last_line`` is the last."""
+
+    latest: dict[ScoreKey, TaskScore] = field(default_factory=dict)
+    log_lines: int = 0
+    log_bytes: int = 0
+    last_line: bytes = b""
+
+
+def _read_snapshot(path: Path) -> _ScoreFold | None:
+    """The fold a snapshot file holds, or None when it is absent or does
+    not parse."""
+    try:
+        snapshot = json.loads(path.read_bytes())
+        fold = _ScoreFold(
+            log_lines=snapshot["log_lines"],
+            log_bytes=snapshot["log_bytes"],
+            last_line=snapshot["last_line"].encode("utf-8", "surrogateescape"),
+        )
+        for row in snapshot["latest"]:
+            score = TaskScore(**row)
+            fold.latest[(score.task_kind, score.agent_id)] = score
+    except (
+        OSError, AttributeError, KeyError, TypeError, ValueError, EngineError
+    ):
+        return None
+    if (
+        type(fold.log_lines) is type(fold.log_bytes) is int
+        and fold.log_lines > 0
+        and fold.last_line.endswith(b"\n")
+        and len(fold.last_line) <= fold.log_bytes
+    ):
+        return fold
+    return None
+
+
+def _write_snapshot(path: Path, fold: _ScoreFold) -> None:
+    """Replace the snapshot atomically (a unique temp file, then
+    ``os.replace``). The snapshot only saves time, so a state dir that
+    cannot take it is left without one."""
+    data = json.dumps(
+        {
+            "log_bytes": fold.log_bytes,
+            "log_lines": fold.log_lines,
+            "last_line": fold.last_line.decode("utf-8", "surrogateescape"),
+            "latest": [score.to_dict() for score in fold.latest.values()],
+        }
+    ).encode("ascii")
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+        )
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+
+
+def _replay_scores(log: Path, snapshot: Path) -> dict[ScoreKey, TaskScore]:
+    """Latest TaskScore per (task_kind, agent_id), in first-seen order.
+
+    Starts from the snapshot's fold when the log still ends that fold's
+    prefix with its last line, else from empty at offset 0 (a full
+    replay); then folds in every row after the offset. Rewrites the
+    snapshot when that read more rows than the snapshot keeps.
+    """
+    try:
+        handle = log.open("rb")
+    except FileNotFoundError:
+        return {}
+    with handle:
+        fold = _read_snapshot(snapshot)
+        if fold is not None:
+            handle.seek(fold.log_bytes - len(fold.last_line))
+            if handle.read(len(fold.last_line)) != fold.last_line:
+                fold = None
+        if fold is None:
+            fold = _ScoreFold()
+            handle.seek(0)
+        tail = handle.read()
+    read = 0
+    lines = tail.split(b"\n")
+    for number, line in enumerate(lines, start=fold.log_lines + 1):
+        if line.strip():
+            score = _parse_row(log, number, line, TaskScore)
+            fold.latest[(score.task_kind, score.agent_id)] = score
+            read += 1
+    # Only complete lines go into a snapshot: a tail that does not end in
+    # a newline is left for the next load to read again.
+    if read > len(fold.latest) and tail.endswith(b"\n"):
+        fold.log_lines += tail.count(b"\n")
+        fold.log_bytes += len(tail)
+        fold.last_line = tail[:-1].rpartition(b"\n")[2] + b"\n"
+        _write_snapshot(snapshot, fold)
+    return fold.latest
 
 
 # --------------------------------------------------------------- scheduler
@@ -341,6 +470,10 @@ class Scheduler:
         return self._state_dir / "task_scores.jsonl"
 
     @property
+    def snapshot_path(self) -> Path:
+        return self._state_dir / "task_scores.snapshot.json"
+
+    @property
     def reflections_path(self) -> Path:
         return self._state_dir / "reflections.jsonl"
 
@@ -349,15 +482,21 @@ class Scheduler:
         return self._state_dir / "evaluations.jsonl"
 
     def _load_state(self) -> None:
-        self._scores: list[TaskScore] = _read_rows(self.scores_path, TaskScore)
+        self._latest: dict[ScoreKey, TaskScore] = _replay_scores(
+            self.scores_path, self.snapshot_path
+        )
         self._reflections: list[Reflection] = _read_rows(
             self.reflections_path, Reflection
         )
 
-    def _append(self, path: Path, row: Mapping) -> None:
+    def _append(self, path: Path, *rows: Mapping) -> None:
+        """Append rows with one open and one write."""
+        text = "".join(
+            json.dumps(row, ensure_ascii=False) + "\n" for row in rows
+        )
         with self._write_lock:
             with path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+                handle.write(text)
 
     # ------------------------------------------------------------- registry
 
@@ -513,17 +652,17 @@ class Scheduler:
     ) -> TaskScore:
         """Recompute normalization and composites for the whole roster after
         one agent's raw scores changed, persisting fresh rows for all."""
-        latest_raw: dict[str, Mapping[str, float]] = {}
-        for score in self._scores:
-            if score.task_kind == task_kind:
-                latest_raw[score.agent_id] = score.raw_scores
+        latest_raw: dict[str, Mapping[str, float]] = {
+            roster_agent: score.raw_scores
+            for (kind, roster_agent), score in self._latest.items()
+            if kind == task_kind
+        }
         latest_raw[agent_id] = dict(raw)
         weights = self._weights_for(task_kind, sorted(raw), weights_override)
         normalized = normalize_scores(latest_raw)
         evaluated_at = isoformat(self._clock.now())
-        result: TaskScore | None = None
-        for roster_agent in sorted(latest_raw):
-            score = TaskScore(
+        roster = [
+            TaskScore(
                 agent_id=roster_agent,
                 task_kind=task_kind,
                 raw_scores=dict(latest_raw[roster_agent]),
@@ -532,22 +671,22 @@ class Scheduler:
                 composite=composite_score(normalized[roster_agent], weights),
                 evaluated_at=evaluated_at,
             )
-            self._scores.append(score)
-            self._append(self.scores_path, score.to_dict())
-            if roster_agent == agent_id:
-                result = score
-        assert result is not None
-        return result
+            for roster_agent in sorted(latest_raw)
+        ]
+        self._append(self.scores_path, *(score.to_dict() for score in roster))
+        for score in roster:
+            self._latest[(task_kind, score.agent_id)] = score
+        return self._latest[(task_kind, agent_id)]
 
     # -------------------------------------------------------------- routing
 
     def latest_scores(self, task_kind: str) -> dict[str, TaskScore]:
         """Latest TaskScore per agent for one task kind (registered agents)."""
-        latest: dict[str, TaskScore] = {}
-        for score in self._scores:
-            if score.task_kind == task_kind and score.agent_id in self._agents:
-                latest[score.agent_id] = score
-        return latest
+        return {
+            agent: score
+            for (kind, agent), score in self._latest.items()
+            if kind == task_kind and agent in self._agents
+        }
 
     def rank_agents(self, task_kind: str) -> list[tuple[str, float]]:
         latest = self.latest_scores(task_kind)

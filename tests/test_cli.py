@@ -93,6 +93,21 @@ class TestForecastCommand:
         )
         assert result.exit_code == 2
 
+    def test_horizon_with_no_weekday_is_one_error_line(self, config_path):
+        # Friday cutoff, one day: the window holds only a Saturday
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "finorch.cli", "forecast", "AAPL",
+             "--offline", "--cutoff", "2024-04-19", "--horizon", "1",
+             "--config", str(config_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error")
+        assert "spans no weekday" in line
+
     def test_missing_symbol_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "forecast", "--offline")
         assert result.exit_code == 2

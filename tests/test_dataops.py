@@ -643,6 +643,35 @@ def test_live_provider_http_error_carries_status() -> None:
     assert err.value.status == 500
 
 
+def test_live_provider_request_error_is_a_provider_failure() -> None:
+    import requests
+
+    class DownSession:
+        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
+            raise requests.ConnectionError(
+                f"cannot reach {url}?token={params['token']}"
+            )
+
+    provider = _live_provider(DownSession())
+    with pytest.raises(ProviderFailure, match="/stock/profile2") as err:
+        provider.fetch("profile", {"symbol": "AAPL"})
+    assert "unit-test-token" not in str(err.value)
+
+
+def test_live_provider_non_json_body_is_a_provider_failure() -> None:
+    class HtmlResponse(FakeResponse):
+        def json(self) -> object:
+            return json.loads("<html>maintenance</html>")
+
+    class HtmlSession:
+        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
+            return HtmlResponse(200, None)
+
+    provider = _live_provider(HtmlSession())
+    with pytest.raises(ProviderFailure, match="/stock/profile2"):
+        provider.fetch("profile", {"symbol": "AAPL"})
+
+
 def test_live_provider_honors_retry_after_then_succeeds() -> None:
     class RateLimitOnce:
         def __init__(self) -> None:

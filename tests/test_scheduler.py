@@ -6,11 +6,17 @@ backends with no network access.
 from __future__ import annotations
 
 import json
+import math
 import random
+import shutil
+import tempfile
 import threading
 from pathlib import Path
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finorch.clock import FixedClock
 from finorch.errors import (
@@ -745,3 +751,260 @@ def test_malformed_state_row_is_a_config_error(tmp_path: Path) -> None:
     )
     with pytest.raises(ConfigError, match=r"task_scores.jsonl line 1\b"):
         make_scheduler(tmp_path, {"good": correct_script()})
+
+
+def test_malformed_golden_dataset_line_is_a_config_error(
+    tmp_path: Path,
+) -> None:
+    path = tmp_path / "golden.jsonl"
+    good = {
+        "record_id": "g1",
+        "task_kind": "forecast",
+        "input_text": "what is the weekly call?",
+        "reference_answer": "up",
+        "dimension_labels": ["exact_match"],
+    }
+    missing = {k: v for k, v in good.items() if k != "reference_answer"}
+    for bad_line in ('{"record_id": "g2", "task_k', json.dumps(missing)):
+        path.write_text(
+            json.dumps(good) + "\n\n" + bad_line + "\n", encoding="utf-8"
+        )
+        with pytest.raises(ConfigError, match=r"golden.jsonl line 3\b"):
+            load_golden_dataset(path)
+
+
+# ----------------------------------------------------------------- snapshot
+
+SWAP_SCRIPTS = {
+    "backend-a": correct_script("question-one")
+    + [{"match": "question-two", "reply": "no comment"}],
+    "backend-b": [
+        {"match": "question-one", "reply": "no comment"},
+        *correct_script("question-two"),
+    ],
+}
+
+
+def swap_scheduler(state_root: Path) -> Scheduler:
+    """A scheduler over ``state_root/state`` with ``alpha`` on backend-a
+    and ``omega`` on backend-b: question-one favours alpha, question-two
+    omega."""
+    scheduler, _ = make_scheduler(state_root, SWAP_SCRIPTS)
+    register(scheduler, "alpha", "backend-a")
+    register(scheduler, "omega", "backend-b")
+    return scheduler
+
+
+def full_replay(state_root: Path, tmp: Path) -> Scheduler:
+    """A scheduler over a copy of the score log alone, with no snapshot."""
+    (tmp / "state").mkdir(parents=True)
+    log = state_root / "state" / "task_scores.jsonl"
+    if log.exists():
+        shutil.copyfile(log, tmp / "state" / "task_scores.jsonl")
+    return swap_scheduler(tmp)
+
+
+def ranking_or_none(scheduler: Scheduler, task_kind: str):
+    try:
+        return scheduler.rank_agents(task_kind)
+    except NoScoredAgents:
+        return None
+
+
+def assert_same_state(loaded: Scheduler, replayed: Scheduler) -> None:
+    for kind in ("forecast", "report"):
+        assert list(loaded.latest_scores(kind).items()) == list(
+            replayed.latest_scores(kind).items()
+        )
+        assert ranking_or_none(loaded, kind) == ranking_or_none(replayed, kind)
+
+
+def hand_row(agent_id: str, task_kind: str, values: Sequence[float]) -> str:
+    dims = ("exact_match", "token_f1") if task_kind == "forecast" else ("token_f1",)
+    scores = dict(zip(dims, values))
+    weights = {d: 1.0 / len(dims) for d in dims}
+    score = TaskScore(
+        agent_id=agent_id,
+        task_kind=task_kind,
+        raw_scores=scores,
+        normalized_scores=scores,
+        weights=weights,
+        composite=math.fsum(weights[d] * scores[d] for d in weights),
+        evaluated_at="2024-02-01T00:00:00Z",
+    )
+    return json.dumps(score.to_dict(), ensure_ascii=False) + "\n"
+
+
+def snapshot_of(state_root: Path) -> dict:
+    return json.loads(
+        (state_root / "state" / "task_scores.snapshot.json").read_text(
+            encoding="utf-8"
+        )
+    )
+
+
+def evaluate_both(scheduler: Scheduler, prefix: str) -> None:
+    scheduler.evaluate_agent("alpha", golden_dataset(prefix))
+    scheduler.evaluate_agent("omega", golden_dataset(prefix))
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("evaluate"),
+            st.sampled_from(["alpha", "omega"]),
+            st.sampled_from(["question-one", "question-two"]),
+        ),
+        st.tuples(
+            st.just("append"),
+            st.sampled_from(["alpha", "omega", "ghost"]),
+            st.sampled_from(["forecast", "report"]),
+            st.tuples(unit, unit),
+        ),
+        st.tuples(st.just("reload")),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(steps=STEPS)
+def test_snapshot_load_equals_full_replay(steps) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "live"
+        scheduler = swap_scheduler(root)
+        log = root / "state" / "task_scores.jsonl"
+        for step in steps:
+            if step[0] == "evaluate":
+                scheduler.evaluate_agent(step[1], golden_dataset(step[2]))
+            elif step[0] == "append":
+                with log.open("a", encoding="utf-8") as handle:
+                    handle.write(hand_row(step[1], step[2], step[3]))
+            else:
+                scheduler = swap_scheduler(root)
+        loaded = swap_scheduler(root)
+        assert_same_state(loaded, full_replay(root, Path(tmp) / "replay"))
+        # the state a load left behind loads the same again
+        assert_same_state(swap_scheduler(root), loaded)
+
+
+def damage_delete(root: Path) -> None:
+    (root / "state" / "task_scores.snapshot.json").unlink()
+
+
+def damage_invalid_json(root: Path) -> None:
+    (root / "state" / "task_scores.snapshot.json").write_text(
+        '{"log_bytes": 12', encoding="utf-8"
+    )
+
+
+def damage_truncate(root: Path) -> None:
+    # back to the first question-one round: alpha leads again
+    log = root / "state" / "task_scores.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:3]))
+
+
+def damage_rewrite_same_length(root: Path) -> None:
+    log = root / "state" / "task_scores.jsonl"
+    data = log.read_bytes()
+    swapped = (
+        data.replace(b'"alpha"', b'"-tmp-"')
+        .replace(b'"omega"', b'"alpha"')
+        .replace(b'"-tmp-"', b'"omega"')
+    )
+    assert len(swapped) == len(data) and swapped != data
+    log.write_bytes(swapped)
+
+
+@pytest.mark.parametrize(
+    ("damage", "winner"),
+    [
+        (damage_delete, "omega"),
+        (damage_invalid_json, "omega"),
+        (damage_truncate, "alpha"),
+        (damage_rewrite_same_length, "alpha"),
+    ],
+)
+def test_untrusted_snapshot_falls_back_to_full_replay(
+    tmp_path: Path, damage, winner: str
+) -> None:
+    root = tmp_path / "live"
+    first = swap_scheduler(root)
+    evaluate_both(first, "question-one")
+    evaluate_both(first, "question-two")
+    swap_scheduler(root)  # folds six rows into a snapshot of two
+    log = root / "state" / "task_scores.jsonl"
+    assert snapshot_of(root)["log_bytes"] == len(log.read_bytes())
+    assert first.route("forecast") == "omega"
+    damage(root)
+
+    loaded = swap_scheduler(root)
+    assert_same_state(loaded, full_replay(root, tmp_path / "replay"))
+    assert loaded.route("forecast") == winner
+    assert snapshot_of(root)["log_bytes"] == len(log.read_bytes())
+    rebuilt = snapshot_of(root)
+    assert rebuilt["log_bytes"] == len(log.read_bytes())
+    assert rebuilt["log_lines"] == len(log.read_bytes().splitlines())
+
+
+def test_snapshot_is_only_written_when_it_saves_rows(tmp_path: Path) -> None:
+    root = tmp_path / "live"
+    first = swap_scheduler(root)
+    first.evaluate_agent("alpha", golden_dataset())
+    swap_scheduler(root)  # one row, one agent: nothing to compact
+    assert not (root / "state" / "task_scores.snapshot.json").exists()
+    first.evaluate_agent("omega", golden_dataset())
+    swap_scheduler(root)
+    assert snapshot_of(root)["log_lines"] == 3
+    assert [row["agent_id"] for row in snapshot_of(root)["latest"]] == [
+        "alpha",
+        "omega",
+    ]
+
+
+def test_torn_tail_after_snapshot_names_the_absolute_line(
+    tmp_path: Path,
+) -> None:
+    root = tmp_path / "live"
+    scheduler = swap_scheduler(root)
+    evaluate_both(scheduler, "question-one")
+    swap_scheduler(root)
+    assert snapshot_of(root)["log_lines"] == 3
+    evaluate_both(scheduler, "question-two")
+    log = root / "state" / "task_scores.jsonl"
+    data = log.read_bytes()
+    log.write_bytes(data[:-40])
+    torn_line = len(data.splitlines())
+    assert torn_line == 7
+    with pytest.raises(ConfigError, match=rf"task_scores.jsonl line {torn_line}\b"):
+        swap_scheduler(root)
+
+
+def test_load_with_current_snapshot_builds_one_score_per_agent(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    agents = ("alpha", "beta", "gamma", "omega")
+    rng = random.Random(5)
+    (tmp_path / "state").mkdir()
+    with (tmp_path / "state" / "task_scores.jsonl").open(
+        "w", encoding="utf-8"
+    ) as handle:
+        for n in range(10_000):
+            kind = ("forecast", "report")[n % 2]
+            handle.write(
+                hand_row(agents[n // 2 % 4], kind, (rng.random(), rng.random()))
+            )
+    before, _ = make_scheduler(tmp_path, {})  # full replay, then a snapshot
+    built: list[TaskScore] = []
+    post_init = TaskScore.__post_init__
+
+    def counting(self: TaskScore) -> None:
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TaskScore, "__post_init__", counting)
+    after, _ = make_scheduler(tmp_path, {})
+    assert len(built) == len(agents) * 2
+    assert after._latest == before._latest
