@@ -25,7 +25,7 @@ from typing import Any
 import yaml
 
 from finorch import offline as offline_scripts
-from finorch.apps.forecaster import ForecastRun, run_forecaster
+from finorch.apps.forecaster import ForecastRun, horizon_window, run_forecaster
 from finorch.apps.reports import (
     DocumentAnalysis,
     ReportResult,
@@ -39,7 +39,7 @@ from finorch.dataops.providers import (
     LiveProvider,
     MarketData,
 )
-from finorch.errors import ConfigError
+from finorch.errors import ConfigError, EngineError
 from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import (
@@ -49,7 +49,7 @@ from finorch.scheduler import (
     TaskScore,
     load_golden_dataset,
 )
-from finorch.workflow import TASK_KINDS
+from finorch.workflow import ROLE_ASSISTANT, TASK_KINDS
 
 __all__ = [
     "AgentSettings",
@@ -398,6 +398,11 @@ class Engine:
         horizon: int,
         language: str | None = None,
     ) -> ForecastRun:
+        # A window with no weekday is refused before any scoring or fetch.
+        try:
+            horizon_window(cutoff, horizon)
+        except EngineError as exc:
+            raise exc.with_role(ROLE_ASSISTANT)
         self.ensure_scores("forecast")
         return run_forecaster(
             symbol,
@@ -412,7 +417,7 @@ class Engine:
             clock=self.clock,
         )
 
-    def analyze(self, doc_path: Path | str) -> DocumentAnalysis:
+    def analyze(self, doc_path: Path | str, language: str) -> DocumentAnalysis:
         agent = self.route("report")
         backend_id = self.scheduler.get_agent(agent).backend_id
         return analyze_document(
@@ -420,7 +425,7 @@ class Engine:
             gateway=self.gateway,
             backend_id=backend_id,
             prompt_store=self.prompt_store,
-            language=self.language,
+            language=language,
         )
 
     def report(
@@ -432,14 +437,15 @@ class Engine:
         doc_path = Path(doc_path)
         if subject is None:
             subject = doc_path.stem.replace("_", " ").replace("-", " ").title()
-        analysis = self.analyze(doc_path)
+        language = language or self.language
+        analysis = self.analyze(doc_path, language)
         return generate_report(
             analysis,
             subject,
             scheduler=self.scheduler,
             gateway=self.gateway,
             prompt_store=self.prompt_store,
-            language=language or self.language,
+            language=language,
             runs_dir=self.config.runs_dir,
             clock=self.clock,
         )

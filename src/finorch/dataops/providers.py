@@ -18,8 +18,10 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
+import math
 import time
 from collections import Counter
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
@@ -118,6 +120,25 @@ class FixtureProvider:
         raise ValueError(f"unknown endpoint {endpoint!r}")
 
 
+def _retry_delay(header: str | None, now: dt.datetime) -> float:
+    """Seconds to wait for a Retry-After value (RFC 9110 §10.2.3):
+    delay-seconds, or an HTTP date (the delay until then, never negative).
+    An absent or unreadable value waits one second."""
+    if header is None:
+        return 1.0
+    try:
+        seconds = float(header)
+    except ValueError:
+        try:
+            when = parsedate_to_datetime(header)
+        except ValueError:
+            return 1.0
+        if when.tzinfo is None:  # "-0000": UTC with no stated zone
+            when = when.replace(tzinfo=dt.timezone.utc)
+        return max(0.0, (when - now).total_seconds())
+    return seconds if 0.0 <= seconds < math.inf else 1.0
+
+
 class LiveProvider:
     """Finnhub-compatible REST provider (US market).
 
@@ -176,7 +197,10 @@ class LiveProvider:
                     f"{path} request failed: {type(exc).__name__}"
                 ) from exc
             if response.status_code == 429:
-                retry_after = float(response.headers.get("Retry-After", "1"))
+                retry_after = _retry_delay(
+                    response.headers.get("Retry-After"),
+                    dt.datetime.now(dt.timezone.utc),
+                )
                 if attempt < self._rate_limit_retries:
                     logger.debug(
                         "rate limited on %s; sleeping %.1fs", path, retry_after

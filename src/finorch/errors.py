@@ -99,14 +99,6 @@ class UnknownAgent(EngineError):
     pass
 
 
-class UnknownTask(EngineError):
-    pass
-
-
-class WorkflowNotComplete(EngineError):
-    pass
-
-
 # ── workflow ─────────────────────────────────────────────────────────────
 
 class UnknownTemplate(EngineError):

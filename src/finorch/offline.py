@@ -134,6 +134,7 @@ def primary_script() -> list[dict]:
         rules.append({"match": probe, "reply": answer})
     for topic, reply in INDICATOR_REPLIES.items():
         rules.append({"match": f'indicator "{topic}"', "reply": reply})
+        rules.append({"match": f"指标“{topic}”", "reply": reply})
     for section, reply in SECTION_REPLIES.items():
         rules.append({"match": f'"{section}"', "reply": reply})
     rules.append({"match": "公司简介", "reply": FORECAST_REPLY_ZH})

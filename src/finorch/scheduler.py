@@ -14,7 +14,10 @@ reply must contain "score: <x>".
 
 State is kept as append-only JSON-lines files under the state directory
 (task_scores.jsonl, reflections.jsonl, evaluations.jsonl); the latest
-TaskScore per (agent, task kind) wins for routing.
+TaskScore per (agent, task kind) wins for routing. reflections.jsonl and
+evaluations.jsonl are audit logs that no command reads back: a workflow
+evaluation grades only its own run, from the output and the reflection
+the runner hands it.
 
 task_scores.jsonl is the source of truth. Beside it,
 task_scores.snapshot.json holds the fold of the log's first ``log_bytes``
@@ -54,9 +57,7 @@ from finorch.errors import (
     MissingDimension,
     NoScoredAgents,
     UnknownAgent,
-    UnknownTask,
     WeightSumInvalid,
-    WorkflowNotComplete,
 )
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import PromptStore
@@ -315,18 +316,6 @@ def _parse_row(path: Path, number: int, line: str | bytes, row_type: type):
         ) from None
 
 
-def _read_rows(path: Path, row_type: type) -> list:
-    """Every row of one state file."""
-    if not path.exists():
-        return []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [
-        _parse_row(path, number, line, row_type)
-        for number, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
-
-
 ScoreKey = tuple[str, str]  # (task_kind, agent_id)
 
 
@@ -458,8 +447,6 @@ class Scheduler:
         self._language = language
         self._clock = clock or SystemClock()
         self._agents: dict[str, AgentProfile] = {}
-        self._tasks: set[str] = set()
-        self._completed_workflows: dict[str, dict] = {}
         self._write_lock = threading.Lock()
         self._load_state()
 
@@ -484,9 +471,6 @@ class Scheduler:
     def _load_state(self) -> None:
         self._latest: dict[ScoreKey, TaskScore] = _replay_scores(
             self.scores_path, self.snapshot_path
-        )
-        self._reflections: list[Reflection] = _read_rows(
-            self.reflections_path, Reflection
         )
 
     def _append(self, path: Path, *rows: Mapping) -> None:
@@ -522,9 +506,6 @@ class Scheduler:
             (p for p in self._agents.values() if task_kind in p.task_kinds),
             key=lambda p: p.agent_id,
         )
-
-    def register_task(self, task_id: str) -> None:
-        self._tasks.add(task_id)
 
     # ------------------------------------------------------------- grading
 
@@ -712,8 +693,6 @@ class Scheduler:
         """
         task_kind = getattr(task, "task_kind", task)
         task_id = getattr(task, "task_id", None)
-        if task_id:
-            self.register_task(task_id)
         ranking = self.rank_agents(task_kind)
         chosen = ranking[0][0]
         if recorder is not None:
@@ -735,8 +714,6 @@ class Scheduler:
     ) -> Reflection:
         if agent_id not in self._agents:
             raise UnknownAgent(f"no agent registered as {agent_id!r}")
-        if task_id not in self._tasks:
-            raise UnknownTask(f"no task known as {task_id!r}")
         reflection = Reflection(
             agent_id=agent_id,
             task_id=task_id,
@@ -744,59 +721,34 @@ class Scheduler:
             notes=self_assessment_text,
             created_at=isoformat(self._clock.now()),
         )
-        self._reflections.append(reflection)
         self._append(self.reflections_path, reflection.to_dict())
         return reflection
 
-    def reflections_for(self, task_id: str) -> list[Reflection]:
-        return [r for r in self._reflections if r.task_id == task_id]
-
     # ---------------------------------------------------------- evaluations
 
-    def mark_workflow_complete(
+    def finalize_workflow(
         self,
-        workflow_id: str,
+        task_id: str,
         final_output: str,
         acceptance_text: str,
-    ) -> None:
-        """Called by the workflow engine once every step result is recorded."""
-        self.register_task(workflow_id)
-        self._completed_workflows[workflow_id] = {
-            "final_output": final_output,
-            "acceptance_text": acceptance_text,
-        }
-
-    def finalize_workflow(self, workflow_id: str) -> WorkflowEvaluation:
-        if workflow_id not in self._completed_workflows:
-            raise WorkflowNotComplete(
-                f"workflow {workflow_id!r} has not completed"
-            )
-        record = self._completed_workflows[workflow_id]
+        reflection: Reflection,
+    ) -> WorkflowEvaluation:
+        """Judge one run's final output against its acceptance text, beside
+        that run's own reflection, and append the evaluation."""
         prompt = self._store.render(
             "judge",
-            {
-                "acceptance_text": record["acceptance_text"],
-                "final_output": record["final_output"],
-            },
+            {"acceptance_text": acceptance_text, "final_output": final_output},
             self._language,
         )
         reply = self._judge_chat(prompt)
-        grade = parse_self_score(reply)
-        reflections = self.reflections_for(workflow_id)
-        self_scores = tuple(
-            r.self_score for r in reflections if r.self_score is not None
-        )
-        mean_self = (
-            math.fsum(self_scores) / len(self_scores) if self_scores else None
-        )
-        feedback = reply.strip()
+        self_score = reflection.self_score
         evaluation = WorkflowEvaluation(
-            workflow_id=workflow_id,
-            grade=grade,
-            self_scores=self_scores,
-            mean_self_score=mean_self,
-            reflection_count=len(reflections),
-            feedback=feedback,
+            workflow_id=task_id,
+            grade=parse_self_score(reply),
+            self_scores=() if self_score is None else (self_score,),
+            mean_self_score=self_score,
+            reflection_count=1,
+            feedback=reply.strip(),
             created_at=isoformat(self._clock.now()),
         )
         self._append(self.evaluations_path, evaluation.to_dict())

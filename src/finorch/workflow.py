@@ -156,15 +156,15 @@ def run_task(
         {"event": "self_assessment", "self_score": reflection.self_score},
     )
 
-    scheduler.mark_workflow_complete(
-        task.task_id,
-        final_output=outcome.final_output,
-        acceptance_text=task.instruction_text,
-    )
     evaluation: WorkflowEvaluation | None = None
     with trace.stage(ROLE_DIRECTOR):
         try:
-            evaluation = scheduler.finalize_workflow(task.task_id)
+            evaluation = scheduler.finalize_workflow(
+                task.task_id,
+                outcome.final_output,
+                task.instruction_text,
+                reflection,
+            )
         except ConfigError as exc:  # no judge backend: grading is skipped
             trace.emit(
                 ROLE_DIRECTOR, {"event": "finalize_skipped", "reason": str(exc)}

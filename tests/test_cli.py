@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from finorch.cli import cli
+from finorch.gateway import Gateway
 
 from test_config import REPO, write_config
 
@@ -93,7 +94,9 @@ class TestForecastCommand:
         )
         assert result.exit_code == 2
 
-    def test_horizon_with_no_weekday_is_one_error_line(self, config_path):
+    def test_horizon_with_no_weekday_is_one_error_line(
+        self, config_path, tmp_path
+    ):
         # Friday cutoff, one day: the window holds only a Saturday
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
@@ -105,8 +108,31 @@ class TestForecastCommand:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         [line] = done.stderr.splitlines()
-        assert line.startswith("error")
+        assert line.startswith("error (Assistant): ")
         assert "spans no weekday" in line
+        # refused before any scoring, fetch or trace
+        assert not (tmp_path / "runs" / "forecast-AAPL-20240419-h1-en").exists()
+        assert not (tmp_path / "state" / "task_scores.jsonl").exists()
+
+    def test_rerun_grades_only_its_own_reflection(
+        self, runner, config_path, tmp_path
+    ):
+        for _ in range(2):
+            result = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+            assert result.exit_code == 0, result.output
+        state = tmp_path / "state"
+        rows = [
+            json.loads(line)
+            for line in (state / "evaluations.jsonl").read_text().splitlines()
+        ]
+        forecast = json.loads(
+            (tmp_path / "runs" / "forecast-AAPL-20240419-h7-en" /
+             "forecast.json").read_text(encoding="utf-8")
+        )
+        assert len(rows) == 2
+        assert rows[-1]["reflection_count"] == 1
+        assert rows[-1]["self_scores"] == [forecast["self_score"]]
+        assert len((state / "reflections.jsonl").read_text().splitlines()) == 2
 
     def test_missing_symbol_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "forecast", "--offline")
@@ -175,6 +201,37 @@ class TestReportCommand:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
+
+    def test_offline_zh_report_extracts_in_zh(
+        self, runner, config_path, tmp_path, monkeypatch
+    ):
+        prompts: list[str] = []
+        chat_many = Gateway.chat_many
+
+        def recording(self, requests):
+            prompts.extend(messages[-1].content for _, messages in requests)
+            return chat_many(self, requests)
+
+        monkeypatch.setattr(Gateway, "chat_many", recording)
+        indicators = {}
+        for lang in ("en", "zh"):
+            prompts.clear()
+            result = invoke(
+                runner, config_path, "report", str(self.DOC), "--offline",
+                "--lang", lang,
+            )
+            assert result.exit_code == 0, result.output
+            extractions = [p for p in prompts if "ABSENT" in p]
+            assert len(extractions) == 5
+            zh = [p for p in extractions if p.startswith("请从下面的段落中提取")]
+            assert len(zh) == (5 if lang == "zh" else 0)
+            analysis = json.loads(
+                (tmp_path / "runs" / f"report-acme-filing-acme_filing-{lang}" /
+                 "analysis.json").read_text(encoding="utf-8")
+            )
+            indicators[lang] = analysis["indicators"]
+        assert indicators["zh"] == indicators["en"]
+        assert [i["name"] for i in indicators["en"]] == ["revenue", "net income"]
 
     def test_custom_subject(self, runner, config_path):
         result = invoke(

@@ -13,6 +13,7 @@ import json
 import os
 import random
 import threading
+from email.utils import format_datetime
 from pathlib import Path
 
 import pytest
@@ -717,6 +718,67 @@ def test_live_provider_persistent_rate_limit_raises() -> None:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert err.value.retry_after == 7.0
     assert sleeps == [7.0, 7.0]
+
+
+@pytest.mark.parametrize(
+    ("header", "expected"),
+    [
+        ("in a while", 1.0),  # unreadable: as if absent
+        ("-5", 1.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # a date in the past
+        (None, 1.0),
+    ],
+)
+def test_live_provider_reads_every_retry_after_form(
+    header: str | None, expected: float
+) -> None:
+    class LimitedOnce:
+        def __init__(self) -> None:
+            self.inner = FinnhubFakeSession()
+            self.limited = False
+
+        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
+            if self.limited:
+                return self.inner.get(url, params, timeout)
+            self.limited = True
+            headers = {} if header is None else {"Retry-After": header}
+            return FakeResponse(429, {}, headers=headers)
+
+    sleeps: list[float] = []
+    provider = LiveProvider(
+        base_url="https://example.invalid/api/v1",
+        token_env="MARKET_TOKEN",
+        session=LimitedOnce(),
+        sleeper=sleeps.append,
+        env={"MARKET_TOKEN": "unit-test-token"},
+    )
+    assert provider.fetch("profile", {"symbol": "AAPL"})["name"] == "Apple Inc"
+    assert sleeps == [expected]
+
+
+def test_live_provider_retry_after_date_waits_until_then() -> None:
+    in_a_minute = dt.datetime.now(dt.timezone.utc) + dt.timedelta(seconds=60)
+    header = format_datetime(in_a_minute, usegmt=True)
+
+    class AlwaysLimited:
+        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
+            return FakeResponse(429, {}, headers={"Retry-After": header})
+
+    sleeps: list[float] = []
+    provider = LiveProvider(
+        base_url="https://example.invalid/api/v1",
+        token_env="MARKET_TOKEN",
+        session=AlwaysLimited(),
+        sleeper=sleeps.append,
+        rate_limit_retries=1,
+        env={"MARKET_TOKEN": "unit-test-token"},
+    )
+    with pytest.raises(RateLimited) as err:
+        provider.fetch("profile", {"symbol": "AAPL"})
+    assert len(sleeps) == 1
+    # HTTP dates carry whole seconds, so up to one second is lost.
+    assert 55.0 < sleeps[0] <= 60.0
+    assert 55.0 < err.value.retry_after <= 60.0
 
 
 def test_live_and_fixture_providers_are_interchangeable(tmp_path: Path) -> None:

@@ -32,9 +32,7 @@ from finorch.errors import (
     TransportError,
     UnknownAgent,
     UnknownBackend,
-    UnknownTask,
     WeightSumInvalid,
-    WorkflowNotComplete,
 )
 from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import PromptStore
@@ -602,7 +600,6 @@ def test_route_is_pure_function_of_persisted_scores(tmp_path: Path) -> None:
 def test_record_reflection_parses_and_appends(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
     register(scheduler, "alpha", "good")
-    scheduler.register_task("task-1")
     first = scheduler.record_reflection(
         "alpha", "task-1", "score: 0.8 — sources well cited"
     )
@@ -612,52 +609,54 @@ def test_record_reflection_parses_and_appends(tmp_path: Path) -> None:
     )
     assert second.self_score is None
     assert second.notes == "no numeric score, prose only"
-    stored = scheduler.reflections_for("task-1")
-    assert stored == [first, second]
     lines = scheduler.reflections_path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
+    assert [json.loads(line) for line in lines] == [
+        first.to_dict(),
+        second.to_dict(),
+    ]
 
 
-def test_record_reflection_validates_agent_and_task(tmp_path: Path) -> None:
+def test_record_reflection_validates_agent(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
     register(scheduler, "alpha", "good")
-    scheduler.register_task("task-1")
     with pytest.raises(UnknownAgent):
         scheduler.record_reflection("ghost", "task-1", "score: 0.5")
-    with pytest.raises(UnknownTask):
-        scheduler.record_reflection("alpha", "task-ghost", "score: 0.5")
+    assert not scheduler.reflections_path.exists()
 
 
 # -------------------------------------------------------------- evaluations
 
 
-def test_finalize_requires_completed_workflow(tmp_path: Path) -> None:
-    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
-    with pytest.raises(WorkflowNotComplete):
-        scheduler.finalize_workflow("wf-1")
-
-
 def test_finalize_grades_and_aggregates_self_scores(tmp_path: Path) -> None:
     scripts = {
         "good": correct_script(),
-        "judge": [{"match": "", "reply": "score: 1.0 meets the acceptance text"}],
+        "judge": [
+            {
+                "match": "must mention text",
+                "reply": "score: 1.0 meets the acceptance text",
+            }
+        ],
     }
     scheduler, _ = make_scheduler(tmp_path, scripts, judge_backend_id="judge")
     register(scheduler, "alpha", "good")
-    scheduler.mark_workflow_complete(
-        "wf-1", final_output="final text", acceptance_text="must mention text"
+    # An earlier run of the same task id is not part of this run's grade.
+    scheduler.record_reflection("alpha", "wf-1", "score: 0.2 earlier run")
+    scored = scheduler.record_reflection("alpha", "wf-1", "score: 0.8 good")
+    evaluation = scheduler.finalize_workflow(
+        "wf-1", "final text", "must mention text", scored
     )
-    scheduler.record_reflection("alpha", "wf-1", "score: 0.8 good work")
-    scheduler.record_reflection("alpha", "wf-1", "score: 0.6 missed one item")
-    scheduler.record_reflection("alpha", "wf-1", "prose only, no score")
-    evaluation = scheduler.finalize_workflow("wf-1")
     assert evaluation.grade == 1.0
-    assert evaluation.self_scores == (0.8, 0.6)
-    assert evaluation.mean_self_score == pytest.approx(0.7)
-    assert evaluation.reflection_count == 3
+    assert evaluation.self_scores == (0.8,)
+    assert evaluation.mean_self_score == 0.8
+    assert evaluation.reflection_count == 1
+
+    unscored = scheduler.record_reflection("alpha", "wf-2", "prose only")
+    second = scheduler.finalize_workflow("wf-2", "text", "other text", unscored)
+    assert second.grade is None  # the judge saw this run's acceptance text
+    assert second.self_scores == () and second.mean_self_score is None
+    assert second.reflection_count == 1
     lines = scheduler.evaluations_path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["workflow_id"] == "wf-1"
+    assert [json.loads(line)["self_scores"] for line in lines] == [[0.8], []]
 
 
 # -------------------------------------------------------------- persistence
@@ -728,20 +727,31 @@ def test_scores_jsonl_is_append_only(tmp_path: Path) -> None:
     assert second_len > first_len
 
 
-@pytest.mark.parametrize("name", ["task_scores.jsonl", "reflections.jsonl"])
-def test_torn_state_line_is_a_config_error(tmp_path: Path, name: str) -> None:
+def test_torn_state_line_is_a_config_error(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
     register(scheduler, "alpha", "good")
     scheduler.evaluate_agent("alpha", golden_dataset())
-    scheduler.register_task("task-1")
-    scheduler.record_reflection("alpha", "task-1", "score: 0.8 well cited")
-    scheduler.record_reflection("alpha", "task-1", "score: 0.6 one gap")
-    path = tmp_path / "state" / name
+    path = scheduler.scores_path
     data = path.read_bytes()
     path.write_bytes(data[:-40])  # a crash in the middle of the last append
     torn_line = len(data.splitlines())
-    with pytest.raises(ConfigError, match=rf"{name} line {torn_line}\b"):
+    with pytest.raises(ConfigError, match=rf"task_scores.jsonl line {torn_line}\b"):
         make_scheduler(tmp_path, {"good": correct_script()})
+
+
+def test_torn_reflections_line_still_loads_and_routes(tmp_path: Path) -> None:
+    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    register(scheduler, "alpha", "good")
+    scheduler.evaluate_agent("alpha", golden_dataset())
+    scheduler.record_reflection("alpha", "task-1", "score: 0.8 well cited")
+    scheduler.record_reflection("alpha", "task-1", "score: 0.6 one gap")
+    path = scheduler.reflections_path
+    path.write_bytes(path.read_bytes()[:-40])  # a crash mid-append
+    fresh, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    register(fresh, "alpha", "good")
+    assert fresh.route("forecast") == "alpha"
+    reflection = fresh.record_reflection("alpha", "task-2", "score: 0.7")
+    assert reflection.self_score == 0.7
 
 
 def test_malformed_state_row_is_a_config_error(tmp_path: Path) -> None:

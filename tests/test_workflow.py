@@ -289,7 +289,11 @@ def test_run_task_end_to_end(tmp_path: Path) -> None:
     assert records[0]["chosen"] == "alpha"
     stamps = [r["at"] for r in records] + [artifact["generated_at"]]
     assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
-    assert len(scheduler.reflections_for(task.task_id)) == 1
+    assert run.evaluation.reflection_count == 1
+    reflections = scheduler.reflections_path.read_text().splitlines()
+    assert [json.loads(line)["task_id"] for line in reflections] == [
+        task.task_id
+    ]
 
 
 def test_run_task_trace_is_deterministic(tmp_path: Path) -> None:
