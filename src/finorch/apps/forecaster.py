@@ -43,6 +43,8 @@ EVIDENCE_TAGS = ("News", "Stock Price", "Basic Financials")
 
 _SECTION_KEYS = ("positive", "concerns", "prediction")
 
+WINDOW_DAYS = 30  # calendar days of prices and news before the cutoff
+
 
 @lru_cache(maxsize=1)
 def _headers() -> dict[str, Any]:
@@ -135,12 +137,11 @@ def perceive(
     market_data: MarketData,
     *,
     clock: Clock | None = None,
-    window_days: int = 30,
 ) -> PerceptionBundle:
     """Draw the task's strictly pre-cutoff company bundle."""
     clock = clock or SystemClock()
     company = market_data.company_bundle(
-        task.subject, task.cutoff_date, window_days=window_days
+        task.subject, task.cutoff_date, WINDOW_DAYS
     )
     if (
         len(company.prices) == 0
@@ -491,7 +492,6 @@ def run_forecaster(
     language: str = "en",
     runs_dir: Path | None = None,
     clock: Clock | None = None,
-    window_days: int = 30,
 ) -> ForecastRun:
     """Perceive, prompt and parse one forecast through the task runner."""
     clock = clock or SystemClock()
@@ -510,9 +510,7 @@ def run_forecaster(
 
     def act(backend_id: str, trace: Trace) -> Outcome:
         with trace.stage(ROLE_ASSISTANT):
-            bundle = perceive(
-                task, market_data, clock=clock, window_days=window_days
-            ).company
+            bundle = perceive(task, market_data, clock=clock).company
             messages = build_forecast_prompt(
                 bundle, task.cutoff_date, horizon, language, prompt_store
             )

@@ -43,6 +43,10 @@ from finorch.workflow import (
 ABSENT_MARKER = "ABSENT"
 DISCREPANCY_TOLERANCE = 0.01  # 1% relative difference
 
+CHUNK_SIZE = 1000  # characters per chunk
+CHUNK_OVERLAP = 200  # characters each chunk repeats from the one before
+TOP_K = 3  # passages retrieved per indicator topic and per report section
+
 DEFAULT_TOPICS = (
     "revenue",
     "net income",
@@ -153,7 +157,9 @@ class ReportResult:
 # ── chunking ─────────────────────────────────────────────────────────────
 
 
-def chunk_text(text: str, chunk_size: int = 1000, overlap: int = 200) -> list[Document]:
+def chunk_text(
+    text: str, chunk_size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLAP
+) -> list[Document]:
     """Fixed-size character chunks with forward overlap."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -231,16 +237,13 @@ def analyze_document(
     prompt_store: PromptStore,
     topics: tuple[str, ...] = DEFAULT_TOPICS,
     language: str = "en",
-    chunk_size: int = 1000,
-    overlap: int = 200,
-    top_k: int = 3,
 ) -> DocumentAnalysis:
     """Chunk, index, and extract one indicator per topic from a document.
 
     Topic-level failures are collected, not fatal; the analysis carries on.
     """
     text = _read_document(path)
-    chunks = chunk_text(text, chunk_size=chunk_size, overlap=overlap)
+    chunks = chunk_text(text)
     index = index_documents(chunks)
     # Retrieve and render every topic first, then run the extractions
     # together; each topic keeps either its passages or its failure.
@@ -248,7 +251,7 @@ def analyze_document(
     requests = []
     for topic in topics:
         try:
-            passages = retrieve(index, topic, k=min(top_k, len(chunks)))
+            passages = retrieve(index, topic, k=min(TOP_K, len(chunks)))
             if not passages:
                 raise ExtractionFailure(topic, "no passages matched the topic")
             prompt = prompt_store.render(
@@ -329,7 +332,6 @@ def generate_report(
     language: str = "en",
     runs_dir: Path | None = None,
     clock: Clock | None = None,
-    top_k: int = 3,
 ) -> ReportResult:
     """Write the five-section research note through the task runner."""
     task_id = f"report-{_slug(subject)}-{analysis.doc_path.stem}-{language}"
@@ -364,7 +366,7 @@ def generate_report(
         for name, query in REPORT_SECTIONS:
             with trace.stage(ROLE_FINANCIAL_ANALYST, section=name):
                 passages = retrieve(
-                    analysis.index, query, k=min(top_k, analysis.chunk_count)
+                    analysis.index, query, k=min(TOP_K, analysis.chunk_count)
                 )
                 prompt = prompt_store.render(
                     "report_section",

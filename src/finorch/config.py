@@ -52,7 +52,6 @@ from finorch.scheduler import (
 from finorch.workflow import ROLE_ASSISTANT, TASK_KINDS
 
 __all__ = [
-    "AgentSettings",
     "Engine",
     "EngineConfig",
     "ProviderSettings",
@@ -87,13 +86,6 @@ _BACKEND_NUMBERS = {
 
 
 @dataclass(frozen=True)
-class AgentSettings:
-    agent_id: str
-    backend_id: str
-    task_kinds: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ProviderSettings:
     name: str
     base_url: str
@@ -103,7 +95,7 @@ class ProviderSettings:
 @dataclass(frozen=True)
 class EngineConfig:
     backends: tuple[BackendSpec, ...]
-    agents: tuple[AgentSettings, ...]
+    agents: tuple[AgentProfile, ...]
     weights: Mapping[str, Mapping[str, float]]
     provider: ProviderSettings
     state_dir: Path
@@ -179,7 +171,7 @@ def _parse_backend(row: Any, index: int) -> BackendSpec:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentSettings:
+def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentProfile:
     where = f"agents[{index}]"
     if not isinstance(row, Mapping):
         raise ConfigError(f"{where} must be a mapping")
@@ -200,10 +192,9 @@ def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentSettings:
             raise ConfigError(
                 f"{where} task kind {kind!r} is not one of {TASK_KINDS}"
             )
-    return AgentSettings(
-        agent_id=agent_id,
-        backend_id=backend_id,
-        task_kinds=tuple(kinds),
+    # registered_at stays empty: register_agent stamps it from the clock.
+    return AgentProfile(
+        agent_id=agent_id, backend_id=backend_id, task_kinds=frozenset(kinds)
     )
 
 
@@ -496,13 +487,7 @@ def build_engine(
         clock=clock,
     )
     for agent in config.agents:
-        scheduler.register_agent(
-            AgentProfile(
-                agent_id=agent.agent_id,
-                backend_id=agent.backend_id,
-                task_kinds=frozenset(agent.task_kinds),
-            )
-        )
+        scheduler.register_agent(agent)
     return Engine(
         config=config,
         gateway=gateway,

@@ -1,51 +1,3 @@
-"""DataOps layer: providers, response cache, and lexical retrieval."""
-
-from finorch.dataops.cache import ResponseCache, cache_key, canonical_bytes
-from finorch.dataops.providers import (
-    ENDPOINTS,
-    FixtureProvider,
-    LiveProvider,
-    MarketData,
-    Provider,
-)
-from finorch.dataops.retrieval import (
-    Document,
-    RetrievalIndex,
-    RetrievedPassage,
-    bm25_scores,
-    index_documents,
-    retrieve,
-    tokenize,
-)
-from finorch.dataops.types import (
-    CompanyBundle,
-    CompanyProfile,
-    FinancialSnapshot,
-    NewsItem,
-    PriceObservation,
-    PriceSeries,
-)
-
-__all__ = [
-    "ENDPOINTS",
-    "CompanyBundle",
-    "CompanyProfile",
-    "Document",
-    "FinancialSnapshot",
-    "FixtureProvider",
-    "LiveProvider",
-    "MarketData",
-    "NewsItem",
-    "PriceObservation",
-    "PriceSeries",
-    "Provider",
-    "ResponseCache",
-    "RetrievalIndex",
-    "RetrievedPassage",
-    "bm25_scores",
-    "cache_key",
-    "canonical_bytes",
-    "index_documents",
-    "retrieve",
-    "tokenize",
-]
+"""DataOps layer: market-data providers (``providers``), their normalized
+types (``types``), the response cache (``cache``) and lexical retrieval
+(``retrieval``). Import from the submodule that defines a name."""

@@ -54,6 +54,16 @@ __all__ = [
 
 ENDPOINTS = ("profile", "candles", "news", "metrics")
 
+#: Seconds a live request may take before it fails.
+REQUEST_TIMEOUT = 15.0
+
+#: Times a rate-limited live request is retried after its Retry-After delay.
+RATE_LIMIT_RETRIES = 2
+
+#: Longest Retry-After delay, in seconds, that a live request waits out; a
+#: longer one fails the request at once.
+MAX_RETRY_AFTER = 120.0
+
 
 class Provider(Protocol):
     provider_id: str
@@ -144,7 +154,8 @@ class LiveProvider:
 
     The API token is read from the environment variable named by
     ``token_env`` at request time; it never appears in config files.
-    Rate-limit responses are retried after the server's Retry-After delay.
+    Rate-limit responses are retried after the server's Retry-After delay,
+    unless that delay exceeds ``MAX_RETRY_AFTER``.
     """
 
     def __init__(
@@ -153,9 +164,7 @@ class LiveProvider:
         token_env: str,
         session: Any = None,
         provider_id: str = "finnhub",
-        timeout: float = 15.0,
         sleeper: Callable[[float], None] | None = None,
-        rate_limit_retries: int = 2,
         env: Mapping[str, str] | None = None,
     ):
         import os
@@ -166,9 +175,7 @@ class LiveProvider:
         self._token_env = token_env
         self._session = session or requests.Session()
         self.provider_id = provider_id
-        self._timeout = timeout
         self._sleep = sleeper or time.sleep
-        self._rate_limit_retries = rate_limit_retries
         self._env = env if env is not None else os.environ
 
     def _token(self) -> str:
@@ -186,10 +193,10 @@ class LiveProvider:
         url = f"{self._base_url}{path}"
         query = dict(params)
         query["token"] = self._token()
-        for attempt in range(self._rate_limit_retries + 1):
+        for attempt in range(RATE_LIMIT_RETRIES + 1):
             try:
                 response = self._session.get(
-                    url, params=query, timeout=self._timeout
+                    url, params=query, timeout=REQUEST_TIMEOUT
                 )
             except requests.RequestException as exc:
                 # The exception text can carry the full URL, token included.
@@ -201,7 +208,13 @@ class LiveProvider:
                     response.headers.get("Retry-After"),
                     dt.datetime.now(dt.timezone.utc),
                 )
-                if attempt < self._rate_limit_retries:
+                if retry_after > MAX_RETRY_AFTER:
+                    raise RateLimited(
+                        f"rate limited on {path}: the server asks for "
+                        f"{retry_after:g}s, more than {MAX_RETRY_AFTER:g}s",
+                        retry_after=retry_after,
+                    )
+                if attempt < RATE_LIMIT_RETRIES:
                     logger.debug(
                         "rate limited on %s; sleeping %.1fs", path, retry_after
                     )
@@ -209,7 +222,7 @@ class LiveProvider:
                     continue
                 raise RateLimited(
                     f"rate limited on {path} after "
-                    f"{self._rate_limit_retries + 1} attempt(s)",
+                    f"{RATE_LIMIT_RETRIES + 1} attempt(s)",
                     retry_after=retry_after,
                 )
             if response.status_code != 200:

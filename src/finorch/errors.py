@@ -25,10 +25,6 @@ class DuplicateBackend(EngineError):
     pass
 
 
-class RegistrySealed(EngineError):
-    pass
-
-
 class UnknownBackend(EngineError):
     pass
 

@@ -21,7 +21,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import requests
@@ -32,7 +32,6 @@ from finorch.errors import (
     DuplicateBackend,
     EngineError,
     MalformedResponse,
-    RegistrySealed,
     Timeout,
     TransportError,
     TransportExhausted,
@@ -276,7 +275,6 @@ class Gateway:
         self._default_transport: Transport = transport or HttpTransport()
         self._transports: dict[str, Transport] = {}
         self._backends: dict[str, BackendSpec] = {}
-        self._sealed = False
         self._clock: Clock = clock or SystemClock()
         self._sleep = sleeper or time.sleep
         self._rng = rng or random.Random()
@@ -286,10 +284,6 @@ class Gateway:
     def register_backend(
         self, spec: BackendSpec, transport: Transport | None = None
     ) -> str:
-        if self._sealed:
-            raise RegistrySealed(
-                f"cannot register {spec.backend_id!r}: registry is sealed"
-            )
         if spec.backend_id in self._backends:
             raise DuplicateBackend(f"backend {spec.backend_id!r} already registered")
         self._backends[spec.backend_id] = spec
@@ -314,16 +308,6 @@ class Gateway:
         self.register_backend(spec, transport=MockTransport(script))
         return spec
 
-    def seal(self) -> None:
-        self._sealed = True
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    def list_backends(self) -> list[str]:
-        return list(self._backends)  # dict preserves registration order
-
     def get_backend(self, backend_id: str) -> BackendSpec:
         try:
             return self._backends[backend_id]
@@ -333,12 +317,7 @@ class Gateway:
     # -- chat --------------------------------------------------------------
 
     def chat(
-        self,
-        backend_id: str,
-        messages: Sequence[ChatMessage],
-        *,
-        temperature: float | None = None,
-        max_tokens: int | None = None,
+        self, backend_id: str, messages: Sequence[ChatMessage]
     ) -> ChatExchange:
         spec = self.get_backend(backend_id)
         if not messages:
@@ -348,8 +327,8 @@ class Gateway:
             "messages": [
                 {"role": m.role, "content": m.content} for m in messages
             ],
-            "temperature": spec.temperature if temperature is None else temperature,
-            "max_tokens": spec.max_tokens if max_tokens is None else max_tokens,
+            "temperature": spec.temperature,
+            "max_tokens": spec.max_tokens,
         }
         transport = self._transport_for(backend_id)
         started = self._clock.now()

@@ -137,6 +137,9 @@ def primary_script() -> list[dict]:
         rules.append({"match": f"指标“{topic}”", "reply": reply})
     for section, reply in SECTION_REPLIES.items():
         rules.append({"match": f'"{section}"', "reply": reply})
+    # After every en section rule, so an en prompt never reaches these.
+    for section, reply in SECTION_REPLIES.items():
+        rules.append({"match": f"“{section}”", "reply": reply})
     rules.append({"match": "公司简介", "reply": FORECAST_REPLY_ZH})
     rules.append({"match": "NVDA", "reply": FORECAST_REPLY_NVDA_EN})
     rules.append({"match": "AAPL", "reply": FORECAST_REPLY_AAPL_EN})

@@ -82,7 +82,8 @@ MAX_EXCLUDED_FRACTION = 0.2
 
 _SELF_SCORE = re.compile(r"score:\s*(\d+(?:\.\d+)?)", re.IGNORECASE)
 
-BUILTIN_DIMENSIONS = ("exact_match", "token_f1")
+#: Template that wraps a golden record's input for the agent under test.
+ADAPTOR_PROMPT_ID = "adaptor_default"
 
 
 # ------------------------------------------------------------------- types
@@ -93,7 +94,6 @@ class AgentProfile:
     agent_id: str
     backend_id: str
     task_kinds: frozenset[str]
-    adaptor_prompt_id: str = "adaptor_default"
     registered_at: str = ""
 
     def __post_init__(self) -> None:
@@ -474,13 +474,20 @@ class Scheduler:
         )
 
     def _append(self, path: Path, *rows: Mapping) -> None:
-        """Append rows with one open and one write."""
+        """Append rows with one open and one write. A last line that a
+        crash left without its newline is closed first, so the new rows
+        start on a line of their own."""
         text = "".join(
             json.dumps(row, ensure_ascii=False) + "\n" for row in rows
         )
         with self._write_lock:
-            with path.open("a", encoding="utf-8") as handle:
-                handle.write(text)
+            with path.open("a+b") as handle:
+                end = handle.seek(0, os.SEEK_END)
+                if end:
+                    handle.seek(end - 1)
+                    if handle.read(1) != b"\n":
+                        text = "\n" + text
+                handle.write(text.encode("utf-8"))
 
     # ------------------------------------------------------------- registry
 
@@ -545,10 +552,7 @@ class Scheduler:
     # ----------------------------------------------------------- evaluation
 
     def evaluate_agent(
-        self,
-        agent_id: str,
-        dataset: Sequence[GoldenRecord],
-        weights: Mapping[str, float] | None = None,
+        self, agent_id: str, dataset: Sequence[GoldenRecord]
     ) -> TaskScore:
         profile = self.get_agent(agent_id)
         if not dataset:
@@ -568,7 +572,7 @@ class Scheduler:
         # grade the replies in dataset order.
         prompts = [
             self._store.render(
-                profile.adaptor_prompt_id,
+                ADAPTOR_PROMPT_ID,
                 {"input_text": record.input_text},
                 self._language,
             )
@@ -609,27 +613,19 @@ class Scheduler:
             d: (math.fsum(vals) / len(vals)) if vals else 0.0
             for d, vals in per_dimension.items()
         }
-        return self._restore_roster(task_kind, agent_id, raw, weights)
+        return self._restore_roster(task_kind, agent_id, raw)
 
     def _weights_for(
-        self,
-        task_kind: str,
-        dimensions: Sequence[str],
-        override: Mapping[str, float] | None,
+        self, task_kind: str, dimensions: Sequence[str]
     ) -> dict[str, float]:
-        if override is not None:
-            return dict(override)
+        """The configured weights of the task kind, else uniform ones."""
         if task_kind in self._weights:
             return dict(self._weights[task_kind])
         uniform = 1.0 / len(dimensions)
         return {d: uniform for d in dimensions}
 
     def _restore_roster(
-        self,
-        task_kind: str,
-        agent_id: str,
-        raw: Mapping[str, float],
-        weights_override: Mapping[str, float] | None,
+        self, task_kind: str, agent_id: str, raw: Mapping[str, float]
     ) -> TaskScore:
         """Recompute normalization and composites for the whole roster after
         one agent's raw scores changed, persisting fresh rows for all."""
@@ -639,7 +635,7 @@ class Scheduler:
             if kind == task_kind
         }
         latest_raw[agent_id] = dict(raw)
-        weights = self._weights_for(task_kind, sorted(raw), weights_override)
+        weights = self._weights_for(task_kind, sorted(raw))
         normalized = normalize_scores(latest_raw)
         evaluated_at = isoformat(self._clock.now())
         roster = [

@@ -1,35 +1,2 @@
-"""Tool usage: typed call parsing and the sandboxed expression language."""
-
-from finorch.tools.calls import (
-    SEMANTIC_TYPES,
-    ToolCall,
-    ToolParam,
-    ToolSchema,
-    render_call,
-    text2params,
-    validate_call,
-)
-from finorch.tools.dsl import (
-    MAX_DEPTH,
-    CodeArtifact,
-    Program,
-    eval_dsl,
-    parse_dsl,
-    run_code,
-)
-
-__all__ = [
-    "MAX_DEPTH",
-    "SEMANTIC_TYPES",
-    "CodeArtifact",
-    "Program",
-    "ToolCall",
-    "ToolParam",
-    "ToolSchema",
-    "eval_dsl",
-    "parse_dsl",
-    "render_call",
-    "run_code",
-    "text2params",
-    "validate_call",
-]
+"""Tool usage: typed call parsing (``calls``) and the sandboxed expression
+language (``dsl``). Import from the submodule that defines a name."""

@@ -3,12 +3,11 @@
 Model output carries at most one fenced block tagged ``tool`` holding a JSON
 object ``{"tool": <name>, "args": {...}}``. Parsing resolves the tool by
 name, coerces each argument to its declared semantic type, enforces required
-parameters, and (in strict mode, the default) rejects unknown arguments.
+parameters, and rejects unknown arguments.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import re
 from dataclasses import dataclass, field
@@ -27,12 +26,10 @@ __all__ = [
     "ToolCall",
     "ToolParam",
     "ToolSchema",
-    "render_call",
     "text2params",
-    "validate_call",
 ]
 
-SEMANTIC_TYPES = ("string", "number", "integer", "boolean", "date", "enum")
+SEMANTIC_TYPES = ("string", "number")
 
 _CALL_BLOCK = re.compile(r"```tool\s+(.*?)```", re.DOTALL)
 
@@ -44,24 +41,12 @@ class ToolParam:
     name: str
     type: str
     required: bool = True
-    values: tuple[str, ...] = ()  # enum members; empty for other types
 
     def __post_init__(self) -> None:
         if self.type not in SEMANTIC_TYPES:
             raise ValueError(
                 f"parameter {self.name!r}: unknown semantic type {self.type!r}"
             )
-        if self.type == "enum" and not self.values:
-            raise ValueError(f"enum parameter {self.name!r} needs values")
-        if self.type != "enum" and self.values:
-            raise ValueError(
-                f"parameter {self.name!r}: only enum parameters take values"
-            )
-
-    def describe_type(self) -> str:
-        if self.type == "enum":
-            return "enum(" + ", ".join(self.values) + ")"
-        return self.type
 
 
 @dataclass(frozen=True)
@@ -71,7 +56,6 @@ class ToolSchema:
     tool_name: str
     description: str
     parameters: tuple[ToolParam, ...] = ()
-    strict: bool = True  # reject unknown arguments; lenient keeps them as-is
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.parameters]
@@ -79,12 +63,6 @@ class ToolSchema:
             raise ValueError(
                 f"schema {self.tool_name!r}: duplicate parameter names"
             )
-
-    def param(self, name: str) -> ToolParam | None:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        return None
 
 
 @dataclass(frozen=True)
@@ -98,65 +76,29 @@ class ToolCall:
 
 def _coerce(param: ToolParam, value: Any) -> Any:
     """Coerce a JSON-decoded value to the parameter's semantic type."""
-    kind = param.type
-    if kind == "string":
+    if param.type == "string":
         if isinstance(value, str):
             return value
-    elif kind == "number":
-        if isinstance(value, bool):
-            pass  # bools are not numbers
-        elif isinstance(value, (int, float)):
+    # A number: a JSON number (bools are not numbers) or a numeric string.
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    elif isinstance(value, str):
+        try:
             return float(value)
-        elif isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError:
-                pass
-    elif kind == "integer":
-        if isinstance(value, bool):
+        except ValueError:
             pass
-        elif isinstance(value, int):
-            return value
-        elif isinstance(value, float) and value.is_integer():
-            return int(value)
-        elif isinstance(value, str):
-            try:
-                return int(value, 10)
-            except ValueError:
-                pass
-    elif kind == "boolean":
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-    elif kind == "date":
-        if isinstance(value, dt.date) and not isinstance(value, dt.datetime):
-            return value
-        if isinstance(value, str):
-            try:
-                return dt.date.fromisoformat(value)
-            except ValueError:
-                pass
-    elif kind == "enum":
-        if isinstance(value, str) and value in param.values:
-            return value
-    raise TypeMismatch(param.name, param.describe_type())
+    raise TypeMismatch(param.name, param.type)
 
 
 def _validate_arguments(
     raw: Mapping[str, Any], schema: ToolSchema
 ) -> dict[str, Any]:
-    known = {p.name for p in schema.parameters}
+    params = {p.name: p for p in schema.parameters}
     out: dict[str, Any] = {}
     for name, value in raw.items():
-        if name not in known:
-            if schema.strict:
-                raise UnknownParam(name)
-            out[name] = value  # lenient: pass through untouched
-            continue
-        param = schema.param(name)
-        assert param is not None
-        out[name] = _coerce(param, value)
+        if name not in params:
+            raise UnknownParam(name)
+        out[name] = _coerce(params[name], value)
     for p in schema.parameters:
         if p.required and p.name not in raw:
             raise MissingRequiredParam(p.name)
@@ -190,35 +132,3 @@ def text2params(model_text: str, schemas: Sequence[ToolSchema]) -> ToolCall:
     return ToolCall(
         tool_name=tool_name, arguments=arguments, origin_text=model_text
     )
-
-
-def validate_call(call: ToolCall, schema: ToolSchema) -> ToolCall:
-    """Re-run validation on an existing call; identity on valid input."""
-    if call.tool_name != schema.tool_name:
-        raise UnknownTool(
-            f"call names {call.tool_name!r} but schema is {schema.tool_name!r}"
-        )
-    arguments = _validate_arguments(call.arguments, schema)
-    if arguments == dict(call.arguments):
-        return call
-    return ToolCall(
-        tool_name=call.tool_name,
-        arguments=arguments,
-        origin_text=call.origin_text,
-    )
-
-
-def _json_ready(value: Any) -> Any:
-    if isinstance(value, dt.date) and not isinstance(value, dt.datetime):
-        return value.isoformat()
-    return value
-
-
-def render_call(call: ToolCall) -> str:
-    """Serialize a call back to its fenced-block form (re-parseable)."""
-    payload = {
-        "tool": call.tool_name,
-        "args": {k: _json_ready(v) for k, v in call.arguments.items()},
-    }
-    body = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    return f"```tool\n{body}\n```"

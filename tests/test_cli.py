@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from finorch import offline
 from finorch.cli import cli
-from finorch.gateway import Gateway
+from finorch.gateway import MOCK_SENTINEL, Gateway
 
 from test_config import REPO, write_config
 
@@ -185,13 +186,13 @@ class TestReportCommand:
             assert (run_dir / name).read_bytes() == blob, name
         assert second.output == first.output
 
-    def test_offline_report_starts_no_thread_pool(self, config_path):
-        """Scripted backends answer inline, so an offline run never even
-        imports the executor."""
+    def _imported_by_offline_report(self, config_path, *modules):
+        """Which of ``modules`` an offline report imports, in a fresh
+        interpreter."""
         code = (
             "import sys; from finorch.cli import cli; "
             "cli(sys.argv[1:], standalone_mode=False); "
-            "print('concurrent.futures' in sys.modules)"
+            f"print(sorted(set({list(modules)!r}) & set(sys.modules)))"
         )
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
@@ -200,7 +201,36 @@ class TestReportCommand:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        return done.stdout.splitlines()[-1]
+
+    def test_offline_report_starts_no_thread_pool(self, config_path):
+        """Scripted backends answer inline, so an offline run never even
+        imports the executor."""
+        assert self._imported_by_offline_report(
+            config_path, "concurrent.futures"
+        ) == "[]"
+
+    def test_offline_report_imports_no_dsl_or_analytics(self, config_path):
+        """No command runs the expression language or the analytics
+        formulas, so no command pays for importing them."""
+        assert self._imported_by_offline_report(
+            config_path, "finorch.analytics", "finorch.tools.dsl"
+        ) == "[]"
+
+    def test_offline_zh_report_answers_every_section(
+        self, runner, config_path, tmp_path
+    ):
+        result = invoke(
+            runner, config_path, "report", str(self.DOC), "--offline",
+            "--lang", "zh",
+        )
+        assert result.exit_code == 0, result.output
+        report = (
+            tmp_path / "runs" / "report-acme-filing-acme_filing-zh" / "report.md"
+        ).read_text(encoding="utf-8")
+        assert MOCK_SENTINEL not in report
+        for body in offline.SECTION_REPLIES.values():
+            assert body in report
 
     def test_offline_zh_report_extracts_in_zh(
         self, runner, config_path, tmp_path, monkeypatch

@@ -246,11 +246,8 @@ class TestBuildEngineOffline:
     def test_offline_engine_components(self, tmp_path):
         engine = build_engine(load_config(write_config(tmp_path)), offline=True)
         assert engine.offline is True
-        assert engine.gateway.list_backends() == [
-            "primary",
-            "secondary",
-            "judge",
-        ]
+        for backend_id in ("primary", "secondary", "judge"):
+            assert engine.gateway.get_backend(backend_id).backend_id == backend_id
         assert {a.agent_id for a in engine.scheduler.agents_for("forecast")} == {
             "forecaster-primary",
             "forecaster-secondary",

@@ -18,22 +18,25 @@ from pathlib import Path
 
 import pytest
 
-from finorch.dataops import (
-    CompanyBundle,
-    CompanyProfile,
-    FinancialSnapshot,
+from finorch.dataops.cache import ResponseCache, cache_key, canonical_bytes
+from finorch.dataops.providers import (
+    MAX_RETRY_AFTER,
     FixtureProvider,
     LiveProvider,
     MarketData,
-    NewsItem,
-    PriceSeries,
-    ResponseCache,
+)
+from finorch.dataops.retrieval import (
     bm25_scores,
-    cache_key,
-    canonical_bytes,
     index_documents,
     retrieve,
     tokenize,
+)
+from finorch.dataops.types import (
+    CompanyBundle,
+    CompanyProfile,
+    FinancialSnapshot,
+    NewsItem,
+    PriceSeries,
 )
 from finorch.errors import (
     CacheMiss,
@@ -711,13 +714,40 @@ def test_live_provider_persistent_rate_limit_raises() -> None:
         token_env="MARKET_TOKEN",
         session=AlwaysLimited(),
         sleeper=sleeps.append,
-        rate_limit_retries=2,
         env={"MARKET_TOKEN": "unit-test-token"},
     )
     with pytest.raises(RateLimited) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert err.value.retry_after == 7.0
     assert sleeps == [7.0, 7.0]
+
+
+@pytest.mark.parametrize(
+    "header", ["1e300", "Fri, 31 Dec 9999 23:59:59 GMT", str(MAX_RETRY_AFTER + 1)]
+)
+def test_live_provider_refuses_a_retry_after_beyond_the_cap(header: str) -> None:
+    class FarLimited:
+        def __init__(self) -> None:
+            self.calls = 0
+
+        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
+            self.calls += 1
+            return FakeResponse(429, {}, headers={"Retry-After": header})
+
+    sleeps: list[float] = []
+    session = FarLimited()
+    provider = LiveProvider(
+        base_url="https://example.invalid/api/v1",
+        token_env="MARKET_TOKEN",
+        session=session,
+        sleeper=sleeps.append,
+        env={"MARKET_TOKEN": "unit-test-token"},
+    )
+    with pytest.raises(RateLimited) as err:
+        provider.fetch("profile", {"symbol": "AAPL"})
+    assert sleeps == []
+    assert session.calls == 1
+    assert err.value.retry_after > MAX_RETRY_AFTER
 
 
 @pytest.mark.parametrize(
@@ -770,14 +800,13 @@ def test_live_provider_retry_after_date_waits_until_then() -> None:
         token_env="MARKET_TOKEN",
         session=AlwaysLimited(),
         sleeper=sleeps.append,
-        rate_limit_retries=1,
         env={"MARKET_TOKEN": "unit-test-token"},
     )
     with pytest.raises(RateLimited) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
-    assert len(sleeps) == 1
+    assert len(sleeps) == 2
     # HTTP dates carry whole seconds, so up to one second is lost.
-    assert 55.0 < sleeps[0] <= 60.0
+    assert all(55.0 < delay <= 60.0 for delay in sleeps)
     assert 55.0 < err.value.retry_after <= 60.0
 
 

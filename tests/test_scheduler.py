@@ -259,6 +259,7 @@ def make_scheduler(
     tmp_path: Path,
     scripts: dict[str, list[dict]],
     judge_backend_id: str | None = None,
+    weights: dict[str, float] | None = None,
 ) -> tuple[Scheduler, Gateway]:
     gateway = Gateway(
         clock=FixedClock(), sleeper=lambda _s: None, rng=random.Random(0)
@@ -269,7 +270,7 @@ def make_scheduler(
         gateway=gateway,
         prompt_store=PromptStore(),
         state_dir=tmp_path / "state",
-        weights={"forecast": {"exact_match": 0.5, "token_f1": 0.5}},
+        weights={"forecast": weights or {"exact_match": 0.5, "token_f1": 0.5}},
         judge_backend_id=judge_backend_id,
         clock=FixedClock(),
     )
@@ -428,7 +429,12 @@ def test_judged_dimension_uses_judge_backend(tmp_path: Path) -> None:
         "good": correct_script(),
         "judge": [{"match": "", "reply": "score: 0.75 solid reasoning"}],
     }
-    scheduler, _ = make_scheduler(tmp_path, scripts, judge_backend_id="judge")
+    scheduler, _ = make_scheduler(
+        tmp_path,
+        scripts,
+        judge_backend_id="judge",
+        weights={"exact_match": 0.5, "clarity": 0.5},
+    )
     register(scheduler, "alpha", "good")
     dataset = [
         GoldenRecord(
@@ -440,16 +446,16 @@ def test_judged_dimension_uses_judge_backend(tmp_path: Path) -> None:
         )
         for r in golden_dataset()
     ]
-    score = scheduler.evaluate_agent(
-        "alpha", dataset, weights={"exact_match": 0.5, "clarity": 0.5}
-    )
+    score = scheduler.evaluate_agent("alpha", dataset)
     assert score.raw_scores["clarity"] == pytest.approx(0.75)
 
 
 def test_judged_dimension_without_judge_backend_is_config_error(
     tmp_path: Path,
 ) -> None:
-    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    scheduler, _ = make_scheduler(
+        tmp_path, {"good": correct_script()}, weights={"clarity": 1.0}
+    )
     register(scheduler, "alpha", "good")
     dataset = [
         GoldenRecord(
@@ -461,7 +467,7 @@ def test_judged_dimension_without_judge_backend_is_config_error(
         )
     ]
     with pytest.raises(ConfigError):
-        scheduler.evaluate_agent("alpha", dataset, weights={"clarity": 1.0})
+        scheduler.evaluate_agent("alpha", dataset)
 
 
 def test_unparseable_judge_excludes_record_within_budget(tmp_path: Path) -> None:
@@ -492,9 +498,11 @@ def test_unparseable_judge_excludes_record_within_budget(tmp_path: Path) -> None
             {"match": "", "reply": "score: 0.5"},
         ],
     }
-    scheduler, _ = make_scheduler(tmp_path, scripts, judge_backend_id="judge")
+    scheduler, _ = make_scheduler(
+        tmp_path, scripts, judge_backend_id="judge", weights={"clarity": 1.0}
+    )
     register(scheduler, "alpha", "good")
-    score = scheduler.evaluate_agent("alpha", dataset, weights={"clarity": 1.0})
+    score = scheduler.evaluate_agent("alpha", dataset)
     assert score.raw_scores["clarity"] == pytest.approx(0.5)
 
 
@@ -513,10 +521,32 @@ def test_too_many_grade_failures_fail_the_run(tmp_path: Path) -> None:
         "good": correct_script(),
         "judge": [{"match": "", "reply": "no numeric judgement at all"}],
     }
-    scheduler, _ = make_scheduler(tmp_path, scripts, judge_backend_id="judge")
+    scheduler, _ = make_scheduler(
+        tmp_path, scripts, judge_backend_id="judge", weights={"clarity": 1.0}
+    )
     register(scheduler, "alpha", "good")
     with pytest.raises(GradeParseFailure):
-        scheduler.evaluate_agent("alpha", dataset, weights={"clarity": 1.0})
+        scheduler.evaluate_agent("alpha", dataset)
+
+
+def test_weights_come_from_config_else_uniform(tmp_path: Path) -> None:
+    configured, gateway = make_scheduler(
+        tmp_path,
+        {"good": correct_script()},
+        weights={"exact_match": 0.25, "token_f1": 0.75},
+    )
+    register(configured, "alpha", "good")
+    score = configured.evaluate_agent("alpha", golden_dataset())
+    assert score.weights == {"exact_match": 0.25, "token_f1": 0.75}
+    unweighted = Scheduler(
+        gateway=gateway,
+        prompt_store=PromptStore(),
+        state_dir=tmp_path / "unweighted",
+        clock=FixedClock(),
+    )
+    register(unweighted, "alpha", "good")
+    score = unweighted.evaluate_agent("alpha", golden_dataset())
+    assert score.weights == {"exact_match": 0.5, "token_f1": 0.5}
 
 
 # ----------------------------------------------------------- rank and route
@@ -752,6 +782,9 @@ def test_torn_reflections_line_still_loads_and_routes(tmp_path: Path) -> None:
     assert fresh.route("forecast") == "alpha"
     reflection = fresh.record_reflection("alpha", "task-2", "score: 0.7")
     assert reflection.self_score == 0.7
+    # The reflection recorded after the tear starts a line of its own.
+    last = path.read_text(encoding="utf-8").splitlines()[-1]
+    assert json.loads(last) == reflection.to_dict()
 
 
 def test_malformed_state_row_is_a_config_error(tmp_path: Path) -> None:
