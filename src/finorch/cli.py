@@ -76,9 +76,9 @@ def evaluate(config_path: str, offline: bool, kind: str, as_json: bool) -> None:
     """Score every registered agent against its golden dataset."""
     engine = _engine(config_path, offline)
     kinds = ["forecast", "report"] if kind == "all" else [kind]
+    engine.evaluate_all(*kinds)
     payload: dict[str, list[dict]] = {}
     for task_kind in kinds:
-        engine.evaluate_all(task_kind)
         ranking = engine.scheduler.rank_agents(task_kind)
         scores = engine.scheduler.latest_scores(task_kind)
         payload[task_kind] = [

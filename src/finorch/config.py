@@ -358,15 +358,22 @@ class Engine:
             self._golden[task_kind] = load_golden_dataset(path)
         return self._golden[task_kind]
 
-    def evaluate_all(self, task_kind: str) -> dict[str, TaskScore]:
-        """Score every agent registered for one task kind."""
-        dataset = self.golden_dataset(task_kind)
-        scores: dict[str, TaskScore] = {}
-        for profile in self.scheduler.agents_for(task_kind):
-            scores[profile.agent_id] = self.scheduler.evaluate_agent(
-                profile.agent_id, dataset
-            )
-        return scores
+    def evaluate_all(
+        self, *task_kinds: str
+    ) -> dict[tuple[str, str], TaskScore]:
+        """Score every agent registered for each task kind, with all their
+        probes in one batch; scores keyed by (task kind, agent id)."""
+        jobs = []
+        for task_kind in task_kinds:
+            dataset = self.golden_dataset(task_kind)
+            jobs += [
+                (profile.agent_id, dataset)
+                for profile in self.scheduler.agents_for(task_kind)
+            ]
+        return {
+            (score.task_kind, score.agent_id): score
+            for score in self.scheduler.evaluate_agents(jobs)
+        }
 
     def ensure_scores(self, task_kind: str) -> None:
         """Make sure routing has scores to rank.

@@ -2,7 +2,8 @@
 scoring, task routing, reflections, and workflow evaluations.
 
 Scoring pipeline: per golden record the agent's adaptor prompt is sent
-through the gateway and the reply graded per dimension. Raw dimension
+through the gateway and the reply graded per dimension; one evaluation
+sends the probes of all the agents it covers as one batch. Raw dimension
 scores are averaged over records, min-max normalized across the roster of
 the task kind, and combined into a weighted composite in [0, 1]. Routing
 picks the highest composite, ties broken by ascending agent id.
@@ -59,7 +60,7 @@ from finorch.errors import (
     UnknownAgent,
     WeightSumInvalid,
 )
-from finorch.gateway import ChatMessage, Gateway
+from finorch.gateway import ChatExchange, ChatMessage, Gateway
 from finorch.prompts import PromptStore
 
 __all__ = [
@@ -516,13 +517,10 @@ class Scheduler:
 
     # ------------------------------------------------------------- grading
 
-    def _judge_chat(self, prompt: str) -> str:
+    def _judge_backend(self) -> str:
         if self._judge_backend_id is None:
             raise ConfigError("no judge backend configured for judged grading")
-        exchange = self._gateway.chat(
-            self._judge_backend_id, [ChatMessage(role="user", content=prompt)]
-        )
-        return exchange.response_text
+        return self._judge_backend_id
 
     def _grade_dimension(
         self, dimension: str, response: str, record: GoldenRecord
@@ -540,8 +538,10 @@ class Scheduler:
             },
             self._language,
         )
-        reply = self._judge_chat(prompt)
-        score = parse_self_score(reply)
+        exchange = self._gateway.chat(
+            self._judge_backend(), [ChatMessage(role="user", content=prompt)]
+        )
+        score = parse_self_score(exchange.response_text)
         if score is None:
             raise GradeParseFailure(
                 f"judge reply for record {record.record_id!r} dimension "
@@ -554,42 +554,81 @@ class Scheduler:
     def evaluate_agent(
         self, agent_id: str, dataset: Sequence[GoldenRecord]
     ) -> TaskScore:
+        """Score one agent on one golden dataset."""
+        return self.evaluate_agents([(agent_id, dataset)])[0]
+
+    def evaluate_agents(
+        self, jobs: Sequence[tuple[str, Sequence[GoldenRecord]]]
+    ) -> list[TaskScore]:
+        """Score each (agent id, golden dataset) job; one TaskScore per job.
+
+        Every probe of every job is independent of the others, so all of
+        them go out in one ``chat_many`` batch. The replies are then graded
+        job by job, in the order given, and each job appends its task
+        kind's roster before the next is graded. A failed probe raises
+        GatewayFailure naming the first failed record in that order; the
+        jobs graded before it keep their rows.
+        """
+        checked = [
+            self._check_job(agent_id, dataset) for agent_id, dataset in jobs
+        ]
+        requests = [
+            (
+                profile.backend_id,
+                [
+                    ChatMessage(
+                        role="user",
+                        content=self._store.render(
+                            ADAPTOR_PROMPT_ID,
+                            {"input_text": record.input_text},
+                            self._language,
+                        ),
+                    )
+                ],
+            )
+            for profile, dataset in checked
+            for record in dataset
+        ]
+        outcomes = iter(self._gateway.chat_many(requests))
+        return [
+            self._grade_job(
+                profile, dataset, [next(outcomes) for _ in dataset]
+            )
+            for profile, dataset in checked
+        ]
+
+    def _check_job(
+        self, agent_id: str, dataset: Sequence[GoldenRecord]
+    ) -> tuple[AgentProfile, Sequence[GoldenRecord]]:
         profile = self.get_agent(agent_id)
         if not dataset:
             raise EmptyDataset("golden dataset is empty")
         kinds = {record.task_kind for record in dataset}
         if len(kinds) != 1:
             raise ValueError(f"dataset mixes task kinds {sorted(kinds)}")
-        task_kind = dataset[0].task_kind
         dimensions = dataset[0].dimension_labels
         for record in dataset:
             if record.dimension_labels != dimensions:
                 raise ValueError(
                     f"record {record.record_id!r} changes dimension labels"
                 )
+        return profile, dataset
 
-        # The golden probes are independent: send them together, then
-        # grade the replies in dataset order.
-        prompts = [
-            self._store.render(
-                ADAPTOR_PROMPT_ID,
-                {"input_text": record.input_text},
-                self._language,
-            )
-            for record in dataset
-        ]
-        outcomes = self._gateway.chat_many(
-            [
-                (profile.backend_id, [ChatMessage(role="user", content=prompt)])
-                for prompt in prompts
-            ]
-        )
+    def _grade_job(
+        self,
+        profile: AgentProfile,
+        dataset: Sequence[GoldenRecord],
+        outcomes: Sequence[ChatExchange | EngineError],
+    ) -> TaskScore:
+        """Grade one agent's probe replies in dataset order and restore the
+        roster of its task kind."""
+        dimensions = dataset[0].dimension_labels
         per_dimension: dict[str, list[float]] = {d: [] for d in dimensions}
         excluded = 0
         for record, outcome in zip(dataset, outcomes):
             if isinstance(outcome, EngineError):
                 raise GatewayFailure(
-                    f"agent {agent_id!r} failed on record "
+                    f"agent {profile.agent_id!r} failed on record "
                     f"{record.record_id!r}: {outcome}",
                     record_id=record.record_id,
                 ) from outcome
@@ -613,7 +652,9 @@ class Scheduler:
             d: (math.fsum(vals) / len(vals)) if vals else 0.0
             for d, vals in per_dimension.items()
         }
-        return self._restore_roster(task_kind, agent_id, raw)
+        return self._restore_roster(
+            dataset[0].task_kind, profile.agent_id, raw
+        )
 
     def _weights_for(
         self, task_kind: str, dimensions: Sequence[str]
@@ -722,29 +763,33 @@ class Scheduler:
 
     # ---------------------------------------------------------- evaluations
 
-    def finalize_workflow(
-        self,
-        task_id: str,
-        final_output: str,
-        acceptance_text: str,
-        reflection: Reflection,
-    ) -> WorkflowEvaluation:
-        """Judge one run's final output against its acceptance text, beside
-        that run's own reflection, and append the evaluation."""
+    def judge_request(
+        self, final_output: str, acceptance_text: str
+    ) -> tuple[str, list[ChatMessage]]:
+        """The judge chat for one run's final output against its acceptance
+        text, as (backend id, messages); ConfigError when no judge backend
+        is configured."""
+        backend_id = self._judge_backend()
         prompt = self._store.render(
             "judge",
             {"acceptance_text": acceptance_text, "final_output": final_output},
             self._language,
         )
-        reply = self._judge_chat(prompt)
+        return backend_id, [ChatMessage(role="user", content=prompt)]
+
+    def finalize_workflow(
+        self, task_id: str, judge_reply: str, reflection: Reflection
+    ) -> WorkflowEvaluation:
+        """Grade one run from the judge's reply to its ``judge_request``,
+        beside that run's own reflection, and append the evaluation."""
         self_score = reflection.self_score
         evaluation = WorkflowEvaluation(
             workflow_id=task_id,
-            grade=parse_self_score(reply),
+            grade=parse_self_score(judge_reply),
             self_scores=() if self_score is None else (self_score,),
             mean_self_score=self_score,
             reflection_count=1,
-            feedback=reply.strip(),
+            feedback=judge_reply.strip(),
             created_at=isoformat(self._clock.now()),
         )
         self._append(self.evaluations_path, evaluation.to_dict())

@@ -9,6 +9,7 @@ parameters, and rejects unknown arguments.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -79,14 +80,16 @@ def _coerce(param: ToolParam, value: Any) -> Any:
     if param.type == "string":
         if isinstance(value, str):
             return value
-    # A number: a JSON number (bools are not numbers) or a numeric string.
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    elif isinstance(value, str):
+    # A number: a finite JSON number (bools are not numbers) or a string
+    # holding one; NaN and infinities are not JSON, so they are refused.
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
-        except ValueError:
+            number = float(value)
+        except (ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(number):
+                return number
     raise TypeMismatch(param.name, param.type)
 
 
@@ -118,9 +121,9 @@ def text2params(model_text: str, schemas: Sequence[ToolSchema]) -> ToolCall:
         payload = json.loads(match.group(1))
     except json.JSONDecodeError as exc:
         raise NoCallBlock(f"tool block is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "tool" not in payload:
-        raise NoCallBlock("tool block must be an object with a 'tool' key")
-    tool_name = payload["tool"]
+    tool_name = payload.get("tool") if isinstance(payload, dict) else None
+    if not isinstance(tool_name, str):
+        raise NoCallBlock("tool block must be an object with a string 'tool'")
     args = payload.get("args", {})
     if not isinstance(args, dict):
         raise NoCallBlock("'args' must be an object")

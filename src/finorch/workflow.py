@@ -124,7 +124,8 @@ def run_task(
     runs_dir: Path | None = None,
     clock: Clock | None = None,
 ) -> TaskRun:
-    """Route -> act -> self-assess -> finalize -> write, for one task.
+    """Route -> act -> self-assess and judge -> finalize -> write, for one
+    task.
 
     ``act`` receives the routed agent's backend id and the trace.
     """
@@ -139,15 +140,30 @@ def run_task(
     backend_id = scheduler.get_agent(agent).backend_id
     outcome = act(backend_id, trace)
 
+    # The judge reads only the final output and the acceptance text, so the
+    # self-assessment and the judge chat go out together.
     with trace.stage(ROLE_FINANCIAL_ANALYST):
         prompt = prompt_store.render(
             "self_assessment",
             {"task_id": task.task_id, "output": outcome.final_output},
             task.language,
         )
-        assessment = gateway.chat(
-            backend_id, [ChatMessage(role="user", content=prompt)]
-        )
+    requests = [(backend_id, [ChatMessage(role="user", content=prompt)])]
+    skipped: ConfigError | None = None
+    with trace.stage(ROLE_DIRECTOR):
+        try:
+            requests.append(
+                scheduler.judge_request(
+                    outcome.final_output, task.instruction_text
+                )
+            )
+        except ConfigError as exc:  # no judge backend: grading is skipped
+            skipped = exc
+    assessment, *judged = gateway.chat_many(requests)
+
+    with trace.stage(ROLE_FINANCIAL_ANALYST):
+        if isinstance(assessment, EngineError):
+            raise assessment
         reflection = scheduler.record_reflection(
             agent, task.task_id, assessment.response_text
         )
@@ -158,18 +174,18 @@ def run_task(
 
     evaluation: WorkflowEvaluation | None = None
     with trace.stage(ROLE_DIRECTOR):
-        try:
-            evaluation = scheduler.finalize_workflow(
-                task.task_id,
-                outcome.final_output,
-                task.instruction_text,
-                reflection,
-            )
-        except ConfigError as exc:  # no judge backend: grading is skipped
+        if skipped is not None:
             trace.emit(
-                ROLE_DIRECTOR, {"event": "finalize_skipped", "reason": str(exc)}
+                ROLE_DIRECTOR,
+                {"event": "finalize_skipped", "reason": str(skipped)},
             )
         else:
+            [judge] = judged
+            if isinstance(judge, EngineError):
+                raise judge
+            evaluation = scheduler.finalize_workflow(
+                task.task_id, judge.response_text, reflection
+            )
             trace.emit(
                 ROLE_DIRECTOR, {"event": "finalized", "grade": evaluation.grade}
             )

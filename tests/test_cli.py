@@ -19,6 +19,24 @@ from finorch.gateway import MOCK_SENTINEL, Gateway
 from test_config import REPO, write_config
 
 
+def imported_by_offline_command(config_path, args, *modules):
+    """Which of ``modules`` one offline command imports, in a fresh
+    interpreter."""
+    code = (
+        "import sys; from finorch.cli import cli; "
+        "cli(sys.argv[1:], standalone_mode=False); "
+        f"print(sorted(set({list(modules)!r}) & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args, "--offline",
+         "--config", str(config_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -187,21 +205,9 @@ class TestReportCommand:
         assert second.output == first.output
 
     def _imported_by_offline_report(self, config_path, *modules):
-        """Which of ``modules`` an offline report imports, in a fresh
-        interpreter."""
-        code = (
-            "import sys; from finorch.cli import cli; "
-            "cli(sys.argv[1:], standalone_mode=False); "
-            f"print(sorted(set({list(modules)!r}) & set(sys.modules)))"
+        return imported_by_offline_command(
+            config_path, ["report", str(self.DOC)], *modules
         )
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run(
-            [sys.executable, "-c", code, "report", str(self.DOC), "--offline",
-             "--config", str(config_path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout.splitlines()[-1]
 
     def test_offline_report_starts_no_thread_pool(self, config_path):
         """Scripted backends answer inline, so an offline run never even
@@ -315,6 +321,34 @@ class TestEvaluateAndRoute:
         payload = json.loads(result.output)
         assert payload["chosen"] == "report-writer"
         assert payload["ranking"][0] == ["report-writer", 1.0]
+
+    def test_evaluate_all_sends_every_probe_in_one_batch(
+        self, runner, config_path, monkeypatch
+    ):
+        batches: list[int] = []
+        chat_many = Gateway.chat_many
+
+        def recording(self, requests):
+            batches.append(len(requests))
+            return chat_many(self, requests)
+
+        monkeypatch.setattr(Gateway, "chat_many", recording)
+        result = invoke(runner, config_path, "evaluate", "--offline")
+        assert result.exit_code == 0, result.output
+        # 4 forecast records for 2 agents, 2 report records for 2 agents
+        assert batches == [12]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["forecast", "AAPL"], ["evaluate"], ["route", "report"]],
+        ids=["forecast", "evaluate", "route"],
+    )
+    def test_offline_command_starts_no_thread_pool(self, config_path, args):
+        """Scripted backends answer inline, which keeps offline runs
+        byte-deterministic, so no offline command imports the executor."""
+        assert imported_by_offline_command(
+            config_path, args, "concurrent.futures"
+        ) == "[]"
 
     def test_route_unknown_kind_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "route", "poetry", "--offline")

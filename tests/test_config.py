@@ -283,8 +283,8 @@ class TestBuildEngineOffline:
     def test_evaluate_all_ranks_scripted_agents(self, tmp_path):
         engine = build_engine(load_config(write_config(tmp_path)), offline=True)
         scores = engine.evaluate_all("forecast")
-        assert scores["forecaster-primary"].composite == 1.0
-        assert scores["forecaster-secondary"].composite == 0.0
+        assert scores[("forecast", "forecaster-primary")].composite == 1.0
+        assert scores[("forecast", "forecaster-secondary")].composite == 0.0
         assert engine.scheduler.route("forecast") == "forecaster-primary"
 
     def test_route_helper_evaluates_then_routes(self, tmp_path):

@@ -410,6 +410,86 @@ def test_concurrent_probe_failures_report_the_earliest_record(
     assert not scheduler.scores_path.exists()
 
 
+class RemoteTransport:
+    """A stand-in for a remote backend: not a mock, so ``chat_many`` sends
+    its requests on worker threads. With a barrier, every request waits
+    until all of the barrier's parties are in flight at once."""
+
+    def __init__(self, answer, barrier: threading.Barrier | None = None):
+        self._answer = answer
+        self._barrier = barrier
+
+    def send(self, spec, payload):
+        if self._barrier is not None:
+            self._barrier.wait()  # BrokenBarrierError unless all are in flight
+        text = payload["messages"][-1]["content"]
+        return {"choices": [{"message": {"content": self._answer(text)}}]}
+
+
+def register_remote(
+    scheduler: Scheduler, gateway: Gateway, agent_id: str, transport
+) -> None:
+    gateway.register_backend(
+        BackendSpec(
+            backend_id=agent_id,
+            base_url=f"http://{agent_id}.test",
+            model_name="m",
+            max_retries=0,
+        ),
+        transport=transport,
+    )
+    register(scheduler, agent_id, agent_id)
+
+
+def correct_answer(text: str) -> str:
+    return next(a for rid, a in REFERENCE.items() if f" {rid}:" in text)
+
+
+def test_evaluate_agents_sends_every_probe_of_every_agent_together(
+    tmp_path: Path,
+) -> None:
+    barrier = threading.Barrier(2 * len(REFERENCE), timeout=5)
+    scheduler, gateway = make_scheduler(tmp_path, {})
+    register_remote(
+        scheduler, gateway, "alpha", RemoteTransport(correct_answer, barrier)
+    )
+    register_remote(
+        scheduler, gateway, "beta", RemoteTransport(lambda _t: "no", barrier)
+    )
+    alpha, beta = scheduler.evaluate_agents(
+        [("alpha", golden_dataset()), ("beta", golden_dataset())]
+    )
+    assert (alpha.agent_id, alpha.composite) == ("alpha", 1.0)
+    assert (beta.agent_id, beta.composite) == ("beta", 0.0)
+    # Graded and appended job by job, as one evaluate_agent call each.
+    rows = scheduler.scores_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(row)["agent_id"] for row in rows] == [
+        "alpha", "alpha", "beta"
+    ]
+
+
+def test_failed_probe_of_a_later_agent_keeps_earlier_rows(
+    tmp_path: Path,
+) -> None:
+    def flaky(text: str) -> str:
+        if " g2:" in text or " g4:" in text:
+            raise TransportError("down")
+        return correct_answer(text)
+
+    scheduler, gateway = make_scheduler(tmp_path, {})
+    register_remote(scheduler, gateway, "alpha", RemoteTransport(correct_answer))
+    register_remote(scheduler, gateway, "beta", RemoteTransport(flaky))
+    with pytest.raises(GatewayFailure) as err:
+        scheduler.evaluate_agents(
+            [("alpha", golden_dataset()), ("beta", golden_dataset())]
+        )
+    assert err.value.record_id == "g2"
+    assert "'beta'" in str(err.value)
+    rows = scheduler.scores_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(row)["agent_id"] for row in rows] == ["alpha"]
+    assert scheduler.rank_agents("forecast") == [("alpha", 1.0)]
+
+
 def test_correct_vs_wrong_agents_score_one_and_zero(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(
         tmp_path, {"good": correct_script(), "bad": wrong_script()}
@@ -667,13 +747,23 @@ def test_finalize_grades_and_aggregates_self_scores(tmp_path: Path) -> None:
             }
         ],
     }
-    scheduler, _ = make_scheduler(tmp_path, scripts, judge_backend_id="judge")
+    scheduler, gateway = make_scheduler(
+        tmp_path, scripts, judge_backend_id="judge"
+    )
     register(scheduler, "alpha", "good")
+
+    def judged(final_output: str, acceptance_text: str) -> str:
+        backend_id, messages = scheduler.judge_request(
+            final_output, acceptance_text
+        )
+        assert backend_id == "judge"
+        return gateway.chat(backend_id, messages).response_text
+
     # An earlier run of the same task id is not part of this run's grade.
     scheduler.record_reflection("alpha", "wf-1", "score: 0.2 earlier run")
     scored = scheduler.record_reflection("alpha", "wf-1", "score: 0.8 good")
     evaluation = scheduler.finalize_workflow(
-        "wf-1", "final text", "must mention text", scored
+        "wf-1", judged("final text", "must mention text"), scored
     )
     assert evaluation.grade == 1.0
     assert evaluation.self_scores == (0.8,)
@@ -681,7 +771,9 @@ def test_finalize_grades_and_aggregates_self_scores(tmp_path: Path) -> None:
     assert evaluation.reflection_count == 1
 
     unscored = scheduler.record_reflection("alpha", "wf-2", "prose only")
-    second = scheduler.finalize_workflow("wf-2", "text", "other text", unscored)
+    second = scheduler.finalize_workflow(
+        "wf-2", judged("text", "other text"), unscored
+    )
     assert second.grade is None  # the judge saw this run's acceptance text
     assert second.self_scores == () and second.mean_self_score is None
     assert second.reflection_count == 1

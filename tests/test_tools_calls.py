@@ -56,6 +56,13 @@ def test_text2params_unknown_tool():
         text2params(block('{"tool": "nope", "args": {}}'), [PRICE_SCHEMA])
 
 
+@pytest.mark.parametrize("name", ['["get_price_window"]', '{"n": 1}', "3", "null"])
+def test_text2params_rejects_non_string_tool_name(name):
+    # An unhashable name must not escape as a raw TypeError.
+    with pytest.raises(NoCallBlock):
+        text2params(block('{"tool": ' + name + ', "args": {}}'), [PRICE_SCHEMA])
+
+
 def test_text2params_first_block_wins():
     text = (
         block('{"tool": "get_price_window", "args": {"symbol": "A", "days": 1}}')
@@ -94,6 +101,26 @@ def test_number_rejects_non_numbers(bad):
     )
     with pytest.raises(TypeMismatch):
         text2params(text, [PRICE_SCHEMA])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '"NaN"', '"nan"', '"Infinity"', '"-inf"', '"1e400"',  # numeric strings
+        "NaN", "Infinity", "-Infinity", "1e400",  # JSON literals
+        pytest.param("1" + "0" * 400, id="int-beyond-float"),
+    ],
+)
+def test_number_rejects_non_finite(bad):
+    # A NaN or an infinity would reach analysis.json as a non-JSON token.
+    text = block(
+        '{"tool": "get_price_window", "args": {"symbol": "NVDA", "days": '
+        + bad
+        + "}}"
+    )
+    with pytest.raises(TypeMismatch) as exc:
+        text2params(text, [PRICE_SCHEMA])
+    assert exc.value.name == "days"
 
 
 @pytest.mark.parametrize("bad", ["30", "null", '["NVDA"]'])

@@ -8,7 +8,9 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
+import threading
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -22,7 +24,7 @@ from finorch.apps.forecaster import (
 from finorch.clock import FixedClock
 from finorch.dataops.providers import FixtureProvider, MarketData
 from finorch.errors import EmptyBundle, EngineError, UnknownTemplate
-from finorch.gateway import ChatMessage, Gateway
+from finorch.gateway import BackendSpec, ChatMessage, Gateway, MockTransport
 from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, GoldenRecord, Scheduler
 from finorch.workflow import (
@@ -166,12 +168,37 @@ NOTE = "the quarter was steady"
 ACCEPT = [{"match": "", "reply": "score: 1.0 accepted"}]
 
 
-def build_scheduler(tmp_path: Path, judge: list[dict] | None = ACCEPT):
+class RemoteScript:
+    """A scripted backend that is not a mock, so ``chat_many`` sends its
+    requests on worker threads. A request whose prompt holds ``meet`` first
+    waits on ``barrier``, which breaks unless all its parties are in
+    flight at once."""
+
+    def __init__(self, script, barrier=None, meet: str = ""):
+        self._script = MockTransport(script)
+        self._barrier = barrier
+        self._meet = meet
+
+    def send(self, spec, payload):
+        prompt = payload["messages"][-1]["content"]
+        if self._barrier is not None and self._meet in prompt:
+            self._barrier.wait()
+        return self._script.send(spec, payload)
+
+
+def build_scheduler(
+    tmp_path: Path,
+    judge: list[dict] | None = ACCEPT,
+    remote: Callable[[str, list[dict]], Any] | None = None,
+):
     """Scheduler over scripted backends for report tasks; alpha outscores
-    beta. ``judge`` is the judge backend's script, None for no judge."""
+    beta. ``judge`` is the judge backend's script, None for no judge.
+    ``remote(backend_id, script)``, when given, builds each backend's
+    transport in place of an in-process mock."""
     task = report_task()
     scripts = {
         "main": [
+            {"match": "doomed", "fail": True},
             {"match": task.task_id, "reply": "score: 0.9 coherent note"},
             {"match": "write the note", "reply": NOTE},
             {"match": "fail the note", "fail": True},
@@ -185,7 +212,13 @@ def build_scheduler(tmp_path: Path, judge: list[dict] | None = ACCEPT):
         clock=FixedClock(), sleeper=lambda _s: None, rng=random.Random(0)
     )
     for backend_id, script in scripts.items():
-        gateway.script_mock(backend_id, script)
+        if remote is None:
+            gateway.script_mock(backend_id, script)
+        else:
+            gateway.register_backend(
+                BackendSpec(backend_id, f"http://{backend_id}.test", "m"),
+                transport=remote(backend_id, script),
+            )
     scheduler = Scheduler(
         gateway=gateway,
         prompt_store=PromptStore(),
@@ -243,8 +276,9 @@ def run_note(
     prompt_store: PromptStore | None = None,
     runs: bool = True,
     judge: list[dict] | None = ACCEPT,
+    remote: Callable[[str, list[dict]], Any] | None = None,
 ):
-    default_task, scheduler, gateway = build_scheduler(tmp_path, judge)
+    default_task, scheduler, gateway = build_scheduler(tmp_path, judge, remote)
     run = run_task(
         task or default_task,
         note_act(gateway, prompt),
@@ -365,3 +399,60 @@ def test_run_task_finalize_failure_carries_director_role(tmp_path: Path) -> None
         ("Financial Analyst", "self_assessment"),
         ("Director", "error"),
     ]
+
+
+# ------------------------------------------------------ concurrent chats
+
+
+def remote_scripts(barrier=None):
+    """Remote stand-ins; the self-assessment (it names the task id) and the
+    judge's chat each wait on ``barrier``."""
+    meets = {"main": "report-acme-q1", "judge": ""}
+    return lambda backend_id, script: RemoteScript(
+        script, barrier, meets.get(backend_id, "never met")
+    )
+
+
+def test_run_task_sends_self_assessment_beside_the_judge(tmp_path: Path) -> None:
+    barrier = threading.Barrier(2, timeout=5)
+    run, _ = run_note(tmp_path, remote=remote_scripts(barrier))
+    assert run.evaluation is not None and run.evaluation.grade == 1.0
+    assert run.evaluation.self_scores == (0.9,)
+    assert [(r["role"], r["event"]) for r in trace_records(tmp_path)] == [
+        ("Director", "route"),
+        ("Assistant", "perception"),
+        ("Financial Analyst", "self_assessment"),
+        ("Director", "finalized"),
+    ]
+
+
+def test_failed_self_assessment_beside_a_judge_is_the_analysts(
+    tmp_path: Path,
+) -> None:
+    task = report_task(task_id="doomed-note")
+    error, records = failed_note(tmp_path, task=task, remote=remote_scripts())
+    assert error.role == "Financial Analyst"
+    assert "scripted failure" in str(error)
+    assert [(r["role"], r["event"]) for r in records] == [
+        ("Director", "route"),
+        ("Assistant", "perception"),
+        ("Financial Analyst", "error"),
+    ]
+    # The reflection is recorded before the evaluation: neither is written.
+    assert not (tmp_path / "state" / "reflections.jsonl").exists()
+    assert not (tmp_path / "state" / "evaluations.jsonl").exists()
+
+
+def test_failed_judge_beside_a_self_assessment_is_the_directors(
+    tmp_path: Path,
+) -> None:
+    error, records = failed_note(
+        tmp_path, judge=[{"match": "", "fail": True}], remote=remote_scripts()
+    )
+    assert error.role == "Director"
+    assert [(r["role"], r["event"]) for r in records][-2:] == [
+        ("Financial Analyst", "self_assessment"),
+        ("Director", "error"),
+    ]
+    assert (tmp_path / "state" / "reflections.jsonl").exists()
+    assert not (tmp_path / "state" / "evaluations.jsonl").exists()
