@@ -10,20 +10,21 @@ and cached bodies are interchangeable:
 - ``metrics``:  {period, metrics: {ratio_name: real}}
 
 The fixture provider reads one JSON file per symbol; the live provider
-speaks a Finnhub-compatible REST dialect for the US market.
+speaks a Finnhub-compatible REST dialect for the US market, through the
+keep-alive ``httpclient.HttpClient`` and its retry policy.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-import logging
-import math
+import os
+import random
 import time
 from collections import Counter
-from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
+from urllib.parse import urlencode
 
 from finorch.dataops.cache import ResponseCache, cache_key, canonical_bytes
 from finorch.dataops.types import (
@@ -37,12 +38,14 @@ from finorch.dataops.types import (
 from finorch.errors import (
     CacheMiss,
     ConfigError,
+    MalformedResponse,
     ProviderFailure,
     RateLimited,
+    TransportError,
     UnknownSymbol,
 )
+from finorch.httpclient import MAX_RETRY_AFTER, HttpClient, with_retries
 
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ENDPOINTS",
@@ -54,15 +57,11 @@ __all__ = [
 
 ENDPOINTS = ("profile", "candles", "news", "metrics")
 
-#: Seconds a live request may take before it fails.
+#: Seconds a live request may wait to connect or for each read.
 REQUEST_TIMEOUT = 15.0
 
-#: Times a rate-limited live request is retried after its Retry-After delay.
-RATE_LIMIT_RETRIES = 2
-
-#: Longest Retry-After delay, in seconds, that a live request waits out; a
-#: longer one fails the request at once.
-MAX_RETRY_AFTER = 120.0
+#: Times a failed live request is retried (``httpclient.with_retries``).
+RETRIES = 2
 
 
 class Provider(Protocol):
@@ -130,52 +129,31 @@ class FixtureProvider:
         raise ValueError(f"unknown endpoint {endpoint!r}")
 
 
-def _retry_delay(header: str | None, now: dt.datetime) -> float:
-    """Seconds to wait for a Retry-After value (RFC 9110 §10.2.3):
-    delay-seconds, or an HTTP date (the delay until then, never negative).
-    An absent or unreadable value waits one second."""
-    if header is None:
-        return 1.0
-    try:
-        seconds = float(header)
-    except ValueError:
-        try:
-            when = parsedate_to_datetime(header)
-        except ValueError:
-            return 1.0
-        if when.tzinfo is None:  # "-0000": UTC with no stated zone
-            when = when.replace(tzinfo=dt.timezone.utc)
-        return max(0.0, (when - now).total_seconds())
-    return seconds if 0.0 <= seconds < math.inf else 1.0
-
-
 class LiveProvider:
     """Finnhub-compatible REST provider (US market).
 
     The API token is read from the environment variable named by
-    ``token_env`` at request time; it never appears in config files.
-    Rate-limit responses are retried after the server's Retry-After delay,
-    unless that delay exceeds ``MAX_RETRY_AFTER``.
+    ``token_env`` at request time; it never appears in config files, and
+    no error message or chained exception carries it. Failed requests are
+    retried under ``httpclient.with_retries``: a Retry-After delay is
+    waited out unless it exceeds ``MAX_RETRY_AFTER``.
     """
 
     def __init__(
         self,
         base_url: str,
         token_env: str,
-        session: Any = None,
+        client: HttpClient | None = None,
         provider_id: str = "finnhub",
         sleeper: Callable[[float], None] | None = None,
         env: Mapping[str, str] | None = None,
     ):
-        import os
-
-        import requests
-
         self._base_url = base_url.rstrip("/")
         self._token_env = token_env
-        self._session = session or requests.Session()
+        self._client = client or HttpClient()
         self.provider_id = provider_id
         self._sleep = sleeper or time.sleep
+        self._rng = random.Random()
         self._env = env if env is not None else os.environ
 
     def _token(self) -> str:
@@ -188,55 +166,35 @@ class LiveProvider:
         return token
 
     def _get(self, path: str, params: dict[str, str]) -> Any:
-        import requests
-
-        url = f"{self._base_url}{path}"
-        query = dict(params)
-        query["token"] = self._token()
-        for attempt in range(RATE_LIMIT_RETRIES + 1):
-            try:
-                response = self._session.get(
-                    url, params=query, timeout=REQUEST_TIMEOUT
-                )
-            except requests.RequestException as exc:
-                # The exception text can carry the full URL, token included.
-                raise ProviderFailure(
-                    f"{path} request failed: {type(exc).__name__}"
-                ) from exc
-            if response.status_code == 429:
-                retry_after = _retry_delay(
-                    response.headers.get("Retry-After"),
-                    dt.datetime.now(dt.timezone.utc),
-                )
+        query = urlencode({**params, "token": self._token()})
+        url = f"{self._base_url}{path}?{query}"
+        try:
+            body, _ = with_retries(
+                lambda: self._client.request("GET", url, timeout=REQUEST_TIMEOUT),
+                RETRIES,
+                self._sleep,
+                self._rng,
+            )
+        except TransportError as exc:
+            if exc.status == 429:
+                retry_after = exc.retry_after or 0.0
                 if retry_after > MAX_RETRY_AFTER:
-                    raise RateLimited(
-                        f"rate limited on {path}: the server asks for "
-                        f"{retry_after:g}s, more than {MAX_RETRY_AFTER:g}s",
-                        retry_after=retry_after,
+                    reason = (
+                        f"the server asks for {retry_after:g}s, "
+                        f"more than {MAX_RETRY_AFTER:g}s"
                     )
-                if attempt < RATE_LIMIT_RETRIES:
-                    logger.debug(
-                        "rate limited on %s; sleeping %.1fs", path, retry_after
-                    )
-                    self._sleep(retry_after)
-                    continue
+                else:
+                    reason = f"{exc.attempts} attempt(s)"
                 raise RateLimited(
-                    f"rate limited on {path} after "
-                    f"{RATE_LIMIT_RETRIES + 1} attempt(s)",
-                    retry_after=retry_after,
-                )
-            if response.status_code != 200:
-                raise ProviderFailure(
-                    f"{path} answered HTTP {response.status_code}",
-                    status=response.status_code,
-                )
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise ProviderFailure(
-                    f"{path} answered a body that is not JSON: {exc}"
+                    f"rate limited on {path}: {reason}", retry_after=retry_after
                 ) from exc
-        raise AssertionError("unreachable")
+            raise ProviderFailure(
+                f"{path}: {exc.attempts} attempt(s) failed: {exc}",
+                status=exc.status,
+            ) from exc
+        except MalformedResponse as exc:
+            raise ProviderFailure(str(exc)) from exc
+        return body
 
     def fetch(self, endpoint: str, params: Mapping[str, str]) -> Any:
         symbol = str(params["symbol"])

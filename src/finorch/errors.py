@@ -30,19 +30,34 @@ class UnknownBackend(EngineError):
 
 
 class TransportError(EngineError):
-    """Transient transport failure; retried internally, never surfaced."""
+    """One failed request attempt: a connection error, a timeout, or an
+    HTTP status other than 200. ``status`` is that status and
+    ``retry_after`` the server's Retry-After delay in seconds, each None
+    when absent. ``httpclient.with_retries`` retries it and, when it gives
+    up, sets ``attempts``; callers surface it as their own error."""
+
+    def __init__(
+        self,
+        message: str,
+        status: int | None = None,
+        retry_after: float | None = None,
+    ):
+        super().__init__(message)
+        self.status = status
+        self.retry_after = retry_after
+        self.attempts = 1
 
 
 class TransportTimeout(TransportError):
-    """Transient failure that was specifically a timeout."""
+    """A failed attempt that was specifically a timeout."""
 
 
 class TransportExhausted(EngineError):
-    """All retry attempts failed."""
+    """A chat failed and is not retried again."""
 
 
 class Timeout(TransportExhausted):
-    """All retry attempts timed out."""
+    """A chat whose last attempt timed out."""
 
 
 class MalformedResponse(EngineError):

@@ -1,16 +1,18 @@
 """Multi-source chat gateway.
 
 Registers heterogeneous chat backends behind one interface and executes
-requests with retry/backoff. The wire protocol is the OpenAI-compatible
-chat-completions shape (POST {base_url}/chat/completions, response read
-from choices[0].message.content), which the supported backends all speak.
+requests under the retry policy of ``httpclient.with_retries``. The wire
+protocol is the OpenAI-compatible chat-completions shape (POST
+{base_url}/chat/completions, response read from
+choices[0].message.content), which the supported backends all speak;
+``HttpTransport`` sends it through the keep-alive ``httpclient.HttpClient``.
 
 A deterministic scripted mock transport ships alongside the HTTP one so
 every higher layer is testable offline.
 
 Independent requests go through ``Gateway.chat_many``, which keeps up to
-``MAX_IN_FLIGHT`` of them in flight at once and returns their outcomes in
-submission order.
+``MAX_IN_FLIGHT`` of them in flight per backend and returns their outcomes
+in submission order.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence
-
-import requests
 
 from finorch.clock import Clock, SystemClock
 from finorch.errors import (
@@ -38,11 +39,11 @@ from finorch.errors import (
     TransportTimeout,
     UnknownBackend,
 )
+from finorch.httpclient import HttpClient, with_retries
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "BACKOFF_INITIAL",
     "MAX_IN_FLIGHT",
     "MOCK_SENTINEL",
     "BackendSpec",
@@ -57,11 +58,8 @@ __all__ = [
 
 ROLES = ("system", "user", "assistant")
 
-#: First backoff window in seconds; each retry doubles it (full jitter).
-BACKOFF_INITIAL = 0.5
-
-#: Most requests one ``chat_many`` batch keeps in flight; stays below the
-#: default ``requests`` connection pool of 10 per host.
+#: Most requests one ``chat_many`` batch keeps in flight to one backend.
+#: Backends do not share it: each gets its own workers.
 MAX_IN_FLIGHT = 8
 
 #: Reply for mock requests no scripted rule matches.
@@ -129,11 +127,12 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """Real HTTP transport; credentials come from the env var that
+    """Posts chat payloads through a keep-alive ``HttpClient``, one attempt
+    per ``send``; credentials come from the env var that
     ``BackendSpec.api_key_env`` names."""
 
-    def __init__(self, session: requests.Session | None = None):
-        self._session = session or requests.Session()
+    def __init__(self, client: HttpClient | None = None):
+        self._client = client or HttpClient()
 
     def send(self, spec: BackendSpec, payload: dict[str, Any]) -> dict[str, Any]:
         headers = {}
@@ -145,26 +144,13 @@ class HttpTransport:
                     f"environment variable {spec.api_key_env!r}, which is unset"
                 )
             headers["Authorization"] = f"Bearer {key}"
-        url = spec.base_url.rstrip("/") + "/chat/completions"
-        try:
-            response = self._session.post(
-                url, json=payload, headers=headers, timeout=spec.timeout
-            )
-        except requests.exceptions.Timeout as exc:
-            raise TransportTimeout(f"request to {url} timed out") from exc
-        except requests.exceptions.RequestException as exc:
-            raise TransportError(f"request to {url} failed: {exc}") from exc
-        if response.status_code != 200:
-            raise TransportError(
-                f"{url} answered HTTP {response.status_code}: "
-                f"{response.text[:200]}"
-            )
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise MalformedResponse(
-                f"{url} answered non-JSON body: {response.text[:200]}"
-            ) from exc
+        return self._client.request(
+            "POST",
+            spec.base_url.rstrip("/") + "/chat/completions",
+            payload=payload,
+            headers=headers,
+            timeout=spec.timeout,
+        )
 
 
 @dataclass
@@ -262,7 +248,9 @@ class Gateway:
 
     ``sleeper`` and ``rng`` are injectable so backoff is testable with a
     fake clock; ``clock`` stamps exchanges (inject a FixedClock for
-    byte-stable offline runs).
+    byte-stable offline runs). Every transport, the scripted mock
+    included, is retried by ``httpclient.with_retries`` up to the
+    backend's ``max_retries``.
     """
 
     def __init__(
@@ -332,39 +320,28 @@ class Gateway:
         }
         transport = self._transport_for(backend_id)
         started = self._clock.now()
-        last_error: TransportError | None = None
-        for attempt in range(spec.max_retries + 1):
-            try:
-                body = transport.send(spec, payload)
-            except TransportError as exc:
-                last_error = exc
-                if attempt < spec.max_retries:
-                    delay = self._rng.uniform(0.0, BACKOFF_INITIAL * 2**attempt)
-                    logger.debug(
-                        "backend %s attempt %d failed (%s); retrying in %.3fs",
-                        backend_id, attempt + 1, exc, delay,
-                    )
-                    self._sleep(delay)
-                continue
-            text = _extract_content(body)
-            finished = self._clock.now()
-            return ChatExchange(
-                backend_id=backend_id,
-                request_messages=tuple(messages),
-                response_text=text,
-                latency=max((finished - started).total_seconds(), 0.0),
-                attempt_count=attempt + 1,
-                finished_at=finished,
+        try:
+            body, attempts = with_retries(
+                lambda: transport.send(spec, payload),
+                spec.max_retries,
+                self._sleep,
+                self._rng,
             )
-        attempts = spec.max_retries + 1
-        if isinstance(last_error, TransportTimeout):
-            raise Timeout(
-                f"backend {backend_id!r}: all {attempts} attempt(s) timed out"
-            ) from last_error
-        raise TransportExhausted(
-            f"backend {backend_id!r}: all {attempts} attempt(s) failed: "
-            f"{last_error}"
-        ) from last_error
+        except TransportError as exc:
+            timed_out = isinstance(exc, TransportTimeout)
+            raise (Timeout if timed_out else TransportExhausted)(
+                f"backend {backend_id!r}: {exc.attempts} attempt(s) failed: {exc}"
+            ) from exc
+        text = _extract_content(body)
+        finished = self._clock.now()
+        return ChatExchange(
+            backend_id=backend_id,
+            request_messages=tuple(messages),
+            response_text=text,
+            latency=max((finished - started).total_seconds(), 0.0),
+            attempt_count=attempts,
+            finished_at=finished,
+        )
 
     def chat_many(
         self, batch: Sequence[tuple[str, Sequence[ChatMessage]]]
@@ -372,12 +349,14 @@ class Gateway:
         """Run independent chats; one outcome per request, in submission order.
 
         An outcome is the request's ``ChatExchange`` or the ``EngineError``
-        it raised; any other exception propagates. Up to ``MAX_IN_FLIGHT``
-        requests run at once on worker threads that end before this
-        returns. A single request, or a batch whose backends are all
-        in-process mocks, runs inline in submission order: threads cannot
-        speed up a scripted reply, and inline keeps offline clock stamps
-        and mock fail budgets in a fixed order.
+        it raised; any other exception propagates. Each backend gets up to
+        ``MAX_IN_FLIGHT`` worker threads, which take its requests in
+        submission order and end before this returns, so requests to
+        different backends never wait on each other. A single request, or
+        a batch whose backends are all in-process mocks, runs inline in
+        submission order: threads cannot speed up a scripted reply, and
+        inline keeps offline clock stamps and mock fail budgets in a fixed
+        order.
         """
         batch = list(batch)
         if len(batch) < 2 or all(
@@ -387,10 +366,28 @@ class Gateway:
             return [self._outcome(request) for request in batch]
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(
-            max_workers=min(MAX_IN_FLIGHT, len(batch))
-        ) as pool:
-            return list(pool.map(self._outcome, batch))
+        queues: dict[str, deque[int]] = {}
+        for index, (backend_id, _) in enumerate(batch):
+            queues.setdefault(backend_id, deque()).append(index)
+        outcomes: list[Any] = [None] * len(batch)
+
+        def drain(queue: deque[int]) -> None:
+            while queue:
+                try:
+                    index = queue.popleft()
+                except IndexError:  # another worker took the last one
+                    return
+                outcomes[index] = self._outcome(batch[index])
+
+        lanes = [
+            queue
+            for queue in queues.values()
+            for _ in range(min(MAX_IN_FLIGHT, len(queue)))
+        ]
+        with ThreadPoolExecutor(max_workers=len(lanes)) as pool:
+            for future in [pool.submit(drain, queue) for queue in lanes]:
+                future.result()
+        return outcomes
 
     def _outcome(
         self, request: tuple[str, Sequence[ChatMessage]]

@@ -350,6 +350,23 @@ class TestEvaluateAndRoute:
             config_path, args, "concurrent.futures"
         ) == "[]"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["forecast", "AAPL"],
+            ["report", str(TestReportCommand.DOC)],
+            ["evaluate"],
+            ["route", "report"],
+        ],
+        ids=["forecast", "report", "evaluate", "route"],
+    )
+    def test_offline_command_loads_no_http_client(self, config_path, args):
+        """Offline never opens a socket, so no offline command pays for
+        importing an HTTP client."""
+        assert imported_by_offline_command(
+            config_path, args, "requests", "urllib3", "http.client"
+        ) == "[]"
+
     def test_route_unknown_kind_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "route", "poetry", "--offline")
         assert result.exit_code == 2

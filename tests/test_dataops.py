@@ -15,6 +15,7 @@ import random
 import threading
 from email.utils import format_datetime
 from pathlib import Path
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
@@ -48,6 +49,7 @@ from finorch.errors import (
     RateLimited,
     UnknownSymbol,
 )
+from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
 from oracles import oracle_bm25
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -513,22 +515,31 @@ def test_market_data_normalizes_types(tmp_path: Path) -> None:
 # ------------------------------------------------------------ live provider
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, body: object, headers: dict | None = None):
-        self.status_code = status_code
-        self._body = body
-        self.headers = headers or {}
-
-    def json(self) -> object:
-        return self._body
+def reply(status: int, body: object, headers: dict | None = None) -> Response:
+    return Response(status, headers or {}, json.dumps(body).encode("utf-8"))
 
 
-class FinnhubFakeSession:
+class FakeClient(HttpClient):
+    """The live provider's HTTP seam: each round trip comes from
+    ``answer(url)``, a ``Response`` or an exception it raises. Status,
+    Retry-After and JSON handling are the real client's."""
+
+    def __init__(self, answer) -> None:
+        super().__init__()
+        self.answer = answer
+        self.urls: list[str] = []
+
+    def send(self, method, url, body, headers, timeout) -> Response:
+        assert method == "GET" and body is None
+        self.urls.append(url)
+        return self.answer(url)
+
+
+class FinnhubFake:
     """Serves Finnhub-shaped bodies derived from the AAPL fixture file."""
 
     def __init__(self) -> None:
         self.raw = _raw_fixture("AAPL")
-        self.requests: list[tuple[str, dict]] = []
 
     @staticmethod
     def _noon_utc(date_str: str) -> int:
@@ -536,12 +547,13 @@ class FinnhubFakeSession:
         stamp = dt.datetime.combine(day, dt.time(12, 0), tzinfo=dt.timezone.utc)
         return int(stamp.timestamp())
 
-    def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-        self.requests.append((url, dict(params)))
+    def __call__(self, url: str) -> Response:
+        parts = urlsplit(url)
+        params = dict(parse_qsl(parts.query))
         assert params.get("token") == "unit-test-token"
-        if url.endswith("/stock/profile2"):
+        if parts.path.endswith("/stock/profile2"):
             profile = self.raw["profile"]
-            return FakeResponse(
+            return reply(
                 200,
                 {
                     "name": profile["name"],
@@ -550,7 +562,7 @@ class FinnhubFakeSession:
                     "marketCapitalization": profile["market_cap"],
                 },
             )
-        if url.endswith("/stock/candle"):
+        if parts.path.endswith("/stock/candle"):
             lo, hi = int(params["from"]), int(params["to"])
             stamps = [
                 (self._noon_utc(date), float(close))
@@ -558,8 +570,8 @@ class FinnhubFakeSession:
             ]
             inside = [(ts, c) for ts, c in stamps if lo <= ts <= hi]
             if not inside:
-                return FakeResponse(200, {"s": "no_data"})
-            return FakeResponse(
+                return reply(200, {"s": "no_data"})
+            return reply(
                 200,
                 {
                     "s": "ok",
@@ -567,9 +579,9 @@ class FinnhubFakeSession:
                     "c": [c for _, c in inside],
                 },
             )
-        if url.endswith("/company-news"):
+        if parts.path.endswith("/company-news"):
             lo, hi = params["from"], params["to"]
-            return FakeResponse(
+            return reply(
                 200,
                 [
                     {
@@ -582,36 +594,41 @@ class FinnhubFakeSession:
                     if lo <= item["dated"] <= hi
                 ],
             )
-        if url.endswith("/stock/metric"):
-            return FakeResponse(
+        if parts.path.endswith("/stock/metric"):
+            return reply(
                 200,
                 {"metric": dict(self.raw["financials"][0]["metrics"]), "series": {}},
             )
         raise AssertionError(f"unexpected url {url}")
 
 
-def _live_provider(session: object) -> LiveProvider:
+def scripted(*first: Response):
+    """Answers with ``first`` in order, then from the AAPL fixture."""
+    pending = list(first)
+    finnhub = FinnhubFake()
+    return lambda url: pending.pop(0) if pending else finnhub(url)
+
+
+def _live_provider(
+    answer, sleeps: list[float] | None = None, env: dict | None = None
+) -> LiveProvider:
     return LiveProvider(
         base_url="https://example.invalid/api/v1",
         token_env="MARKET_TOKEN",
-        session=session,
-        env={"MARKET_TOKEN": "unit-test-token"},
+        client=FakeClient(answer),
+        sleeper=(sleeps if sleeps is not None else []).append,
+        env={"MARKET_TOKEN": "unit-test-token"} if env is None else env,
     )
 
 
 def test_live_provider_requires_token() -> None:
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        session=FinnhubFakeSession(),
-        env={},
-    )
+    provider = _live_provider(FinnhubFake(), env={})
     with pytest.raises(ConfigError):
         provider.fetch("profile", {"symbol": "AAPL"})
 
 
 def test_live_provider_maps_profile_fields() -> None:
-    provider = _live_provider(FinnhubFakeSession())
+    provider = _live_provider(FinnhubFake())
     got = provider.fetch("profile", {"symbol": "AAPL"})
     assert got["name"] == "Apple Inc"
     assert got["industry"] == "Technology"
@@ -619,17 +636,13 @@ def test_live_provider_maps_profile_fields() -> None:
 
 
 def test_live_provider_empty_profile_is_unknown_symbol() -> None:
-    class EmptySession:
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            return FakeResponse(200, {})
-
-    provider = _live_provider(EmptySession())
+    provider = _live_provider(lambda url: reply(200, {}))
     with pytest.raises(UnknownSymbol):
         provider.fetch("profile", {"symbol": "ZZZZ"})
 
 
 def test_live_provider_no_data_candles_are_empty() -> None:
-    provider = _live_provider(FinnhubFakeSession())
+    provider = _live_provider(FinnhubFake())
     got = provider.fetch(
         "candles", {"symbol": "AAPL", "from": "1999-01-01", "to": "1999-01-31"}
     )
@@ -637,84 +650,78 @@ def test_live_provider_no_data_candles_are_empty() -> None:
 
 
 def test_live_provider_http_error_carries_status() -> None:
-    class FailingSession:
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            return FakeResponse(500, {"error": "boom"})
-
-    provider = _live_provider(FailingSession())
+    """A 500 is retried like every transient server error; the last one
+    surfaces with its status."""
+    sleeps: list[float] = []
+    client = FakeClient(lambda url: reply(500, {"error": "boom"}))
+    provider = LiveProvider(
+        base_url="https://example.invalid/api/v1",
+        token_env="MARKET_TOKEN",
+        client=client,
+        sleeper=sleeps.append,
+        env={"MARKET_TOKEN": "unit-test-token"},
+    )
     with pytest.raises(ProviderFailure) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert err.value.status == 500
+    assert len(client.urls) == 3 and len(sleeps) == 2
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_live_provider_fails_at_once_on_a_client_error(status: int) -> None:
+    sleeps: list[float] = []
+    client = FakeClient(lambda url: reply(status, {"error": "no"}))
+    provider = LiveProvider(
+        base_url="https://example.invalid/api/v1",
+        token_env="MARKET_TOKEN",
+        client=client,
+        sleeper=sleeps.append,
+        env={"MARKET_TOKEN": "unit-test-token"},
+    )
+    with pytest.raises(ProviderFailure) as err:
+        provider.fetch("profile", {"symbol": "AAPL"})
+    assert err.value.status == status
+    assert len(client.urls) == 1 and sleeps == []
 
 
 def test_live_provider_request_error_is_a_provider_failure() -> None:
-    import requests
+    def down(url: str) -> Response:
+        raise ConnectionRefusedError(f"cannot reach {url}")
 
-    class DownSession:
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            raise requests.ConnectionError(
-                f"cannot reach {url}?token={params['token']}"
-            )
-
-    provider = _live_provider(DownSession())
+    provider = _live_provider(down)
     with pytest.raises(ProviderFailure, match="/stock/profile2") as err:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert "unit-test-token" not in str(err.value)
 
 
 def test_live_provider_non_json_body_is_a_provider_failure() -> None:
-    class HtmlResponse(FakeResponse):
-        def json(self) -> object:
-            return json.loads("<html>maintenance</html>")
-
-    class HtmlSession:
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            return HtmlResponse(200, None)
-
-    provider = _live_provider(HtmlSession())
+    provider = _live_provider(
+        lambda url: Response(200, {}, b"<html>maintenance</html>")
+    )
     with pytest.raises(ProviderFailure, match="/stock/profile2"):
         provider.fetch("profile", {"symbol": "AAPL"})
 
 
 def test_live_provider_honors_retry_after_then_succeeds() -> None:
-    class RateLimitOnce:
-        def __init__(self) -> None:
-            self.calls = 0
-            self.inner = FinnhubFakeSession()
-
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            self.calls += 1
-            if self.calls == 1:
-                return FakeResponse(429, {}, headers={"Retry-After": "2.5"})
-            return self.inner.get(url, params, timeout)
-
     sleeps: list[float] = []
-    session = RateLimitOnce()
+    client = FakeClient(scripted(reply(429, {}, {"Retry-After": "2.5"})))
     provider = LiveProvider(
         base_url="https://example.invalid/api/v1",
         token_env="MARKET_TOKEN",
-        session=session,
+        client=client,
         sleeper=sleeps.append,
         env={"MARKET_TOKEN": "unit-test-token"},
     )
     got = provider.fetch("profile", {"symbol": "AAPL"})
     assert got["name"] == "Apple Inc"
     assert sleeps == [2.5]
-    assert session.calls == 2
+    assert len(client.urls) == 2
 
 
 def test_live_provider_persistent_rate_limit_raises() -> None:
-    class AlwaysLimited:
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            return FakeResponse(429, {}, headers={"Retry-After": "7"})
-
     sleeps: list[float] = []
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        session=AlwaysLimited(),
-        sleeper=sleeps.append,
-        env={"MARKET_TOKEN": "unit-test-token"},
+    provider = _live_provider(
+        lambda url: reply(429, {}, {"Retry-After": "7"}), sleeps
     )
     with pytest.raises(RateLimited) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
@@ -726,81 +733,57 @@ def test_live_provider_persistent_rate_limit_raises() -> None:
     "header", ["1e300", "Fri, 31 Dec 9999 23:59:59 GMT", str(MAX_RETRY_AFTER + 1)]
 )
 def test_live_provider_refuses_a_retry_after_beyond_the_cap(header: str) -> None:
-    class FarLimited:
-        def __init__(self) -> None:
-            self.calls = 0
-
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            self.calls += 1
-            return FakeResponse(429, {}, headers={"Retry-After": header})
-
     sleeps: list[float] = []
-    session = FarLimited()
+    client = FakeClient(lambda url: reply(429, {}, {"Retry-After": header}))
     provider = LiveProvider(
         base_url="https://example.invalid/api/v1",
         token_env="MARKET_TOKEN",
-        session=session,
+        client=client,
         sleeper=sleeps.append,
         env={"MARKET_TOKEN": "unit-test-token"},
     )
     with pytest.raises(RateLimited) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert sleeps == []
-    assert session.calls == 1
+    assert len(client.urls) == 1
     assert err.value.retry_after > MAX_RETRY_AFTER
 
 
 @pytest.mark.parametrize(
     ("header", "expected"),
     [
-        ("in a while", 1.0),  # unreadable: as if absent
+        ("in a while", 1.0),  # unreadable: one second
         ("-5", 1.0),
         ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # a date in the past
-        (None, 1.0),
     ],
 )
 def test_live_provider_reads_every_retry_after_form(
-    header: str | None, expected: float
+    header: str, expected: float
 ) -> None:
-    class LimitedOnce:
-        def __init__(self) -> None:
-            self.inner = FinnhubFakeSession()
-            self.limited = False
-
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            if self.limited:
-                return self.inner.get(url, params, timeout)
-            self.limited = True
-            headers = {} if header is None else {"Retry-After": header}
-            return FakeResponse(429, {}, headers=headers)
-
     sleeps: list[float] = []
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        session=LimitedOnce(),
-        sleeper=sleeps.append,
-        env={"MARKET_TOKEN": "unit-test-token"},
+    provider = _live_provider(
+        scripted(reply(429, {}, {"Retry-After": header})), sleeps
     )
     assert provider.fetch("profile", {"symbol": "AAPL"})["name"] == "Apple Inc"
     assert sleeps == [expected]
 
 
+def test_live_provider_without_retry_after_backs_off_with_full_jitter() -> None:
+    """No Retry-After: the first retry waits a full-jitter draw from the
+    first backoff window."""
+    sleeps: list[float] = []
+    provider = _live_provider(scripted(reply(429, {})), sleeps)
+    assert provider.fetch("profile", {"symbol": "AAPL"})["name"] == "Apple Inc"
+    (delay,) = sleeps
+    assert 0.0 <= delay <= BACKOFF_INITIAL
+
+
 def test_live_provider_retry_after_date_waits_until_then() -> None:
     in_a_minute = dt.datetime.now(dt.timezone.utc) + dt.timedelta(seconds=60)
     header = format_datetime(in_a_minute, usegmt=True)
-
-    class AlwaysLimited:
-        def get(self, url: str, params: dict, timeout: float) -> FakeResponse:
-            return FakeResponse(429, {}, headers={"Retry-After": header})
-
     sleeps: list[float] = []
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        session=AlwaysLimited(),
-        sleeper=sleeps.append,
-        env={"MARKET_TOKEN": "unit-test-token"},
+    provider = _live_provider(
+        lambda url: reply(429, {}, {"Retry-After": header}), sleeps
     )
     with pytest.raises(RateLimited) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
@@ -819,7 +802,7 @@ def test_live_and_fixture_providers_are_interchangeable(tmp_path: Path) -> None:
     """
     cutoff = "2024-04-19"
     live = MarketData(
-        _live_provider(FinnhubFakeSession()), ResponseCache(tmp_path / "live")
+        _live_provider(FinnhubFake()), ResponseCache(tmp_path / "live")
     )
     fixture = MarketData(
         FixtureProvider(MARKET_FIXTURES), ResponseCache(tmp_path / "fixture")

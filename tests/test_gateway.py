@@ -7,7 +7,6 @@ import json
 import threading
 
 import pytest
-import requests
 
 from finorch.clock import FixedClock
 from finorch.errors import (
@@ -21,7 +20,6 @@ from finorch.errors import (
     UnknownBackend,
 )
 from finorch.gateway import (
-    BACKOFF_INITIAL,
     MAX_IN_FLIGHT,
     MOCK_SENTINEL,
     BackendSpec,
@@ -31,6 +29,7 @@ from finorch.gateway import (
     MockRule,
     MockTransport,
 )
+from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
 
 
 class TopOfRangeRng:
@@ -262,30 +261,27 @@ def test_exchange_is_deterministic_with_fixed_clock():
 # ------------------------------------------------------------- http client
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, body: object, text: str = ""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text or json.dumps(body)
+class FakeClient(HttpClient):
+    """The HTTP seam: every round trip answers ``response`` (or raises it)
+    and is recorded. Status and JSON handling are the real client's."""
 
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
-
-
-class FakeSession:
     def __init__(self, response):
+        super().__init__()
         self.response = response
         self.calls: list[dict] = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def send(self, method, url, body, headers, timeout):
         self.calls.append(
-            {"url": url, "json": json, "headers": headers, "timeout": timeout}
+            {"method": method, "url": url, "body": body, "headers": headers,
+             "timeout": timeout}
         )
         if isinstance(self.response, Exception):
             raise self.response
         return self.response
+
+
+def fake_response(status: int, body: object) -> Response:
+    return Response(status, {}, json.dumps(body).encode("utf-8"))
 
 
 def spec(**overrides) -> BackendSpec:
@@ -306,43 +302,45 @@ def ok_body(text: str) -> dict:
 
 def test_http_transport_request_shape(monkeypatch):
     monkeypatch.setenv("EXAMPLE_KEY", "sk-test-123")
-    session = FakeSession(FakeResponse(200, ok_body("hello")))
-    transport = HttpTransport(session=session)
+    client = FakeClient(fake_response(200, ok_body("hello")))
+    transport = HttpTransport(client=client)
     body = transport.send(spec(), {"model": "model-x", "messages": []})
     assert body == ok_body("hello")
-    (call,) = session.calls
+    (call,) = client.calls
+    assert call["method"] == "POST"
     assert call["url"] == "https://api.example.test/v1/chat/completions"
     assert call["headers"]["Authorization"] == "Bearer sk-test-123"
+    assert call["headers"]["Content-Type"] == "application/json"
+    assert json.loads(call["body"]) == {"model": "model-x", "messages": []}
     assert call["timeout"] == 7.5
 
 
 def test_http_transport_missing_credential(monkeypatch):
     monkeypatch.delenv("EXAMPLE_KEY", raising=False)
-    transport = HttpTransport(session=FakeSession(FakeResponse(200, ok_body("x"))))
+    transport = HttpTransport(client=FakeClient(fake_response(200, ok_body("x"))))
     with pytest.raises(ConfigError):
         transport.send(spec(), {})
 
 
 def test_http_transport_error_statuses(monkeypatch):
     monkeypatch.setenv("EXAMPLE_KEY", "k")
-    transport = HttpTransport(session=FakeSession(FakeResponse(500, {"err": 1})))
-    with pytest.raises(TransportError):
+    transport = HttpTransport(client=FakeClient(fake_response(500, {"err": 1})))
+    with pytest.raises(TransportError) as err:
         transport.send(spec(), {})
+    assert err.value.status == 500
 
 
 def test_http_transport_timeout(monkeypatch):
     monkeypatch.setenv("EXAMPLE_KEY", "k")
-    transport = HttpTransport(
-        session=FakeSession(requests.exceptions.ConnectTimeout("slow"))
-    )
+    transport = HttpTransport(client=FakeClient(TimeoutError("timed out")))
     with pytest.raises(TransportTimeout):
         transport.send(spec(), {})
 
 
 def test_http_transport_non_json(monkeypatch):
     monkeypatch.setenv("EXAMPLE_KEY", "k")
-    response = FakeResponse(200, ValueError("not json"), text="<html>")
-    transport = HttpTransport(session=FakeSession(response))
+    response = Response(200, {}, b"<html>")
+    transport = HttpTransport(client=FakeClient(response))
     with pytest.raises(MalformedResponse):
         transport.send(spec(), {})
 
