@@ -5,33 +5,38 @@ provider, and the directories the engine writes to. Credentials never live
 in the file: each backend names the environment variable that holds its key
 (``api_key_env``) and the provider names its token variable (``token_env``).
 
+The file is parsed with LibYAML (``yaml.CSafeLoader``) when PyYAML was
+built with it, and with the pure-Python ``yaml.SafeLoader`` otherwise. Both
+refuse a key repeated in one mapping, and a bad number is a ``ConfigError``
+naming its key.
+
 ``build_engine`` wires the whole stack two ways:
 
 * live — HTTP transport, real provider, disk response cache, wall clock;
 * offline — scripted mock backends, fixture provider, fixed clock, and a
   guard transport so nothing can reach the network by accident.
+
+Each ``Engine`` method imports only the app it runs: ``forecast`` imports
+``finorch.apps.forecaster``; ``report`` and ``analyze`` import
+``finorch.apps.reports`` (with retrieval and tool calls); ``evaluate_all``,
+``ensure_scores`` and ``route`` import no app.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
+import math
 import os
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import yaml
 
 from finorch import offline as offline_scripts
-from finorch.apps.forecaster import ForecastRun, horizon_window, run_forecaster
-from finorch.apps.reports import (
-    DocumentAnalysis,
-    ReportResult,
-    analyze_document,
-    generate_report,
-)
 from finorch.clock import Clock, FixedClock, SystemClock
 from finorch.dataops.cache import ResponseCache
 from finorch.dataops.providers import (
@@ -50,6 +55,10 @@ from finorch.scheduler import (
     load_golden_dataset,
 )
 from finorch.workflow import ROLE_ASSISTANT, TASK_KINDS
+
+if TYPE_CHECKING:
+    from finorch.apps.forecaster import ForecastRun
+    from finorch.apps.reports import DocumentAnalysis, ReportResult
 
 __all__ = [
     "Engine",
@@ -126,6 +135,21 @@ def _require(
     return value
 
 
+def _number(value: Any, where: str, key: str, kind: type) -> Any:
+    """``value`` as ``kind`` (``int`` or ``float``). Only a finite real
+    number passes, never a boolean or a string, and an ``int`` key also
+    needs a whole number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(value)
+    what = "a whole number" if kind is int else "a finite number"
+    raise ConfigError(f"{where} key {key!r} must be {what}, got {value!r}")
+
+
 def _reject_secrets(row: Mapping[str, Any], where: str) -> None:
     for key in row:
         lowered = str(key).lower()
@@ -150,15 +174,11 @@ def _parse_backend(row: Any, index: int) -> BackendSpec:
     }
     if unknown:
         raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
-    numbers = {}
-    for key, kind in _BACKEND_NUMBERS.items():
-        if key in row:
-            try:
-                numbers[key] = kind(row[key])
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{where} key {key!r} must be a number, got {row[key]!r}"
-                ) from None
+    numbers = {
+        key: _number(row[key], where, key, kind)
+        for key, kind in _BACKEND_NUMBERS.items()
+        if key in row
+    }
     try:
         return BackendSpec(
             backend_id=_require(row, "backend_id", where),
@@ -214,7 +234,8 @@ def _parse_weights(raw: Any) -> dict[str, dict[str, float]]:
                 f"weights[{kind!r}] must be a non-empty mapping"
             )
         weights[kind] = {
-            str(dim): float(value) for dim, value in table.items()
+            str(dim): _number(value, f"weights[{kind!r}]", str(dim), float)
+            for dim, value in table.items()
         }
     return weights
 
@@ -233,6 +254,42 @@ def _parse_provider(raw: Any) -> ProviderSettings:
     )
 
 
+class _UniqueKeys:
+    """Mixin for a YAML loader: a key repeated in one mapping is an error,
+    where PyYAML would let the last one win silently."""
+
+    def construct_mapping(self, node: Any, deep: bool = False) -> Any:
+        seen = set()
+        for key_node, _ in node.value:
+            if (
+                not isinstance(key_node, yaml.ScalarNode)
+                or key_node.tag == "tag:yaml.org,2002:merge"
+            ):
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping",
+                    node.start_mark,
+                    f"found duplicate key {key!r}",
+                    key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+@functools.cache
+def _with_unique_keys(base: type) -> type:
+    return type("ConfigLoader", (_UniqueKeys, base), {})
+
+
+def _yaml_loader() -> type:
+    """LibYAML's parser (``yaml.CSafeLoader``) when PyYAML was built with
+    it, else the pure-Python ``yaml.SafeLoader``. Both build the document
+    with the same Python ``SafeConstructor``, so both give equal values."""
+    return _with_unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def load_config(path: Path | str) -> EngineConfig:
     """Parse and validate one YAML config file.
 
@@ -245,7 +302,7 @@ def load_config(path: Path | str) -> EngineConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, Mapping):
@@ -318,6 +375,29 @@ def load_config(path: Path | str) -> EngineConfig:
         judge_backend_id=judge,
         default_language=language,
     )
+
+
+# The apps are imported on a command's first call into them, so evaluate and
+# route load no app code and forecast loads no report code. The Engine calls
+# these names through this module, where a caller can wrap them.
+
+
+def run_forecaster(*args: Any, **kwargs: Any) -> ForecastRun:
+    from finorch.apps.forecaster import run_forecaster
+
+    return run_forecaster(*args, **kwargs)
+
+
+def analyze_document(*args: Any, **kwargs: Any) -> DocumentAnalysis:
+    from finorch.apps.reports import analyze_document
+
+    return analyze_document(*args, **kwargs)
+
+
+def generate_report(*args: Any, **kwargs: Any) -> ReportResult:
+    from finorch.apps.reports import generate_report
+
+    return generate_report(*args, **kwargs)
 
 
 class _OfflineGuard:
@@ -397,6 +477,8 @@ class Engine:
         language: str | None = None,
     ) -> ForecastRun:
         # A window with no weekday is refused before any scoring or fetch.
+        from finorch.apps.forecaster import horizon_window
+
         try:
             horizon_window(cutoff, horizon)
         except EngineError as exc:

@@ -10,7 +10,8 @@ the same rules.
 A request checks a connection out under a lock, so concurrent requests never
 share one, and checks it back in once the reply has been read in full.
 ``http.client``, ``ssl`` and ``urllib.request`` are imported only when a
-client is built, so a run that opens no socket never loads them.
+client is built, and ``email.utils`` only to read a ``Retry-After`` date, so
+a run that opens no socket never loads them.
 
 Proxies follow ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and
 ``NO_PROXY`` (read by ``urllib.request.getproxies`` and ``proxy_bypass``).
@@ -29,7 +30,6 @@ import logging
 import math
 import random
 import threading
-from email.utils import parsedate_to_datetime
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 from urllib.parse import urlsplit
 
@@ -87,6 +87,8 @@ def _retry_delay(header: str, now: dt.datetime) -> float:
     try:
         seconds = float(header)
     except ValueError:
+        from email.utils import parsedate_to_datetime
+
         try:
             when = parsedate_to_datetime(header)
         except ValueError:

@@ -362,10 +362,32 @@ class TestEvaluateAndRoute:
     )
     def test_offline_command_loads_no_http_client(self, config_path, args):
         """Offline never opens a socket, so no offline command pays for
-        importing an HTTP client."""
+        importing an HTTP client, or the date parser it reads a
+        Retry-After header with."""
         assert imported_by_offline_command(
-            config_path, args, "requests", "urllib3", "http.client"
+            config_path, args, "requests", "urllib3", "http.client",
+            "email.utils",
         ) == "[]"
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["evaluate"], []),
+            (["route", "report"], []),
+            (["forecast", "AAPL"], ["finorch.apps.forecaster"]),
+        ],
+        ids=["evaluate", "route", "forecast"],
+    )
+    def test_offline_command_imports_only_its_app(
+        self, config_path, args, expected
+    ):
+        """An app is imported on its first call, so scoring and routing load
+        no app code and a forecast loads no report code."""
+        assert imported_by_offline_command(
+            config_path, args, "finorch.apps.forecaster",
+            "finorch.apps.reports", "finorch.dataops.retrieval",
+            "finorch.tools.calls",
+        ) == str(expected)
 
     def test_route_unknown_kind_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "route", "poetry", "--offline")
@@ -385,6 +407,25 @@ class TestEvaluateAndRoute:
         result = invoke(runner, config_path, "evaluate", "--offline")
         assert result.exit_code == 1
         assert "no golden dataset" in result.stderr
+
+
+    def test_bad_config_number_is_one_error_line(self, tmp_path):
+        from test_config import minimal_text
+
+        config_path = write_config(
+            tmp_path,
+            minimal_text().replace("exact_match: 0.5", 'exact_match: "abc"'),
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "finorch.cli", "evaluate", "--offline",
+             "--config", str(config_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: weights['forecast'] key 'exact_match'")
 
 
 class TestSelfcheck:

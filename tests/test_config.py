@@ -6,9 +6,11 @@ import datetime as dt
 from pathlib import Path
 
 import pytest
+import yaml
 
 from finorch.config import (
     EngineConfig,
+    _yaml_loader,
     build_engine,
     load_config,
 )
@@ -77,6 +79,25 @@ def write_config(tmp_path: Path, text: str | None = None) -> Path:
     )
     path.write_text(content, encoding="utf-8")
     return path
+
+
+def minimal_text() -> str:
+    return MINIMAL.format(
+        golden_dir=REPO / "fixtures" / "golden",
+        fixture_dir=REPO / "fixtures",
+    )
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def yaml_loader(request, monkeypatch) -> str:
+    """Run a test under LibYAML's parser and under the pure-Python one that
+    ``load_config`` falls back to when PyYAML has no LibYAML bindings."""
+    if not hasattr(yaml, "CSafeLoader"):
+        if request.param == "CSafeLoader":
+            pytest.skip("PyYAML is built without LibYAML")
+    elif request.param == "SafeLoader":
+        monkeypatch.delattr(yaml, "CSafeLoader")
+    return request.param
 
 
 class TestLoadConfig:
@@ -221,6 +242,19 @@ class TestLoadConfig:
             ("timeout: 0", "timeout must be positive"),
             ("temperature: 3", "temperature must lie in"),
             ('max_tokens: "abc"', "max_tokens"),
+            ("max_tokens: .inf", "'max_tokens' must be a whole number"),
+            ("max_retries: .inf", "'max_retries' must be a whole number"),
+            ("max_tokens: 1.9", "'max_tokens' must be a whole number"),
+            ("max_tokens: true", "'max_tokens' must be a whole number"),
+            ("max_retries: '2'", "'max_retries' must be a whole number"),
+            ("timeout: .nan", "'timeout' must be a finite number"),
+            ("timeout: .inf", "'timeout' must be a finite number"),
+            ("temperature: false", "'temperature' must be a finite number"),
+            pytest.param(
+                "max_retries: " + "9" * 400,
+                "'max_retries' must be a whole number",
+                id="beyond-float-range",
+            ),
         ],
     )
     def test_invalid_backend_values(self, tmp_path, setting, message):
@@ -234,12 +268,104 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"backends\[1\].*{message}"):
             load_config(write_config(tmp_path, base))
 
+    def test_whole_numbers_take_the_key_type(self, tmp_path):
+        base = minimal_text().replace(
+            "api_key_env: OTHER_API_KEY",
+            "api_key_env: OTHER_API_KEY\n    max_tokens: 512.0\n    timeout: 30",
+        )
+        spec = load_config(write_config(tmp_path, base)).backends[1]
+        assert spec.max_tokens == 512 and isinstance(spec.max_tokens, int)
+        assert spec.timeout == 30.0 and isinstance(spec.timeout, float)
+
+    @pytest.mark.parametrize(
+        "value", ['"abc"', "[0.5]", "{half: 0.5}", ".nan", "-.inf", "true"]
+    )
+    def test_bad_weight(self, tmp_path, value):
+        base = minimal_text().replace(
+            "exact_match: 0.5", f"exact_match: {value}"
+        )
+        with pytest.raises(
+            ConfigError,
+            match=r"weights\['forecast'\] key 'exact_match' must be a finite",
+        ):
+            load_config(write_config(tmp_path, base))
+
     def test_repo_config_is_valid(self):
         config = load_config(REPO / "config.yaml")
         assert config.backend_ids() == ["primary", "secondary", "judge"]
         assert config.fixture_dir == REPO / "fixtures"
         assert (config.golden_dir / "forecast.jsonl").exists()
         assert (config.golden_dir / "report.jsonl").exists()
+
+
+class TestYamlLoaders:
+    def test_libyaml_is_chosen_when_present(self, yaml_loader):
+        assert issubclass(_yaml_loader(), getattr(yaml, yaml_loader))
+
+    @pytest.mark.parametrize("source", ["repo", "minimal"])
+    def test_loaders_give_equal_configs(self, tmp_path, monkeypatch, source):
+        path = (
+            REPO / "config.yaml" if source == "repo" else write_config(tmp_path)
+        )
+        native = load_config(path)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config(path) == native
+
+    @pytest.mark.parametrize(
+        "text, mark",
+        [
+            ("backends: [unclosed", "line 1, column 11"),
+            ("a: b: c\n", "line 1, column 5"),
+            ("backends:\n\t- backend_id: x\n", "line 2, column 1"),
+        ],
+        ids=["unclosed-flow", "nested-mapping-value", "tab-indent"],
+    )
+    def test_malformed_yaml_names_line_and_column(
+        self, tmp_path, yaml_loader, text, mark
+    ):
+        with pytest.raises(ConfigError, match="not valid YAML") as info:
+            load_config(write_config(tmp_path, text))
+        assert mark in str(info.value)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            (
+                "default_language: en\n",
+                "default_language: en\ndefault_language: zh\n",
+                "default_language",
+            ),
+            (
+                "model_name: beta-model\n",
+                "model_name: beta-model\n    model_name: gamma-model\n",
+                "model_name",
+            ),
+        ],
+        ids=["top-level", "in-backend"],
+    )
+    def test_duplicate_key_is_refused(
+        self, tmp_path, yaml_loader, old, new, key
+    ):
+        text = minimal_text().replace(old, new, 1)
+        line = text.splitlines().index(new.splitlines()[1]) + 1
+        with pytest.raises(
+            ConfigError, match=rf"duplicate key '{key}'\n.*line {line},"
+        ):
+            load_config(write_config(tmp_path, text))
+
+    def test_merge_keys_are_not_duplicates(self, tmp_path, yaml_loader):
+        text = minimal_text().replace(
+            "weights:\n  forecast:\n",
+            "weights:\n  forecast: &forecast\n",
+        ).replace(
+            "  report:\n    token_f1: 1.0\n",
+            "  report:\n    <<: *forecast\n    exact_match: 0.25\n"
+            "    token_f1: 0.75\n",
+        )
+        config = load_config(write_config(tmp_path, text))
+        assert config.weights["report"] == {
+            "exact_match": 0.25, "token_f1": 0.75,
+        }
 
 
 class TestBuildEngineOffline:
