@@ -19,6 +19,7 @@ from finorch.dataops.retrieval import (
     Document,
     RetrievalIndex,
     RetrievedPassage,
+    has_token,
     index_documents,
     retrieve,
 )
@@ -240,11 +241,16 @@ def analyze_document(
 ) -> DocumentAnalysis:
     """Chunk, index, and extract one indicator per topic from a document.
 
-    Topic-level failures are collected, not fatal; the analysis carries on.
+    A chunk with no token can match no query, so it stays out of the index;
+    the other chunks keep their ids. Topic-level failures are collected, not
+    fatal; the analysis carries on.
     """
     text = _read_document(path)
     chunks = chunk_text(text)
-    index = index_documents(chunks)
+    indexable = [chunk for chunk in chunks if has_token(chunk.text)]
+    if not indexable:
+        raise UnreadableDocument(f"document {path} has no indexable text")
+    index = index_documents(indexable)
     # Retrieve and render every topic first, then run the extractions
     # together; each topic keeps either its passages or its failure.
     staged: list[tuple[str, list[RetrievedPassage] | EngineError]] = []

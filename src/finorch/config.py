@@ -120,18 +120,12 @@ class EngineConfig:
         return [b.backend_id for b in self.backends]
 
 
-def _require(
-    row: Mapping[str, Any], key: str, where: str, kind: type = str
-) -> Any:
+def _require(row: Mapping[str, Any], key: str, where: str) -> str:
     if key not in row:
         raise ConfigError(f"{where} is missing required key {key!r}")
     value = row[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind) or (kind is str and not value):
-        raise ConfigError(
-            f"{where} key {key!r} must be a non-empty {kind.__name__}"
-        )
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} key {key!r} must be a non-empty str")
     return value
 
 
@@ -174,6 +168,11 @@ def _parse_backend(row: Any, index: int) -> BackendSpec:
     }
     if unknown:
         raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
+    api_key_env = row.get("api_key_env", "")
+    if not isinstance(api_key_env, str):
+        raise ConfigError(
+            f"{where} key 'api_key_env' must be a str, got {api_key_env!r}"
+        )
     numbers = {
         key: _number(row[key], where, key, kind)
         for key, kind in _BACKEND_NUMBERS.items()
@@ -184,7 +183,7 @@ def _parse_backend(row: Any, index: int) -> BackendSpec:
             backend_id=_require(row, "backend_id", where),
             base_url=_require(row, "base_url", where),
             model_name=_require(row, "model_name", where),
-            api_key_env=str(row.get("api_key_env", "")),
+            api_key_env=api_key_env,
             **numbers,
         )
     except ValueError as exc:
@@ -500,13 +499,16 @@ class Engine:
     def analyze(self, doc_path: Path | str, language: str) -> DocumentAnalysis:
         agent = self.route("report")
         backend_id = self.scheduler.get_agent(agent).backend_id
-        return analyze_document(
-            Path(doc_path),
-            gateway=self.gateway,
-            backend_id=backend_id,
-            prompt_store=self.prompt_store,
-            language=language,
-        )
+        try:
+            return analyze_document(
+                Path(doc_path),
+                gateway=self.gateway,
+                backend_id=backend_id,
+                prompt_store=self.prompt_store,
+                language=language,
+            )
+        except EngineError as exc:
+            raise exc.with_role(ROLE_ASSISTANT)
 
     def report(
         self,

@@ -1,17 +1,26 @@
-"""Lexical retrieval: inverted index plus BM25 scoring.
+r"""Lexical retrieval: inverted index plus BM25 scoring.
 
-Tokenization: lowercase, split on non-alphanumeric characters, drop
-single-character tokens. Scoring uses k1 = 1.2, b = 0.75 and the
-always-positive idf variant idf(t) = ln(1 + (N - df + 0.5)/(df + 0.5)).
-Query terms are summed per occurrence, so a repeated query term counts
-twice. Only documents sharing at least one query term are returned, ordered
-by descending score with ties broken by ascending doc_id.
+Tokenization: a token is a lowercased run of two or more characters for
+which ``str.isalnum()`` holds; every other character, ``_`` included,
+ends a run. ``tokenize`` finds them in one C-level pass per text: it
+encodes the lowercased text as UTF-8 and lets one 256-entry byte table
+turn every ASCII byte outside ``[a-z0-9]`` into a space, so ``split()``
+yields the ASCII runs directly. The rare word that still holds a
+non-ASCII character goes through the regex ``[^\W_]{2,}``, which applies
+the same rule to any character.
+
+Scoring uses k1 = 1.2, b = 0.75 and the always-positive idf variant
+idf(t) = ln(1 + (N - df + 0.5)/(df + 0.5)). Query terms are summed per
+occurrence, so a repeated query term counts twice. Only documents sharing
+at least one query term are returned, ordered by descending score with
+ties broken by ascending doc_id.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -23,6 +32,7 @@ __all__ = [
     "Document",
     "RetrievalIndex",
     "RetrievedPassage",
+    "has_token",
     "index_documents",
     "retrieve",
     "tokenize",
@@ -31,12 +41,35 @@ __all__ = [
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-# unicode alphanumerics without the underscore
-_TOKEN_SPLIT = re.compile(r"[^\W_]+", re.UNICODE)
+# ASCII bytes outside [a-z0-9] become spaces; bytes of multi-byte UTF-8
+# characters (0x80 and up) pass unchanged.
+_KEEP = b"abcdefghijklmnopqrstuvwxyz0123456789"
+_SEPARATORS = bytes(b if b >= 0x80 or b in _KEEP else 0x20 for b in range(256))
+# unicode alphanumerics without the underscore, two or more
+_TOKEN = re.compile(r"[^\W_]{2,}")
 
 
 def tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_SPLIT.findall(text.lower()) if len(t) > 1]
+    words = (
+        text.lower()
+        .encode("utf-8", "surrogatepass")
+        .translate(_SEPARATORS)
+        .decode("utf-8", "surrogatepass")
+        .split()
+    )
+    tokens: list[str] = []
+    for word in words:
+        if word.isascii():
+            if len(word) > 1:
+                tokens.append(word)
+        else:
+            tokens += _TOKEN.findall(word)
+    return tokens
+
+
+def has_token(text: str) -> bool:
+    """Whether ``tokenize(text)`` is non-empty; stops at the first token."""
+    return _TOKEN.search(text.lower()) is not None
 
 
 @dataclass(frozen=True)
@@ -58,7 +91,7 @@ class RetrievedPassage:
 class RetrievalIndex:
     """Immutable inverted index over a fixed corpus."""
 
-    documents: tuple[Document, ...]
+    documents: Mapping[str, Document]  # doc_id -> document, corpus order
     postings: Mapping[str, Mapping[str, int]]  # term -> doc_id -> tf
     doc_lengths: Mapping[str, int]
     average_doc_length: float
@@ -67,10 +100,7 @@ class RetrievalIndex:
         return len(self.documents)
 
     def document(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.doc_id == doc_id:
-                return doc
-        raise KeyError(doc_id)
+        return self.documents[doc_id]
 
 
 def _as_document(raw: Document | Sequence[Any]) -> Document:
@@ -85,31 +115,32 @@ def _as_document(raw: Document | Sequence[Any]) -> Document:
 def index_documents(
     docs: Sequence[Document | Sequence[Any]],
 ) -> RetrievalIndex:
-    """Build the inverted index; deterministic for a given corpus."""
-    documents = tuple(_as_document(d) for d in docs)
+    """Build the inverted index; deterministic for a given corpus.
+
+    Terms appear in ``postings`` in order of first use and each posting
+    list in corpus order.
+    """
+    documents: dict[str, Document] = {}
+    for raw in docs:
+        doc = _as_document(raw)
+        if doc.doc_id in documents:
+            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
+        documents[doc.doc_id] = doc
     if not documents:
         raise EmptyCorpus("no documents to index")
-    seen: set[str] = set()
-    for doc in documents:
-        if doc.doc_id in seen:
-            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-    postings: dict[str, dict[str, int]] = {}
+    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
     doc_lengths: dict[str, int] = {}
-    for doc in documents:
+    for doc_id, doc in documents.items():
         tokens = tokenize(doc.text)
         if not tokens:
-            raise EmptyCorpus(
-                f"document {doc.doc_id!r} has no indexable tokens"
-            )
-        doc_lengths[doc.doc_id] = len(tokens)
-        for term in tokens:
-            postings.setdefault(term, {})
-            postings[term][doc.doc_id] = postings[term].get(doc.doc_id, 0) + 1
+            raise EmptyCorpus(f"document {doc_id!r} has no indexable tokens")
+        doc_lengths[doc_id] = len(tokens)
+        for term, tf in Counter(tokens).items():
+            postings[term][doc_id] = tf
     average = sum(doc_lengths.values()) / len(documents)
     return RetrievalIndex(
         documents=documents,
-        postings=postings,
+        postings=dict(postings),
         doc_lengths=doc_lengths,
         average_doc_length=average,
     )

@@ -283,6 +283,44 @@ class TestReportCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("   \n", "is empty"),
+            ("." * 3000 + "\n", "has no indexable text"),
+        ],
+        ids=["empty", "tokenless"],
+    )
+    def test_unusable_document_is_one_assistant_error_line(
+        self, config_path, tmp_path, text, message
+    ):
+        doc = tmp_path / "filing.txt"
+        doc.write_text(text, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "finorch.cli", "report", str(doc),
+             "--offline", "--config", str(config_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error (Assistant): ")
+        assert message in line
+
+    def test_report_skips_a_run_of_text_without_tokens(
+        self, runner, config_path, tmp_path
+    ):
+        doc = tmp_path / "acme_filing.txt"
+        body = self.DOC.read_text(encoding="utf-8")
+        doc.write_text(
+            "Contents " + "." * 3000 + "\n" + body + "- " * 700,
+            encoding="utf-8",
+        )
+        result = invoke(runner, config_path, "report", str(doc), "--offline")
+        assert result.exit_code == 0, result.output
+        assert "sections: 5" in result.output
+
 
 class TestEvaluateAndRoute:
     def test_evaluate_json(self, runner, config_path):

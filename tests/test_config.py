@@ -255,18 +255,37 @@ class TestLoadConfig:
                 "'max_retries' must be a whole number",
                 id="beyond-float-range",
             ),
+            ("api_key_env: null", "'api_key_env' must be a str, got None"),
+            ("api_key_env: [OPENAI_API_KEY]", "'api_key_env' must be a str"),
+            ("api_key_env: 123", "'api_key_env' must be a str, got 123"),
+            ("api_key_env: true", "'api_key_env' must be a str, got True"),
+            ("api_key_env: {name: KEY}", "'api_key_env' must be a str"),
         ],
     )
     def test_invalid_backend_values(self, tmp_path, setting, message):
+        # an api_key_env setting takes the place of the backend's own
+        line = "api_key_env: OTHER_API_KEY"
+        if not setting.startswith("api_key_env:"):
+            setting = f"{line}\n    {setting}"
         base = MINIMAL.format(
             golden_dir=REPO / "fixtures" / "golden",
             fixture_dir=REPO / "fixtures",
-        ).replace(
-            "api_key_env: OTHER_API_KEY",
-            f"api_key_env: OTHER_API_KEY\n    {setting}",
-        )
+        ).replace(line, setting)
         with pytest.raises(ConfigError, match=rf"backends\[1\].*{message}"):
             load_config(write_config(tmp_path, base))
+
+    @pytest.mark.parametrize(
+        "setting, expected",
+        [
+            ("", ""),
+            ("api_key_env: ''", ""),
+            ("api_key_env: OPENAI_API_KEY", "OPENAI_API_KEY"),
+        ],
+    )
+    def test_api_key_env_is_a_string_or_absent(self, tmp_path, setting, expected):
+        base = minimal_text().replace("api_key_env: OTHER_API_KEY", setting)
+        config = load_config(write_config(tmp_path, base))
+        assert config.backends[1].api_key_env == expected
 
     def test_whole_numbers_take_the_key_type(self, tmp_path):
         base = minimal_text().replace(

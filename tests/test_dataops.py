@@ -18,6 +18,8 @@ from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finorch.dataops.cache import ResponseCache, cache_key, canonical_bytes
 from finorch.dataops.providers import (
@@ -28,6 +30,7 @@ from finorch.dataops.providers import (
 )
 from finorch.dataops.retrieval import (
     bm25_scores,
+    has_token,
     index_documents,
     retrieve,
     tokenize,
@@ -50,7 +53,7 @@ from finorch.errors import (
     UnknownSymbol,
 )
 from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
-from oracles import oracle_bm25
+from oracles import _bm25_tokenize, oracle_bm25
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MARKET_FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -245,10 +248,42 @@ def test_cache_failed_put_removes_its_temp_file(
         ("  UPPER lower  MiXeD ", ["upper", "lower", "mixed"]),
         ("", []),
         ("--- ***", []),
+        ("Café “naïve” growth—fast’s", ["café", "naïve", "growth", "fast"]),
+        ("营业收入，同比增长 2024年", ["营业收入", "同比增长", "2024年"]),
+        ("٢٠٢٤ revenue", ["٢٠٢٤", "revenue"]),
+        ("x² Ⅻ ⅫⅫ", ["x²", "ⅻⅻ"]),
+        ("İstanbul ﬁnance", ["stanbul", "ﬁnance"]),  # İ lowers to i + U+0307
+        ("e\u0301cole", ["cole"]),  # a combining accent is not alnum
+        ("a\xa0bc\u3000de\u2028fg", ["bc", "de", "fg"]),
+        ("ab\x00cd 😀ok", ["ab", "cd", "ok"]),
+        ("ab\ud800cd", ["ab", "cd"]),  # a lone surrogate splits
     ],
 )
 def test_tokenize_cases(text: str, expected: list[str]) -> None:
     assert tokenize(text) == expected
+    assert has_token(text) == bool(expected)
+
+
+# Characters where a byte-level tokenizer could part from str.isalnum():
+# "_", digits, accented and typographic characters, NBSP, characters whose
+# lowercase has another length (İ, and ﬁ whose uppercase does), a combining
+# accent, superscript and Roman-numeral numerics, Arabic-Indic digits, CJK,
+# an emoji and NUL.
+EDGE_CHARS = st.sampled_from(
+    list("aZ09 _.-'\n") + list("é—“”’\xa0İﬁ\u0301²Ⅻ٣中😀\x00")
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    text=st.one_of(
+        st.text(), st.text(alphabet=st.one_of(EDGE_CHARS, st.characters()))
+    )
+)
+def test_tokenize_matches_isalnum_oracle(text: str) -> None:
+    expected = _bm25_tokenize(text)
+    assert tokenize(text) == expected
+    assert has_token(text) == bool(expected)
 
 
 # -------------------------------------------------------------------- index
@@ -297,6 +332,16 @@ def test_index_postings_are_consistent_with_tokenizer() -> None:
             assert index.postings[term][doc_id] == tokens.count(term)
 
 
+def test_index_postings_keep_first_use_and_corpus_order() -> None:
+    docs = _corpus()
+    index = index_documents(docs)
+    first_use = dict.fromkeys(t for _, text in docs for t in tokenize(text))
+    assert list(index.postings) == list(first_use)
+    for term, plist in index.postings.items():
+        assert list(plist) == [d for d, text in docs if term in tokenize(text)]
+    assert list(index.doc_lengths) == [d for d, _ in docs]
+
+
 def test_index_document_lookup() -> None:
     index = index_documents([("d1", "alpha beta")])
     assert index.document("d1").text == "alpha beta"
@@ -319,6 +364,51 @@ def test_bm25_matches_oracle_on_fixture_corpus() -> None:
                 query,
                 doc_id,
             )
+
+
+# bm25_scores on the fixture corpus as computed by the regex tokenizer and
+# per-token postings that came before; ties and ranks hang on these bits.
+BM25_FIXTURE_SCORES = {
+    "revenue guidance": {
+        "d01": 2.80315946916039,
+        "d05": 1.2220441754875329,
+        "d10": 1.1887761852292513,
+        "d02": 1.5297433166221144,
+    },
+    "margin pressure": {
+        "d01": 0.9538504199340285,
+        "d07": 2.5349657136068857,
+        "d08": 2.5349657136068857,
+        "d10": 0.6072016924995716,
+    },
+    "data center accelerator demand": {
+        "d02": 6.1189732664884575,
+        "d10": 4.026022790539912,
+    },
+    "app store inquiry": {
+        "d04": 6.171498488462805,
+    },
+    "quarter revenue margin": {
+        "d06": 1.18233876906375,
+        "d07": 2.1758945954215614,
+        "d08": 2.1758945954215614,
+        "d01": 2.1758945954215614,
+        "d05": 1.2220441754875329,
+        "d10": 1.795977877728823,
+    },
+    "revenue revenue": {
+        "d01": 2.4440883509750657,
+        "d05": 2.4440883509750657,
+        "d10": 2.3775523704585027,
+    },
+}
+
+
+def test_bm25_scores_are_bit_identical_on_fixture_corpus() -> None:
+    index = index_documents(_corpus())
+    assert list(BM25_FIXTURE_SCORES) == _queries()
+    for query, expected in BM25_FIXTURE_SCORES.items():
+        assert list(bm25_scores(index, query).items()) == list(expected.items())
 
 
 def test_bm25_matches_oracle_on_random_corpora() -> None:

@@ -87,6 +87,10 @@ def test_unreadable_documents(tmp_path: Path) -> None:
     binary.write_bytes(b"\xff\xfe\x00\x00junk")
     with pytest.raises(UnreadableDocument):
         analyze_document(binary, **kwargs)
+    leaders = tmp_path / "leaders.txt"
+    leaders.write_text("." * 2500 + "\n" + "- " * 700 + "_ 1 é —", encoding="utf-8")
+    with pytest.raises(UnreadableDocument, match="no indexable text"):
+        analyze_document(leaders, **kwargs)
 
 
 # ------------------------------------------------------------- extraction
@@ -156,6 +160,48 @@ def test_analyze_document_extracts_and_isolates_failures() -> None:
     assert len(analysis.indicators) == 3
     src = by_topic["revenue"].source_ids
     assert src and all(s.startswith("chunk-") for s in src)
+
+
+@pytest.mark.parametrize(
+    "pad_front, pad_back",
+    [
+        ("Contents " + "." * 3000 + "\n", ""),
+        ("", "- " * 700),
+        ("." * 2000 + "\n", "\n" + "=" * 1500),
+    ],
+    ids=["dotted-leader", "dash-tail", "both"],
+)
+def test_chunks_without_tokens_stay_out_of_the_index(
+    tmp_path: Path, pad_front: str, pad_back: str
+) -> None:
+    padded = tmp_path / "acme_filing.txt"
+    text = pad_front + FILING.read_text(encoding="utf-8") + pad_back
+    padded.write_text(text, encoding="utf-8")
+    analysis = analyze_document(
+        padded,
+        gateway=scripted_gateway({}),
+        backend_id="extractor",
+        prompt_store=PromptStore(),
+        topics=TOPICS,
+    )
+    chunks = chunk_text(text)
+    assert analysis.chunk_count == len(chunks)
+    indexed = analysis.index.documents
+    skipped = [c.doc_id for c in chunks if c.doc_id not in indexed]
+    assert skipped  # the padding filled at least one whole chunk
+    for chunk in chunks:
+        if chunk.doc_id in indexed:
+            # every indexed chunk keeps the id and offset chunking gave it
+            assert indexed[chunk.doc_id] == chunk
+        else:
+            assert not any(ch.isalnum() for ch in chunk.text)
+    # the filing's figures are still found, from indexed chunks only
+    plain = analyzed()
+    assert [(i.topic, i.value) for i in analysis.indicators] == [
+        (i.topic, i.value) for i in plain.indicators
+    ]
+    for ind in analysis.indicators:
+        assert set(ind.source_ids) <= set(indexed)
 
 
 def test_analyze_document_flags_discrepancies() -> None:
