@@ -230,8 +230,30 @@ def _find_discrepancies(indicators: tuple[Indicator, ...]) -> tuple[Discrepancy,
     return tuple(out)
 
 
+def index_document(path: Path) -> DocumentAnalysis:
+    """Read, chunk and index a document: its analysis before extraction.
+
+    A chunk with no token can match no query, so it stays out of the index;
+    the other chunks keep their ids. An unreadable, empty or tokenless
+    document raises ``UnreadableDocument``.
+    """
+    text = _read_document(path)
+    chunks = chunk_text(text)
+    indexable = [chunk for chunk in chunks if has_token(chunk.text)]
+    if not indexable:
+        raise UnreadableDocument(f"document {path} has no indexable text")
+    return DocumentAnalysis(
+        doc_path=path,
+        chunk_count=len(chunks),
+        indicators=(),
+        failures=(),
+        discrepancies=(),
+        index=index_documents(indexable),
+    )
+
+
 def analyze_document(
-    path: Path,
+    document: Path | DocumentAnalysis,
     *,
     gateway: Gateway,
     backend_id: str,
@@ -239,25 +261,22 @@ def analyze_document(
     topics: tuple[str, ...] = DEFAULT_TOPICS,
     language: str = "en",
 ) -> DocumentAnalysis:
-    """Chunk, index, and extract one indicator per topic from a document.
+    """Extract one indicator per topic from a document, indexing it first
+    unless ``index_document`` already has.
 
-    A chunk with no token can match no query, so it stays out of the index;
-    the other chunks keep their ids. Topic-level failures are collected, not
-    fatal; the analysis carries on.
+    Topic-level failures are collected, not fatal; the analysis carries on.
     """
-    text = _read_document(path)
-    chunks = chunk_text(text)
-    indexable = [chunk for chunk in chunks if has_token(chunk.text)]
-    if not indexable:
-        raise UnreadableDocument(f"document {path} has no indexable text")
-    index = index_documents(indexable)
+    if not isinstance(document, DocumentAnalysis):
+        document = index_document(document)
     # Retrieve and render every topic first, then run the extractions
     # together; each topic keeps either its passages or its failure.
     staged: list[tuple[str, list[RetrievedPassage] | EngineError]] = []
     requests = []
     for topic in topics:
         try:
-            passages = retrieve(index, topic, k=min(TOP_K, len(chunks)))
+            passages = retrieve(
+                document.index, topic, k=min(TOP_K, document.chunk_count)
+            )
             if not passages:
                 raise ExtractionFailure(topic, "no passages matched the topic")
             prompt = prompt_store.render(
@@ -298,13 +317,11 @@ def analyze_document(
             failures.append((topic, exc.cause))
         except EngineError as exc:
             failures.append((topic, str(exc)))
-    return DocumentAnalysis(
-        doc_path=path,
-        chunk_count=len(chunks),
+    return replace(
+        document,
         indicators=tuple(indicators),
         failures=tuple(failures),
         discrepancies=_find_discrepancies(tuple(indicators)),
-        index=index,
     )
 
 

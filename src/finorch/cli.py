@@ -24,6 +24,16 @@ from finorch.errors import EngineError
 OFFLINE_DEFAULT_CUTOFF = dt.date(2024, 4, 19)
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current stdout, or stderr, named on each
+    call. Left to pick the stream, click caches a wrapper per ``sys.stdout``
+    object and keeps a stream that needs none alive as its own wrapper, so
+    a caller that redirects stdout per command would keep every command's
+    output."""
+    stream = click.get_text_stream("stderr" if err else "stdout")
+    click.echo(message, file=stream)
+
+
 def _engine(config_path: str, offline: bool):
     return build_engine(load_config(config_path), offline=offline)
 
@@ -51,7 +61,7 @@ def _engine_command(fn):
         except EngineError as exc:
             role = getattr(exc, "role", None)
             prefix = f"error ({role})" if role else "error"
-            click.echo(f"{prefix}: {exc}", err=True)
+            _echo(f"{prefix}: {exc}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -90,12 +100,12 @@ def evaluate(config_path: str, offline: bool, kind: str, as_json: bool) -> None:
             for agent_id, composite in ranking
         ]
     if as_json:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     for task_kind in kinds:
-        click.echo(f"{task_kind}:")
+        _echo(f"{task_kind}:")
         for row in payload[task_kind]:
-            click.echo(
+            _echo(
                 f"  {row['agent_id']}: composite={row['composite']:.4f}"
             )
 
@@ -111,7 +121,7 @@ def route(config_path: str, offline: bool, task_kind: str, as_json: bool) -> Non
     ranking = engine.scheduler.rank_agents(task_kind)
     chosen = engine.scheduler.route(task_kind)
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "task_kind": task_kind,
@@ -123,7 +133,7 @@ def route(config_path: str, offline: bool, task_kind: str, as_json: bool) -> Non
             )
         )
         return
-    click.echo(chosen)
+    _echo(chosen)
 
 
 @cli.command()
@@ -167,14 +177,14 @@ def forecast(
         cutoff_date = dt.date.today()
     run = engine.forecast(symbol.upper(), cutoff_date, horizon, language=lang)
     result = run.result
-    click.echo(f"task: {run.task.task_id}")
-    click.echo(f"backend: {run.exchange.backend_id}")
-    click.echo(
+    _echo(f"task: {run.task.task_id}")
+    _echo(f"backend: {run.exchange.backend_id}")
+    _echo(
         f"prediction: {result.direction} {result.band_text()} "
         f"({len(result.positives)} positives, {len(result.concerns)} concerns)"
     )
     if run.forecast_path is not None:
-        click.echo(f"saved: {run.forecast_path}")
+        _echo(f"saved: {run.forecast_path}")
 
 
 @cli.command()
@@ -199,16 +209,16 @@ def report(
     """Analyze DOC_PATH and write a five-section research note."""
     engine = _engine(config_path, offline)
     result = engine.report(doc_path, subject=subject, language=lang)
-    click.echo(f"task: {result.task_id}")
-    click.echo(f"subject: {result.subject}")
-    click.echo(
+    _echo(f"task: {result.task_id}")
+    _echo(f"subject: {result.subject}")
+    _echo(
         f"sections: {len(result.sections)}, "
         f"indicators: {len(result.analysis.indicators)}, "
         f"failures: {len(result.analysis.failures)}, "
         f"discrepancies: {len(result.analysis.discrepancies)}"
     )
     if result.run_dir is not None:
-        click.echo(f"saved: {result.run_dir / 'report.md'}")
+        _echo(f"saved: {result.run_dir / 'report.md'}")
 
 
 @cli.command()
@@ -229,18 +239,18 @@ def selfcheck(config_path: str) -> None:
     def check(label: str, fn) -> None:
         try:
             fn()
-            click.echo(f"ok: {label}")
+            _echo(f"ok: {label}")
         except Exception as exc:  # noqa: BLE001 - selfcheck reports anything
             failures.append(label)
-            click.echo(f"FAIL: {label}: {exc}")
+            _echo(f"FAIL: {label}: {exc}")
 
     try:
         config = load_config(config_path)
         engine = build_engine(config, offline=True)
     except EngineError as exc:
-        click.echo(f"FAIL: load config and build offline engine: {exc}")
+        _echo(f"FAIL: load config and build offline engine: {exc}")
         sys.exit(1)
-    click.echo("ok: load config and build offline engine")
+    _echo("ok: load config and build offline engine")
 
     def templates_bilingual() -> None:
         pairs = engine.prompt_store.available()
@@ -283,9 +293,9 @@ def selfcheck(config_path: str) -> None:
     )
 
     if failures:
-        click.echo(f"selfcheck failed: {len(failures)} check(s)")
+        _echo(f"selfcheck failed: {len(failures)} check(s)")
         sys.exit(1)
-    click.echo("selfcheck passed")
+    _echo("selfcheck passed")
 
 
 main = cli

@@ -387,6 +387,12 @@ def run_forecaster(*args: Any, **kwargs: Any) -> ForecastRun:
     return run_forecaster(*args, **kwargs)
 
 
+def index_document(*args: Any, **kwargs: Any) -> DocumentAnalysis:
+    from finorch.apps.reports import index_document
+
+    return index_document(*args, **kwargs)
+
+
 def analyze_document(*args: Any, **kwargs: Any) -> DocumentAnalysis:
     from finorch.apps.reports import analyze_document
 
@@ -497,11 +503,16 @@ class Engine:
         )
 
     def analyze(self, doc_path: Path | str, language: str) -> DocumentAnalysis:
+        # An unusable document is refused before any scoring.
+        try:
+            document = index_document(Path(doc_path))
+        except EngineError as exc:
+            raise exc.with_role(ROLE_ASSISTANT)
         agent = self.route("report")
         backend_id = self.scheduler.get_agent(agent).backend_id
         try:
             return analyze_document(
-                Path(doc_path),
+                document,
                 gateway=self.gateway,
                 backend_id=backend_id,
                 prompt_store=self.prompt_store,

@@ -11,7 +11,8 @@ and cached bodies are interchangeable:
 
 The fixture provider reads one JSON file per symbol; the live provider
 speaks a Finnhub-compatible REST dialect for the US market, through the
-keep-alive ``httpclient.HttpClient`` and its retry policy.
+process-wide keep-alive ``httpclient.shared_client()`` unless given a
+client of its own, and its retry policy.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ from finorch.errors import (
     TransportError,
     UnknownSymbol,
 )
-from finorch.httpclient import MAX_RETRY_AFTER, HttpClient, with_retries
+from finorch.httpclient import (
+    MAX_RETRY_AFTER,
+    HttpClient,
+    shared_client,
+    with_retries,
+)
 
 
 __all__ = [
@@ -150,7 +156,7 @@ class LiveProvider:
     ):
         self._base_url = base_url.rstrip("/")
         self._token_env = token_env
-        self._client = client or HttpClient()
+        self._client = client or shared_client()
         self.provider_id = provider_id
         self._sleep = sleeper or time.sleep
         self._rng = random.Random()

@@ -11,8 +11,8 @@ A deterministic scripted mock transport ships alongside the HTTP one so
 every higher layer is testable offline.
 
 Independent requests go through ``Gateway.chat_many``, which keeps up to
-``MAX_IN_FLIGHT`` of them in flight per backend and returns their outcomes
-in submission order.
+``MAX_IN_FLIGHT`` of them in flight per backend id, on workers that live as
+long as the process, and returns their outcomes in submission order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import os
 import random
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
@@ -39,7 +38,7 @@ from finorch.errors import (
     TransportTimeout,
     UnknownBackend,
 )
-from finorch.httpclient import HttpClient, with_retries
+from finorch.httpclient import HttpClient, shared_client, with_retries
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +57,8 @@ __all__ = [
 
 ROLES = ("system", "user", "assistant")
 
-#: Most requests one ``chat_many`` batch keeps in flight to one backend.
-#: Backends do not share it: each gets its own workers.
+#: Most requests in flight to one backend id in this process. Backends do
+#: not share it: each gets its own workers.
 MAX_IN_FLIGHT = 8
 
 #: Reply for mock requests no scripted rule matches.
@@ -127,12 +126,12 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """Posts chat payloads through a keep-alive ``HttpClient``, one attempt
-    per ``send``; credentials come from the env var that
-    ``BackendSpec.api_key_env`` names."""
+    """Posts chat payloads through a keep-alive ``HttpClient``, by default
+    the process-wide one, one attempt per ``send``; credentials come from
+    the env var that ``BackendSpec.api_key_env`` names."""
 
     def __init__(self, client: HttpClient | None = None):
-        self._client = client or HttpClient()
+        self._client = client or shared_client()
 
     def send(self, spec: BackendSpec, payload: dict[str, Any]) -> dict[str, Any]:
         headers = {}
@@ -349,14 +348,14 @@ class Gateway:
         """Run independent chats; one outcome per request, in submission order.
 
         An outcome is the request's ``ChatExchange`` or the ``EngineError``
-        it raised; any other exception propagates. Each backend gets up to
-        ``MAX_IN_FLIGHT`` worker threads, which take its requests in
-        submission order and end before this returns, so requests to
-        different backends never wait on each other. A single request, or
-        a batch whose backends are all in-process mocks, runs inline in
-        submission order: threads cannot speed up a scripted reply, and
-        inline keeps offline clock stamps and mock fail budgets in a fixed
-        order.
+        it raised; any other exception propagates once every request of the
+        batch has ended. Each request goes to its backend's worker pool,
+        whose queue starts requests in submission order and whose
+        ``MAX_IN_FLIGHT`` workers are the cap, so requests to different
+        backends never wait on each other. A single request, or a batch
+        whose backends are all in-process mocks, runs inline in submission
+        order: threads cannot speed up a scripted reply, and inline keeps
+        offline clock stamps and mock fail budgets in a fixed order.
         """
         batch = list(batch)
         if len(batch) < 2 or all(
@@ -364,30 +363,14 @@ class Gateway:
             for backend_id, _ in batch
         ):
             return [self._outcome(request) for request in batch]
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import wait
 
-        queues: dict[str, deque[int]] = {}
-        for index, (backend_id, _) in enumerate(batch):
-            queues.setdefault(backend_id, deque()).append(index)
-        outcomes: list[Any] = [None] * len(batch)
-
-        def drain(queue: deque[int]) -> None:
-            while queue:
-                try:
-                    index = queue.popleft()
-                except IndexError:  # another worker took the last one
-                    return
-                outcomes[index] = self._outcome(batch[index])
-
-        lanes = [
-            queue
-            for queue in queues.values()
-            for _ in range(min(MAX_IN_FLIGHT, len(queue)))
+        futures = [
+            _pool(backend_id).submit(self._outcome, (backend_id, messages))
+            for backend_id, messages in batch
         ]
-        with ThreadPoolExecutor(max_workers=len(lanes)) as pool:
-            for future in [pool.submit(drain, queue) for queue in lanes]:
-                future.result()
-        return outcomes
+        wait(futures)
+        return [future.result() for future in futures]
 
     def _outcome(
         self, request: tuple[str, Sequence[ChatMessage]]
@@ -399,3 +382,19 @@ class Gateway:
 
     def _transport_for(self, backend_id: str) -> Transport:
         return self._transports.get(backend_id, self._default_transport)
+
+
+_pools: dict[str, Any] = {}
+_pools_lock = threading.Lock()
+# A forked child inherits the pools but none of their workers.
+os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _pool(backend_id: str) -> Any:
+    """The backend's worker pool, built on its first threaded batch."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _pools_lock:
+        if backend_id not in _pools:
+            _pools[backend_id] = ThreadPoolExecutor(MAX_IN_FLIGHT, backend_id)
+        return _pools[backend_id]

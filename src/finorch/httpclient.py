@@ -8,7 +8,9 @@ the same rules.
 
 ``HttpClient`` keeps connections alive in one pool per (scheme, host, port).
 A request checks a connection out under a lock, so concurrent requests never
-share one, and checks it back in once the reply has been read in full.
+share one, and checks it back in once the reply has been read in full. Every
+live wire built without a client of its own shares ``shared_client()``, so
+connections outlive the engine that opened them and serve the next one.
 ``http.client``, ``ssl`` and ``urllib.request`` are imported only when a
 client is built, and ``email.utils`` only to read a ``Retry-After`` date, so
 a run that opens no socket never loads them.
@@ -28,6 +30,7 @@ import datetime as dt
 import json
 import logging
 import math
+import os
 import random
 import threading
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar
@@ -48,6 +51,7 @@ __all__ = [
     "RETRY_STATUSES",
     "HttpClient",
     "Response",
+    "shared_client",
     "with_retries",
 ]
 
@@ -301,6 +305,29 @@ class HttpClient:
         if key not in self._proxies:
             self._proxies[key] = _proxy_for(*key[:2])
         return self._proxies[key]
+
+
+_shared: HttpClient | None = None
+_shared_lock = threading.Lock()
+
+
+def shared_client() -> HttpClient:
+    """The process-wide client, built on first use."""
+    global _shared
+    with _shared_lock:
+        if _shared is None:
+            _shared = HttpClient()
+        return _shared
+
+
+def _drop_inherited_connections() -> None:
+    """In a forked child: drop the shared client's idle sockets, which the
+    parent still reads and writes."""
+    if _shared is not None:
+        _shared._idle.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_connections)
 
 
 def _round_trip(

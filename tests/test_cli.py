@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import os
 import socket
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -307,6 +311,8 @@ class TestReportCommand:
         [line] = done.stderr.splitlines()
         assert line.startswith("error (Assistant): ")
         assert message in line
+        # Refused before any scoring: no agent was evaluated.
+        assert not (tmp_path / "state" / "task_scores.jsonl").exists()
 
     def test_report_skips_a_run_of_text_without_tokens(
         self, runner, config_path, tmp_path
@@ -481,3 +487,19 @@ class TestSelfcheck:
         )
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+
+def test_in_process_commands_keep_no_redirected_stdout(config_path):
+    """A caller that runs commands in its own process and redirects stdout
+    for each gets every redirected stream back: click keeps none alive."""
+    streams = []
+    for argv in (["route", "forecast"], ["route", "report"], ["evaluate"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli([*argv, "--offline", "--config", str(config_path)],
+                standalone_mode=False)
+        assert out.getvalue()
+        streams += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [stream() for stream in streams] == [None] * 6

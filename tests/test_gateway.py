@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,8 @@ from finorch.gateway import (
     MockTransport,
 )
 from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TopOfRangeRng:
@@ -490,11 +497,142 @@ def test_chat_many_propagates_non_engine_errors():
         gateway.chat_many(batch(3))
 
 
-def test_chat_many_leaves_no_thread_running():
+def test_chat_many_returns_with_no_request_in_flight():
+    finished: list[str] = []
+
+    def behave(text):
+        if text.endswith(" 0"):
+            raise RuntimeError("bug")
+        time.sleep(0.05)
+        finished.append(text)
+        return "ok"
+
+    gateway, transport = fanout_gateway(behave)
+    gateway.chat_many(batch(2 * MAX_IN_FLIGHT)[1:])
+    assert transport.in_flight == 0
+    finished.clear()
+    with pytest.raises(RuntimeError, match="bug"):
+        gateway.chat_many(batch(3))
+    assert transport.in_flight == 0
+    assert sorted(finished) == ["request 1", "request 2"]
+
+
+def test_batches_in_a_row_reuse_at_most_the_cap_of_threads():
     gateway, transport = fanout_gateway(lambda text: "ok")
-    gateway.chat_many(batch(2 * MAX_IN_FLIGHT))
-    assert transport.threads
-    assert not any(t.is_alive() for t in transport.threads)
+    for _ in range(10):
+        gateway.chat_many(batch(2 * MAX_IN_FLIGHT))
+    assert len(transport.threads) == 10 * 2 * MAX_IN_FLIGHT
+    assert len(set(transport.threads)) <= MAX_IN_FLIGHT
+
+
+def test_concurrent_batches_share_the_cap_of_their_backend():
+    """Four batches of ``MAX_IN_FLIGHT`` to one backend not used before,
+    sent from four threads at once, keep no more than ``MAX_IN_FLIGHT`` in
+    flight on one set of workers: a second pool built for the backend by a
+    lost race would break both counts."""
+
+    def behave(text):
+        time.sleep(0.02)  # long enough for every batch to be sent
+        return "ok"
+
+    transport = RecordingTransport(behave)
+    gateway, _ = make_gateway()
+    gateway.register_backend(
+        BackendSpec(backend_id="shared-cap", base_url="http://shared.test",
+                    model_name="m", max_retries=0),
+        transport=transport,
+    )
+    requests = [("shared-cap", messages) for _, messages in batch(MAX_IN_FLIGHT)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcomes = run_together(*[lambda: gateway.chat_many(requests)] * 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [o.response_text for o in outcomes] == ["ok"] * 4 * MAX_IN_FLIGHT
+    assert transport.max_in_flight <= MAX_IN_FLIGHT
+    assert len(set(transport.threads)) <= MAX_IN_FLIGHT
+
+
+def test_concurrent_batches_to_two_backends_never_wait_on_each_other():
+    barrier = threading.Barrier(2 * MAX_IN_FLIGHT, timeout=5)
+
+    def behave(text):
+        barrier.wait()  # broken unless both full batches are in flight
+        return "ok"
+
+    gateway, transport = fanout_gateway(behave)
+    gateway.register_backend(
+        BackendSpec(backend_id="other", base_url="http://other.test",
+                    model_name="m", max_retries=0),
+        transport=transport,
+    )
+    outcomes = run_together(
+        lambda: gateway.chat_many(batch(MAX_IN_FLIGHT)),
+        lambda: gateway.chat_many(
+            [("other", messages) for _, messages in batch(MAX_IN_FLIGHT)]
+        ),
+    )
+    assert [o.response_text for o in outcomes] == ["ok"] * 2 * MAX_IN_FLIGHT
+    assert transport.max_in_flight == 2 * MAX_IN_FLIGHT
+
+
+def run_together(*calls) -> list:
+    """Run each call on its own thread; their results, concatenated."""
+    results: list[list] = [[] for _ in calls]
+    threads = [
+        threading.Thread(target=lambda i=i: results[i].extend(calls[i]()))
+        for i in range(len(calls))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    return [outcome for result in results for outcome in result]
+
+
+THREADED_BATCH = """
+import sys, time
+from finorch.gateway import BackendSpec, ChatMessage, Gateway
+
+class Echo:
+    def send(self, spec, payload):
+        time.sleep(0.01)
+        return {"choices": [{"message": {"content": "ok"}}]}
+
+gateway = Gateway(transport=Echo())
+gateway.register_backend(BackendSpec("remote", "http://remote.test", "m"))
+batch = [("remote", [ChatMessage("user", f"q{i}")]) for i in range(4)]
+assert [o.response_text for o in gateway.chat_many(batch)] == ["ok"] * 4
+"""
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=30,
+    )
+
+
+def test_a_process_that_ran_a_threaded_batch_exits_promptly():
+    done = run_python(THREADED_BATCH + "print(time.time())")
+    exited = time.time()
+    assert done.returncode == 0, done.stderr
+    assert exited - float(done.stdout) < 2.0
+
+
+def test_a_forked_child_runs_threaded_batches_on_workers_of_its_own():
+    code = THREADED_BATCH + """
+import os
+pid = os.fork()
+if pid == 0:
+    ok = [o.response_text for o in gateway.chat_many(batch)] == ["ok"] * 4
+    os._exit(0 if ok else 1)
+assert os.waitpid(pid, 0)[1] == 0
+"""
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
 
 
 def test_chat_many_runs_mock_batches_inline_in_order():

@@ -7,13 +7,16 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
 from contextlib import contextmanager
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +35,15 @@ from finorch.gateway import (
     Gateway,
     HttpTransport,
 )
-from finorch.httpclient import MAX_RETRY_AFTER, RETRY_STATUSES, HttpClient
+from finorch.config import build_engine, load_config
+from finorch.httpclient import (
+    MAX_RETRY_AFTER,
+    RETRY_STATUSES,
+    HttpClient,
+    shared_client,
+)
+
+from test_config import minimal_text, write_config
 
 TOKEN = "sk-never-shown-4417"
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -193,6 +204,87 @@ def test_a_dropped_idle_connection_is_replayed_once_on_a_fresh_one():
     assert sleeps == []
     assert server.sockets == 2
     assert len(server.requests) == 2
+
+
+def live_engine(directory, url: str):
+    """A live engine whose chat backends and market provider all sit at
+    ``url``, built with no client of its own."""
+    directory.mkdir()
+    text = (
+        minimal_text()
+        .replace("https://api.example.com/v1", url)
+        .replace("https://api.example.org/v1", url)
+    )
+    return build_engine(load_config(write_config(directory, text)), offline=False)
+
+
+def test_live_engines_and_providers_share_one_connection(tmp_path, monkeypatch):
+    monkeypatch.setenv("EXAMPLE_API_KEY", TOKEN)
+
+    def respond(handler):
+        if handler.command == "POST":
+            return 200, {}, completion()
+        return 200, {}, {"name": "Apple Inc", "exchange": "NASDAQ"}
+
+    with serve(respond) as server:
+        for name in ("first", "second"):
+            engine = live_engine(tmp_path / name, server.url)
+            assert engine.gateway.chat("primary", user(name)).response_text == "ok"
+        provider = LiveProvider(
+            base_url=server.url, token_env="MARKET_TOKEN",
+            env={"MARKET_TOKEN": TOKEN},
+        )
+        assert provider.fetch("profile", {"symbol": "AAPL"})["name"] == "Apple Inc"
+        shared_client().close()
+    assert len(server.requests) == 3
+    assert server.sockets == 1
+
+
+def test_a_client_passed_in_is_the_only_one_its_caller_uses():
+    with serve(answer()) as server:
+        own, _, client = chat_gateway(server.url)
+        shared = Gateway(transport=HttpTransport())
+        shared.register_backend(
+            BackendSpec(backend_id="b0", base_url=server.url, model_name="m")
+        )
+        for gateway in (own, shared, own, shared):
+            assert gateway.chat("b0", user("x")).response_text == "ok"
+        client.close()
+        shared_client().close()
+    assert len(server.requests) == 4
+    assert server.sockets == 2
+
+
+FORKED_CHILD = """
+import os
+from finorch.gateway import BackendSpec, Gateway, HttpTransport
+from test_httpclient import answer, serve, user
+
+with serve(answer()) as server:
+    gateway = Gateway(transport=HttpTransport())
+    gateway.register_backend(BackendSpec("b0", server.url, "m"))
+    gateway.chat("b0", user("parent"))
+    pid = os.fork()
+    if pid == 0:
+        reply = gateway.chat("b0", user("child")).response_text
+        os._exit(0 if reply == "ok" else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    gateway.chat("b0", user("parent again"))
+print(len(server.requests), server.sockets)
+"""
+
+
+def test_a_forked_child_opens_its_own_connection():
+    """The parent's idle connection stays the parent's: a child that
+    wrote on it too would garble both conversations."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"}
+    done = subprocess.run(
+        [sys.executable, "-c", FORKED_CHILD],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["3", "2"]  # requests, accepted sockets
 
 
 # ------------------------------------------------------------ status classes
