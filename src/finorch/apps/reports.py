@@ -3,9 +3,10 @@
 analyze_document chunks a filing or transcript, indexes the chunks, retrieves
 evidence per indicator topic, and asks the model to emit one structured tool
 call per indicator ("ABSENT" when the document is silent). Conflicting values
-for the same indicator are flagged as discrepancies. generate_report then
-writes a five-section research note through the routed agent, each section
-grounded in its own retrieved passages and the extracted indicators.
+for the same indicator are flagged as discrepancies. generate_report routes
+the task once, has the routed agent run that extraction on the indexed
+document, then write a five-section research note, each section grounded
+in its own retrieved passages and the extracted indicators.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from finorch.clock import Clock
 from finorch.dataops.retrieval import (
@@ -346,7 +348,7 @@ def _slug(text: str) -> str:
 
 
 def generate_report(
-    analysis: DocumentAnalysis,
+    document: DocumentAnalysis,
     subject: str,
     *,
     scheduler: Scheduler,
@@ -355,9 +357,16 @@ def generate_report(
     language: str = "en",
     runs_dir: Path | None = None,
     clock: Clock | None = None,
+    analyze: Callable[..., DocumentAnalysis] = analyze_document,
 ) -> ReportResult:
-    """Write the five-section research note through the task runner."""
-    task_id = f"report-{_slug(subject)}-{analysis.doc_path.stem}-{language}"
+    """Extract the indicators of an indexed ``document`` and write the
+    five-section research note, both through the routed agent's backend,
+    in one run of the task runner.
+
+    ``analyze`` is called like ``analyze_document``, with the document and
+    the routed backend id; its failure is the Assistant's.
+    """
+    task_id = f"report-{_slug(subject)}-{document.doc_path.stem}-{language}"
     task = Task(
         task_id=task_id,
         task_kind="report",
@@ -372,6 +381,14 @@ def generate_report(
     )
 
     def act(backend_id: str, trace: Trace) -> Outcome:
+        with trace.stage(ROLE_ASSISTANT):
+            analysis = analyze(
+                document,
+                gateway=gateway,
+                backend_id=backend_id,
+                prompt_store=prompt_store,
+                language=language,
+            )
         trace.emit(
             ROLE_ASSISTANT,
             {

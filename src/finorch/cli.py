@@ -231,8 +231,8 @@ def report(
 )
 def selfcheck(config_path: str) -> None:
     """Verify the offline stack end to end without touching the network."""
+    from finorch import offline
     from finorch.gateway import ChatMessage
-    from finorch.offline import FORECAST_PROBE_ANSWERS
 
     failures = []
 
@@ -277,9 +277,21 @@ def selfcheck(config_path: str) -> None:
     )
 
     def scripted_round_trip() -> None:
-        probe, expected = next(iter(FORECAST_PROBE_ANSWERS.items()))
+        primary = offline.primary_script()
+        backend_id = next(
+            (
+                spec.backend_id
+                for spec in config.backends
+                if offline.script_for(spec.backend_id, config.judge_backend_id)
+                == primary
+            ),
+            None,
+        )
+        if backend_id is None:
+            raise AssertionError("no backend carries the primary script")
+        probe, expected = next(iter(offline.FORECAST_PROBE_ANSWERS.items()))
         exchange = engine.gateway.chat(
-            "primary", [ChatMessage(role="user", content=probe + " ping")]
+            backend_id, [ChatMessage(role="user", content=probe + " ping")]
         )
         if exchange.response_text != expected:
             raise AssertionError(

@@ -16,10 +16,21 @@ naming its key.
 * offline — scripted mock backends, fixture provider, fixed clock, and a
   guard transport so nothing can reach the network by accident.
 
-Each ``Engine`` method imports only the app it runs: ``forecast`` imports
-``finorch.apps.forecaster``; ``report`` and ``analyze`` import
-``finorch.apps.reports`` (with retrieval and tool calls); ``evaluate_all``,
-``ensure_scores`` and ``route`` import no app.
+A command loads only the layers it runs. Every command loads the config,
+the gateway, the scheduler and the prompt store; a live one also builds
+the HTTP client with the engine. Beyond that:
+
+* ``evaluate`` and ``route`` (``evaluate_all``, ``ensure_scores``,
+  ``route``) load no app, no workflow runner and nothing of
+  ``finorch.dataops``;
+* ``forecast`` loads ``finorch.apps.forecaster`` with the workflow runner,
+  and builds ``Engine.market_data`` on first use: the fixture provider
+  offline, the live provider behind the response cache (``hashlib``
+  included) live;
+* ``report`` loads ``finorch.apps.reports`` with the workflow runner,
+  retrieval and tool calls, and no market data.
+
+``logging`` is loaded only when a live request is retried.
 """
 
 from __future__ import annotations
@@ -38,27 +49,22 @@ import yaml
 
 from finorch import offline as offline_scripts
 from finorch.clock import Clock, FixedClock, SystemClock
-from finorch.dataops.cache import ResponseCache
-from finorch.dataops.providers import (
-    FixtureProvider,
-    LiveProvider,
-    MarketData,
-)
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import (
+    TASK_KINDS,
     AgentProfile,
     GoldenRecord,
     Scheduler,
     TaskScore,
     load_golden_dataset,
 )
-from finorch.workflow import ROLE_ASSISTANT, TASK_KINDS
 
 if TYPE_CHECKING:
     from finorch.apps.forecaster import ForecastRun
     from finorch.apps.reports import DocumentAnalysis, ReportResult
+    from finorch.dataops.providers import MarketData
 
 __all__ = [
     "Engine",
@@ -423,11 +429,34 @@ class Engine:
     gateway: Gateway
     scheduler: Scheduler
     prompt_store: PromptStore
-    market_data: MarketData
     clock: Clock
+    env: Mapping[str, str]  # where the live provider reads its token
     offline: bool = False
     language: str = "en"
     _golden: dict[str, list[GoldenRecord]] = field(default_factory=dict)
+
+    @functools.cached_property
+    def market_data(self) -> MarketData:
+        """Built on first use: only forecasts (and selfcheck) read market
+        data. Offline it reads the fixtures; live it fronts the provider
+        with the disk response cache."""
+        from finorch.dataops.providers import (
+            FixtureProvider,
+            LiveProvider,
+            MarketData,
+        )
+
+        if self.offline:
+            return MarketData(FixtureProvider(self.config.fixture_dir))
+        from finorch.dataops.cache import ResponseCache
+
+        provider = LiveProvider(
+            base_url=self.config.provider.base_url,
+            token_env=self.config.provider.token_env,
+            provider_id=self.config.provider.name,
+            env=self.env,
+        )
+        return MarketData(provider, ResponseCache(self.config.cache_dir))
 
     def golden_path(self, task_kind: str) -> Path:
         return self.config.golden_dir / f"{task_kind}.jsonl"
@@ -483,6 +512,7 @@ class Engine:
     ) -> ForecastRun:
         # A window with no weekday is refused before any scoring or fetch.
         from finorch.apps.forecaster import horizon_window
+        from finorch.workflow import ROLE_ASSISTANT
 
         try:
             horizon_window(cutoff, horizon)
@@ -502,45 +532,33 @@ class Engine:
             clock=self.clock,
         )
 
-    def analyze(self, doc_path: Path | str, language: str) -> DocumentAnalysis:
-        # An unusable document is refused before any scoring.
-        try:
-            document = index_document(Path(doc_path))
-        except EngineError as exc:
-            raise exc.with_role(ROLE_ASSISTANT)
-        agent = self.route("report")
-        backend_id = self.scheduler.get_agent(agent).backend_id
-        try:
-            return analyze_document(
-                document,
-                gateway=self.gateway,
-                backend_id=backend_id,
-                prompt_store=self.prompt_store,
-                language=language,
-            )
-        except EngineError as exc:
-            raise exc.with_role(ROLE_ASSISTANT)
-
     def report(
         self,
         doc_path: Path | str,
         subject: str | None = None,
         language: str | None = None,
     ) -> ReportResult:
+        from finorch.workflow import ROLE_ASSISTANT
+
         doc_path = Path(doc_path)
         if subject is None:
             subject = doc_path.stem.replace("_", " ").replace("-", " ").title()
-        language = language or self.language
-        analysis = self.analyze(doc_path, language)
+        # An unusable document is refused before any scoring.
+        try:
+            document = index_document(doc_path)
+        except EngineError as exc:
+            raise exc.with_role(ROLE_ASSISTANT)
+        self.ensure_scores("report")
         return generate_report(
-            analysis,
+            document,
             subject,
             scheduler=self.scheduler,
             gateway=self.gateway,
             prompt_store=self.prompt_store,
-            language=language,
+            language=language or self.language,
             runs_dir=self.config.runs_dir,
             clock=self.clock,
+            analyze=analyze_document,
         )
 
 
@@ -563,20 +581,17 @@ def build_engine(
         )
         for spec in config.backends:
             gateway.script_mock(
-                spec.backend_id, offline_scripts.script_for(spec.backend_id)
+                spec.backend_id,
+                offline_scripts.script_for(
+                    spec.backend_id, config.judge_backend_id
+                ),
             )
-        market_data = MarketData(FixtureProvider(config.fixture_dir))
     else:
+        # The HTTP client is built here, not on the first chat (see
+        # ``HttpClient.__init__``).
         gateway = Gateway(clock=clock)
         for spec in config.backends:
             gateway.register_backend(spec)
-        provider = LiveProvider(
-            base_url=config.provider.base_url,
-            token_env=config.provider.token_env,
-            provider_id=config.provider.name,
-            env=env,
-        )
-        market_data = MarketData(provider, ResponseCache(config.cache_dir))
 
     prompt_store = PromptStore(config.prompt_dir)
     scheduler = Scheduler(
@@ -595,8 +610,8 @@ def build_engine(
         gateway=gateway,
         scheduler=scheduler,
         prompt_store=prompt_store,
-        market_data=market_data,
         clock=clock,
+        env=env,
         offline=offline,
         language=config.default_language,
     )

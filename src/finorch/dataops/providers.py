@@ -24,10 +24,9 @@ import random
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 from urllib.parse import urlencode
 
-from finorch.dataops.cache import ResponseCache, cache_key, canonical_bytes
 from finorch.dataops.types import (
     CompanyBundle,
     CompanyProfile,
@@ -52,6 +51,8 @@ from finorch.httpclient import (
     with_retries,
 )
 
+if TYPE_CHECKING:
+    from finorch.dataops.cache import ResponseCache
 
 __all__ = [
     "ENDPOINTS",
@@ -294,6 +295,9 @@ class MarketData:
     def _fetch(self, endpoint: str, params: Mapping[str, str]) -> Any:
         if self._cache is None:
             return self._provider.fetch(endpoint, params)
+        # Only a cache-fronted (live) service loads the cache and hashlib.
+        from finorch.dataops.cache import cache_key, canonical_bytes
+
         key = cache_key(self._provider.provider_id, endpoint, params)
         try:
             return json.loads(self._cache.get(key).decode("utf-8"))

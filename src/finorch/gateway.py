@@ -18,7 +18,6 @@ long as the process, and returns their outcomes in submission order.
 from __future__ import annotations
 
 import datetime as dt
-import logging
 import os
 import random
 import threading
@@ -39,8 +38,6 @@ from finorch.errors import (
     UnknownBackend,
 )
 from finorch.httpclient import HttpClient, shared_client, with_retries
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "MAX_IN_FLIGHT",
@@ -276,7 +273,6 @@ class Gateway:
         self._backends[spec.backend_id] = spec
         if transport is not None:
             self._transports[spec.backend_id] = transport
-        logger.debug("registered backend %s", spec.backend_id)
         return spec.backend_id
 
     def script_mock(

@@ -12,8 +12,9 @@ share one, and checks it back in once the reply has been read in full. Every
 live wire built without a client of its own shares ``shared_client()``, so
 connections outlive the engine that opened them and serve the next one.
 ``http.client``, ``ssl`` and ``urllib.request`` are imported only when a
-client is built, and ``email.utils`` only to read a ``Retry-After`` date, so
-a run that opens no socket never loads them.
+client is built, ``email.utils`` only to read a ``Retry-After`` date and
+``logging`` only to log a retry, so a run that opens no socket never loads
+them.
 
 Proxies follow ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and
 ``NO_PROXY`` (read by ``urllib.request.getproxies`` and ``proxy_bypass``).
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import logging
 import math
 import os
 import random
@@ -42,8 +42,6 @@ from finorch.errors import (
     TransportError,
     TransportTimeout,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "BACKOFF_INITIAL",
@@ -134,7 +132,9 @@ def with_retries(
                 delay = exc.retry_after
             else:
                 delay = rng.uniform(0.0, BACKOFF_INITIAL * 2**attempt)
-            logger.debug(
+            import logging  # only a retry logs, so only a retry loads it
+
+            logging.getLogger(__name__).debug(
                 "attempt %d failed (%s); retrying in %.3fs", attempt + 1, exc, delay
             )
             sleep(delay)
@@ -145,10 +145,15 @@ class HttpClient:
     """JSON over HTTP/1.1 with a keep-alive connection pool per origin."""
 
     def __init__(self) -> None:
-        # Loaded with the client, which only a live engine builds, rather
-        # than on first use: worker threads that all wait on one import
-        # then connect in a single burst, which can overflow a small
-        # server's listen backlog and stall a connect for a second.
+        # Loaded with the client, which a live engine builds with itself,
+        # rather than on first use: worker threads that all wait on one
+        # import then connect in a single burst, which can overflow a small
+        # server's listen backlog and stall a connect for a second. Keep
+        # building the client with the engine until the benchmark stand-in
+        # listens with a larger backlog: building the gateway's client on
+        # its first send instead made 10 of 30 alternating cold live
+        # `evaluate` runs against `bench/standin.py` stall by more than
+        # 0.45 s, where building it with the engine stalled 2 to 4 of 30.
         import http.client  # noqa: F401
         import urllib.request  # noqa: F401
 

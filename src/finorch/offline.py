@@ -154,9 +154,14 @@ def judge_script() -> list[dict]:
     return [{"match": "", "reply": JUDGE_REPLY}]
 
 
-def script_for(backend_id: str) -> list[dict]:
-    """The offline stand-in script for a configured backend id."""
-    if backend_id == "judge":
+def script_for(
+    backend_id: str, judge_backend_id: str | None = "judge"
+) -> list[dict]:
+    """The offline stand-in script for a configured backend id: the judge
+    script for the config's ``judge_backend_id`` (``judge`` in the shipped
+    config), the secondary script for an id ending in ``secondary``, and
+    the primary script for any other."""
+    if backend_id == judge_backend_id:
         return judge_script()
     if backend_id.endswith("secondary"):
         return secondary_script()

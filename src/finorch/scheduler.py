@@ -64,6 +64,7 @@ from finorch.gateway import ChatExchange, ChatMessage, Gateway
 from finorch.prompts import PromptStore
 
 __all__ = [
+    "TASK_KINDS",
     "AgentProfile",
     "GoldenRecord",
     "Reflection",
@@ -77,6 +78,9 @@ __all__ = [
     "normalize_scores",
     "parse_self_score",
 ]
+
+#: Task kinds an agent can be registered, scored and routed for.
+TASK_KINDS = ("forecast", "report")
 
 WEIGHT_TOLERANCE = 1e-9
 MAX_EXCLUDED_FRACTION = 0.2

@@ -27,9 +27,8 @@ from finorch.dataops.types import parse_date
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
-from finorch.scheduler import Scheduler, WorkflowEvaluation
+from finorch.scheduler import TASK_KINDS, Scheduler, WorkflowEvaluation
 
-TASK_KINDS = ("forecast", "report")
 ROLE_DIRECTOR = "Director"
 ROLE_ASSISTANT = "Assistant"
 ROLE_FINANCIAL_ANALYST = "Financial Analyst"

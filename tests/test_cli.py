@@ -18,7 +18,9 @@ from click.testing import CliRunner
 
 from finorch import offline
 from finorch.cli import cli
+from finorch.dataops import cache, providers
 from finorch.gateway import MOCK_SENTINEL, Gateway
+from finorch.scheduler import Scheduler
 
 from test_config import REPO, write_config
 
@@ -157,6 +159,24 @@ class TestForecastCommand:
         assert rows[-1]["self_scores"] == [forecast["self_score"]]
         assert len((state / "reflections.jsonl").read_text().splitlines()) == 2
 
+    def test_offline_judge_is_the_configured_judge_backend(
+        self, runner, tmp_path
+    ):
+        """Offline, the backend that ``judge_backend_id`` names answers as
+        the judge, whatever its id."""
+        from test_config import minimal_text
+
+        config_path = write_config(
+            tmp_path, minimal_text().replace(": judge", ": grader")
+        )
+        result = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        assert result.exit_code == 0, result.output
+        forecast = json.loads(
+            (tmp_path / "runs" / "forecast-AAPL-20240419-h7-en" /
+             "forecast.json").read_text(encoding="utf-8")
+        )
+        assert forecast["grade"] == 1.0
+
     def test_missing_symbol_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "forecast", "--offline")
         assert result.exit_code == 2
@@ -226,6 +246,23 @@ class TestReportCommand:
         assert self._imported_by_offline_report(
             config_path, "finorch.analytics", "finorch.tools.dsl"
         ) == "[]"
+
+    def test_report_routes_once(self, runner, config_path, monkeypatch):
+        """The Director routes a report once, in the task runner; the
+        routed agent's backend both extracts and writes."""
+        routed: list[str] = []
+        route = Scheduler.route
+
+        def recording(self, task, *args, **kwargs):
+            routed.append(getattr(task, "task_kind", task))
+            return route(self, task, *args, **kwargs)
+
+        monkeypatch.setattr(Scheduler, "route", recording)
+        result = invoke(
+            runner, config_path, "report", str(self.DOC), "--offline"
+        )
+        assert result.exit_code == 0, result.output
+        assert routed == ["report"]
 
     def test_offline_zh_report_answers_every_section(
         self, runner, config_path, tmp_path
@@ -433,6 +470,52 @@ class TestEvaluateAndRoute:
             "finorch.tools.calls",
         ) == str(expected)
 
+    @pytest.mark.parametrize(
+        "args",
+        [["evaluate"], ["route", "report"]],
+        ids=["evaluate", "route"],
+    )
+    def test_offline_scoring_loads_no_runner_market_data_or_logging(
+        self, config_path, args
+    ):
+        """Scoring and routing run no task and read no market data, so they
+        load neither the workflow runner nor any of ``finorch.dataops``
+        (whose submodules all load the package), and nothing they run
+        logs."""
+        assert imported_by_offline_command(
+            config_path, args, "finorch.workflow", "finorch.dataops",
+            "hashlib", "logging",
+        ) == "[]"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["forecast", "AAPL"], ["report", str(TestReportCommand.DOC)]],
+        ids=["forecast", "report"],
+    )
+    def test_offline_app_loads_no_response_cache(self, config_path, args):
+        """Offline market data comes straight from the fixtures, so no
+        offline command loads the response cache or the hash it keys
+        entries with."""
+        assert imported_by_offline_command(
+            config_path, args, "finorch.dataops.cache", "hashlib"
+        ) == "[]"
+
+    def test_live_route_on_persisted_scores_builds_no_market_data(
+        self, runner, config_path, monkeypatch
+    ):
+        """Market data is built on first use, and routing never uses it."""
+        result = invoke(runner, config_path, "evaluate", "--offline")
+        assert result.exit_code == 0, result.output
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("route built market data")
+
+        monkeypatch.setattr(providers.LiveProvider, "__init__", refuse)
+        monkeypatch.setattr(cache.ResponseCache, "__init__", refuse)
+        result = invoke(runner, config_path, "route", "forecast")
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "forecaster-primary"
+
     def test_route_unknown_kind_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "route", "poetry", "--offline")
         assert result.exit_code == 2
@@ -480,6 +563,22 @@ class TestSelfcheck:
         assert result.exit_code == 0, result.output
         assert "selfcheck passed" in result.output
         assert result.output.count("ok:") == 6
+
+    def test_selfcheck_with_a_renamed_primary_backend(self, runner, tmp_path):
+        """The round trip goes to a configured backend that carries the
+        primary script, whatever its id."""
+        from test_config import minimal_text
+
+        config_path = write_config(
+            tmp_path,
+            minimal_text().replace("backend_id: primary", "backend_id: openai"),
+        )
+        result = runner.invoke(
+            cli, ["selfcheck", "--config", str(config_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert "ok: scripted backend round trip" in result.output
+        assert "selfcheck passed" in result.output
 
     def test_selfcheck_bad_config_fails(self, runner, tmp_path):
         result = runner.invoke(

@@ -5,6 +5,7 @@ five-section routed report over scripted mock backends.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import threading
@@ -18,6 +19,7 @@ from finorch.apps.reports import (
     analyze_document,
     chunk_text,
     generate_report,
+    index_document,
     _find_discrepancies,
     _indicator_block,
 )
@@ -32,7 +34,7 @@ from finorch.errors import (
 from finorch.gateway import BackendSpec, Gateway, MockTransport
 from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, GoldenRecord, Scheduler
-from finorch.workflow import ROLE_FINANCIAL_ANALYST
+from finorch.workflow import ROLE_ASSISTANT, ROLE_FINANCIAL_ANALYST
 
 FILING = Path(__file__).parent / "fixtures" / "acme_filing.txt"
 
@@ -265,14 +267,19 @@ REPORT_TASK_ID = "report-acme-industrial-acme_filing-en"
 
 
 def report_setup(tmp_path: Path, writer_transport=None):
-    """Analysis, gateway and scheduler with the writer agent scored.
+    """Indexed document, gateway and scheduler with the writer agent scored.
 
-    The writer backend is the section script as a mock, unless
-    ``writer_transport`` is given."""
-    analysis = analyzed()
+    The writer backend is the extractor and section scripts as a mock,
+    unless ``writer_transport`` is given."""
+    document = index_document(FILING)
     if writer_transport is None:
         gateway = scripted_gateway(
-            {"writer-backend": section_script(REPORT_TASK_ID)}
+            {
+                "writer-backend": [
+                    *extractor_script(),
+                    *section_script(REPORT_TASK_ID),
+                ]
+            }
         )
     else:
         gateway = scripted_gateway({})
@@ -311,19 +318,23 @@ def report_setup(tmp_path: Path, writer_transport=None):
             )
         ],
     )
-    return analysis, gateway, scheduler
+    return document, gateway, scheduler
 
 
-def run_report(tmp_path: Path):
-    analysis, gateway, scheduler = report_setup(tmp_path)
+def run_report(
+    tmp_path: Path,
+    analyze=functools.partial(analyze_document, topics=TOPICS),
+):
+    document, gateway, scheduler = report_setup(tmp_path)
     return generate_report(
-        analysis,
+        document,
         "Acme Industrial",
         scheduler=scheduler,
         gateway=gateway,
         prompt_store=PromptStore(),
         runs_dir=tmp_path / "runs",
         clock=FixedClock(),
+        analyze=analyze,
     )
 
 
@@ -379,13 +390,54 @@ def test_report_artifacts_persisted_and_deterministic(tmp_path: Path) -> None:
     ]
 
 
+def test_report_extracts_through_the_routed_backend(tmp_path: Path) -> None:
+    """One route; the routed writer, not the extractor, answers the
+    extractions, and the analysis record follows the route record."""
+    prompts: dict[str, list[str]] = {}
+    chat_many = Gateway.chat_many
+
+    def recording(self, requests):
+        for backend_id, messages in requests:
+            prompts.setdefault(backend_id, []).append(messages[-1].content)
+        return chat_many(self, requests)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Gateway, "chat_many", recording)
+        result = run_report(tmp_path)
+    assert "extractor" not in prompts
+    extractions = [p for p in prompts["writer-backend"] if "ABSENT" in p]
+    assert len(extractions) == 5  # "moonshot quotient" matches no passage
+    assert {i.topic for i in result.analysis.indicators} == {
+        "revenue", "total revenue", "net income",
+    }
+    trace = result.run_dir / "trace.jsonl"
+    events = [json.loads(line)["event"] for line in trace.read_text().splitlines()]
+    assert events[:2] == ["route", "analysis"]
+    assert events.count("route") == 1
+
+
+def test_extraction_failure_is_the_assistants(tmp_path: Path) -> None:
+    def unreadable(document, **kwargs):
+        raise UnreadableDocument("document vanished")
+
+    with pytest.raises(UnreadableDocument) as err:
+        run_report(tmp_path, analyze=unreadable)
+    assert err.value.role == ROLE_ASSISTANT
+    trace = tmp_path / "runs" / REPORT_TASK_ID / "trace.jsonl"
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [(r["event"], r["role"]) for r in records] == [
+        ("route", "Director"),
+        ("error", ROLE_ASSISTANT),
+    ]
+
+
 def test_generate_report_requires_the_section_template(tmp_path: Path) -> None:
-    analysis, gateway, scheduler = report_setup(tmp_path)
+    document, gateway, scheduler = report_setup(tmp_path)
     bare = tmp_path / "bare_prompts"
     bare.mkdir()
     with pytest.raises(UnknownTemplate):
         generate_report(
-            analysis,
+            document,
             "Acme Industrial",
             scheduler=scheduler,
             gateway=gateway,
@@ -396,10 +448,10 @@ def test_generate_report_requires_the_section_template(tmp_path: Path) -> None:
 
 def section_failure(tmp_path: Path, writer_transport=None):
     """Run a report expected to fail; return the error and trace events."""
-    analysis, gateway, scheduler = report_setup(tmp_path, writer_transport)
+    document, gateway, scheduler = report_setup(tmp_path, writer_transport)
     with pytest.raises(EngineError) as err:
         generate_report(
-            analysis,
+            document,
             "Acme Industrial",
             scheduler=scheduler,
             gateway=gateway,
