@@ -2,8 +2,9 @@
 
 Every command loads one YAML config and assembles the engine either live
 (real backends, real provider) or offline (scripted backends, bundled
-fixtures, fixed clock). Offline runs are fully deterministic: the same
-invocation writes byte-identical artifacts every time.
+fixtures, fixed clocks, scores of its own under ``state_dir/offline``).
+Offline runs are fully deterministic: the same invocation writes
+byte-identical artifacts every time.
 
 Exit codes: 0 on success, 1 on any engine error, 2 on usage errors.
 """
@@ -233,6 +234,7 @@ def selfcheck(config_path: str) -> None:
     """Verify the offline stack end to end without touching the network."""
     from finorch import offline
     from finorch.gateway import ChatMessage
+    from finorch.scheduler import TASK_KINDS
 
     failures = []
 
@@ -301,7 +303,11 @@ def selfcheck(config_path: str) -> None:
     check("scripted backend round trip", scripted_round_trip)
     check(
         "agents evaluate and route offline",
-        lambda: (engine.route("forecast"), engine.route("report")),
+        lambda: (
+            engine.evaluate_all(*TASK_KINDS),
+            engine.route("forecast"),
+            engine.route("report"),
+        ),
     )
 
     if failures:

@@ -13,8 +13,12 @@ naming its key.
 ``build_engine`` wires the whole stack two ways:
 
 * live — HTTP transport, real provider, disk response cache, wall clock;
-* offline — scripted mock backends, fixture provider, fixed clock, and a
-  guard transport so nothing can reach the network by accident.
+* offline — scripted mock backends, fixture provider, scores under
+  ``state_dir/offline``, a fixed clock for scoring and another for task
+  runs (so a run's stamps do not depend on whether it evaluated first),
+  and a guard transport so nothing can reach the network by accident.
+
+Offline and live alike, a command evaluates only when no score exists.
 
 A command loads only the layers it runs. Every command loads the config,
 the gateway, the scheduler and the prompt store; a live one also builds
@@ -429,7 +433,7 @@ class Engine:
     gateway: Gateway
     scheduler: Scheduler
     prompt_store: PromptStore
-    clock: Clock
+    clock: Clock  # stamps task runs: traces, perception, artifacts
     env: Mapping[str, str]  # where the live provider reads its token
     offline: bool = False
     language: str = "en"
@@ -477,26 +481,19 @@ class Engine:
     ) -> dict[tuple[str, str], TaskScore]:
         """Score every agent registered for each task kind, with all their
         probes in one batch; scores keyed by (task kind, agent id)."""
-        jobs = []
-        for task_kind in task_kinds:
-            dataset = self.golden_dataset(task_kind)
-            jobs += [
-                (profile.agent_id, dataset)
-                for profile in self.scheduler.agents_for(task_kind)
-            ]
+        jobs = [
+            (profile.agent_id, self.golden_dataset(task_kind))
+            for task_kind in task_kinds
+            for profile in self.scheduler.agents_for(task_kind)
+        ]
         return {
             (score.task_kind, score.agent_id): score
             for score in self.scheduler.evaluate_agents(jobs)
         }
 
     def ensure_scores(self, task_kind: str) -> None:
-        """Make sure routing has scores to rank.
-
-        Offline runs re-evaluate every time so repeated invocations make
-        the exact same sequence of scripted calls (byte-stable artifacts);
-        live runs reuse persisted scores and only evaluate a cold start.
-        """
-        if self.offline or not self.scheduler.latest_scores(task_kind):
+        """Evaluate the task kind only when none of its agents has a score."""
+        if not self.scheduler.latest_scores(task_kind):
             self.evaluate_all(task_kind)
 
     def route(self, task_kind: str) -> str:
@@ -571,6 +568,7 @@ def build_engine(
     if env is None:
         env = os.environ
     clock: Clock = FixedClock() if offline else SystemClock()
+    run_clock: Clock = FixedClock() if offline else clock
 
     if offline:
         gateway = Gateway(
@@ -597,7 +595,7 @@ def build_engine(
     scheduler = Scheduler(
         gateway,
         prompt_store,
-        config.state_dir,
+        config.state_dir / "offline" if offline else config.state_dir,
         weights=config.weights,
         judge_backend_id=config.judge_backend_id,
         language=config.default_language,
@@ -610,7 +608,7 @@ def build_engine(
         gateway=gateway,
         scheduler=scheduler,
         prompt_store=prompt_store,
-        clock=clock,
+        clock=run_clock,
         env=env,
         offline=offline,
         language=config.default_language,

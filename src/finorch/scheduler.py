@@ -14,11 +14,12 @@ locally; any other dimension name is judged by a grading prompt whose
 reply must contain "score: <x>".
 
 State is kept as append-only JSON-lines files under the state directory
-(task_scores.jsonl, reflections.jsonl, evaluations.jsonl); the latest
-TaskScore per (agent, task kind) wins for routing. reflections.jsonl and
-evaluations.jsonl are audit logs that no command reads back: a workflow
-evaluation grades only its own run, from the output and the reflection
-the runner hands it.
+(task_scores.jsonl, reflections.jsonl, evaluations.jsonl). One evaluation
+appends every roster it scored in one write, one row per agent, and a
+failed one appends nothing; the latest TaskScore per (agent, task kind)
+wins for routing. reflections.jsonl and evaluations.jsonl are audit logs
+that no command reads back: a workflow evaluation grades only its own run,
+from the output and the reflection the runner hands it.
 
 task_scores.jsonl is the source of truth. Beside it,
 task_scores.snapshot.json holds the fold of the log's first ``log_bytes``
@@ -567,11 +568,12 @@ class Scheduler:
         """Score each (agent id, golden dataset) job; one TaskScore per job.
 
         Every probe of every job is independent of the others, so all of
-        them go out in one ``chat_many`` batch. The replies are then graded
-        job by job, in the order given, and each job appends its task
-        kind's roster before the next is graded. A failed probe raises
-        GatewayFailure naming the first failed record in that order; the
-        jobs graded before it keep their rows.
+        them go out in one ``chat_many`` batch. The replies are graded job
+        by job, in the order given. Then each task kind's roster is
+        normalized once, against every agent's latest raw scores, and the
+        rows of all kinds go to the log in one append. A failed probe
+        raises GatewayFailure naming the first failed record in that
+        order, and a failed evaluation appends nothing.
         """
         checked = [
             self._check_job(agent_id, dataset) for agent_id, dataset in jobs
@@ -594,10 +596,22 @@ class Scheduler:
             for record in dataset
         ]
         outcomes = iter(self._gateway.chat_many(requests))
-        return [
-            self._grade_job(
+        fresh: dict[str, dict[str, dict[str, float]]] = {}
+        for profile, dataset in checked:
+            graded = fresh.setdefault(dataset[0].task_kind, {})
+            graded[profile.agent_id] = self._grade_job(
                 profile, dataset, [next(outcomes) for _ in dataset]
             )
+        evaluated_at = isoformat(self._clock.now())
+        rows = [
+            row for task_kind, raw in fresh.items()
+            for row in self._roster(task_kind, raw, evaluated_at)
+        ]
+        self._append(self.scores_path, *(row.to_dict() for row in rows))
+        for score in rows:
+            self._latest[(score.task_kind, score.agent_id)] = score
+        return [
+            self._latest[(dataset[0].task_kind, profile.agent_id)]
             for profile, dataset in checked
         ]
 
@@ -623,9 +637,9 @@ class Scheduler:
         profile: AgentProfile,
         dataset: Sequence[GoldenRecord],
         outcomes: Sequence[ChatExchange | EngineError],
-    ) -> TaskScore:
-        """Grade one agent's probe replies in dataset order and restore the
-        roster of its task kind."""
+    ) -> dict[str, float]:
+        """Grade one agent's probe replies in dataset order; its raw score
+        per dimension, averaged over the graded records."""
         dimensions = dataset[0].dimension_labels
         per_dimension: dict[str, list[float]] = {d: [] for d in dimensions}
         excluded = 0
@@ -652,38 +666,30 @@ class Scheduler:
                 f"{excluded} of {len(dataset)} records excluded by grade "
                 f"parse failures (limit {MAX_EXCLUDED_FRACTION:.0%})"
             )
-        raw = {
+        return {
             d: (math.fsum(vals) / len(vals)) if vals else 0.0
             for d, vals in per_dimension.items()
         }
-        return self._restore_roster(
-            dataset[0].task_kind, profile.agent_id, raw
-        )
 
-    def _weights_for(
-        self, task_kind: str, dimensions: Sequence[str]
-    ) -> dict[str, float]:
-        """The configured weights of the task kind, else uniform ones."""
-        if task_kind in self._weights:
-            return dict(self._weights[task_kind])
-        uniform = 1.0 / len(dimensions)
-        return {d: uniform for d in dimensions}
-
-    def _restore_roster(
-        self, task_kind: str, agent_id: str, raw: Mapping[str, float]
-    ) -> TaskScore:
-        """Recompute normalization and composites for the whole roster after
-        one agent's raw scores changed, persisting fresh rows for all."""
+    def _roster(
+        self,
+        task_kind: str,
+        fresh: Mapping[str, Mapping[str, float]],
+        evaluated_at: str,
+    ) -> list[TaskScore]:
+        """The task kind's whole roster, normalized over each agent's latest
+        raw scores: its fresh ones in ``fresh``, else its persisted ones."""
         latest_raw: dict[str, Mapping[str, float]] = {
-            roster_agent: score.raw_scores
-            for (kind, roster_agent), score in self._latest.items()
+            agent: score.raw_scores
+            for (kind, agent), score in self._latest.items()
             if kind == task_kind
         }
-        latest_raw[agent_id] = dict(raw)
-        weights = self._weights_for(task_kind, sorted(raw))
+        latest_raw.update(fresh)
+        dimensions = sorted(next(iter(fresh.values())))
+        uniform = dict.fromkeys(dimensions, 1.0 / len(dimensions))
+        weights = self._weights.get(task_kind, uniform)
         normalized = normalize_scores(latest_raw)
-        evaluated_at = isoformat(self._clock.now())
-        roster = [
+        return [
             TaskScore(
                 agent_id=roster_agent,
                 task_kind=task_kind,
@@ -695,10 +701,6 @@ class Scheduler:
             )
             for roster_agent in sorted(latest_raw)
         ]
-        self._append(self.scores_path, *(score.to_dict() for score in roster))
-        for score in roster:
-            self._latest[(task_kind, score.agent_id)] = score
-        return self._latest[(task_kind, agent_id)]
 
     # -------------------------------------------------------------- routing
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,7 +28,12 @@ from finorch.dataops.types import parse_date
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
-from finorch.scheduler import TASK_KINDS, Scheduler, WorkflowEvaluation
+from finorch.scheduler import (
+    TASK_KINDS,
+    Reflection,
+    Scheduler,
+    WorkflowEvaluation,
+)
 
 ROLE_DIRECTOR = "Director"
 ROLE_ASSISTANT = "Assistant"
@@ -93,6 +99,22 @@ class Trace:
             raise self.fail(role, exc, **context)
 
 
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``text`` to a unique temporary file beside ``path``, then
+    rename it over ``path``: a reader finds the old file or the new one,
+    never a torn one, and a failed write leaves no temporary file. The
+    file is opened like any new one, so the umask sets its mode."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass(frozen=True)
 class Outcome:
     """What an app's act step hands back to the runner."""
@@ -126,7 +148,10 @@ def run_task(
     """Route -> act -> self-assess and judge -> finalize -> write, for one
     task.
 
-    ``act`` receives the routed agent's backend id and the trace.
+    ``act`` receives the routed agent's backend id and the trace. When
+    self-assessment or the judge fails after ``act`` returned, its
+    artifacts are still written, with a null grade and self-score, before
+    the error propagates.
     """
     clock = clock or SystemClock()
     run_dir = (runs_dir / task.task_id) if runs_dir is not None else None
@@ -139,6 +164,44 @@ def run_task(
     backend_id = scheduler.get_agent(agent).backend_id
     outcome = act(backend_id, trace)
 
+    def write(grade: float | None, self_score: float | None) -> None:
+        if run_dir is None:
+            return
+        for name, text in outcome.texts.items():
+            _replace_text(run_dir / name, text)
+        payload = {
+            **outcome.payload,
+            "task_id": task.task_id,
+            "agent": agent,
+            "grade": grade,
+            "self_score": self_score,
+            "generated_at": isoformat(clock.now()),
+        }
+        _replace_text(
+            run_dir / outcome.artifact,
+            json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
+            + "\n",
+        )
+
+    try:
+        reflection, evaluation = _assess(
+            task, agent, backend_id, outcome, trace,
+            scheduler, gateway, prompt_store,
+        )
+    except EngineError:
+        # The parsed output is kept; a null grade and self-score, beside the
+        # trace's error record, mark it as never assessed.
+        write(None, None)
+        raise
+    write(evaluation.grade if evaluation else None, reflection.self_score)
+    return TaskRun(value=outcome.value, evaluation=evaluation, run_dir=run_dir)
+
+
+def _assess(
+    task: Task, agent: str, backend_id: str, outcome: Outcome, trace: Trace,
+    scheduler: Scheduler, gateway: Gateway, prompt_store: PromptStore,
+) -> tuple[Reflection, WorkflowEvaluation | None]:
+    """Self-assess and judge one run's output, then finalize it."""
     # The judge reads only the final output and the acceptance text, so the
     # self-assessment and the judge chat go out together.
     with trace.stage(ROLE_FINANCIAL_ANALYST):
@@ -188,21 +251,4 @@ def run_task(
             trace.emit(
                 ROLE_DIRECTOR, {"event": "finalized", "grade": evaluation.grade}
             )
-
-    if run_dir is not None:
-        for name, text in outcome.texts.items():
-            (run_dir / name).write_text(text, encoding="utf-8")
-        payload = {
-            **outcome.payload,
-            "task_id": task.task_id,
-            "agent": agent,
-            "grade": evaluation.grade if evaluation else None,
-            "self_score": reflection.self_score,
-            "generated_at": isoformat(clock.now()),
-        }
-        (run_dir / outcome.artifact).write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-    return TaskRun(value=outcome.value, evaluation=evaluation, run_dir=run_dir)
+    return reflection, evaluation

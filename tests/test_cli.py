@@ -18,9 +18,10 @@ from click.testing import CliRunner
 
 from finorch import offline
 from finorch.cli import cli
+from finorch.config import build_engine, load_config
 from finorch.dataops import cache, providers
-from finorch.gateway import MOCK_SENTINEL, Gateway
-from finorch.scheduler import Scheduler
+from finorch.gateway import MOCK_SENTINEL, Gateway, MockTransport
+from finorch.scheduler import Scheduler, TaskScore
 
 from test_config import REPO, write_config
 
@@ -55,6 +56,30 @@ def config_path(tmp_path) -> Path:
 
 def invoke(runner, config_path, *args):
     return runner.invoke(cli, [*args, "--config", str(config_path)])
+
+
+#: The input texts of the forecast golden set, which every probe carries.
+PROBES = [
+    json.loads(line)["input_text"]
+    for line in (REPO / "fixtures" / "golden" / "forecast.jsonl")
+    .read_text(encoding="utf-8")
+    .splitlines()
+    if line.strip()
+]
+
+
+def score_row(agent_id: str, composite: float) -> dict:
+    """A persisted forecast score as an evaluation writes it."""
+    scores = {"exact_match": composite, "token_f1": composite}
+    return TaskScore(
+        agent_id=agent_id,
+        task_kind="forecast",
+        raw_scores=scores,
+        normalized_scores=scores,
+        weights={"exact_match": 0.5, "token_f1": 0.5},
+        composite=composite,
+        evaluated_at="2024-01-01T00:00:00Z",
+    ).to_dict()
 
 
 class TestForecastCommand:
@@ -137,7 +162,7 @@ class TestForecastCommand:
         assert "spans no weekday" in line
         # refused before any scoring, fetch or trace
         assert not (tmp_path / "runs" / "forecast-AAPL-20240419-h1-en").exists()
-        assert not (tmp_path / "state" / "task_scores.jsonl").exists()
+        assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
 
     def test_rerun_grades_only_its_own_reflection(
         self, runner, config_path, tmp_path
@@ -145,7 +170,7 @@ class TestForecastCommand:
         for _ in range(2):
             result = invoke(runner, config_path, "forecast", "AAPL", "--offline")
             assert result.exit_code == 0, result.output
-        state = tmp_path / "state"
+        state = tmp_path / "state" / "offline"
         rows = [
             json.loads(line)
             for line in (state / "evaluations.jsonl").read_text().splitlines()
@@ -158,6 +183,29 @@ class TestForecastCommand:
         assert rows[-1]["reflection_count"] == 1
         assert rows[-1]["self_scores"] == [forecast["self_score"]]
         assert len((state / "reflections.jsonl").read_text().splitlines()) == 2
+
+    def test_second_offline_forecast_reuses_the_scores(
+        self, runner, config_path, tmp_path, monkeypatch
+    ):
+        """Offline, like live, evaluates only when no score exists."""
+        first = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        assert first.exit_code == 0, first.output
+        log = tmp_path / "state" / "offline" / "task_scores.jsonl"
+        rows = log.read_bytes()
+        sent: list[str] = []
+        send = MockTransport.send
+
+        def recording(self, spec, payload):
+            sent.append(payload["messages"][-1]["content"])
+            return send(self, spec, payload)
+
+        monkeypatch.setattr(MockTransport, "send", recording)
+        second = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        assert second.exit_code == 0, second.output
+        # the forecast, its self-assessment and the judge: no probe
+        assert len(sent) == 3
+        assert not any(probe in text for text in sent for probe in PROBES)
+        assert log.read_bytes() == rows
 
     def test_offline_judge_is_the_configured_judge_backend(
         self, runner, tmp_path
@@ -349,7 +397,7 @@ class TestReportCommand:
         assert line.startswith("error (Assistant): ")
         assert message in line
         # Refused before any scoring: no agent was evaluated.
-        assert not (tmp_path / "state" / "task_scores.jsonl").exists()
+        assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
 
     def test_report_skips_a_run_of_text_without_tokens(
         self, runner, config_path, tmp_path
@@ -501,11 +549,20 @@ class TestEvaluateAndRoute:
         ) == "[]"
 
     def test_live_route_on_persisted_scores_builds_no_market_data(
-        self, runner, config_path, monkeypatch
+        self, runner, config_path, tmp_path, monkeypatch
     ):
         """Market data is built on first use, and routing never uses it."""
-        result = invoke(runner, config_path, "evaluate", "--offline")
-        assert result.exit_code == 0, result.output
+        (tmp_path / "state").mkdir()
+        (tmp_path / "state" / "task_scores.jsonl").write_text(
+            "".join(
+                json.dumps(score_row(agent_id, composite)) + "\n"
+                for agent_id, composite in (
+                    ("forecaster-primary", 1.0),
+                    ("forecaster-secondary", 0.0),
+                )
+            ),
+            encoding="utf-8",
+        )
 
         def refuse(*args, **kwargs):
             raise AssertionError("route built market data")
@@ -515,6 +572,44 @@ class TestEvaluateAndRoute:
         result = invoke(runner, config_path, "route", "forecast")
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "forecaster-primary"
+
+    def test_evaluate_writes_one_row_per_agent(
+        self, runner, config_path, tmp_path
+    ):
+        result = invoke(runner, config_path, "evaluate", "--offline")
+        assert result.exit_code == 0, result.output
+        log = tmp_path / "state" / "offline" / "task_scores.jsonl"
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(row["task_kind"], row["agent_id"]) for row in rows] == [
+            ("forecast", "forecaster-primary"),
+            ("forecast", "forecaster-secondary"),
+            ("report", "report-skeptic"),
+            ("report", "report-writer"),
+        ]
+        # no row is contradicted by a later row of the same evaluation
+        latest = {(r["task_kind"], r["agent_id"]): r["composite"] for r in rows}
+        assert [r["composite"] for r in rows] == [
+            latest[(r["task_kind"], r["agent_id"])] for r in rows
+        ] == [1.0, 0.0, 0.0, 1.0]
+
+    def test_offline_scores_never_route_a_live_task(
+        self, runner, config_path, monkeypatch
+    ):
+        """Offline scores live under ``state/offline``, so a live route
+        after an offline evaluation still has to evaluate, and without
+        credentials that fails."""
+        result = invoke(runner, config_path, "evaluate", "--offline")
+        assert result.exit_code == 0, result.output
+        live = build_engine(load_config(config_path), offline=False, env={})
+        assert live.scheduler.latest_scores("forecast") == {}
+        monkeypatch.delenv("EXAMPLE_API_KEY", raising=False)
+        monkeypatch.delenv("OTHER_API_KEY", raising=False)
+        result = invoke(runner, config_path, "route", "forecast", "--json")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert "'EXAMPLE_API_KEY', which is unset" in line
 
     def test_route_unknown_kind_is_usage_error(self, runner, config_path):
         result = invoke(runner, config_path, "route", "poetry", "--offline")
@@ -563,6 +658,20 @@ class TestSelfcheck:
         assert result.exit_code == 0, result.output
         assert "selfcheck passed" in result.output
         assert result.output.count("ok:") == 6
+
+    def test_selfcheck_evaluates_on_every_run(
+        self, runner, config_path, tmp_path
+    ):
+        """Route alone reuses persisted scores, so selfcheck evaluates
+        first: each run scores all four agents again."""
+        log = tmp_path / "state" / "offline" / "task_scores.jsonl"
+        for run in (1, 2):
+            result = runner.invoke(
+                cli, ["selfcheck", "--config", str(config_path)]
+            )
+            assert result.exit_code == 0, result.output
+            assert "ok: agents evaluate and route offline" in result.output
+            assert len(log.read_text().splitlines()) == 4 * run
 
     def test_selfcheck_with_a_renamed_primary_backend(self, runner, tmp_path):
         """The round trip goes to a configured backend that carries the

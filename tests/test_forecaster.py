@@ -510,3 +510,8 @@ def test_run_forecaster_self_assessment_failure_is_the_analysts(
     ]
     assert records[-1]["role"] == "Financial Analyst"
     assert str(err.value) in records[-1]["error"]
+    # The parsed forecast is kept, marked as never assessed.
+    artifact = json.loads((trace.parent / "forecast.json").read_text())
+    assert artifact["prediction"] == {"direction": "up", "low": 0.0, "high": 1.0}
+    assert artifact["model_text"] == FORECAST_REPLY
+    assert artifact["grade"] is None and artifact["self_score"] is None

@@ -461,14 +461,12 @@ def test_evaluate_agents_sends_every_probe_of_every_agent_together(
     )
     assert (alpha.agent_id, alpha.composite) == ("alpha", 1.0)
     assert (beta.agent_id, beta.composite) == ("beta", 0.0)
-    # Graded and appended job by job, as one evaluate_agent call each.
+    # Graded job by job, then the roster is appended once: one row each.
     rows = scheduler.scores_path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(row)["agent_id"] for row in rows] == [
-        "alpha", "alpha", "beta"
-    ]
+    assert [json.loads(row)["agent_id"] for row in rows] == ["alpha", "beta"]
 
 
-def test_failed_probe_of_a_later_agent_keeps_earlier_rows(
+def test_failed_probe_of_a_later_agent_appends_no_rows(
     tmp_path: Path,
 ) -> None:
     def flaky(text: str) -> str:
@@ -485,9 +483,10 @@ def test_failed_probe_of_a_later_agent_keeps_earlier_rows(
         )
     assert err.value.record_id == "g2"
     assert "'beta'" in str(err.value)
-    rows = scheduler.scores_path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(row)["agent_id"] for row in rows] == ["alpha"]
-    assert scheduler.rank_agents("forecast") == [("alpha", 1.0)]
+    # alpha was graded, but a failed evaluation leaves no half roster.
+    assert not scheduler.scores_path.exists()
+    with pytest.raises(NoScoredAgents):
+        scheduler.rank_agents("forecast")
 
 
 def test_correct_vs_wrong_agents_score_one_and_zero(tmp_path: Path) -> None:

@@ -399,6 +399,43 @@ def test_run_task_finalize_failure_carries_director_role(tmp_path: Path) -> None
         ("Financial Analyst", "self_assessment"),
         ("Director", "error"),
     ]
+    # The note the act step wrote is kept, marked as never assessed.
+    run_dir = tmp_path / "runs" / report_task().task_id
+    assert (run_dir / "note.txt").read_text() == NOTE
+    artifact = json.loads((run_dir / "note.json").read_text())
+    assert artifact["note"] == NOTE
+    assert artifact["grade"] is None and artifact["self_score"] is None
+
+
+def test_failed_artifact_write_keeps_the_previous_file(tmp_path: Path) -> None:
+    run, _ = run_note(tmp_path)
+    task, scheduler, gateway = build_scheduler(tmp_path)
+
+    def act(backend_id, trace):
+        # A lone surrogate cannot be encoded: the write fails after the
+        # file it writes to was opened.
+        return Outcome(
+            value=None,
+            final_output=NOTE,
+            artifact="note.json",
+            payload={},
+            texts={"note.txt": "a torn \ud800 note"},
+        )
+
+    with pytest.raises(UnicodeEncodeError):
+        run_task(
+            task,
+            act,
+            scheduler=scheduler,
+            gateway=gateway,
+            prompt_store=PromptStore(),
+            runs_dir=tmp_path / "runs",
+            clock=FixedClock(),
+        )
+    assert (run.run_dir / "note.txt").read_text() == NOTE
+    assert sorted(path.name for path in run.run_dir.iterdir()) == [
+        "note.json", "note.txt", "trace.jsonl",
+    ]
 
 
 # ------------------------------------------------------ concurrent chats
