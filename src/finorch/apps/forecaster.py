@@ -103,15 +103,25 @@ class ForecastResult:
 def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date]:
     """The forecast window: first weekday strictly after the cutoff through
     the cutoff plus the horizon (rolled back off weekends).
+
+    Refuses dates that leave the calendar, from the ``WINDOW_DAYS`` before
+    the cutoff that perception reads to the end of the window.
     """
     if horizon_days < 1:
         raise InvalidHorizon(
             f"horizon must be at least 1 day, got {horizon_days}"
         )
-    start = cutoff + dt.timedelta(days=1)
-    while start.weekday() >= 5:
-        start += dt.timedelta(days=1)
-    end = cutoff + dt.timedelta(days=horizon_days)
+    try:
+        cutoff - dt.timedelta(days=WINDOW_DAYS)
+        start = cutoff + dt.timedelta(days=1)
+        while start.weekday() >= 5:
+            start += dt.timedelta(days=1)
+        end = cutoff + dt.timedelta(days=horizon_days)
+    except OverflowError:
+        raise InvalidHorizon(
+            f"dates from {WINDOW_DAYS} days before {cutoff} to "
+            f"{horizon_days} day(s) after it leave the calendar"
+        ) from None
     while end.weekday() >= 5:
         end -= dt.timedelta(days=1)
     if end < start:

@@ -6,87 +6,33 @@ fixtures, fixed clocks, scores of its own under ``state_dir/offline``).
 Offline runs are fully deterministic: the same invocation writes
 byte-identical artifacts every time.
 
-Exit codes: 0 on success, 1 on any engine error, 2 on usage errors.
+Exit codes: 0 on success; 1 on an engine error, printed as one ``error
+(<role>): ...`` line on stderr; 2 on a usage error, refused before the
+config loads. The parser is built once per process, for every ``main`` call.
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime as dt
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
-import click
-
 from finorch.config import build_engine, load_config
 from finorch.errors import EngineError
+from finorch.prompts import LANGUAGES
+from finorch.scheduler import TASK_KINDS
 
 OFFLINE_DEFAULT_CUTOFF = dt.date(2024, 4, 19)
 
 
-def _echo(message: str, err: bool = False) -> None:
-    """``click.echo`` to the current stdout, or stderr, named on each
-    call. Left to pick the stream, click caches a wrapper per ``sys.stdout``
-    object and keeps a stream that needs none alive as its own wrapper, so
-    a caller that redirects stdout per command would keep every command's
-    output."""
-    stream = click.get_text_stream("stderr" if err else "stdout")
-    click.echo(message, file=stream)
-
-
-def _engine(config_path: str, offline: bool):
-    return build_engine(load_config(config_path), offline=offline)
-
-
-def _engine_command(fn):
-    """Shared options plus EngineError-to-exit-code handling."""
-
-    @click.option(
-        "--config",
-        "config_path",
-        default="config.yaml",
-        show_default=True,
-        help="Path to the engine config file.",
-    )
-    @click.option(
-        "--offline",
-        is_flag=True,
-        help="Use scripted backends and bundled fixtures; never touch "
-        "the network.",
-    )
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except EngineError as exc:
-            role = getattr(exc, "role", None)
-            prefix = f"error ({role})" if role else "error"
-            _echo(f"{prefix}: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
-@click.group()
-def cli() -> None:
-    """Financial agent engine: evaluate, route, forecast, report."""
-
-
-@cli.command()
-@click.option(
-    "--kind",
-    type=click.Choice(["forecast", "report", "all"]),
-    default="all",
-    show_default=True,
-    help="Task kind to evaluate agents for.",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_engine_command
-def evaluate(config_path: str, offline: bool, kind: str, as_json: bool) -> None:
+def evaluate(args: argparse.Namespace) -> None:
     """Score every registered agent against its golden dataset."""
-    engine = _engine(config_path, offline)
-    kinds = ["forecast", "report"] if kind == "all" else [kind]
+    engine = build_engine(load_config(args.config_path), offline=args.offline)
+    kinds = TASK_KINDS if args.kind == "all" else (args.kind,)
     engine.evaluate_all(*kinds)
     payload: dict[str, list[dict]] = {}
     for task_kind in kinds:
@@ -100,159 +46,89 @@ def evaluate(config_path: str, offline: bool, kind: str, as_json: bool) -> None:
             }
             for agent_id, composite in ranking
         ]
-    if as_json:
-        _echo(json.dumps(payload, indent=2, sort_keys=True))
+    if args.as_json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return
     for task_kind in kinds:
-        _echo(f"{task_kind}:")
+        print(f"{task_kind}:")
         for row in payload[task_kind]:
-            _echo(
-                f"  {row['agent_id']}: composite={row['composite']:.4f}"
-            )
+            print(f"  {row['agent_id']}: composite={row['composite']:.4f}")
 
 
-@cli.command()
-@click.argument("task_kind", type=click.Choice(["forecast", "report"]))
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@_engine_command
-def route(config_path: str, offline: bool, task_kind: str, as_json: bool) -> None:
+def route(args: argparse.Namespace) -> None:
     """Pick the best-scored agent for a task kind."""
-    engine = _engine(config_path, offline)
-    engine.ensure_scores(task_kind)
-    ranking = engine.scheduler.rank_agents(task_kind)
-    chosen = engine.scheduler.route(task_kind)
-    if as_json:
-        _echo(
-            json.dumps(
-                {
-                    "task_kind": task_kind,
-                    "ranking": [[a, c] for a, c in ranking],
-                    "chosen": chosen,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+    engine = build_engine(load_config(args.config_path), offline=args.offline)
+    engine.ensure_scores(args.task_kind)
+    ranking = engine.scheduler.rank_agents(args.task_kind)
+    chosen = engine.scheduler.route(args.task_kind)
+    if args.as_json:
+        payload = {"task_kind": args.task_kind, "ranking": ranking, "chosen": chosen}
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return
-    _echo(chosen)
+    print(chosen)
 
 
-@cli.command()
-@click.argument("symbol")
-@click.option(
-    "--cutoff",
-    type=click.DateTime(formats=["%Y-%m-%d"]),
-    default=None,
-    help="Information cutoff date (YYYY-MM-DD). Offline default: "
-    f"{OFFLINE_DEFAULT_CUTOFF.isoformat()}; live default: today.",
-)
-@click.option(
-    "--horizon",
-    type=click.IntRange(min=1),
-    default=7,
-    show_default=True,
-    help="Forecast horizon in calendar days.",
-)
-@click.option(
-    "--lang",
-    type=click.Choice(["en", "zh"]),
-    default=None,
-    help="Prompt and output language (default: config default_language).",
-)
-@_engine_command
-def forecast(
-    config_path: str,
-    offline: bool,
-    symbol: str,
-    cutoff: dt.datetime | None,
-    horizon: int,
-    lang: str | None,
-) -> None:
+def forecast(args: argparse.Namespace) -> None:
     """Forecast next week's move for SYMBOL from pre-cutoff data."""
-    engine = _engine(config_path, offline)
-    if cutoff is not None:
-        cutoff_date = cutoff.date()
-    elif offline:
-        cutoff_date = OFFLINE_DEFAULT_CUTOFF
+    engine = build_engine(load_config(args.config_path), offline=args.offline)
+    if args.cutoff is not None:
+        cutoff = args.cutoff
+    elif args.offline:
+        cutoff = OFFLINE_DEFAULT_CUTOFF
     else:
-        cutoff_date = dt.date.today()
-    run = engine.forecast(symbol.upper(), cutoff_date, horizon, language=lang)
+        cutoff = dt.date.today()
+    run = engine.forecast(
+        args.symbol.upper(), cutoff, args.horizon, language=args.lang
+    )
     result = run.result
-    _echo(f"task: {run.task.task_id}")
-    _echo(f"backend: {run.exchange.backend_id}")
-    _echo(
+    print(f"task: {run.task.task_id}")
+    print(f"backend: {run.exchange.backend_id}")
+    print(
         f"prediction: {result.direction} {result.band_text()} "
         f"({len(result.positives)} positives, {len(result.concerns)} concerns)"
     )
     if run.forecast_path is not None:
-        _echo(f"saved: {run.forecast_path}")
+        print(f"saved: {run.forecast_path}")
 
 
-@cli.command()
-@click.argument(
-    "doc_path", type=click.Path(exists=True, dir_okay=False, path_type=Path)
-)
-@click.option("--subject", default=None, help="Report subject (default: from file name).")
-@click.option(
-    "--lang",
-    type=click.Choice(["en", "zh"]),
-    default=None,
-    help="Prompt and output language (default: config default_language).",
-)
-@_engine_command
-def report(
-    config_path: str,
-    offline: bool,
-    doc_path: Path,
-    subject: str | None,
-    lang: str | None,
-) -> None:
+def report(args: argparse.Namespace) -> None:
     """Analyze DOC_PATH and write a five-section research note."""
-    engine = _engine(config_path, offline)
-    result = engine.report(doc_path, subject=subject, language=lang)
-    _echo(f"task: {result.task_id}")
-    _echo(f"subject: {result.subject}")
-    _echo(
+    engine = build_engine(load_config(args.config_path), offline=args.offline)
+    result = engine.report(args.doc_path, subject=args.subject, language=args.lang)
+    print(f"task: {result.task_id}")
+    print(f"subject: {result.subject}")
+    print(
         f"sections: {len(result.sections)}, "
         f"indicators: {len(result.analysis.indicators)}, "
         f"failures: {len(result.analysis.failures)}, "
         f"discrepancies: {len(result.analysis.discrepancies)}"
     )
     if result.run_dir is not None:
-        _echo(f"saved: {result.run_dir / 'report.md'}")
+        print(f"saved: {result.run_dir / 'report.md'}")
 
 
-@cli.command()
-@click.option(
-    "--config",
-    "config_path",
-    default="config.yaml",
-    show_default=True,
-    help="Path to the engine config file.",
-)
-def selfcheck(config_path: str) -> None:
+def selfcheck(args: argparse.Namespace) -> None:
     """Verify the offline stack end to end without touching the network."""
     from finorch import offline
     from finorch.gateway import ChatMessage
-    from finorch.scheduler import TASK_KINDS
 
     failures = []
 
     def check(label: str, fn) -> None:
         try:
             fn()
-            _echo(f"ok: {label}")
+            print(f"ok: {label}")
         except Exception as exc:  # noqa: BLE001 - selfcheck reports anything
             failures.append(label)
-            _echo(f"FAIL: {label}: {exc}")
+            print(f"FAIL: {label}: {exc}")
 
     try:
-        config = load_config(config_path)
+        config = load_config(args.config_path)
         engine = build_engine(config, offline=True)
     except EngineError as exc:
-        _echo(f"FAIL: load config and build offline engine: {exc}")
+        print(f"FAIL: load config and build offline engine: {exc}")
         sys.exit(1)
-    _echo("ok: load config and build offline engine")
+    print("ok: load config and build offline engine")
 
     def templates_bilingual() -> None:
         pairs = engine.prompt_store.available()
@@ -311,12 +187,118 @@ def selfcheck(config_path: str) -> None:
     )
 
     if failures:
-        _echo(f"selfcheck failed: {len(failures)} check(s)")
+        print(f"selfcheck failed: {len(failures)} check(s)")
         sys.exit(1)
-    _echo("selfcheck passed")
+    print("selfcheck passed")
 
 
-main = cli
+# ── arguments: each type refuses bad input as a usage error ─────────────
+
+
+def _nonblank(value: str) -> str:
+    if not value.strip():
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
+def _date(value: str) -> dt.date:
+    try:
+        return dt.datetime.strptime(value, "%Y-%m-%d").date()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not YYYY-MM-DD") from None
+
+
+def _days(value: str) -> int:
+    days = int(value)  # argparse reports a ValueError as a usage error too
+    if days < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a whole number >= 1")
+    return days
+
+
+def _document(value: str) -> Path:
+    if os.path.isdir(value) or not os.access(value, os.R_OK):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a readable file")
+    return Path(value)
+
+
+_SHARED_OPTIONS = {
+    "--offline": dict(
+        action="store_true",
+        help="Use scripted backends and bundled fixtures; never touch the network.",
+    ),
+    "--json": dict(dest="as_json", action="store_true", help="Emit JSON."),
+    "--lang": dict(
+        choices=LANGUAGES,
+        help="Prompt and output language (default: config default_language).",
+    ),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="finorch",
+        description="Financial agent engine: evaluate, route, forecast, report.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *shared: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            run.__name__, help=run.__doc__, description=run.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        sub.add_argument(
+            "--config",
+            dest="config_path",
+            default="config.yaml",
+            help="Path to the engine config file (default: %(default)s).",
+        )
+        for name in shared:
+            sub.add_argument(name, **_SHARED_OPTIONS[name])
+        return sub
+
+    command(evaluate, "--offline", "--json").add_argument(
+        "--kind",
+        choices=(*TASK_KINDS, "all"),
+        default="all",
+        help="Task kind to evaluate agents for (default: %(default)s).",
+    )
+    command(route, "--offline", "--json").add_argument("task_kind", choices=TASK_KINDS)
+    sub = command(forecast, "--offline", "--lang")
+    sub.add_argument("symbol", metavar="SYMBOL", type=_nonblank)
+    sub.add_argument(
+        "--cutoff",
+        type=_date,
+        help="Information cutoff date (YYYY-MM-DD). Offline default: "
+        f"{OFFLINE_DEFAULT_CUTOFF.isoformat()}; live default: today.",
+    )
+    sub.add_argument(
+        "--horizon",
+        type=_days,
+        default=7,
+        help="Forecast horizon in calendar days (default: %(default)s).",
+    )
+    sub = command(report, "--offline", "--lang")
+    sub.add_argument("doc_path", metavar="DOC_PATH", type=_document)
+    sub.add_argument(
+        "--subject", type=_nonblank, help="Report subject (default: from file name)."
+    )
+    command(selfcheck)
+    return parser
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one command: return on success, raise ``SystemExit`` otherwise."""
+    # ``standalone_mode`` changes nothing; it stays because bench/run.py and
+    # bench/cliprobe.py call ``main(argv, standalone_mode=False)``.
+    args = _parser().parse_args(argv)
+    try:
+        args.run(args)
+    except EngineError as exc:
+        prefix = f"error ({exc.role})" if exc.role else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ from finorch import offline as offline_scripts
 from finorch.clock import Clock, FixedClock, SystemClock
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import BackendSpec, Gateway
-from finorch.prompts import PromptStore
+from finorch.prompts import LANGUAGES, PromptStore
 from finorch.scheduler import (
     TASK_KINDS,
     AgentProfile,
@@ -348,7 +348,7 @@ def load_config(path: Path | str) -> EngineConfig:
         )
 
     language = raw.get("default_language", "en")
-    if language not in ("en", "zh"):
+    if language not in LANGUAGES:
         raise ConfigError(
             f"default_language {language!r} must be 'en' or 'zh'"
         )

@@ -258,7 +258,7 @@ class UnparseablePrediction(EngineError):
 
 class InvalidHorizon(EngineError, ValueError):
     """A forecast horizon under one day, or whose window holds no
-    weekday."""
+    weekday or leaves the calendar."""
 
 
 class UnreadableDocument(EngineError):

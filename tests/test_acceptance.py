@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from finorch.analytics import (
     EpisodeTrace,
@@ -30,7 +29,6 @@ from finorch.analytics import (
     normalize_ratio_panel,
 )
 from finorch.apps.forecaster import build_forecast_prompt, parse_forecast
-from finorch.cli import cli
 from finorch.dataops.providers import FixtureProvider, MarketData
 from finorch.dataops.retrieval import bm25_scores, index_documents, retrieve
 from finorch.dataops.types import PriceObservation, PriceSeries
@@ -39,6 +37,7 @@ from finorch.prompts import PromptStore
 from finorch.scheduler import composite_score, normalize_scores
 from finorch.tools.dsl import eval_dsl
 
+from clirun import run_cli
 from test_config import REPO, write_config
 
 FIXTURES = REPO / "tests" / "fixtures"
@@ -361,12 +360,11 @@ def test_criterion_06_bm25_against_oracle():
 
 
 def test_criterion_07_offline_forecast_is_byte_deterministic(tmp_path):
-    runner = CliRunner()
     config_path = write_config(tmp_path)
     started = time.perf_counter()
 
-    first = runner.invoke(
-        cli, ["forecast", "AAPL", "--offline", "--config", str(config_path)]
+    first = run_cli(
+        ["forecast", "AAPL", "--offline", "--config", str(config_path)]
     )
     assert first.exit_code == 0, first.output
     run_dir = tmp_path / "runs" / "forecast-AAPL-20240419-h7-en"
@@ -374,8 +372,8 @@ def test_criterion_07_offline_forecast_is_byte_deterministic(tmp_path):
     trace_bytes = (run_dir / "trace.jsonl").read_bytes()
     assert forecast_bytes and trace_bytes
 
-    second = runner.invoke(
-        cli, ["forecast", "AAPL", "--offline", "--config", str(config_path)]
+    second = run_cli(
+        ["forecast", "AAPL", "--offline", "--config", str(config_path)]
     )
     assert second.exit_code == 0, second.output
     elapsed = time.perf_counter() - started
@@ -388,20 +386,19 @@ def test_criterion_07_offline_forecast_is_byte_deterministic(tmp_path):
 
 
 def test_criterion_07_offline_report_is_byte_deterministic(tmp_path):
-    runner = CliRunner()
     config_path = write_config(tmp_path)
     doc = FIXTURES / "acme_filing.txt"
     args = ["report", str(doc), "--offline", "--config", str(config_path)]
     names = ("report.md", "report.txt", "analysis.json", "trace.jsonl")
     started = time.perf_counter()
 
-    first = runner.invoke(cli, args)
+    first = run_cli(args)
     assert first.exit_code == 0, first.output
     run_dir = tmp_path / "runs" / "report-acme-filing-acme_filing-en"
     before = {name: (run_dir / name).read_bytes() for name in names}
     assert all(before.values())
 
-    second = runner.invoke(cli, args)
+    second = run_cli(args)
     assert second.exit_code == 0, second.output
     elapsed = time.perf_counter() - started
     for name in names:
@@ -435,7 +432,6 @@ def test_criterion_08_watermark_never_reaches_prompts(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MockTransport, "send", recording_send)
 
-    runner = CliRunner()
     config_path = write_config(tmp_path)
     matrix = [
         ["forecast", "AAPL", "--offline"],
@@ -449,9 +445,7 @@ def test_criterion_08_watermark_never_reaches_prompts(tmp_path, monkeypatch):
         ],
     ]
     for args in matrix:
-        result = runner.invoke(
-            cli, [*args, "--config", str(config_path)]
-        )
+        result = run_cli([*args, "--config", str(config_path)])
         assert result.exit_code == 0, (args, result.output)
         assert WATERMARK not in result.output
 
@@ -473,7 +467,6 @@ def test_criterion_08_watermark_never_reaches_prompts(tmp_path, monkeypatch):
 
 
 def test_criterion_09_evaluate_then_route_picks_correct_agent(tmp_path):
-    runner = CliRunner()
     golden = json.loads(
         "[" + ",".join(
             line
@@ -489,14 +482,12 @@ def test_criterion_09_evaluate_then_route_picks_correct_agent(tmp_path):
         workspace = tmp_path / f"run-{run:02d}"
         workspace.mkdir()
         config_path = write_config(workspace)
-        evaluated = runner.invoke(
-            cli,
+        evaluated = run_cli(
             ["evaluate", "--offline", "--kind", "forecast",
              "--config", str(config_path)],
         )
         assert evaluated.exit_code == 0, evaluated.output
-        routed = runner.invoke(
-            cli,
+        routed = run_cli(
             ["route", "forecast", "--offline", "--config", str(config_path)],
         )
         assert routed.exit_code == 0, routed.output

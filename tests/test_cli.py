@@ -14,25 +14,26 @@ import weakref
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from finorch import offline
-from finorch.cli import cli
+from finorch.cli import _parser, main
 from finorch.config import build_engine, load_config
 from finorch.dataops import cache, providers
 from finorch.gateway import MOCK_SENTINEL, Gateway, MockTransport
 from finorch.scheduler import Scheduler, TaskScore
 
+from clirun import run_cli
 from test_config import REPO, write_config
 
 
 def imported_by_offline_command(config_path, args, *modules):
     """Which of ``modules`` one offline command imports, in a fresh
-    interpreter."""
+    interpreter. The result also lists ``click`` if anything imports it:
+    the CLI runs on ``argparse``."""
     code = (
-        "import sys; from finorch.cli import cli; "
-        "cli(sys.argv[1:], standalone_mode=False); "
-        f"print(sorted(set({list(modules)!r}) & set(sys.modules)))"
+        "import sys; from finorch.cli import main; "
+        "main(sys.argv[1:], standalone_mode=False); "
+        f"print(sorted(set({[*modules, 'click']!r}) & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     done = subprocess.run(
@@ -45,17 +46,12 @@ def imported_by_offline_command(config_path, args, *modules):
 
 
 @pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture()
 def config_path(tmp_path) -> Path:
     return write_config(tmp_path)
 
 
-def invoke(runner, config_path, *args):
-    return runner.invoke(cli, [*args, "--config", str(config_path)])
+def invoke(config_path, *args):
+    return run_cli([*args, "--config", str(config_path)])
 
 
 #: The input texts of the forecast golden set, which every probe carries.
@@ -83,8 +79,8 @@ def score_row(agent_id: str, composite: float) -> dict:
 
 
 class TestForecastCommand:
-    def test_offline_forecast_succeeds(self, runner, config_path, tmp_path):
-        result = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+    def test_offline_forecast_succeeds(self, config_path, tmp_path):
+        result = invoke(config_path, "forecast", "AAPL", "--offline")
         assert result.exit_code == 0, result.output
         assert "task: forecast-AAPL-20240419-h7-en" in result.output
         assert "prediction: up 0-1% (3 positives, 2 concerns)" in result.output
@@ -93,23 +89,23 @@ class TestForecastCommand:
         assert (run_dir / "trace.jsonl").exists()
 
     def test_offline_forecast_is_byte_deterministic(
-        self, runner, config_path, tmp_path
+        self, config_path, tmp_path
     ):
-        first = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        first = invoke(config_path, "forecast", "AAPL", "--offline")
         assert first.exit_code == 0, first.output
         run_dir = tmp_path / "runs" / "forecast-AAPL-20240419-h7-en"
         forecast_1 = (run_dir / "forecast.json").read_bytes()
         trace_1 = (run_dir / "trace.jsonl").read_bytes()
 
-        second = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        second = invoke(config_path, "forecast", "AAPL", "--offline")
         assert second.exit_code == 0, second.output
         assert (run_dir / "forecast.json").read_bytes() == forecast_1
         assert (run_dir / "trace.jsonl").read_bytes() == trace_1
         assert second.output == first.output
 
-    def test_offline_forecast_zh(self, runner, config_path, tmp_path):
+    def test_offline_forecast_zh(self, config_path, tmp_path):
         result = invoke(
-            runner, config_path, "forecast", "AAPL", "--offline",
+            config_path, "forecast", "AAPL", "--offline",
             "--lang", "zh",
         )
         assert result.exit_code == 0, result.output
@@ -122,24 +118,24 @@ class TestForecastCommand:
             "direction": "up", "low": 0.0, "high": 1.0,
         }
 
-    def test_explicit_cutoff_and_horizon(self, runner, config_path, tmp_path):
+    def test_explicit_cutoff_and_horizon(self, config_path, tmp_path):
         result = invoke(
-            runner, config_path, "forecast", "NVDA", "--offline",
+            config_path, "forecast", "NVDA", "--offline",
             "--cutoff", "2024-01-29", "--horizon", "7",
         )
         assert result.exit_code == 0, result.output
         assert "task: forecast-NVDA-20240129-h7-en" in result.output
         assert "prediction: up 2-3%" in result.output
 
-    def test_unknown_symbol_exits_one(self, runner, config_path):
-        result = invoke(runner, config_path, "forecast", "MSFT", "--offline")
+    def test_unknown_symbol_exits_one(self, config_path):
+        result = invoke(config_path, "forecast", "MSFT", "--offline")
         assert result.exit_code == 1
         assert "error (Assistant)" in result.stderr
         assert "MSFT" in result.stderr
 
-    def test_invalid_horizon_is_usage_error(self, runner, config_path):
+    def test_invalid_horizon_is_usage_error(self, config_path):
         result = invoke(
-            runner, config_path, "forecast", "AAPL", "--offline",
+            config_path, "forecast", "AAPL", "--offline",
             "--horizon", "0",
         )
         assert result.exit_code == 2
@@ -164,11 +160,38 @@ class TestForecastCommand:
         assert not (tmp_path / "runs" / "forecast-AAPL-20240419-h1-en").exists()
         assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--horizon", "10000000"],
+            ["--cutoff", "9999-12-31"],
+            ["--cutoff", "0001-01-01"],
+        ],
+        ids=["horizon-past-max", "cutoff-max", "cutoff-min"],
+    )
+    def test_dates_off_the_calendar_are_one_error_line(
+        self, config_path, tmp_path, args
+    ):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "finorch.cli", "forecast", "AAPL",
+             "--offline", *args, "--config", str(config_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error (Assistant): ")
+        assert "leave the calendar" in line
+        # refused before any scoring, fetch or trace
+        assert not (tmp_path / "runs").exists()
+        assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
+
     def test_rerun_grades_only_its_own_reflection(
-        self, runner, config_path, tmp_path
+        self, config_path, tmp_path
     ):
         for _ in range(2):
-            result = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+            result = invoke(config_path, "forecast", "AAPL", "--offline")
             assert result.exit_code == 0, result.output
         state = tmp_path / "state" / "offline"
         rows = [
@@ -185,10 +208,10 @@ class TestForecastCommand:
         assert len((state / "reflections.jsonl").read_text().splitlines()) == 2
 
     def test_second_offline_forecast_reuses_the_scores(
-        self, runner, config_path, tmp_path, monkeypatch
+        self, config_path, tmp_path, monkeypatch
     ):
         """Offline, like live, evaluates only when no score exists."""
-        first = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        first = invoke(config_path, "forecast", "AAPL", "--offline")
         assert first.exit_code == 0, first.output
         log = tmp_path / "state" / "offline" / "task_scores.jsonl"
         rows = log.read_bytes()
@@ -200,7 +223,7 @@ class TestForecastCommand:
             return send(self, spec, payload)
 
         monkeypatch.setattr(MockTransport, "send", recording)
-        second = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        second = invoke(config_path, "forecast", "AAPL", "--offline")
         assert second.exit_code == 0, second.output
         # the forecast, its self-assessment and the judge: no probe
         assert len(sent) == 3
@@ -208,7 +231,7 @@ class TestForecastCommand:
         assert log.read_bytes() == rows
 
     def test_offline_judge_is_the_configured_judge_backend(
-        self, runner, tmp_path
+        self, tmp_path
     ):
         """Offline, the backend that ``judge_backend_id`` names answers as
         the judge, whatever its id."""
@@ -217,7 +240,7 @@ class TestForecastCommand:
         config_path = write_config(
             tmp_path, minimal_text().replace(": judge", ": grader")
         )
-        result = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        result = invoke(config_path, "forecast", "AAPL", "--offline")
         assert result.exit_code == 0, result.output
         forecast = json.loads(
             (tmp_path / "runs" / "forecast-AAPL-20240419-h7-en" /
@@ -225,28 +248,28 @@ class TestForecastCommand:
         )
         assert forecast["grade"] == 1.0
 
-    def test_missing_symbol_is_usage_error(self, runner, config_path):
-        result = invoke(runner, config_path, "forecast", "--offline")
+    def test_missing_symbol_is_usage_error(self, config_path):
+        result = invoke(config_path, "forecast", "--offline")
         assert result.exit_code == 2
 
     def test_offline_runs_with_network_disabled(
-        self, runner, config_path, monkeypatch
+        self, config_path, monkeypatch
     ):
         def refuse(*args, **kwargs):
             raise AssertionError("offline command attempted a network call")
 
         monkeypatch.setattr(socket, "socket", refuse)
         monkeypatch.setattr(socket, "create_connection", refuse)
-        result = invoke(runner, config_path, "forecast", "AAPL", "--offline")
+        result = invoke(config_path, "forecast", "AAPL", "--offline")
         assert result.exit_code == 0, result.output
 
 
 class TestReportCommand:
     DOC = REPO / "tests" / "fixtures" / "acme_filing.txt"
 
-    def test_offline_report_succeeds(self, runner, config_path, tmp_path):
+    def test_offline_report_succeeds(self, config_path, tmp_path):
         result = invoke(
-            runner, config_path, "report", str(self.DOC), "--offline"
+            config_path, "report", str(self.DOC), "--offline"
         )
         assert result.exit_code == 0, result.output
         assert "subject: Acme Filing" in result.output
@@ -256,10 +279,10 @@ class TestReportCommand:
             assert (run_dir / name).exists()
 
     def test_offline_report_is_byte_deterministic(
-        self, runner, config_path, tmp_path
+        self, config_path, tmp_path
     ):
         first = invoke(
-            runner, config_path, "report", str(self.DOC), "--offline"
+            config_path, "report", str(self.DOC), "--offline"
         )
         assert first.exit_code == 0, first.output
         run_dir = tmp_path / "runs" / "report-acme-filing-acme_filing-en"
@@ -269,7 +292,7 @@ class TestReportCommand:
                          "trace.jsonl")
         }
         second = invoke(
-            runner, config_path, "report", str(self.DOC), "--offline"
+            config_path, "report", str(self.DOC), "--offline"
         )
         assert second.exit_code == 0, second.output
         for name, blob in before.items():
@@ -295,7 +318,7 @@ class TestReportCommand:
             config_path, "finorch.analytics", "finorch.tools.dsl"
         ) == "[]"
 
-    def test_report_routes_once(self, runner, config_path, monkeypatch):
+    def test_report_routes_once(self, config_path, monkeypatch):
         """The Director routes a report once, in the task runner; the
         routed agent's backend both extracts and writes."""
         routed: list[str] = []
@@ -307,16 +330,16 @@ class TestReportCommand:
 
         monkeypatch.setattr(Scheduler, "route", recording)
         result = invoke(
-            runner, config_path, "report", str(self.DOC), "--offline"
+            config_path, "report", str(self.DOC), "--offline"
         )
         assert result.exit_code == 0, result.output
         assert routed == ["report"]
 
     def test_offline_zh_report_answers_every_section(
-        self, runner, config_path, tmp_path
+        self, config_path, tmp_path
     ):
         result = invoke(
-            runner, config_path, "report", str(self.DOC), "--offline",
+            config_path, "report", str(self.DOC), "--offline",
             "--lang", "zh",
         )
         assert result.exit_code == 0, result.output
@@ -328,7 +351,7 @@ class TestReportCommand:
             assert body in report
 
     def test_offline_zh_report_extracts_in_zh(
-        self, runner, config_path, tmp_path, monkeypatch
+        self, config_path, tmp_path, monkeypatch
     ):
         prompts: list[str] = []
         chat_many = Gateway.chat_many
@@ -342,7 +365,7 @@ class TestReportCommand:
         for lang in ("en", "zh"):
             prompts.clear()
             result = invoke(
-                runner, config_path, "report", str(self.DOC), "--offline",
+                config_path, "report", str(self.DOC), "--offline",
                 "--lang", lang,
             )
             assert result.exit_code == 0, result.output
@@ -358,17 +381,17 @@ class TestReportCommand:
         assert indicators["zh"] == indicators["en"]
         assert [i["name"] for i in indicators["en"]] == ["revenue", "net income"]
 
-    def test_custom_subject(self, runner, config_path):
+    def test_custom_subject(self, config_path):
         result = invoke(
-            runner, config_path, "report", str(self.DOC), "--offline",
+            config_path, "report", str(self.DOC), "--offline",
             "--subject", "Acme Industrial Group",
         )
         assert result.exit_code == 0, result.output
         assert "subject: Acme Industrial Group" in result.output
 
-    def test_missing_document_is_usage_error(self, runner, config_path):
+    def test_missing_document_is_usage_error(self, config_path):
         result = invoke(
-            runner, config_path, "report", "no-such-file.txt", "--offline"
+            config_path, "report", "no-such-file.txt", "--offline"
         )
         assert result.exit_code == 2
 
@@ -400,7 +423,7 @@ class TestReportCommand:
         assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
 
     def test_report_skips_a_run_of_text_without_tokens(
-        self, runner, config_path, tmp_path
+        self, config_path, tmp_path
     ):
         doc = tmp_path / "acme_filing.txt"
         body = self.DOC.read_text(encoding="utf-8")
@@ -408,15 +431,45 @@ class TestReportCommand:
             "Contents " + "." * 3000 + "\n" + body + "- " * 700,
             encoding="utf-8",
         )
-        result = invoke(runner, config_path, "report", str(doc), "--offline")
+        result = invoke(config_path, "report", str(doc), "--offline")
         assert result.exit_code == 0, result.output
         assert "sections: 5" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["forecast", ""],
+        ["forecast", " \t"],
+        ["report", str(TestReportCommand.DOC), "--subject", ""],
+        ["report", str(TestReportCommand.DOC), "--subject", "  "],
+    ],
+    ids=["symbol-empty", "symbol-blank", "subject-empty", "subject-blank"],
+)
+def test_empty_subject_is_usage_error(config_path, monkeypatch, args):
+    """An empty SYMBOL or --subject is refused before the config loads, so
+    nothing is scored."""
+
+    def refuse(path):
+        raise AssertionError("config loaded")
+
+    monkeypatch.setattr("finorch.cli.load_config", refuse)
+    result = invoke(config_path, *args, "--offline")
+    assert result.exit_code == 2
+    assert "must not be empty" in result.stderr
+
+
+def test_parser_is_built_once_per_process(config_path):
+    _parser.cache_clear()
+    for _ in range(2):
+        assert invoke(config_path, "route", "forecast", "--offline").exit_code == 0
+    assert _parser.cache_info().misses == 1
+
+
 class TestEvaluateAndRoute:
-    def test_evaluate_json(self, runner, config_path):
+    def test_evaluate_json(self, config_path):
         result = invoke(
-            runner, config_path, "evaluate", "--offline", "--json"
+            config_path, "evaluate", "--offline", "--json"
         )
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
@@ -428,23 +481,23 @@ class TestEvaluateAndRoute:
         assert forecast_rows[1]["composite"] == 0.0
         assert payload["report"][0]["agent_id"] == "report-writer"
 
-    def test_evaluate_single_kind_text(self, runner, config_path):
+    def test_evaluate_single_kind_text(self, config_path):
         result = invoke(
-            runner, config_path, "evaluate", "--offline", "--kind", "forecast"
+            config_path, "evaluate", "--offline", "--kind", "forecast"
         )
         assert result.exit_code == 0, result.output
         assert "forecast:" in result.output
         assert "report:" not in result.output
         assert "forecaster-primary: composite=1.0000" in result.output
 
-    def test_route_plain(self, runner, config_path):
-        result = invoke(runner, config_path, "route", "forecast", "--offline")
+    def test_route_plain(self, config_path):
+        result = invoke(config_path, "route", "forecast", "--offline")
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "forecaster-primary"
 
-    def test_route_json(self, runner, config_path):
+    def test_route_json(self, config_path):
         result = invoke(
-            runner, config_path, "route", "report", "--offline", "--json"
+            config_path, "route", "report", "--offline", "--json"
         )
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
@@ -452,7 +505,7 @@ class TestEvaluateAndRoute:
         assert payload["ranking"][0] == ["report-writer", 1.0]
 
     def test_evaluate_all_sends_every_probe_in_one_batch(
-        self, runner, config_path, monkeypatch
+        self, config_path, monkeypatch
     ):
         batches: list[int] = []
         chat_many = Gateway.chat_many
@@ -462,7 +515,7 @@ class TestEvaluateAndRoute:
             return chat_many(self, requests)
 
         monkeypatch.setattr(Gateway, "chat_many", recording)
-        result = invoke(runner, config_path, "evaluate", "--offline")
+        result = invoke(config_path, "evaluate", "--offline")
         assert result.exit_code == 0, result.output
         # 4 forecast records for 2 agents, 2 report records for 2 agents
         assert batches == [12]
@@ -549,7 +602,7 @@ class TestEvaluateAndRoute:
         ) == "[]"
 
     def test_live_route_on_persisted_scores_builds_no_market_data(
-        self, runner, config_path, tmp_path, monkeypatch
+        self, config_path, tmp_path, monkeypatch
     ):
         """Market data is built on first use, and routing never uses it."""
         (tmp_path / "state").mkdir()
@@ -569,14 +622,14 @@ class TestEvaluateAndRoute:
 
         monkeypatch.setattr(providers.LiveProvider, "__init__", refuse)
         monkeypatch.setattr(cache.ResponseCache, "__init__", refuse)
-        result = invoke(runner, config_path, "route", "forecast")
+        result = invoke(config_path, "route", "forecast")
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "forecaster-primary"
 
     def test_evaluate_writes_one_row_per_agent(
-        self, runner, config_path, tmp_path
+        self, config_path, tmp_path
     ):
-        result = invoke(runner, config_path, "evaluate", "--offline")
+        result = invoke(config_path, "evaluate", "--offline")
         assert result.exit_code == 0, result.output
         log = tmp_path / "state" / "offline" / "task_scores.jsonl"
         rows = [json.loads(line) for line in log.read_text().splitlines()]
@@ -593,29 +646,29 @@ class TestEvaluateAndRoute:
         ] == [1.0, 0.0, 0.0, 1.0]
 
     def test_offline_scores_never_route_a_live_task(
-        self, runner, config_path, monkeypatch
+        self, config_path, monkeypatch
     ):
         """Offline scores live under ``state/offline``, so a live route
         after an offline evaluation still has to evaluate, and without
         credentials that fails."""
-        result = invoke(runner, config_path, "evaluate", "--offline")
+        result = invoke(config_path, "evaluate", "--offline")
         assert result.exit_code == 0, result.output
         live = build_engine(load_config(config_path), offline=False, env={})
         assert live.scheduler.latest_scores("forecast") == {}
         monkeypatch.delenv("EXAMPLE_API_KEY", raising=False)
         monkeypatch.delenv("OTHER_API_KEY", raising=False)
-        result = invoke(runner, config_path, "route", "forecast", "--json")
+        result = invoke(config_path, "route", "forecast", "--json")
         assert result.exit_code == 1
         assert result.stdout == ""
         [line] = result.stderr.splitlines()
         assert line.startswith("error: ")
         assert "'EXAMPLE_API_KEY', which is unset" in line
 
-    def test_route_unknown_kind_is_usage_error(self, runner, config_path):
-        result = invoke(runner, config_path, "route", "poetry", "--offline")
+    def test_route_unknown_kind_is_usage_error(self, config_path):
+        result = invoke(config_path, "route", "poetry", "--offline")
         assert result.exit_code == 2
 
-    def test_evaluate_missing_golden_exits_one(self, runner, tmp_path):
+    def test_evaluate_missing_golden_exits_one(self, tmp_path):
         from test_config import MINIMAL
 
         (tmp_path / "no-golden").mkdir()
@@ -626,7 +679,7 @@ class TestEvaluateAndRoute:
                 fixture_dir=REPO / "fixtures",
             ),
         )
-        result = invoke(runner, config_path, "evaluate", "--offline")
+        result = invoke(config_path, "evaluate", "--offline")
         assert result.exit_code == 1
         assert "no golden dataset" in result.stderr
 
@@ -651,29 +704,25 @@ class TestEvaluateAndRoute:
 
 
 class TestSelfcheck:
-    def test_selfcheck_passes(self, runner, config_path):
-        result = runner.invoke(
-            cli, ["selfcheck", "--config", str(config_path)]
-        )
+    def test_selfcheck_passes(self, config_path):
+        result = run_cli(["selfcheck", "--config", str(config_path)])
         assert result.exit_code == 0, result.output
         assert "selfcheck passed" in result.output
         assert result.output.count("ok:") == 6
 
     def test_selfcheck_evaluates_on_every_run(
-        self, runner, config_path, tmp_path
+        self, config_path, tmp_path
     ):
         """Route alone reuses persisted scores, so selfcheck evaluates
         first: each run scores all four agents again."""
         log = tmp_path / "state" / "offline" / "task_scores.jsonl"
         for run in (1, 2):
-            result = runner.invoke(
-                cli, ["selfcheck", "--config", str(config_path)]
-            )
+            result = run_cli(["selfcheck", "--config", str(config_path)])
             assert result.exit_code == 0, result.output
             assert "ok: agents evaluate and route offline" in result.output
             assert len(log.read_text().splitlines()) == 4 * run
 
-    def test_selfcheck_with_a_renamed_primary_backend(self, runner, tmp_path):
+    def test_selfcheck_with_a_renamed_primary_backend(self, tmp_path):
         """The round trip goes to a configured backend that carries the
         primary script, whatever its id."""
         from test_config import minimal_text
@@ -682,30 +731,26 @@ class TestSelfcheck:
             tmp_path,
             minimal_text().replace("backend_id: primary", "backend_id: openai"),
         )
-        result = runner.invoke(
-            cli, ["selfcheck", "--config", str(config_path)]
-        )
+        result = run_cli(["selfcheck", "--config", str(config_path)])
         assert result.exit_code == 0, result.output
         assert "ok: scripted backend round trip" in result.output
         assert "selfcheck passed" in result.output
 
-    def test_selfcheck_bad_config_fails(self, runner, tmp_path):
-        result = runner.invoke(
-            cli, ["selfcheck", "--config", str(tmp_path / "missing.yaml")]
-        )
+    def test_selfcheck_bad_config_fails(self, tmp_path):
+        result = run_cli(["selfcheck", "--config", str(tmp_path / "missing.yaml")])
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
 
 def test_in_process_commands_keep_no_redirected_stdout(config_path):
     """A caller that runs commands in its own process and redirects stdout
-    for each gets every redirected stream back: click keeps none alive."""
+    for each gets every redirected stream back: the CLI keeps none alive."""
     streams = []
     for argv in (["route", "forecast"], ["route", "report"], ["evaluate"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            cli([*argv, "--offline", "--config", str(config_path)],
-                standalone_mode=False)
+            main([*argv, "--offline", "--config", str(config_path)],
+                 standalone_mode=False)
         assert out.getvalue()
         streams += [weakref.ref(out), weakref.ref(err)]
         del out, err

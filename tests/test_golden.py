@@ -14,10 +14,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from finorch.cli import cli
-
+from clirun import run_cli
 from test_config import REPO, write_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,7 +37,7 @@ TREES = ("runs", "state")
 def run_case(args: list[str], tmp_path: Path) -> dict[str, bytes]:
     """Every output of one command, keyed by its path relative to tmp_path."""
     config_path = write_config(tmp_path)
-    result = CliRunner().invoke(cli, [*args, "--config", str(config_path)])
+    result = run_cli([*args, "--config", str(config_path)])
     assert result.exit_code == 0, result.output
     outputs = {"stdout.txt": result.output.replace(str(tmp_path), "<tmp>").encode()}
     for tree in TREES:
