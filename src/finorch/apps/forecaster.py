@@ -12,7 +12,6 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any
@@ -29,6 +28,7 @@ from finorch.errors import (
 )
 from finorch.gateway import ChatExchange, ChatMessage, Gateway
 from finorch.prompts import PromptStore
+from finorch.record import Record
 from finorch.scheduler import Scheduler, WorkflowEvaluation
 from finorch.workflow import (
     ROLE_ASSISTANT,
@@ -52,29 +52,33 @@ def _headers() -> dict[str, Any]:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-# ── result dataclasses ───────────────────────────────────────────────────
+# ── result records ───────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class FactorItem:
+class FactorItem(Record):
     """One numbered development or concern, with its evidence tag."""
 
     text: str
-    evidence_tag: str | None = None
-    other_tag: str = ""
+    evidence_tag: str | None
+    other_tag: str
+    __slots__ = ("text", "evidence_tag", "other_tag")
 
-    def __post_init__(self) -> None:
-        if self.evidence_tag is not None:
-            if self.evidence_tag not in EVIDENCE_TAGS:
-                raise ValueError(f"unknown evidence tag {self.evidence_tag!r}")
-            if self.other_tag:
+    def __init__(
+        self, text: str, evidence_tag: str | None = None, other_tag: str = ""
+    ) -> None:
+        if evidence_tag is not None:
+            if evidence_tag not in EVIDENCE_TAGS:
+                raise ValueError(f"unknown evidence tag {evidence_tag!r}")
+            if other_tag:
                 raise ValueError("a tagged item cannot also carry other_tag")
-        if not self.text:
+        if not text:
             raise ValueError("item text must be non-empty")
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "evidence_tag", evidence_tag)
+        object.__setattr__(self, "other_tag", other_tag)
 
 
-@dataclass(frozen=True)
-class ForecastResult:
+class ForecastResult(Record):
     """Parsed model forecast: factors, banded prediction, and analysis."""
 
     positives: tuple[FactorItem, ...]
@@ -83,15 +87,28 @@ class ForecastResult:
     low: float
     high: float
     analysis: str
-    language: str = "en"
+    language: str
+    __slots__ = (
+        "positives", "concerns", "direction", "low", "high", "analysis",
+        "language",
+    )
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("up", "down"):
-            raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
-        if self.low < 0 or self.high < self.low:
-            raise ValueError(
-                f"prediction band [{self.low}, {self.high}] is not ordered"
-            )
+    def __init__(
+        self, positives: tuple[FactorItem, ...],
+        concerns: tuple[FactorItem, ...], direction: str, low: float,
+        high: float, analysis: str, language: str = "en"
+    ) -> None:
+        if direction not in ("up", "down"):
+            raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+        if low < 0 or high < low:
+            raise ValueError(f"prediction band [{low}, {high}] is not ordered")
+        object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "concerns", concerns)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "analysis", analysis)
+        object.__setattr__(self, "language", language)
 
     def band_text(self) -> str:
         return f"{self.low:g}-{self.high:g}%"
@@ -134,12 +151,16 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
 # ── perception (Assistant) ───────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class PerceptionBundle:
+class PerceptionBundle(Record):
     """What the Assistant gathered for one forecast."""
 
     company: CompanyBundle
     assembled_at: str
+    __slots__ = ("company", "assembled_at")
+
+    def __init__(self, company: CompanyBundle, assembled_at: str) -> None:
+        object.__setattr__(self, "company", company)
+        object.__setattr__(self, "assembled_at", assembled_at)
 
 
 def perceive(
@@ -468,15 +489,26 @@ def forecast_task_id(
     return f"forecast-{symbol}-{cutoff.strftime('%Y%m%d')}-h{horizon}-{language}"
 
 
-@dataclass(frozen=True)
-class ForecastRun:
+class ForecastRun(Record):
     """Artifacts of one forecaster invocation."""
 
     task: Task
     result: ForecastResult
     exchange: ChatExchange
-    evaluation: WorkflowEvaluation | None = None
-    run_dir: Path | None = None
+    evaluation: WorkflowEvaluation | None
+    run_dir: Path | None
+    __slots__ = ("task", "result", "exchange", "evaluation", "run_dir")
+
+    def __init__(
+        self, task: Task, result: ForecastResult, exchange: ChatExchange,
+        evaluation: WorkflowEvaluation | None = None,
+        run_dir: Path | None = None
+    ) -> None:
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "exchange", exchange)
+        object.__setattr__(self, "evaluation", evaluation)
+        object.__setattr__(self, "run_dir", run_dir)
 
     @property
     def forecast_path(self) -> Path | None:

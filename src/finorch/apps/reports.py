@@ -12,7 +12,6 @@ in its own retrieved passages and the extracted indicators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -32,6 +31,7 @@ from finorch.errors import (
 )
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import PromptStore
+from finorch.record import Record
 from finorch.scheduler import Scheduler, WorkflowEvaluation
 from finorch.tools.calls import ToolParam, ToolSchema, text2params
 from finorch.workflow import (
@@ -78,59 +78,114 @@ RECORD_INDICATOR = ToolSchema(
 )
 
 
-# ── dataclasses ──────────────────────────────────────────────────────────
+# ── records ──────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(Record):
     """One extracted figure, tied to the chunks that supported it."""
 
     name: str
     value: float
-    unit: str = ""
-    period: str = ""
-    topic: str = ""
-    source_ids: tuple[str, ...] = ()
+    unit: str
+    period: str
+    topic: str
+    source_ids: tuple[str, ...]
+    __slots__ = ("name", "value", "unit", "period", "topic", "source_ids")
+
+    def __init__(
+        self, name: str, value: float, unit: str = "", period: str = "",
+        topic: str = "", source_ids: tuple[str, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "topic", topic)
+        object.__setattr__(self, "source_ids", source_ids)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     """The same indicator name extracted with materially different values."""
 
     name: str
     values: tuple[float, ...]
     detail: str
+    __slots__ = ("name", "values", "detail")
+
+    def __init__(self, name: str, values: tuple[float, ...], detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class DocumentAnalysis:
-    """Everything analyze_document learned about one file."""
+class DocumentAnalysis(Record):
+    """Everything analyze_document learned about one file. ``index`` is
+    left out of equality and of the repr."""
 
     doc_path: Path
     chunk_count: int
     indicators: tuple[Indicator, ...]
     failures: tuple[tuple[str, str], ...]  # (topic, cause)
     discrepancies: tuple[Discrepancy, ...]
-    index: RetrievalIndex | None = field(repr=False, compare=False, default=None)
+    index: RetrievalIndex | None
+    __slots__ = (
+        "doc_path", "chunk_count", "indicators", "failures", "discrepancies",
+        "index",
+    )
+    _uncompared = _unshown = ("index",)
+
+    def __init__(
+        self, doc_path: Path, chunk_count: int,
+        indicators: tuple[Indicator, ...],
+        failures: tuple[tuple[str, str], ...],
+        discrepancies: tuple[Discrepancy, ...],
+        index: RetrievalIndex | None = None
+    ) -> None:
+        object.__setattr__(self, "doc_path", doc_path)
+        object.__setattr__(self, "chunk_count", chunk_count)
+        object.__setattr__(self, "indicators", indicators)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "discrepancies", discrepancies)
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class ReportSection:
+class ReportSection(Record):
     name: str
     body: str
     refs: tuple[str, ...]
+    __slots__ = ("name", "body", "refs")
+
+    def __init__(self, name: str, body: str, refs: tuple[str, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "refs", refs)
 
 
-@dataclass(frozen=True)
-class ReportResult:
+class ReportResult(Record):
     """A finished research note plus the analysis it was built from."""
 
     task_id: str
     subject: str
     sections: tuple[ReportSection, ...]
     analysis: DocumentAnalysis
-    evaluation: WorkflowEvaluation | None = None
-    run_dir: Path | None = None
+    evaluation: WorkflowEvaluation | None
+    run_dir: Path | None
+    __slots__ = (
+        "task_id", "subject", "sections", "analysis", "evaluation", "run_dir",
+    )
+
+    def __init__(
+        self, task_id: str, subject: str, sections: tuple[ReportSection, ...],
+        analysis: DocumentAnalysis,
+        evaluation: WorkflowEvaluation | None = None,
+        run_dir: Path | None = None
+    ) -> None:
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "analysis", analysis)
+        object.__setattr__(self, "evaluation", evaluation)
+        object.__setattr__(self, "run_dir", run_dir)
 
     def to_text(self) -> str:
         parts = [f"{self.subject} — Research Note", "=" * 40, ""]
@@ -319,8 +374,7 @@ def analyze_document(
             failures.append((topic, exc.cause))
         except EngineError as exc:
             failures.append((topic, str(exc)))
-    return replace(
-        document,
+    return document.replace(
         indicators=tuple(indicators),
         failures=tuple(failures),
         discrepancies=_find_discrepancies(tuple(indicators)),
@@ -474,4 +528,4 @@ def generate_report(
         runs_dir=runs_dir,
         clock=clock,
     )
-    return replace(run.value, evaluation=run.evaluation, run_dir=run.run_dir)
+    return run.value.replace(evaluation=run.evaluation, run_dir=run.run_dir)

@@ -45,7 +45,6 @@ import math
 import os
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -56,6 +55,7 @@ from finorch.clock import Clock, FixedClock, SystemClock
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
+from finorch.record import Record
 from finorch.scheduler import (
     TASK_KINDS,
     AgentProfile,
@@ -104,15 +104,19 @@ _BACKEND_NUMBERS = {
 }
 
 
-@dataclass(frozen=True)
-class ProviderSettings:
+class ProviderSettings(Record):
     name: str
     base_url: str
     token_env: str
+    __slots__ = ("name", "base_url", "token_env")
+
+    def __init__(self, name: str, base_url: str, token_env: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "base_url", base_url)
+        object.__setattr__(self, "token_env", token_env)
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     backends: tuple[BackendSpec, ...]
     agents: tuple[AgentProfile, ...]
     weights: Mapping[str, Mapping[str, float]]
@@ -122,9 +126,35 @@ class EngineConfig:
     cache_dir: Path
     golden_dir: Path
     fixture_dir: Path
-    prompt_dir: Path | None = None
-    judge_backend_id: str | None = None
-    default_language: str = "en"
+    prompt_dir: Path | None
+    judge_backend_id: str | None
+    default_language: str
+    __slots__ = (
+        "backends", "agents", "weights", "provider", "state_dir", "runs_dir",
+        "cache_dir", "golden_dir", "fixture_dir", "prompt_dir",
+        "judge_backend_id", "default_language",
+    )
+
+    def __init__(
+        self, backends: tuple[BackendSpec, ...],
+        agents: tuple[AgentProfile, ...],
+        weights: Mapping[str, Mapping[str, float]], provider: ProviderSettings,
+        state_dir: Path, runs_dir: Path, cache_dir: Path, golden_dir: Path,
+        fixture_dir: Path, prompt_dir: Path | None = None,
+        judge_backend_id: str | None = None, default_language: str = "en"
+    ) -> None:
+        object.__setattr__(self, "backends", backends)
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "provider", provider)
+        object.__setattr__(self, "state_dir", state_dir)
+        object.__setattr__(self, "runs_dir", runs_dir)
+        object.__setattr__(self, "cache_dir", cache_dir)
+        object.__setattr__(self, "golden_dir", golden_dir)
+        object.__setattr__(self, "fixture_dir", fixture_dir)
+        object.__setattr__(self, "prompt_dir", prompt_dir)
+        object.__setattr__(self, "judge_backend_id", judge_backend_id)
+        object.__setattr__(self, "default_language", default_language)
 
     def backend_ids(self) -> list[str]:
         return [b.backend_id for b in self.backends]
@@ -308,7 +338,7 @@ def load_config(path: Path | str) -> EngineConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_yaml_loader())
@@ -425,19 +455,26 @@ class _OfflineGuard:
         )
 
 
-@dataclass
 class Engine:
-    """One assembled stack: gateway, scheduler, data, prompts, and dirs."""
+    """One assembled stack: gateway, scheduler, data, prompts, and dirs.
 
-    config: EngineConfig
-    gateway: Gateway
-    scheduler: Scheduler
-    prompt_store: PromptStore
-    clock: Clock  # stamps task runs: traces, perception, artifacts
-    env: Mapping[str, str]  # where the live provider reads its token
-    offline: bool = False
-    language: str = "en"
-    _golden: dict[str, list[GoldenRecord]] = field(default_factory=dict)
+    ``clock`` stamps task runs (traces, perception, artifacts) and ``env``
+    is where the live provider reads its token."""
+
+    def __init__(
+        self, config: EngineConfig, gateway: Gateway, scheduler: Scheduler,
+        prompt_store: PromptStore, clock: Clock, env: Mapping[str, str],
+        offline: bool = False, language: str = "en"
+    ) -> None:
+        self.config = config
+        self.gateway = gateway
+        self.scheduler = scheduler
+        self.prompt_store = prompt_store
+        self.clock = clock
+        self.env = env
+        self.offline = offline
+        self.language = language
+        self._golden: dict[str, list[GoldenRecord]] = {}
 
     @functools.cached_property
     def market_data(self) -> MarketData:

@@ -97,7 +97,10 @@ class FixtureProvider:
                 raise UnknownSymbol(
                     f"no fixture for symbol {symbol!r} under {self._root}"
                 )
-            self._files[symbol] = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                self._files[symbol] = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise ProviderFailure(f"cannot read fixture {path}: {exc}") from None
         return self._files[symbol]
 
     def fetch(self, endpoint: str, params: Mapping[str, str]) -> Any:
@@ -143,7 +146,9 @@ class LiveProvider:
     ``token_env`` at request time; it never appears in config files, and
     no error message or chained exception carries it. Failed requests are
     retried under ``httpclient.with_retries``: a Retry-After delay is
-    waited out unless it exceeds ``MAX_RETRY_AFTER``.
+    waited out unless it exceeds ``MAX_RETRY_AFTER`` or would end past the
+    request's deadline. ``sleeper`` and ``monotonic`` replace
+    ``time.sleep`` and ``time.monotonic`` there.
     """
 
     def __init__(
@@ -154,12 +159,14 @@ class LiveProvider:
         provider_id: str = "finnhub",
         sleeper: Callable[[float], None] | None = None,
         env: Mapping[str, str] | None = None,
+        monotonic: Callable[[], float] | None = None,
     ):
         self._base_url = base_url.rstrip("/")
         self._token_env = token_env
         self._client = client or shared_client()
         self.provider_id = provider_id
         self._sleep = sleeper or time.sleep
+        self._monotonic = monotonic or time.monotonic
         self._rng = random.Random()
         self._env = env if env is not None else os.environ
 
@@ -181,6 +188,8 @@ class LiveProvider:
                 RETRIES,
                 self._sleep,
                 self._rng,
+                REQUEST_TIMEOUT,
+                self._monotonic,
             )
         except TransportError as exc:
             if exc.status == 429:

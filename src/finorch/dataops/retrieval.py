@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from finorch.errors import EmptyCorpus, EmptyQuery
+from finorch.record import Record
 
 __all__ = [
     "BM25_B",
@@ -72,29 +72,55 @@ def has_token(text: str) -> bool:
     return _TOKEN.search(text.lower()) is not None
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     doc_id: str
     text: str
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any]
+    __slots__ = ("doc_id", "text", "metadata")
+
+    def __init__(
+        self, doc_id: str, text: str, metadata: Mapping[str, Any] | None = None
+    ) -> None:
+        object.__setattr__(self, "doc_id", doc_id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
 
-@dataclass(frozen=True)
-class RetrievedPassage:
+class RetrievedPassage(Record):
     doc_id: str
     text: str
     score: float
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any]
+    __slots__ = ("doc_id", "text", "score", "metadata")
+
+    def __init__(
+        self, doc_id: str, text: str, score: float,
+        metadata: Mapping[str, Any] | None = None
+    ) -> None:
+        object.__setattr__(self, "doc_id", doc_id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
 
-@dataclass(frozen=True)
-class RetrievalIndex:
+class RetrievalIndex(Record):
     """Immutable inverted index over a fixed corpus."""
 
     documents: Mapping[str, Document]  # doc_id -> document, corpus order
     postings: Mapping[str, Mapping[str, int]]  # term -> doc_id -> tf
     doc_lengths: Mapping[str, int]
     average_doc_length: float
+    __slots__ = ("documents", "postings", "doc_lengths", "average_doc_length")
+
+    def __init__(
+        self, documents: Mapping[str, Document],
+        postings: Mapping[str, Mapping[str, int]],
+        doc_lengths: Mapping[str, int], average_doc_length: float
+    ) -> None:
+        object.__setattr__(self, "documents", documents)
+        object.__setattr__(self, "postings", postings)
+        object.__setattr__(self, "doc_lengths", doc_lengths)
+        object.__setattr__(self, "average_doc_length", average_doc_length)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -8,8 +8,9 @@ byte-stable.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
+
+from finorch.record import Record
 
 
 def parse_date(value: str | dt.date) -> dt.date:
@@ -24,30 +25,38 @@ def parse_price(value: str) -> float:
     return price
 
 
-@dataclass(frozen=True)
-class PriceObservation:
+class PriceObservation(Record):
     date: dt.date
     close: str  # decimal string
+    __slots__ = ("date", "close")
+
+    def __init__(self, date: dt.date, close: str) -> None:
+        object.__setattr__(self, "date", date)
+        object.__setattr__(self, "close", close)
 
     def close_value(self) -> float:
         return parse_price(self.close)
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(Record):
     """Ordered close prices for one symbol; dates strictly increasing."""
 
     symbol: str
     observations: tuple[PriceObservation, ...]
+    __slots__ = ("symbol", "observations")
 
-    def __post_init__(self) -> None:
-        dates = [obs.date for obs in self.observations]
+    def __init__(
+        self, symbol: str, observations: tuple[PriceObservation, ...]
+    ) -> None:
+        dates = [obs.date for obs in observations]
         for earlier, later in zip(dates, dates[1:]):
             if later <= earlier:
                 raise ValueError(
-                    f"price series {self.symbol!r}: dates must be strictly "
+                    f"price series {symbol!r}: dates must be strictly "
                     f"increasing, got {earlier} then {later}"
                 )
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "observations", observations)
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -81,36 +90,59 @@ class PriceSeries:
         return cls(symbol=symbol, observations=obs)
 
 
-@dataclass(frozen=True)
-class CompanyProfile:
+class CompanyProfile(Record):
     name: str
     exchange: str
     industry: str
     market_cap: float
-    description: str = ""
+    description: str
+    __slots__ = ("name", "exchange", "industry", "market_cap", "description")
+
+    def __init__(
+        self, name: str, exchange: str, industry: str, market_cap: float,
+        description: str = ""
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "exchange", exchange)
+        object.__setattr__(self, "industry", industry)
+        object.__setattr__(self, "market_cap", market_cap)
+        object.__setattr__(self, "description", description)
 
 
-@dataclass(frozen=True)
-class NewsItem:
+class NewsItem(Record):
     headline: str
     summary: str
     dated: dt.date
     source_id: str
+    __slots__ = ("headline", "summary", "dated", "source_id")
+
+    def __init__(
+        self, headline: str, summary: str, dated: dt.date, source_id: str
+    ) -> None:
+        object.__setattr__(self, "headline", headline)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "dated", dated)
+        object.__setattr__(self, "source_id", source_id)
 
 
-@dataclass(frozen=True)
-class FinancialSnapshot:
+class FinancialSnapshot(Record):
     """Basic-financials ratios for one statement period."""
 
     period: str
-    metrics: Mapping[str, float] = field(default_factory=dict)
+    metrics: Mapping[str, float]
+    __slots__ = ("period", "metrics")
+
+    def __init__(
+        self, period: str, metrics: Mapping[str, float] | None = None
+    ) -> None:
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "metrics", {} if metrics is None else metrics)
 
     def items(self) -> list[tuple[str, float]]:
         return sorted(self.metrics.items())
 
 
-@dataclass(frozen=True)
-class CompanyBundle:
+class CompanyBundle(Record):
     """Everything the perception stage knows about one company.
 
     Invariant: every dated item is at or before ``cutoff``.
@@ -122,20 +154,33 @@ class CompanyBundle:
     prices: PriceSeries
     news: tuple[NewsItem, ...]
     financials: FinancialSnapshot
+    __slots__ = (
+        "symbol", "cutoff", "profile", "prices", "news", "financials",
+    )
 
-    def __post_init__(self) -> None:
-        for item in self.news:
-            if item.dated > self.cutoff:
+    def __init__(
+        self, symbol: str, cutoff: dt.date, profile: CompanyProfile,
+        prices: PriceSeries, news: tuple[NewsItem, ...],
+        financials: FinancialSnapshot
+    ) -> None:
+        for item in news:
+            if item.dated > cutoff:
                 raise ValueError(
-                    f"bundle {self.symbol!r}: news item dated {item.dated} is "
-                    f"after cutoff {self.cutoff}"
+                    f"bundle {symbol!r}: news item dated {item.dated} is "
+                    f"after cutoff {cutoff}"
                 )
-        for obs in self.prices.observations:
-            if obs.date > self.cutoff:
+        for obs in prices.observations:
+            if obs.date > cutoff:
                 raise ValueError(
-                    f"bundle {self.symbol!r}: price dated {obs.date} is after "
-                    f"cutoff {self.cutoff}"
+                    f"bundle {symbol!r}: price dated {obs.date} is after "
+                    f"cutoff {cutoff}"
                 )
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "news", news)
+        object.__setattr__(self, "financials", financials)
 
     def to_dict(self) -> dict[str, Any]:
         return {

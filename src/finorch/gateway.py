@@ -22,7 +22,6 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from finorch.clock import Clock, SystemClock
@@ -38,6 +37,7 @@ from finorch.errors import (
     UnknownBackend,
 )
 from finorch.httpclient import HttpClient, shared_client, with_retries
+from finorch.record import Record
 
 __all__ = [
     "MAX_IN_FLIGHT",
@@ -62,50 +62,66 @@ MAX_IN_FLIGHT = 8
 MOCK_SENTINEL = "MOCK-NO-MATCH"
 
 
-@dataclass(frozen=True)
-class BackendSpec:
+class BackendSpec(Record):
     """Connection settings for one chat backend."""
 
     backend_id: str
     base_url: str
     model_name: str
-    api_key_env: str = ""  # name of the env var holding the credential
-    max_tokens: int = 1024
-    temperature: float = 0.0
-    timeout: float = 30.0
-    max_retries: int = 2
+    api_key_env: str  # name of the env var holding the credential
+    max_tokens: int
+    temperature: float
+    timeout: float
+    max_retries: int
+    __slots__ = (
+        "backend_id", "base_url", "model_name", "api_key_env", "max_tokens",
+        "temperature", "timeout", "max_retries",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.backend_id:
+    def __init__(
+        self, backend_id: str, base_url: str, model_name: str,
+        api_key_env: str = "", max_tokens: int = 1024,
+        temperature: float = 0.0, timeout: float = 30.0, max_retries: int = 2
+    ) -> None:
+        if not backend_id:
             raise ValueError("backend_id must be non-empty")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
-        if not (0.0 <= self.temperature <= 2.0):
+        if timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout!r}")
+        if not (0.0 <= temperature <= 2.0):
             raise ValueError(
-                f"temperature must lie in [0, 2], got {self.temperature!r}"
+                f"temperature must lie in [0, 2], got {temperature!r}"
             )
-        if self.max_tokens <= 0:
-            raise ValueError(f"max_tokens must be positive, got {self.max_tokens!r}")
-        if self.max_retries < 0:
+        if max_tokens <= 0:
+            raise ValueError(f"max_tokens must be positive, got {max_tokens!r}")
+        if max_retries < 0:
             raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries!r}"
+                f"max_retries must be non-negative, got {max_retries!r}"
             )
+        object.__setattr__(self, "backend_id", backend_id)
+        object.__setattr__(self, "base_url", base_url)
+        object.__setattr__(self, "model_name", model_name)
+        object.__setattr__(self, "api_key_env", api_key_env)
+        object.__setattr__(self, "max_tokens", max_tokens)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "timeout", timeout)
+        object.__setattr__(self, "max_retries", max_retries)
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(Record):
     role: str
     content: str
+    __slots__ = ("role", "content")
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
-        if self.role in ("system", "user") and not self.content:
-            raise ValueError(f"{self.role} message content must be non-empty")
+    def __init__(self, role: str, content: str) -> None:
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r}")
+        if role in ("system", "user") and not content:
+            raise ValueError(f"{role} message content must be non-empty")
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "content", content)
 
 
-@dataclass(frozen=True)
-class ChatExchange:
+class ChatExchange(Record):
     """Audit record of one completed chat call."""
 
     backend_id: str
@@ -114,6 +130,22 @@ class ChatExchange:
     latency: float
     attempt_count: int
     finished_at: dt.datetime
+    __slots__ = (
+        "backend_id", "request_messages", "response_text", "latency",
+        "attempt_count", "finished_at",
+    )
+
+    def __init__(
+        self, backend_id: str, request_messages: tuple[ChatMessage, ...],
+        response_text: str, latency: float, attempt_count: int,
+        finished_at: dt.datetime
+    ) -> None:
+        object.__setattr__(self, "backend_id", backend_id)
+        object.__setattr__(self, "request_messages", request_messages)
+        object.__setattr__(self, "response_text", response_text)
+        object.__setattr__(self, "latency", latency)
+        object.__setattr__(self, "attempt_count", attempt_count)
+        object.__setattr__(self, "finished_at", finished_at)
 
 
 class Transport(Protocol):
@@ -149,7 +181,6 @@ class HttpTransport:
         )
 
 
-@dataclass
 class MockRule:
     """One scripted behaviour, selected by substring match.
 
@@ -159,18 +190,22 @@ class MockRule:
     answer), which scripts "fail twice, then succeed" flows.
     """
 
-    match: str
-    reply: str | None = None
-    fail: bool = False
-    times: int | None = None
+    __slots__ = ("match", "reply", "fail", "times")
 
-    def __post_init__(self) -> None:
-        if self.fail == (self.reply is not None):
+    def __init__(
+        self, match: str, reply: str | None = None, fail: bool = False,
+        times: int | None = None
+    ) -> None:
+        if fail == (reply is not None):
             raise ValueError("rule must set exactly one of reply or fail")
-        if self.times is not None and not self.fail:
+        if times is not None and not fail:
             raise ValueError("times only applies to fail rules")
-        if self.times is not None and self.times < 1:
+        if times is not None and times < 1:
             raise ValueError("times must be at least 1")
+        self.match = match
+        self.reply = reply
+        self.fail = fail
+        self.times = times
 
 
 def _as_rule(raw: MockRule | Mapping[str, Any]) -> MockRule:
@@ -242,9 +277,10 @@ def _extract_content(body: dict[str, Any]) -> str:
 class Gateway:
     """Backend registry plus retrying chat executor.
 
-    ``sleeper`` and ``rng`` are injectable so backoff is testable with a
-    fake clock; ``clock`` stamps exchanges (inject a FixedClock for
-    byte-stable offline runs). Every transport, the scripted mock
+    ``sleeper``, ``rng`` and ``monotonic`` (which times a call's retry
+    deadline) are injectable so backoff is testable with a fake clock;
+    ``clock`` stamps exchanges (inject a FixedClock for byte-stable
+    offline runs). Every transport, the scripted mock
     included, is retried by ``httpclient.with_retries`` up to the
     backend's ``max_retries``.
     """
@@ -255,6 +291,7 @@ class Gateway:
         clock: Clock | None = None,
         sleeper: Callable[[float], None] | None = None,
         rng: random.Random | None = None,
+        monotonic: Callable[[], float] | None = None,
     ):
         self._default_transport: Transport = transport or HttpTransport()
         self._transports: dict[str, Transport] = {}
@@ -262,6 +299,7 @@ class Gateway:
         self._clock: Clock = clock or SystemClock()
         self._sleep = sleeper or time.sleep
         self._rng = rng or random.Random()
+        self._monotonic = monotonic or time.monotonic
 
     # -- registry ----------------------------------------------------------
 
@@ -321,6 +359,8 @@ class Gateway:
                 spec.max_retries,
                 self._sleep,
                 self._rng,
+                spec.timeout,
+                self._monotonic,
             )
         except TransportError as exc:
             timed_out = isinstance(exc, TransportTimeout)

@@ -33,6 +33,7 @@ import math
 import os
 import random
 import threading
+import time
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 from urllib.parse import urlsplit
 
@@ -62,7 +63,8 @@ RETRY_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
 BACKOFF_INITIAL = 0.5
 
 #: Longest Retry-After delay, in seconds, that a request waits out; a
-#: longer one fails the request at once.
+#: longer one fails the request at once. It is also what a call's retries
+#: may wait beyond its attempts' own timeouts (see ``with_retries``).
 MAX_RETRY_AFTER = 120.0
 
 #: Seconds after which a TCP connect still in progress is started over
@@ -106,6 +108,8 @@ def with_retries(
     retries: int,
     sleep: Callable[[float], None],
     rng: random.Random,
+    timeout: float,
+    monotonic: Callable[[], float] = time.monotonic,
 ) -> tuple[T, int]:
     """Call ``send`` until it returns; give its value and the attempts made.
 
@@ -115,7 +119,13 @@ def with_retries(
     drawn from ``rng``. A Retry-After above ``MAX_RETRY_AFTER`` is not
     waited out. A failure that is not retried propagates, with
     ``attempts`` set on a ``TransportError``.
+
+    The call has one deadline, read from ``monotonic`` and counted from
+    its first attempt: the attempts' timeouts combined, ``timeout *
+    (retries + 1)``, plus ``MAX_RETRY_AFTER`` of waiting. A retry whose
+    wait would end past it is not taken.
     """
+    deadline = monotonic() + timeout * (retries + 1) + MAX_RETRY_AFTER
     for attempt in range(retries + 1):
         try:
             return send(), attempt + 1
@@ -132,6 +142,8 @@ def with_retries(
                 delay = exc.retry_after
             else:
                 delay = rng.uniform(0.0, BACKOFF_INITIAL * 2**attempt)
+            if monotonic() + delay > deadline:
+                raise
             import logging  # only a retry logs, so only a retry loads it
 
             logging.getLogger(__name__).debug(

@@ -59,7 +59,10 @@ class PromptStore:
                 f"no template {template_id!r} for language {language!r} "
                 f"under {self._root}"
             )
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UnknownTemplate(f"cannot read template {path}: {exc}") from None
 
     def placeholders(self, template_id: str, language: str = "en") -> list[str]:
         return placeholder_names(self.template_text(template_id, language))

@@ -34,7 +34,6 @@ snapshot can be deleted at any time.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -42,9 +41,8 @@ import re
 import tempfile
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from finorch.clock import Clock, SystemClock, isoformat
 from finorch.errors import (
@@ -63,6 +61,7 @@ from finorch.errors import (
 )
 from finorch.gateway import ChatExchange, ChatMessage, Gateway
 from finorch.prompts import PromptStore
+from finorch.record import Record
 
 __all__ = [
     "TASK_KINDS",
@@ -95,43 +94,58 @@ ADAPTOR_PROMPT_ID = "adaptor_default"
 # ------------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class AgentProfile:
+class AgentProfile(Record):
     agent_id: str
     backend_id: str
     task_kinds: frozenset[str]
-    registered_at: str = ""
+    registered_at: str
+    __slots__ = ("agent_id", "backend_id", "task_kinds", "registered_at")
 
-    def __post_init__(self) -> None:
-        if not self.agent_id:
+    def __init__(
+        self, agent_id: str, backend_id: str, task_kinds: Iterable[str],
+        registered_at: str = ""
+    ) -> None:
+        if not agent_id:
             raise ValueError("agent_id must be non-empty")
-        object.__setattr__(self, "task_kinds", frozenset(self.task_kinds))
-        if not self.task_kinds:
+        task_kinds = frozenset(task_kinds)
+        if not task_kinds:
             raise ValueError(
-                f"agent {self.agent_id!r} must declare at least one task kind"
+                f"agent {agent_id!r} must declare at least one task kind"
             )
+        object.__setattr__(self, "agent_id", agent_id)
+        object.__setattr__(self, "backend_id", backend_id)
+        object.__setattr__(self, "task_kinds", task_kinds)
+        object.__setattr__(self, "registered_at", registered_at)
 
 
-@dataclass(frozen=True)
-class GoldenRecord:
+class GoldenRecord(Record):
     record_id: str
     task_kind: str
     input_text: str
     reference_answer: str
     dimension_labels: tuple[str, ...]
+    __slots__ = (
+        "record_id", "task_kind", "input_text", "reference_answer",
+        "dimension_labels",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "dimension_labels", tuple(self.dimension_labels)
-        )
-        if not self.dimension_labels:
+    def __init__(
+        self, record_id: str, task_kind: str, input_text: str,
+        reference_answer: str, dimension_labels: Iterable[str]
+    ) -> None:
+        dimension_labels = tuple(dimension_labels)
+        if not dimension_labels:
             raise ValueError(
-                f"record {self.record_id!r} needs at least one dimension"
+                f"record {record_id!r} needs at least one dimension"
             )
+        object.__setattr__(self, "record_id", record_id)
+        object.__setattr__(self, "task_kind", task_kind)
+        object.__setattr__(self, "input_text", input_text)
+        object.__setattr__(self, "reference_answer", reference_answer)
+        object.__setattr__(self, "dimension_labels", dimension_labels)
 
 
-@dataclass(frozen=True)
-class TaskScore:
+class TaskScore(Record):
     agent_id: str
     task_kind: str
     raw_scores: Mapping[str, float]
@@ -139,54 +153,88 @@ class TaskScore:
     weights: Mapping[str, float]
     composite: float
     evaluated_at: str
+    __slots__ = (
+        "agent_id", "task_kind", "raw_scores", "normalized_scores", "weights",
+        "composite", "evaluated_at",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "raw_scores", dict(self.raw_scores))
-        object.__setattr__(
-            self, "normalized_scores", dict(self.normalized_scores)
-        )
-        object.__setattr__(self, "weights", dict(self.weights))
-        for name, value in self.normalized_scores.items():
+    def __init__(
+        self, agent_id: str, task_kind: str, raw_scores: Mapping[str, float],
+        normalized_scores: Mapping[str, float], weights: Mapping[str, float],
+        composite: float, evaluated_at: str
+    ) -> None:
+        raw_scores = dict(raw_scores)
+        normalized_scores = dict(normalized_scores)
+        weights = dict(weights)
+        for name, value in normalized_scores.items():
             if not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"normalized score {name}={value} out of [0, 1]"
                 )
-        total = math.fsum(self.weights.values())
+        total = math.fsum(weights.values())
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise WeightSumInvalid(f"weights sum to {total}, expected 1")
         recomputed = math.fsum(
-            self.weights[d] * self.normalized_scores[d] for d in self.weights
+            weights[d] * normalized_scores[d] for d in weights
         )
-        if abs(recomputed - self.composite) > WEIGHT_TOLERANCE:
+        if abs(recomputed - composite) > WEIGHT_TOLERANCE:
             raise ValueError(
-                f"composite {self.composite} disagrees with weighted sum "
+                f"composite {composite} disagrees with weighted sum "
                 f"{recomputed}"
             )
-        if not 0.0 <= self.composite <= 1.0 + WEIGHT_TOLERANCE:
-            raise ValueError(f"composite {self.composite} out of [0, 1]")
+        if not 0.0 <= composite <= 1.0 + WEIGHT_TOLERANCE:
+            raise ValueError(f"composite {composite} out of [0, 1]")
+        object.__setattr__(self, "agent_id", agent_id)
+        object.__setattr__(self, "task_kind", task_kind)
+        object.__setattr__(self, "raw_scores", raw_scores)
+        object.__setattr__(self, "normalized_scores", normalized_scores)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "composite", composite)
+        object.__setattr__(self, "evaluated_at", evaluated_at)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "agent_id": self.agent_id,
+            "task_kind": self.task_kind,
+            "raw_scores": dict(self.raw_scores),
+            "normalized_scores": dict(self.normalized_scores),
+            "weights": dict(self.weights),
+            "composite": self.composite,
+            "evaluated_at": self.evaluated_at,
+        }
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Record):
     agent_id: str
     task_id: str
     self_score: float | None
     notes: str
     created_at: str
+    __slots__ = ("agent_id", "task_id", "self_score", "notes", "created_at")
 
-    def __post_init__(self) -> None:
-        if self.self_score is not None and not 0.0 <= self.self_score <= 1.0:
-            raise ValueError(f"self_score {self.self_score} out of [0, 1]")
+    def __init__(
+        self, agent_id: str, task_id: str, self_score: float | None,
+        notes: str, created_at: str
+    ) -> None:
+        if self_score is not None and not 0.0 <= self_score <= 1.0:
+            raise ValueError(f"self_score {self_score} out of [0, 1]")
+        object.__setattr__(self, "agent_id", agent_id)
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "self_score", self_score)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "created_at", created_at)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "agent_id": self.agent_id,
+            "task_id": self.task_id,
+            "self_score": self.self_score,
+            "notes": self.notes,
+            "created_at": self.created_at,
+        }
 
 
-@dataclass(frozen=True)
-class WorkflowEvaluation:
+class WorkflowEvaluation(Record):
     workflow_id: str
     grade: float | None
     self_scores: tuple[float, ...]
@@ -194,9 +242,34 @@ class WorkflowEvaluation:
     reflection_count: int
     feedback: str
     created_at: str
+    __slots__ = (
+        "workflow_id", "grade", "self_scores", "mean_self_score",
+        "reflection_count", "feedback", "created_at",
+    )
+
+    def __init__(
+        self, workflow_id: str, grade: float | None,
+        self_scores: tuple[float, ...], mean_self_score: float | None,
+        reflection_count: int, feedback: str, created_at: str
+    ) -> None:
+        object.__setattr__(self, "workflow_id", workflow_id)
+        object.__setattr__(self, "grade", grade)
+        object.__setattr__(self, "self_scores", self_scores)
+        object.__setattr__(self, "mean_self_score", mean_self_score)
+        object.__setattr__(self, "reflection_count", reflection_count)
+        object.__setattr__(self, "feedback", feedback)
+        object.__setattr__(self, "created_at", created_at)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "workflow_id": self.workflow_id,
+            "grade": self.grade,
+            "self_scores": self.self_scores,
+            "mean_self_score": self.mean_self_score,
+            "reflection_count": self.reflection_count,
+            "feedback": self.feedback,
+            "created_at": self.created_at,
+        }
 
 
 # ---------------------------------------------------------------- formulas
@@ -288,7 +361,10 @@ def load_golden_dataset(path: Path | str) -> list[GoldenRecord]:
     """Read a JSON-lines golden dataset file; a malformed line is a
     ConfigError naming the file and the line."""
     records = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read golden dataset {path}: {exc}") from None
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -325,15 +401,19 @@ def _parse_row(path: Path, number: int, line: str | bytes, row_type: type):
 ScoreKey = tuple[str, str]  # (task_kind, agent_id)
 
 
-@dataclass
 class _ScoreFold:
     """The latest TaskScore per key over the log's first ``log_bytes``
     bytes (``log_lines`` lines), of which ``last_line`` is the last."""
 
-    latest: dict[ScoreKey, TaskScore] = field(default_factory=dict)
-    log_lines: int = 0
-    log_bytes: int = 0
-    last_line: bytes = b""
+    __slots__ = ("latest", "log_lines", "log_bytes", "last_line")
+
+    def __init__(
+        self, log_lines: int = 0, log_bytes: int = 0, last_line: bytes = b""
+    ) -> None:
+        self.latest: dict[ScoreKey, TaskScore] = {}
+        self.log_lines = log_lines
+        self.log_bytes = log_bytes
+        self.last_line = last_line
 
 
 def _read_snapshot(path: Path) -> _ScoreFold | None:
@@ -502,8 +582,8 @@ class Scheduler:
             raise DuplicateAgent(f"agent {profile.agent_id!r} already registered")
         self._gateway.get_backend(profile.backend_id)  # UnknownBackend if not
         if not profile.registered_at:
-            profile = dataclasses.replace(
-                profile, registered_at=isoformat(self._clock.now())
+            profile = profile.replace(
+                registered_at=isoformat(self._clock.now())
             )
         self._agents[profile.agent_id] = profile
         return profile.agent_id

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from finorch.errors import (
@@ -21,6 +20,7 @@ from finorch.errors import (
     UnknownParam,
     UnknownTool,
 )
+from finorch.record import Record
 
 __all__ = [
     "SEMANTIC_TYPES",
@@ -35,44 +35,62 @@ SEMANTIC_TYPES = ("string", "number")
 _CALL_BLOCK = re.compile(r"```tool\s+(.*?)```", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class ToolParam:
+class ToolParam(Record):
     """One declared parameter of a tool."""
 
     name: str
     type: str
-    required: bool = True
+    required: bool
+    __slots__ = ("name", "type", "required")
 
-    def __post_init__(self) -> None:
-        if self.type not in SEMANTIC_TYPES:
+    def __init__(self, name: str, type: str, required: bool = True) -> None:
+        if type not in SEMANTIC_TYPES:
             raise ValueError(
-                f"parameter {self.name!r}: unknown semantic type {self.type!r}"
+                f"parameter {name!r}: unknown semantic type {type!r}"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "required", required)
 
 
-@dataclass(frozen=True)
-class ToolSchema:
+class ToolSchema(Record):
     """Declared shape of one callable tool."""
 
     tool_name: str
     description: str
-    parameters: tuple[ToolParam, ...] = ()
+    parameters: tuple[ToolParam, ...]
+    __slots__ = ("tool_name", "description", "parameters")
 
-    def __post_init__(self) -> None:
-        names = [p.name for p in self.parameters]
+    def __init__(
+        self, tool_name: str, description: str,
+        parameters: tuple[ToolParam, ...] = ()
+    ) -> None:
+        names = [p.name for p in parameters]
         if len(names) != len(set(names)):
             raise ValueError(
-                f"schema {self.tool_name!r}: duplicate parameter names"
+                f"schema {tool_name!r}: duplicate parameter names"
             )
+        object.__setattr__(self, "tool_name", tool_name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "parameters", parameters)
 
 
-@dataclass(frozen=True)
-class ToolCall:
-    """A validated call; ``origin_text`` preserves the model text for audit."""
+class ToolCall(Record):
+    """A validated call; ``origin_text`` preserves the model text for audit
+    and is left out of equality."""
 
     tool_name: str
     arguments: Mapping[str, Any]
-    origin_text: str = field(default="", compare=False)
+    origin_text: str
+    __slots__ = ("tool_name", "arguments", "origin_text")
+    _uncompared = ("origin_text",)
+
+    def __init__(
+        self, tool_name: str, arguments: Mapping[str, Any], origin_text: str = ""
+    ) -> None:
+        object.__setattr__(self, "tool_name", tool_name)
+        object.__setattr__(self, "arguments", arguments)
+        object.__setattr__(self, "origin_text", origin_text)
 
 
 def _coerce(param: ToolParam, value: Any) -> Any:

@@ -19,7 +19,6 @@ import json
 import os
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +27,7 @@ from finorch.dataops.types import parse_date
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
+from finorch.record import Record
 from finorch.scheduler import (
     TASK_KINDS,
     Reflection,
@@ -40,8 +40,7 @@ ROLE_ASSISTANT = "Assistant"
 ROLE_FINANCIAL_ANALYST = "Financial Analyst"
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(Record):
     """One unit of routable work."""
 
     task_id: str
@@ -50,22 +49,36 @@ class Task:
     cutoff_date: dt.date
     horizon: int
     instruction_text: str
-    language: str = "en"
+    language: str
+    __slots__ = (
+        "task_id", "task_kind", "subject", "cutoff_date", "horizon",
+        "instruction_text", "language",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.task_id:
+    def __init__(
+        self, task_id: str, task_kind: str, subject: str,
+        cutoff_date: dt.date | str, horizon: int, instruction_text: str,
+        language: str = "en"
+    ) -> None:
+        if not task_id:
             raise ValueError("task_id must be non-empty")
-        if self.task_kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.task_kind!r}")
-        if not self.subject:
+        if task_kind not in TASK_KINDS:
+            raise ValueError(f"unknown task kind {task_kind!r}")
+        if not subject:
             raise ValueError("subject must be non-empty")
-        if self.language not in LANGUAGES:
-            raise ValueError(f"unsupported language {self.language!r}")
-        if self.task_kind == "forecast" and self.horizon < 1:
+        if language not in LANGUAGES:
+            raise ValueError(f"unsupported language {language!r}")
+        if task_kind == "forecast" and horizon < 1:
             raise ValueError(
-                f"forecast horizon must be at least 1 day, got {self.horizon}"
+                f"forecast horizon must be at least 1 day, got {horizon}"
             )
-        object.__setattr__(self, "cutoff_date", parse_date(self.cutoff_date))
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "task_kind", task_kind)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "cutoff_date", parse_date(cutoff_date))
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "instruction_text", instruction_text)
+        object.__setattr__(self, "language", language)
 
 
 class Trace:
@@ -115,24 +128,42 @@ def _replace_text(path: Path, text: str) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """What an app's act step hands back to the runner."""
 
     value: Any  # the app's own result, returned untouched
     final_output: str  # the text self-assessment and the judge read
     artifact: str  # JSON file in the run dir: ``payload`` plus run fields
     payload: Mapping[str, Any]
-    texts: Mapping[str, str] = field(default_factory=dict)  # file -> text
+    texts: Mapping[str, str]  # file -> text
+    __slots__ = ("value", "final_output", "artifact", "payload", "texts")
+
+    def __init__(
+        self, value: Any, final_output: str, artifact: str,
+        payload: Mapping[str, Any], texts: Mapping[str, str] | None = None
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "final_output", final_output)
+        object.__setattr__(self, "artifact", artifact)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "texts", {} if texts is None else texts)
 
 
-@dataclass(frozen=True)
-class TaskRun:
+class TaskRun(Record):
     """One finished task: the act step's value and the Director's grade."""
 
     value: Any
     evaluation: WorkflowEvaluation | None
     run_dir: Path | None
+    __slots__ = ("value", "evaluation", "run_dir")
+
+    def __init__(
+        self, value: Any, evaluation: WorkflowEvaluation | None,
+        run_dir: Path | None
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "evaluation", evaluation)
+        object.__setattr__(self, "run_dir", run_dir)
 
 
 def run_task(

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -23,26 +24,35 @@ from finorch.gateway import MOCK_SENTINEL, Gateway, MockTransport
 from finorch.scheduler import Scheduler, TaskScore
 
 from clirun import run_cli
-from test_config import REPO, write_config
+from test_config import MINIMAL, REPO, minimal_text, write_config
 
 
-def imported_by_offline_command(config_path, args, *modules):
-    """Which of ``modules`` one offline command imports, in a fresh
-    interpreter. The result also lists ``click`` if anything imports it:
-    the CLI runs on ``argparse``."""
+#: Modules no command may import: the CLI runs on ``argparse``, and
+#: finorch's records are plain classes, so nothing loads ``dataclasses``
+#: or the ``inspect`` it imports.
+NEVER_IMPORTED = ["click", "dataclasses", "inspect"]
+
+
+def imported_by_command(config_path, args, *modules, env=None):
+    """Which of ``modules`` and ``NEVER_IMPORTED`` one command imports, in
+    a fresh interpreter with ``env`` added to the environment."""
     code = (
         "import sys; from finorch.cli import main; "
         "main(sys.argv[1:], standalone_mode=False); "
-        f"print(sorted(set({[*modules, 'click']!r}) & set(sys.modules)))"
+        f"print(sorted(set({[*modules, *NEVER_IMPORTED]!r}) & set(sys.modules)))"
     )
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(REPO / "src")}
     done = subprocess.run(
-        [sys.executable, "-c", code, *args, "--offline",
-         "--config", str(config_path)],
+        [sys.executable, "-c", code, *args, "--config", str(config_path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
+
+
+def imported_by_offline_command(config_path, args, *modules):
+    """``imported_by_command`` for the offline form of the command."""
+    return imported_by_command(config_path, [*args, "--offline"], *modules)
 
 
 @pytest.fixture()
@@ -626,6 +636,27 @@ class TestEvaluateAndRoute:
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "forecaster-primary"
 
+    def test_live_route_on_persisted_scores_loads_no_record_machinery(
+        self, config_path, tmp_path
+    ):
+        """A live route builds the HTTP client, but loads neither
+        ``dataclasses`` nor ``inspect`` either."""
+        (tmp_path / "state").mkdir()
+        (tmp_path / "state" / "task_scores.jsonl").write_text(
+            "".join(
+                json.dumps(score_row(agent_id, composite)) + "\n"
+                for agent_id, composite in (
+                    ("forecaster-primary", 1.0),
+                    ("forecaster-secondary", 0.0),
+                )
+            ),
+            encoding="utf-8",
+        )
+        dummy = {"EXAMPLE_API_KEY": "dummy-key", "OTHER_API_KEY": "dummy-key"}
+        assert imported_by_command(
+            config_path, ["route", "forecast"], "http.client", env=dummy
+        ) == "['http.client']"
+
     def test_evaluate_writes_one_row_per_agent(
         self, config_path, tmp_path
     ):
@@ -701,6 +732,67 @@ class TestEvaluateAndRoute:
         assert "Traceback" not in done.stderr
         [line] = done.stderr.splitlines()
         assert line.startswith("error: weights['forecast'] key 'exact_match'")
+
+
+def config_not_utf8(tmp_path):
+    config = write_config(tmp_path)
+    config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+    return config, ["evaluate"], config
+
+
+def golden_set_not_utf8(tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(REPO / "fixtures" / "golden", golden)
+    broken = golden / "forecast.jsonl"
+    broken.write_bytes(broken.read_bytes() + b"\xff\n")
+    text = MINIMAL.format(golden_dir=golden, fixture_dir=REPO / "fixtures")
+    return write_config(tmp_path, text), ["evaluate"], broken
+
+
+def fixture_not_json(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    broken = fixtures / "AAPL.json"
+    broken.write_text("{not json", encoding="utf-8")
+    text = MINIMAL.format(
+        golden_dir=REPO / "fixtures" / "golden", fixture_dir=fixtures
+    )
+    return write_config(tmp_path, text), ["forecast", "AAPL"], broken
+
+
+def template_not_utf8(tmp_path):
+    prompts = tmp_path / "prompts"
+    shutil.copytree(REPO / "src" / "finorch" / "prompts", prompts)
+    broken = prompts / "adaptor_default.en.txt"
+    broken.write_bytes(broken.read_bytes() + b"\xff")
+    text = minimal_text() + f"prompt_dir: {prompts}\n"
+    return write_config(tmp_path, text), ["evaluate"], broken
+
+
+@pytest.mark.parametrize(
+    "setup, prefix",
+    [
+        (config_not_utf8, "error: cannot read config"),
+        (golden_set_not_utf8, "error: cannot read golden dataset"),
+        (fixture_not_json, "error (Assistant): cannot read fixture"),
+        (template_not_utf8, "error: cannot read template"),
+    ],
+    ids=["config", "golden-set", "fixture", "template"],
+)
+def test_an_unreadable_input_file_is_one_error_line(tmp_path, setup, prefix):
+    """A file that is not UTF-8, or a fixture that is not JSON, is one
+    error line naming the file."""
+    config_path, args, broken = setup(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "finorch.cli", *args, "--offline",
+         "--config", str(config_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"{prefix} {broken}: ")
 
 
 class TestSelfcheck:

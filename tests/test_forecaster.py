@@ -5,7 +5,6 @@ render/parse round-trips, and the full offline pipeline.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 import json
 import random
@@ -125,25 +124,21 @@ def test_build_forecast_prompt_zh_variant() -> None:
     ("mutate", "missing"),
     [
         (
-            lambda b: dataclasses.replace(
-                b, profile=dataclasses.replace(b.profile, name="")
-            ),
+            lambda b: b.replace(profile=b.profile.replace(name="")),
             "company_introduction",
         ),
         (
-            lambda b: dataclasses.replace(
-                b,
-                prices=dataclasses.replace(
-                    b.prices, observations=b.prices.observations[:1]
+            lambda b: b.replace(
+                prices=b.prices.replace(
+                    observations=b.prices.observations[:1]
                 ),
             ),
             "stock_price_changes",
         ),
-        (lambda b: dataclasses.replace(b, news=()), "recent_news"),
+        (lambda b: b.replace(news=()), "recent_news"),
         (
-            lambda b: dataclasses.replace(
-                b,
-                financials=dataclasses.replace(b.financials, metrics={}),
+            lambda b: b.replace(
+                financials=b.financials.replace(metrics={}),
             ),
             "basic_financials",
         ),
@@ -353,7 +348,7 @@ def test_round_trip_hand_built_result() -> None:
         language="en",
     )
     assert parse_forecast(render_forecast(result), "en") == result
-    no_analysis = dataclasses.replace(result, analysis="")
+    no_analysis = result.replace(analysis="")
     assert parse_forecast(render_forecast(no_analysis), "en") == no_analysis
 
 

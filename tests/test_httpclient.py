@@ -8,6 +8,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from finorch.dataops.providers import LiveProvider
 from finorch.errors import (
     ConfigError,
     ProviderFailure,
+    RateLimited,
     TransportError,
     TransportExhausted,
 )
@@ -41,6 +43,7 @@ from finorch.httpclient import (
     RETRY_STATUSES,
     HttpClient,
     shared_client,
+    with_retries,
 )
 
 from test_config import minimal_text, write_config
@@ -354,6 +357,99 @@ def test_retry_after_above_the_cap_fails_at_once():
         client.close()
     assert len(server.requests) == 1
     assert sleeps == []
+
+
+# ------------------------------------------------------------ call deadline
+
+
+class FakeTime:
+    """A monotonic clock that moves only when a test sleeps or spends
+    time."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def busy(clock: FakeTime, spends: float, retry_after: float):
+    """A send that spends ``spends`` seconds, then answers 503."""
+
+    def send():
+        clock.now += spends
+        raise TransportError("busy", status=503, retry_after=retry_after)
+
+    return send
+
+
+@pytest.mark.parametrize(
+    "retry_after, sleeps", [(65.0, [65.0, 65.0]), (70.0, [70.0])]
+)
+def test_a_retry_whose_wait_ends_past_the_deadline_is_not_taken(
+    retry_after, sleeps
+):
+    """Three attempts of 10 s each give a deadline 30 s plus
+    ``MAX_RETRY_AFTER`` after the first attempt starts: a second wait of
+    65 s ends on it, one of 70 s past it."""
+    clock = FakeTime()
+    with pytest.raises(TransportError) as err:
+        with_retries(
+            busy(clock, 10.0, retry_after), 2, clock.sleep,
+            random.Random(0), 10.0, clock.monotonic,
+        )
+    assert clock.sleeps == sleeps
+    assert err.value.attempts == len(sleeps) + 1
+
+
+def test_a_chat_is_bounded_by_its_backend_timeout_and_retries():
+    """One-second attempts and five retries: 6 s plus
+    ``MAX_RETRY_AFTER`` leaves room for two waits of 50 s, not three."""
+    clock = FakeTime()
+
+    class Busy:
+        def send(self, spec, payload):
+            raise TransportError("busy", status=503, retry_after=50.0)
+
+    gateway = Gateway(
+        transport=Busy(), sleeper=clock.sleep, monotonic=clock.monotonic
+    )
+    gateway.register_backend(
+        BackendSpec(
+            backend_id="b0", base_url="http://127.0.0.1:9", model_name="m",
+            timeout=1.0, max_retries=5,
+        )
+    )
+    with pytest.raises(TransportExhausted, match="3 attempt"):
+        gateway.chat("b0", user("x"))
+    assert clock.sleeps == [50.0, 50.0]
+
+
+def test_a_provider_request_is_bounded_by_its_timeout_and_retries():
+    """``REQUEST_TIMEOUT`` times three attempts, plus ``MAX_RETRY_AFTER``,
+    leaves room for one wait of 100 s, not two."""
+    clock = FakeTime()
+
+    class RateLimiting:
+        def request(self, method, url, **kwargs):
+            raise TransportError("busy", status=429, retry_after=100.0)
+
+    provider = LiveProvider(
+        base_url="https://example.invalid/api/v1",
+        token_env="MARKET_TOKEN",
+        client=RateLimiting(),
+        sleeper=clock.sleep,
+        env={"MARKET_TOKEN": TOKEN},
+        monotonic=clock.monotonic,
+    )
+    with pytest.raises(RateLimited, match="2 attempt"):
+        provider.fetch("profile", {"symbol": "AAPL"})
+    assert clock.sleeps == [100.0]
 
 
 # ------------------------------------------------------------ in-flight cap

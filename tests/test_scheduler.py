@@ -1132,13 +1132,13 @@ def test_load_with_current_snapshot_builds_one_score_per_agent(
             )
     before, _ = make_scheduler(tmp_path, {})  # full replay, then a snapshot
     built: list[TaskScore] = []
-    post_init = TaskScore.__post_init__
+    init = TaskScore.__init__
 
-    def counting(self: TaskScore) -> None:
+    def counting(self: TaskScore, *args, **kwargs) -> None:
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(TaskScore, "__post_init__", counting)
+    monkeypatch.setattr(TaskScore, "__init__", counting)
     after, _ = make_scheduler(tmp_path, {})
     assert len(built) == len(agents) * 2
     assert after._latest == before._latest
