@@ -58,9 +58,6 @@ def _headers() -> dict[str, Any]:
 class FactorItem(Record):
     """One numbered development or concern, with its evidence tag."""
 
-    text: str
-    evidence_tag: str | None
-    other_tag: str
     __slots__ = ("text", "evidence_tag", "other_tag")
 
     def __init__(
@@ -73,21 +70,12 @@ class FactorItem(Record):
                 raise ValueError("a tagged item cannot also carry other_tag")
         if not text:
             raise ValueError("item text must be non-empty")
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "evidence_tag", evidence_tag)
-        object.__setattr__(self, "other_tag", other_tag)
+        super().__init__(text, evidence_tag, other_tag)
 
 
 class ForecastResult(Record):
     """Parsed model forecast: factors, banded prediction, and analysis."""
 
-    positives: tuple[FactorItem, ...]
-    concerns: tuple[FactorItem, ...]
-    direction: str
-    low: float
-    high: float
-    analysis: str
-    language: str
     __slots__ = (
         "positives", "concerns", "direction", "low", "high", "analysis",
         "language",
@@ -102,13 +90,9 @@ class ForecastResult(Record):
             raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
         if low < 0 or high < low:
             raise ValueError(f"prediction band [{low}, {high}] is not ordered")
-        object.__setattr__(self, "positives", positives)
-        object.__setattr__(self, "concerns", concerns)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "analysis", analysis)
-        object.__setattr__(self, "language", language)
+        super().__init__(
+            positives, concerns, direction, low, high, analysis, language,
+        )
 
     def band_text(self) -> str:
         return f"{self.low:g}-{self.high:g}%"
@@ -154,13 +138,10 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
 class PerceptionBundle(Record):
     """What the Assistant gathered for one forecast."""
 
-    company: CompanyBundle
-    assembled_at: str
     __slots__ = ("company", "assembled_at")
 
     def __init__(self, company: CompanyBundle, assembled_at: str) -> None:
-        object.__setattr__(self, "company", company)
-        object.__setattr__(self, "assembled_at", assembled_at)
+        super().__init__(company, assembled_at)
 
 
 def perceive(
@@ -492,11 +473,6 @@ def forecast_task_id(
 class ForecastRun(Record):
     """Artifacts of one forecaster invocation."""
 
-    task: Task
-    result: ForecastResult
-    exchange: ChatExchange
-    evaluation: WorkflowEvaluation | None
-    run_dir: Path | None
     __slots__ = ("task", "result", "exchange", "evaluation", "run_dir")
 
     def __init__(
@@ -504,22 +480,11 @@ class ForecastRun(Record):
         evaluation: WorkflowEvaluation | None = None,
         run_dir: Path | None = None
     ) -> None:
-        object.__setattr__(self, "task", task)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "exchange", exchange)
-        object.__setattr__(self, "evaluation", evaluation)
-        object.__setattr__(self, "run_dir", run_dir)
+        super().__init__(task, result, exchange, evaluation, run_dir)
 
     @property
     def forecast_path(self) -> Path | None:
         return self.run_dir / "forecast.json" if self.run_dir else None
-
-
-def _factors(items: tuple[FactorItem, ...]) -> list[dict[str, Any]]:
-    return [
-        {"text": i.text, "evidence_tag": i.evidence_tag, "other_tag": i.other_tag}
-        for i in items
-    ]
 
 
 def run_forecaster(
@@ -593,8 +558,8 @@ def run_forecaster(
                     "low": result.low,
                     "high": result.high,
                 },
-                "positives": _factors(result.positives),
-                "concerns": _factors(result.concerns),
+                "positives": [i.to_dict() for i in result.positives],
+                "concerns": [i.to_dict() for i in result.concerns],
                 "analysis": result.analysis,
                 "model_text": exchange.response_text,
             },

@@ -84,50 +84,29 @@ RECORD_INDICATOR = ToolSchema(
 class Indicator(Record):
     """One extracted figure, tied to the chunks that supported it."""
 
-    name: str
-    value: float
-    unit: str
-    period: str
-    topic: str
-    source_ids: tuple[str, ...]
     __slots__ = ("name", "value", "unit", "period", "topic", "source_ids")
 
     def __init__(
         self, name: str, value: float, unit: str = "", period: str = "",
         topic: str = "", source_ids: tuple[str, ...] = ()
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "topic", topic)
-        object.__setattr__(self, "source_ids", source_ids)
+        super().__init__(name, value, unit, period, topic, source_ids)
 
 
 class Discrepancy(Record):
     """The same indicator name extracted with materially different values."""
 
-    name: str
-    values: tuple[float, ...]
-    detail: str
     __slots__ = ("name", "values", "detail")
 
     def __init__(self, name: str, values: tuple[float, ...], detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(name, values, detail)
 
 
 class DocumentAnalysis(Record):
-    """Everything analyze_document learned about one file. ``index`` is
-    left out of equality and of the repr."""
+    """Everything analyze_document learned about one file. ``failures``
+    holds (topic, cause) pairs; ``index`` is left out of equality and of
+    the repr."""
 
-    doc_path: Path
-    chunk_count: int
-    indicators: tuple[Indicator, ...]
-    failures: tuple[tuple[str, str], ...]  # (topic, cause)
-    discrepancies: tuple[Discrepancy, ...]
-    index: RetrievalIndex | None
     __slots__ = (
         "doc_path", "chunk_count", "indicators", "failures", "discrepancies",
         "index",
@@ -141,35 +120,21 @@ class DocumentAnalysis(Record):
         discrepancies: tuple[Discrepancy, ...],
         index: RetrievalIndex | None = None
     ) -> None:
-        object.__setattr__(self, "doc_path", doc_path)
-        object.__setattr__(self, "chunk_count", chunk_count)
-        object.__setattr__(self, "indicators", indicators)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "discrepancies", discrepancies)
-        object.__setattr__(self, "index", index)
+        super().__init__(
+            doc_path, chunk_count, indicators, failures, discrepancies, index,
+        )
 
 
 class ReportSection(Record):
-    name: str
-    body: str
-    refs: tuple[str, ...]
     __slots__ = ("name", "body", "refs")
 
     def __init__(self, name: str, body: str, refs: tuple[str, ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "refs", refs)
+        super().__init__(name, body, refs)
 
 
 class ReportResult(Record):
     """A finished research note plus the analysis it was built from."""
 
-    task_id: str
-    subject: str
-    sections: tuple[ReportSection, ...]
-    analysis: DocumentAnalysis
-    evaluation: WorkflowEvaluation | None
-    run_dir: Path | None
     __slots__ = (
         "task_id", "subject", "sections", "analysis", "evaluation", "run_dir",
     )
@@ -180,12 +145,9 @@ class ReportResult(Record):
         evaluation: WorkflowEvaluation | None = None,
         run_dir: Path | None = None
     ) -> None:
-        object.__setattr__(self, "task_id", task_id)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "analysis", analysis)
-        object.__setattr__(self, "evaluation", evaluation)
-        object.__setattr__(self, "run_dir", run_dir)
+        super().__init__(
+            task_id, subject, sections, analysis, evaluation, run_dir,
+        )
 
     def to_text(self) -> str:
         parts = [f"{self.subject} — Research Note", "=" * 40, ""]
@@ -510,10 +472,7 @@ def generate_report(
                     for i in analysis.indicators
                 ],
                 "failures": [list(f) for f in analysis.failures],
-                "discrepancies": [
-                    {"name": d.name, "values": list(d.values), "detail": d.detail}
-                    for d in analysis.discrepancies
-                ],
+                "discrepancies": [d.to_dict() for d in analysis.discrepancies],
                 "sections": [s.name for s in sections],
             },
             texts={"report.txt": result.to_text(), "report.md": result.to_markdown()},

@@ -105,30 +105,13 @@ _BACKEND_NUMBERS = {
 
 
 class ProviderSettings(Record):
-    name: str
-    base_url: str
-    token_env: str
     __slots__ = ("name", "base_url", "token_env")
 
     def __init__(self, name: str, base_url: str, token_env: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "base_url", base_url)
-        object.__setattr__(self, "token_env", token_env)
+        super().__init__(name, base_url, token_env)
 
 
 class EngineConfig(Record):
-    backends: tuple[BackendSpec, ...]
-    agents: tuple[AgentProfile, ...]
-    weights: Mapping[str, Mapping[str, float]]
-    provider: ProviderSettings
-    state_dir: Path
-    runs_dir: Path
-    cache_dir: Path
-    golden_dir: Path
-    fixture_dir: Path
-    prompt_dir: Path | None
-    judge_backend_id: str | None
-    default_language: str
     __slots__ = (
         "backends", "agents", "weights", "provider", "state_dir", "runs_dir",
         "cache_dir", "golden_dir", "fixture_dir", "prompt_dir",
@@ -143,18 +126,11 @@ class EngineConfig(Record):
         fixture_dir: Path, prompt_dir: Path | None = None,
         judge_backend_id: str | None = None, default_language: str = "en"
     ) -> None:
-        object.__setattr__(self, "backends", backends)
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "provider", provider)
-        object.__setattr__(self, "state_dir", state_dir)
-        object.__setattr__(self, "runs_dir", runs_dir)
-        object.__setattr__(self, "cache_dir", cache_dir)
-        object.__setattr__(self, "golden_dir", golden_dir)
-        object.__setattr__(self, "fixture_dir", fixture_dir)
-        object.__setattr__(self, "prompt_dir", prompt_dir)
-        object.__setattr__(self, "judge_backend_id", judge_backend_id)
-        object.__setattr__(self, "default_language", default_language)
+        super().__init__(
+            backends, agents, weights, provider, state_dir, runs_dir,
+            cache_dir, golden_dir, fixture_dir, prompt_dir, judge_backend_id,
+            default_language,
+        )
 
     def backend_ids(self) -> list[str]:
         return [b.backend_id for b in self.backends]

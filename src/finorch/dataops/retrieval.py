@@ -73,43 +73,30 @@ def has_token(text: str) -> bool:
 
 
 class Document(Record):
-    doc_id: str
-    text: str
-    metadata: Mapping[str, Any]
     __slots__ = ("doc_id", "text", "metadata")
 
     def __init__(
         self, doc_id: str, text: str, metadata: Mapping[str, Any] | None = None
     ) -> None:
-        object.__setattr__(self, "doc_id", doc_id)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        metadata = {} if metadata is None else metadata
+        super().__init__(doc_id, text, metadata)
 
 
 class RetrievedPassage(Record):
-    doc_id: str
-    text: str
-    score: float
-    metadata: Mapping[str, Any]
     __slots__ = ("doc_id", "text", "score", "metadata")
 
     def __init__(
         self, doc_id: str, text: str, score: float,
         metadata: Mapping[str, Any] | None = None
     ) -> None:
-        object.__setattr__(self, "doc_id", doc_id)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        metadata = {} if metadata is None else metadata
+        super().__init__(doc_id, text, score, metadata)
 
 
 class RetrievalIndex(Record):
-    """Immutable inverted index over a fixed corpus."""
+    """Immutable inverted index over a fixed corpus. ``documents`` maps
+    doc_id -> document in corpus order, ``postings`` term -> doc_id -> tf."""
 
-    documents: Mapping[str, Document]  # doc_id -> document, corpus order
-    postings: Mapping[str, Mapping[str, int]]  # term -> doc_id -> tf
-    doc_lengths: Mapping[str, int]
-    average_doc_length: float
     __slots__ = ("documents", "postings", "doc_lengths", "average_doc_length")
 
     def __init__(
@@ -117,10 +104,7 @@ class RetrievalIndex(Record):
         postings: Mapping[str, Mapping[str, int]],
         doc_lengths: Mapping[str, int], average_doc_length: float
     ) -> None:
-        object.__setattr__(self, "documents", documents)
-        object.__setattr__(self, "postings", postings)
-        object.__setattr__(self, "doc_lengths", doc_lengths)
-        object.__setattr__(self, "average_doc_length", average_doc_length)
+        super().__init__(documents, postings, doc_lengths, average_doc_length)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -26,13 +26,12 @@ def parse_price(value: str) -> float:
 
 
 class PriceObservation(Record):
-    date: dt.date
-    close: str  # decimal string
+    """One close price; ``close`` is a decimal string."""
+
     __slots__ = ("date", "close")
 
     def __init__(self, date: dt.date, close: str) -> None:
-        object.__setattr__(self, "date", date)
-        object.__setattr__(self, "close", close)
+        super().__init__(date, close)
 
     def close_value(self) -> float:
         return parse_price(self.close)
@@ -41,8 +40,6 @@ class PriceObservation(Record):
 class PriceSeries(Record):
     """Ordered close prices for one symbol; dates strictly increasing."""
 
-    symbol: str
-    observations: tuple[PriceObservation, ...]
     __slots__ = ("symbol", "observations")
 
     def __init__(
@@ -55,8 +52,7 @@ class PriceSeries(Record):
                     f"price series {symbol!r}: dates must be strictly "
                     f"increasing, got {earlier} then {later}"
                 )
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "observations", observations)
+        super().__init__(symbol, observations)
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -91,52 +87,34 @@ class PriceSeries(Record):
 
 
 class CompanyProfile(Record):
-    name: str
-    exchange: str
-    industry: str
-    market_cap: float
-    description: str
     __slots__ = ("name", "exchange", "industry", "market_cap", "description")
 
     def __init__(
         self, name: str, exchange: str, industry: str, market_cap: float,
         description: str = ""
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "exchange", exchange)
-        object.__setattr__(self, "industry", industry)
-        object.__setattr__(self, "market_cap", market_cap)
-        object.__setattr__(self, "description", description)
+        super().__init__(name, exchange, industry, market_cap, description)
 
 
 class NewsItem(Record):
-    headline: str
-    summary: str
-    dated: dt.date
-    source_id: str
     __slots__ = ("headline", "summary", "dated", "source_id")
 
     def __init__(
         self, headline: str, summary: str, dated: dt.date, source_id: str
     ) -> None:
-        object.__setattr__(self, "headline", headline)
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "dated", dated)
-        object.__setattr__(self, "source_id", source_id)
+        super().__init__(headline, summary, dated, source_id)
 
 
 class FinancialSnapshot(Record):
     """Basic-financials ratios for one statement period."""
 
-    period: str
-    metrics: Mapping[str, float]
     __slots__ = ("period", "metrics")
 
     def __init__(
         self, period: str, metrics: Mapping[str, float] | None = None
     ) -> None:
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "metrics", {} if metrics is None else metrics)
+        metrics = {} if metrics is None else metrics
+        super().__init__(period, metrics)
 
     def items(self) -> list[tuple[str, float]]:
         return sorted(self.metrics.items())
@@ -148,12 +126,6 @@ class CompanyBundle(Record):
     Invariant: every dated item is at or before ``cutoff``.
     """
 
-    symbol: str
-    cutoff: dt.date
-    profile: CompanyProfile
-    prices: PriceSeries
-    news: tuple[NewsItem, ...]
-    financials: FinancialSnapshot
     __slots__ = (
         "symbol", "cutoff", "profile", "prices", "news", "financials",
     )
@@ -175,24 +147,13 @@ class CompanyBundle(Record):
                     f"bundle {symbol!r}: price dated {obs.date} is after "
                     f"cutoff {cutoff}"
                 )
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "news", news)
-        object.__setattr__(self, "financials", financials)
+        super().__init__(symbol, cutoff, profile, prices, news, financials)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "symbol": self.symbol,
             "cutoff": self.cutoff.isoformat(),
-            "profile": {
-                "name": self.profile.name,
-                "exchange": self.profile.exchange,
-                "industry": self.profile.industry,
-                "market_cap": self.profile.market_cap,
-                "description": self.profile.description,
-            },
+            "profile": self.profile.to_dict(),
             "prices": [
                 {"date": o.date.isoformat(), "close": o.close}
                 for o in self.prices.observations

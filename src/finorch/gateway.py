@@ -63,16 +63,9 @@ MOCK_SENTINEL = "MOCK-NO-MATCH"
 
 
 class BackendSpec(Record):
-    """Connection settings for one chat backend."""
+    """Connection settings for one chat backend. ``api_key_env`` names the
+    env var that holds the credential."""
 
-    backend_id: str
-    base_url: str
-    model_name: str
-    api_key_env: str  # name of the env var holding the credential
-    max_tokens: int
-    temperature: float
-    timeout: float
-    max_retries: int
     __slots__ = (
         "backend_id", "base_url", "model_name", "api_key_env", "max_tokens",
         "temperature", "timeout", "max_retries",
@@ -97,19 +90,13 @@ class BackendSpec(Record):
             raise ValueError(
                 f"max_retries must be non-negative, got {max_retries!r}"
             )
-        object.__setattr__(self, "backend_id", backend_id)
-        object.__setattr__(self, "base_url", base_url)
-        object.__setattr__(self, "model_name", model_name)
-        object.__setattr__(self, "api_key_env", api_key_env)
-        object.__setattr__(self, "max_tokens", max_tokens)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "timeout", timeout)
-        object.__setattr__(self, "max_retries", max_retries)
+        super().__init__(
+            backend_id, base_url, model_name, api_key_env, max_tokens,
+            temperature, timeout, max_retries,
+        )
 
 
 class ChatMessage(Record):
-    role: str
-    content: str
     __slots__ = ("role", "content")
 
     def __init__(self, role: str, content: str) -> None:
@@ -117,19 +104,12 @@ class ChatMessage(Record):
             raise ValueError(f"unknown role {role!r}")
         if role in ("system", "user") and not content:
             raise ValueError(f"{role} message content must be non-empty")
-        object.__setattr__(self, "role", role)
-        object.__setattr__(self, "content", content)
+        super().__init__(role, content)
 
 
 class ChatExchange(Record):
     """Audit record of one completed chat call."""
 
-    backend_id: str
-    request_messages: tuple[ChatMessage, ...]
-    response_text: str
-    latency: float
-    attempt_count: int
-    finished_at: dt.datetime
     __slots__ = (
         "backend_id", "request_messages", "response_text", "latency",
         "attempt_count", "finished_at",
@@ -140,12 +120,10 @@ class ChatExchange(Record):
         response_text: str, latency: float, attempt_count: int,
         finished_at: dt.datetime
     ) -> None:
-        object.__setattr__(self, "backend_id", backend_id)
-        object.__setattr__(self, "request_messages", request_messages)
-        object.__setattr__(self, "response_text", response_text)
-        object.__setattr__(self, "latency", latency)
-        object.__setattr__(self, "attempt_count", attempt_count)
-        object.__setattr__(self, "finished_at", finished_at)
+        super().__init__(
+            backend_id, request_messages, response_text, latency,
+            attempt_count, finished_at,
+        )
 
 
 class Transport(Protocol):
@@ -244,16 +222,14 @@ class MockTransport:
                 if rule.match not in last_user:
                     continue
                 if rule.fail:
-                    if self._remaining[i] is None:
-                        raise TransportError(
-                            f"scripted failure for match {rule.match!r}"
-                        )
-                    if self._remaining[i] > 0:
-                        self._remaining[i] -= 1
-                        raise TransportError(
-                            f"scripted failure for match {rule.match!r}"
-                        )
-                    continue  # budget spent: fall through to later rules
+                    left = self._remaining[i]
+                    if left == 0:
+                        continue  # budget spent: fall through to later rules
+                    if left is not None:
+                        self._remaining[i] = left - 1
+                    raise TransportError(
+                        f"scripted failure for match {rule.match!r}"
+                    )
                 return _completion_body(rule.reply or "")
         return _completion_body(MOCK_SENTINEL)
 

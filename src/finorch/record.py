@@ -1,12 +1,13 @@
 """Frozen value records as plain classes.
 
-``@dataclass`` generates and compiles its methods while a module is
-imported, and ``dataclasses`` itself loads ``inspect``, ``ast``, ``dis``
-and ``tokenize``: together 20-45 ms of a cold command on a shared 2-vCPU
-host. So finorch's records are plain classes. Each one lists its fields
-in ``__slots__``, in declaration order, and its own ``__init__`` checks
-and coerces them and sets each one with ``object.__setattr__``.
-``Record`` gives them what a frozen dataclass gave.
+A record lists its fields once, in ``__slots__``. Its ``__init__`` takes
+them in that order, checks them, coerces a field by rebinding its
+parameter (``task_kinds = frozenset(task_kinds)``), and ends with
+``super().__init__(...)``, passing every field in ``__slots__`` order.
+``Record`` sets the fields and gives what a frozen dataclass gave: value
+equality and hashing, a repr, no assignment or deletion, copying and
+pickling, ``to_dict`` and ``replace``. Plain classes keep ``dataclasses``,
+and the code it generates and compiles, out of every command's import.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ _R = TypeVar("_R", bound="Record")
 
 
 class Record:
-    """Base of the frozen records: value equality and hashing, a repr, no
-    assignment or deletion, copying and pickling, and ``replace``.
+    """Base of the frozen records: the field fill, value equality and
+    hashing, a repr, no assignment or deletion, copying and pickling,
+    ``to_dict`` and ``replace``.
 
     A subclass names the fields that ``==`` and ``hash`` leave out in
     ``_uncompared``, and those that ``repr`` leaves out in ``_unshown``.
@@ -29,6 +31,12 @@ class Record:
     __slots__ = ()
     _uncompared: tuple[str, ...] = ()
     _unshown: tuple[str, ...] = ()
+
+    def __init__(self, *values: Any) -> None:
+        # Every subclass's __init__ passes its fields in __slots__ order;
+        # tests/test_record.py pins that order for each record.
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _compared(self) -> tuple[Any, ...]:
         return tuple(
@@ -64,9 +72,14 @@ class Record:
         # takes the fields in __slots__ order.
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
+    def to_dict(self) -> dict[str, Any]:
+        """The fields by name, in ``__slots__`` order; values as stored."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
     def replace(self: _R, **changes: Any) -> _R:
         """A new record with ``changes`` applied; its ``__init__`` runs
         again, checks and coercions included."""
+        # Not to_dict: CompanyBundle overrides it with a nested, dated form.
         fields = {name: getattr(self, name) for name in self.__slots__}
         fields.update(changes)
         return type(self)(**fields)

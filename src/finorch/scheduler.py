@@ -95,10 +95,9 @@ ADAPTOR_PROMPT_ID = "adaptor_default"
 
 
 class AgentProfile(Record):
-    agent_id: str
-    backend_id: str
-    task_kinds: frozenset[str]
-    registered_at: str
+    """An agent registered for routing; ``task_kinds`` is stored as a
+    frozenset."""
+
     __slots__ = ("agent_id", "backend_id", "task_kinds", "registered_at")
 
     def __init__(
@@ -112,18 +111,13 @@ class AgentProfile(Record):
             raise ValueError(
                 f"agent {agent_id!r} must declare at least one task kind"
             )
-        object.__setattr__(self, "agent_id", agent_id)
-        object.__setattr__(self, "backend_id", backend_id)
-        object.__setattr__(self, "task_kinds", task_kinds)
-        object.__setattr__(self, "registered_at", registered_at)
+        super().__init__(agent_id, backend_id, task_kinds, registered_at)
 
 
 class GoldenRecord(Record):
-    record_id: str
-    task_kind: str
-    input_text: str
-    reference_answer: str
-    dimension_labels: tuple[str, ...]
+    """One golden-dataset record; ``dimension_labels`` is stored as a
+    tuple."""
+
     __slots__ = (
         "record_id", "task_kind", "input_text", "reference_answer",
         "dimension_labels",
@@ -138,21 +132,15 @@ class GoldenRecord(Record):
             raise ValueError(
                 f"record {record_id!r} needs at least one dimension"
             )
-        object.__setattr__(self, "record_id", record_id)
-        object.__setattr__(self, "task_kind", task_kind)
-        object.__setattr__(self, "input_text", input_text)
-        object.__setattr__(self, "reference_answer", reference_answer)
-        object.__setattr__(self, "dimension_labels", dimension_labels)
+        super().__init__(
+            record_id, task_kind, input_text, reference_answer, dimension_labels
+        )
 
 
 class TaskScore(Record):
-    agent_id: str
-    task_kind: str
-    raw_scores: Mapping[str, float]
-    normalized_scores: Mapping[str, float]
-    weights: Mapping[str, float]
-    composite: float
-    evaluated_at: str
+    """One agent's scores for one task kind; the three score mappings are
+    stored as private dict copies."""
+
     __slots__ = (
         "agent_id", "task_kind", "raw_scores", "normalized_scores", "weights",
         "composite", "evaluated_at",
@@ -184,32 +172,13 @@ class TaskScore(Record):
             )
         if not 0.0 <= composite <= 1.0 + WEIGHT_TOLERANCE:
             raise ValueError(f"composite {composite} out of [0, 1]")
-        object.__setattr__(self, "agent_id", agent_id)
-        object.__setattr__(self, "task_kind", task_kind)
-        object.__setattr__(self, "raw_scores", raw_scores)
-        object.__setattr__(self, "normalized_scores", normalized_scores)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "composite", composite)
-        object.__setattr__(self, "evaluated_at", evaluated_at)
-
-    def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "task_kind": self.task_kind,
-            "raw_scores": dict(self.raw_scores),
-            "normalized_scores": dict(self.normalized_scores),
-            "weights": dict(self.weights),
-            "composite": self.composite,
-            "evaluated_at": self.evaluated_at,
-        }
+        super().__init__(
+            agent_id, task_kind, raw_scores, normalized_scores, weights,
+            composite, evaluated_at,
+        )
 
 
 class Reflection(Record):
-    agent_id: str
-    task_id: str
-    self_score: float | None
-    notes: str
-    created_at: str
     __slots__ = ("agent_id", "task_id", "self_score", "notes", "created_at")
 
     def __init__(
@@ -218,30 +187,10 @@ class Reflection(Record):
     ) -> None:
         if self_score is not None and not 0.0 <= self_score <= 1.0:
             raise ValueError(f"self_score {self_score} out of [0, 1]")
-        object.__setattr__(self, "agent_id", agent_id)
-        object.__setattr__(self, "task_id", task_id)
-        object.__setattr__(self, "self_score", self_score)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "created_at", created_at)
-
-    def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "task_id": self.task_id,
-            "self_score": self.self_score,
-            "notes": self.notes,
-            "created_at": self.created_at,
-        }
+        super().__init__(agent_id, task_id, self_score, notes, created_at)
 
 
 class WorkflowEvaluation(Record):
-    workflow_id: str
-    grade: float | None
-    self_scores: tuple[float, ...]
-    mean_self_score: float | None
-    reflection_count: int
-    feedback: str
-    created_at: str
     __slots__ = (
         "workflow_id", "grade", "self_scores", "mean_self_score",
         "reflection_count", "feedback", "created_at",
@@ -252,24 +201,10 @@ class WorkflowEvaluation(Record):
         self_scores: tuple[float, ...], mean_self_score: float | None,
         reflection_count: int, feedback: str, created_at: str
     ) -> None:
-        object.__setattr__(self, "workflow_id", workflow_id)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "self_scores", self_scores)
-        object.__setattr__(self, "mean_self_score", mean_self_score)
-        object.__setattr__(self, "reflection_count", reflection_count)
-        object.__setattr__(self, "feedback", feedback)
-        object.__setattr__(self, "created_at", created_at)
-
-    def to_dict(self) -> dict:
-        return {
-            "workflow_id": self.workflow_id,
-            "grade": self.grade,
-            "self_scores": self.self_scores,
-            "mean_self_score": self.mean_self_score,
-            "reflection_count": self.reflection_count,
-            "feedback": self.feedback,
-            "created_at": self.created_at,
-        }
+        super().__init__(
+            workflow_id, grade, self_scores, mean_self_score, reflection_count,
+            feedback, created_at,
+        )
 
 
 # ---------------------------------------------------------------- formulas

@@ -38,9 +38,6 @@ _CALL_BLOCK = re.compile(r"```tool\s+(.*?)```", re.DOTALL)
 class ToolParam(Record):
     """One declared parameter of a tool."""
 
-    name: str
-    type: str
-    required: bool
     __slots__ = ("name", "type", "required")
 
     def __init__(self, name: str, type: str, required: bool = True) -> None:
@@ -48,17 +45,12 @@ class ToolParam(Record):
             raise ValueError(
                 f"parameter {name!r}: unknown semantic type {type!r}"
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "required", required)
+        super().__init__(name, type, required)
 
 
 class ToolSchema(Record):
     """Declared shape of one callable tool."""
 
-    tool_name: str
-    description: str
-    parameters: tuple[ToolParam, ...]
     __slots__ = ("tool_name", "description", "parameters")
 
     def __init__(
@@ -70,27 +62,20 @@ class ToolSchema(Record):
             raise ValueError(
                 f"schema {tool_name!r}: duplicate parameter names"
             )
-        object.__setattr__(self, "tool_name", tool_name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "parameters", parameters)
+        super().__init__(tool_name, description, parameters)
 
 
 class ToolCall(Record):
     """A validated call; ``origin_text`` preserves the model text for audit
     and is left out of equality."""
 
-    tool_name: str
-    arguments: Mapping[str, Any]
-    origin_text: str
     __slots__ = ("tool_name", "arguments", "origin_text")
     _uncompared = ("origin_text",)
 
     def __init__(
         self, tool_name: str, arguments: Mapping[str, Any], origin_text: str = ""
     ) -> None:
-        object.__setattr__(self, "tool_name", tool_name)
-        object.__setattr__(self, "arguments", arguments)
-        object.__setattr__(self, "origin_text", origin_text)
+        super().__init__(tool_name, arguments, origin_text)
 
 
 def _coerce(param: ToolParam, value: Any) -> Any:

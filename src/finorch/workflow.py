@@ -41,15 +41,9 @@ ROLE_FINANCIAL_ANALYST = "Financial Analyst"
 
 
 class Task(Record):
-    """One unit of routable work."""
+    """One unit of routable work; ``cutoff_date`` is stored as a
+    ``dt.date``."""
 
-    task_id: str
-    task_kind: str
-    subject: str
-    cutoff_date: dt.date
-    horizon: int
-    instruction_text: str
-    language: str
     __slots__ = (
         "task_id", "task_kind", "subject", "cutoff_date", "horizon",
         "instruction_text", "language",
@@ -72,13 +66,11 @@ class Task(Record):
             raise ValueError(
                 f"forecast horizon must be at least 1 day, got {horizon}"
             )
-        object.__setattr__(self, "task_id", task_id)
-        object.__setattr__(self, "task_kind", task_kind)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "cutoff_date", parse_date(cutoff_date))
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "instruction_text", instruction_text)
-        object.__setattr__(self, "language", language)
+        cutoff_date = parse_date(cutoff_date)
+        super().__init__(
+            task_id, task_kind, subject, cutoff_date, horizon,
+            instruction_text, language,
+        )
 
 
 class Trace:
@@ -129,41 +121,34 @@ def _replace_text(path: Path, text: str) -> None:
 
 
 class Outcome(Record):
-    """What an app's act step hands back to the runner."""
+    """What an app's act step hands back to the runner.
 
-    value: Any  # the app's own result, returned untouched
-    final_output: str  # the text self-assessment and the judge read
-    artifact: str  # JSON file in the run dir: ``payload`` plus run fields
-    payload: Mapping[str, Any]
-    texts: Mapping[str, str]  # file -> text
+    ``value`` is the app's own result, returned untouched; ``final_output``
+    the text that self-assessment and the judge read; ``artifact`` the JSON
+    file in the run dir (``payload`` plus run fields); ``texts`` maps file
+    -> text.
+    """
+
     __slots__ = ("value", "final_output", "artifact", "payload", "texts")
 
     def __init__(
         self, value: Any, final_output: str, artifact: str,
         payload: Mapping[str, Any], texts: Mapping[str, str] | None = None
     ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "final_output", final_output)
-        object.__setattr__(self, "artifact", artifact)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "texts", {} if texts is None else texts)
+        texts = {} if texts is None else texts
+        super().__init__(value, final_output, artifact, payload, texts)
 
 
 class TaskRun(Record):
     """One finished task: the act step's value and the Director's grade."""
 
-    value: Any
-    evaluation: WorkflowEvaluation | None
-    run_dir: Path | None
     __slots__ = ("value", "evaluation", "run_dir")
 
     def __init__(
         self, value: Any, evaluation: WorkflowEvaluation | None,
         run_dir: Path | None
     ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "evaluation", evaluation)
-        object.__setattr__(self, "run_dir", run_dir)
+        super().__init__(value, evaluation, run_dir)
 
 
 def run_task(

@@ -1,11 +1,13 @@
 """The frozen records: value equality and hashing, no assignment or
-deletion, a repr naming every shown field, copying and pickling, and
-``replace`` running the record's checks again."""
+deletion, a repr naming every shown field, copying and pickling,
+``to_dict``, ``replace`` running the record's checks again, and every
+``__init__`` taking its fields in ``__slots__`` order."""
 
 from __future__ import annotations
 
 import copy
 import datetime as dt
+import inspect
 import pickle
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from finorch.dataops.types import (
     PriceSeries,
 )
 from finorch.gateway import BackendSpec, ChatExchange, ChatMessage
+from finorch.record import Record
 from finorch.scheduler import (
     AgentProfile,
     GoldenRecord,
@@ -202,6 +205,13 @@ def test_frozen_record_semantics(name):
     positions = [text.index(f"{field}=") for field in shown]
     assert positions == sorted(positions)
 
+    # to_dict gives every field as stored, in __slots__ order.
+    # CompanyBundle keeps its own nested, ISO-dated to_dict.
+    if name != "CompanyBundle":
+        as_dict = record.to_dict()
+        assert list(as_dict) == list(fields)
+        assert as_dict == {field: getattr(record, field) for field in fields}
+
     # replace with no change gives a new, equal record, as do copying and
     # pickling.
     for rebuilt in (
@@ -211,6 +221,26 @@ def test_frozen_record_semantics(name):
         pickle.loads(pickle.dumps(record)),
     ):
         assert rebuilt == record and rebuilt is not record
+
+
+def _descendants(cls: type) -> list[type]:
+    found = []
+    for sub in cls.__subclasses__():
+        found += [sub, *_descendants(sub)]
+    return found
+
+
+def test_every_record_takes_its_slots_in_order():
+    """Record's fill, __reduce__ and replace pass the fields in __slots__
+    order, so each record's __init__ must take them in that order."""
+    records = _descendants(Record)
+    assert sorted(cls.__name__ for cls in records) == sorted(EXAMPLES)
+    for cls in records:
+        assert cls.__bases__ == (Record,), cls
+        assert "__init__" in vars(cls), cls
+        params = list(inspect.signature(cls.__init__).parameters.values())
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), cls
+        assert tuple(p.name for p in params[1:]) == cls.__slots__, cls
 
 
 def test_replace_runs_the_checks_and_coercions_again():
