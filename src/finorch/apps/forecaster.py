@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
-from finorch.clock import Clock, SystemClock, isoformat
+from finorch.clock import Clock
 from finorch.dataops.providers import MarketData
 from finorch.dataops.types import CompanyBundle
 from finorch.errors import (
@@ -135,23 +135,8 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
 # ── perception (Assistant) ───────────────────────────────────────────────
 
 
-class PerceptionBundle(Record):
-    """What the Assistant gathered for one forecast."""
-
-    __slots__ = ("company", "assembled_at")
-
-    def __init__(self, company: CompanyBundle, assembled_at: str) -> None:
-        super().__init__(company, assembled_at)
-
-
-def perceive(
-    task: Task,
-    market_data: MarketData,
-    *,
-    clock: Clock | None = None,
-) -> PerceptionBundle:
+def perceive(task: Task, market_data: MarketData) -> CompanyBundle:
     """Draw the task's strictly pre-cutoff company bundle."""
-    clock = clock or SystemClock()
     company = market_data.company_bundle(
         task.subject, task.cutoff_date, WINDOW_DAYS
     )
@@ -163,7 +148,7 @@ def perceive(
         raise EmptyBundle(
             f"no data for {task.subject!r} before {task.cutoff_date}"
         )
-    return PerceptionBundle(company=company, assembled_at=isoformat(clock.now()))
+    return company
 
 
 # ── prompt construction ──────────────────────────────────────────────────
@@ -501,7 +486,6 @@ def run_forecaster(
     clock: Clock | None = None,
 ) -> ForecastRun:
     """Perceive, prompt and parse one forecast through the task runner."""
-    clock = clock or SystemClock()
     task = Task(
         task_id=forecast_task_id(symbol, cutoff, horizon, language),
         task_kind="forecast",
@@ -517,7 +501,7 @@ def run_forecaster(
 
     def act(backend_id: str, trace: Trace) -> Outcome:
         with trace.stage(ROLE_ASSISTANT):
-            bundle = perceive(task, market_data, clock=clock).company
+            bundle = perceive(task, market_data)
             messages = build_forecast_prompt(
                 bundle, task.cutoff_date, horizon, language, prompt_store
             )

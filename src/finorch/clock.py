@@ -2,7 +2,10 @@
 
 Offline runs must produce byte-identical artifacts, so anything that stamps a
 timestamp draws it from a Clock instance instead of the wall clock. FixedClock
-hands out a deterministic, strictly increasing sequence.
+hands out a deterministic, strictly increasing sequence, and is read once per
+stamp that is written, so a stamp depends only on the stamps written before
+it. Durations are not read from a Clock: the gateway times each chat with its
+injectable monotonic timer.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ naming its key.
 * offline — scripted mock backends, fixture provider, scores under
   ``state_dir/offline``, a fixed clock for scoring and another for task
   runs (so a run's stamps do not depend on whether it evaluated first),
-  and a guard transport so nothing can reach the network by accident.
+  each ticking once per stamp written, and a guard transport so nothing
+  can reach the network by accident. Chats are timed by the gateway's
+  monotonic timer, never by a clock.
 
 Offline and live alike, a command evaluates only when no score exists.
 
@@ -227,7 +229,6 @@ def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentProfile:
             raise ConfigError(
                 f"{where} task kind {kind!r} is not one of {TASK_KINDS}"
             )
-    # registered_at stays empty: register_agent stamps it from the clock.
     return AgentProfile(
         agent_id=agent_id, backend_id=backend_id, task_kinds=frozenset(kinds)
     )
@@ -434,13 +435,14 @@ class _OfflineGuard:
 class Engine:
     """One assembled stack: gateway, scheduler, data, prompts, and dirs.
 
-    ``clock`` stamps task runs (traces, perception, artifacts) and ``env``
-    is where the live provider reads its token."""
+    ``clock`` stamps task runs (traces and artifacts) and ``env`` is where
+    the live provider reads its token. Commands run in
+    ``config.default_language`` unless they name another."""
 
     def __init__(
         self, config: EngineConfig, gateway: Gateway, scheduler: Scheduler,
         prompt_store: PromptStore, clock: Clock, env: Mapping[str, str],
-        offline: bool = False, language: str = "en"
+        offline: bool = False
     ) -> None:
         self.config = config
         self.gateway = gateway
@@ -449,7 +451,6 @@ class Engine:
         self.clock = clock
         self.env = env
         self.offline = offline
-        self.language = language
         self._golden: dict[str, list[GoldenRecord]] = {}
 
     @functools.cached_property
@@ -537,7 +538,7 @@ class Engine:
             gateway=self.gateway,
             prompt_store=self.prompt_store,
             market_data=self.market_data,
-            language=language or self.language,
+            language=language or self.config.default_language,
             runs_dir=self.config.runs_dir,
             clock=self.clock,
         )
@@ -565,7 +566,7 @@ class Engine:
             scheduler=self.scheduler,
             gateway=self.gateway,
             prompt_store=self.prompt_store,
-            language=language or self.language,
+            language=language or self.config.default_language,
             runs_dir=self.config.runs_dir,
             clock=self.clock,
             analyze=analyze_document,
@@ -586,7 +587,6 @@ def build_engine(
     if offline:
         gateway = Gateway(
             transport=_OfflineGuard(),
-            clock=clock,
             sleeper=lambda seconds: None,
             rng=random.Random(0),
         )
@@ -600,7 +600,7 @@ def build_engine(
     else:
         # The HTTP client is built here, not on the first chat (see
         # ``HttpClient.__init__``).
-        gateway = Gateway(clock=clock)
+        gateway = Gateway()
         for spec in config.backends:
             gateway.register_backend(spec)
 
@@ -624,5 +624,4 @@ def build_engine(
         clock=run_clock,
         env=env,
         offline=offline,
-        language=config.default_language,
     )

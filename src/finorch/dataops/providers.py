@@ -386,12 +386,8 @@ class MarketData:
         last_allowed = cutoff_d - dt.timedelta(days=1)
         start = cutoff_d - dt.timedelta(days=window_days)
         profile = self.get_company_profile(symbol)
-        prices = self.get_price_window(symbol, start, last_allowed).before(cutoff_d)
-        news = [
-            item
-            for item in self.get_news(symbol, start, last_allowed)
-            if item.dated < cutoff_d
-        ]
+        prices = self.get_price_window(symbol, start, last_allowed)
+        news = self.get_news(symbol, start, last_allowed)
         financials = self.get_basic_financials(symbol, last_allowed)
         return CompanyBundle(
             symbol=symbol,

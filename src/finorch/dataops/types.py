@@ -71,11 +71,6 @@ class PriceSeries(Record):
         kept = tuple(o for o in self.observations if start <= o.date <= end)
         return PriceSeries(symbol=self.symbol, observations=kept)
 
-    def before(self, cutoff: dt.date) -> "PriceSeries":
-        """Observations strictly before ``cutoff``."""
-        kept = tuple(o for o in self.observations if o.date < cutoff)
-        return PriceSeries(symbol=self.symbol, observations=kept)
-
     @classmethod
     def from_pairs(
         cls, symbol: str, pairs: Sequence[tuple[str | dt.date, str]]
@@ -123,7 +118,8 @@ class FinancialSnapshot(Record):
 class CompanyBundle(Record):
     """Everything the perception stage knows about one company.
 
-    Invariant: every dated item is at or before ``cutoff``.
+    Invariant: every dated item is strictly before ``cutoff``; an item
+    dated on or after it is refused.
     """
 
     __slots__ = (
@@ -136,16 +132,16 @@ class CompanyBundle(Record):
         financials: FinancialSnapshot
     ) -> None:
         for item in news:
-            if item.dated > cutoff:
+            if item.dated >= cutoff:
                 raise ValueError(
                     f"bundle {symbol!r}: news item dated {item.dated} is "
-                    f"after cutoff {cutoff}"
+                    f"not before cutoff {cutoff}"
                 )
         for obs in prices.observations:
-            if obs.date > cutoff:
+            if obs.date >= cutoff:
                 raise ValueError(
-                    f"bundle {symbol!r}: price dated {obs.date} is after "
-                    f"cutoff {cutoff}"
+                    f"bundle {symbol!r}: price dated {obs.date} is not "
+                    f"before cutoff {cutoff}"
                 )
         super().__init__(symbol, cutoff, profile, prices, news, financials)
 

@@ -17,14 +17,12 @@ long as the process, and returns their outcomes in submission order.
 
 from __future__ import annotations
 
-import datetime as dt
 import os
 import random
 import threading
 import time
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-from finorch.clock import Clock, SystemClock
 from finorch.errors import (
     ConfigError,
     DuplicateBackend,
@@ -108,21 +106,21 @@ class ChatMessage(Record):
 
 
 class ChatExchange(Record):
-    """Audit record of one completed chat call."""
+    """Audit record of one completed chat call. ``latency`` is the call's
+    seconds on the gateway's monotonic timer, retry waits included."""
 
     __slots__ = (
         "backend_id", "request_messages", "response_text", "latency",
-        "attempt_count", "finished_at",
+        "attempt_count",
     )
 
     def __init__(
         self, backend_id: str, request_messages: tuple[ChatMessage, ...],
-        response_text: str, latency: float, attempt_count: int,
-        finished_at: dt.datetime
+        response_text: str, latency: float, attempt_count: int
     ) -> None:
         super().__init__(
             backend_id, request_messages, response_text, latency,
-            attempt_count, finished_at,
+            attempt_count,
         )
 
 
@@ -253,18 +251,17 @@ def _extract_content(body: dict[str, Any]) -> str:
 class Gateway:
     """Backend registry plus retrying chat executor.
 
-    ``sleeper``, ``rng`` and ``monotonic`` (which times a call's retry
-    deadline) are injectable so backoff is testable with a fake clock;
-    ``clock`` stamps exchanges (inject a FixedClock for byte-stable
-    offline runs). Every transport, the scripted mock
-    included, is retried by ``httpclient.with_retries`` up to the
-    backend's ``max_retries``.
+    ``sleeper``, ``rng`` and ``monotonic`` are injectable so backoff is
+    testable with a fake clock. ``monotonic`` times each chat (its
+    ``latency``) and its retry deadline; the gateway stamps nothing, so
+    offline artifacts do not depend on how many chats ran. Every
+    transport, the scripted mock included, is retried by
+    ``httpclient.with_retries`` up to the backend's ``max_retries``.
     """
 
     def __init__(
         self,
         transport: Transport | None = None,
-        clock: Clock | None = None,
         sleeper: Callable[[float], None] | None = None,
         rng: random.Random | None = None,
         monotonic: Callable[[], float] | None = None,
@@ -272,7 +269,6 @@ class Gateway:
         self._default_transport: Transport = transport or HttpTransport()
         self._transports: dict[str, Transport] = {}
         self._backends: dict[str, BackendSpec] = {}
-        self._clock: Clock = clock or SystemClock()
         self._sleep = sleeper or time.sleep
         self._rng = rng or random.Random()
         self._monotonic = monotonic or time.monotonic
@@ -328,7 +324,7 @@ class Gateway:
             "max_tokens": spec.max_tokens,
         }
         transport = self._transport_for(backend_id)
-        started = self._clock.now()
+        started = self._monotonic()
         try:
             body, attempts = with_retries(
                 lambda: transport.send(spec, payload),
@@ -344,14 +340,12 @@ class Gateway:
                 f"backend {backend_id!r}: {exc.attempts} attempt(s) failed: {exc}"
             ) from exc
         text = _extract_content(body)
-        finished = self._clock.now()
         return ChatExchange(
             backend_id=backend_id,
             request_messages=tuple(messages),
             response_text=text,
-            latency=max((finished - started).total_seconds(), 0.0),
+            latency=self._monotonic() - started,
             attempt_count=attempts,
-            finished_at=finished,
         )
 
     def chat_many(
@@ -367,7 +361,7 @@ class Gateway:
         backends never wait on each other. A single request, or a batch
         whose backends are all in-process mocks, runs inline in submission
         order: threads cannot speed up a scripted reply, and inline keeps
-        offline clock stamps and mock fail budgets in a fixed order.
+        mock fail budgets in a fixed order.
         """
         batch = list(batch)
         if len(batch) < 2 or all(

@@ -98,11 +98,10 @@ class AgentProfile(Record):
     """An agent registered for routing; ``task_kinds`` is stored as a
     frozenset."""
 
-    __slots__ = ("agent_id", "backend_id", "task_kinds", "registered_at")
+    __slots__ = ("agent_id", "backend_id", "task_kinds")
 
     def __init__(
-        self, agent_id: str, backend_id: str, task_kinds: Iterable[str],
-        registered_at: str = ""
+        self, agent_id: str, backend_id: str, task_kinds: Iterable[str]
     ) -> None:
         if not agent_id:
             raise ValueError("agent_id must be non-empty")
@@ -111,7 +110,7 @@ class AgentProfile(Record):
             raise ValueError(
                 f"agent {agent_id!r} must declare at least one task kind"
             )
-        super().__init__(agent_id, backend_id, task_kinds, registered_at)
+        super().__init__(agent_id, backend_id, task_kinds)
 
 
 class GoldenRecord(Record):
@@ -516,10 +515,6 @@ class Scheduler:
         if profile.agent_id in self._agents:
             raise DuplicateAgent(f"agent {profile.agent_id!r} already registered")
         self._gateway.get_backend(profile.backend_id)  # UnknownBackend if not
-        if not profile.registered_at:
-            profile = profile.replace(
-                registered_at=isoformat(self._clock.now())
-            )
         self._agents[profile.agent_id] = profile
         return profile.agent_id
 
@@ -740,17 +735,15 @@ class Scheduler:
 
     def route(
         self,
-        task,
+        task_kind: str,
+        task_id: str | None = None,
         recorder: Callable[[dict], None] | None = None,
     ) -> str:
-        """Pick the top-ranked agent for the task's kind.
+        """Pick the top-ranked agent for ``task_kind``.
 
-        ``task`` is either a task-kind string or an object with
-        ``task_kind`` (and optionally ``task_id``). The full ranking
-        snapshot goes to ``recorder`` so traces capture the decision.
+        The full ranking snapshot, with ``task_id``, goes to ``recorder``
+        so traces capture the decision.
         """
-        task_kind = getattr(task, "task_kind", task)
-        task_id = getattr(task, "task_id", None)
         ranking = self.rank_agents(task_kind)
         chosen = ranking[0][0]
         if recorder is not None:

@@ -175,7 +175,9 @@ def run_task(
 
     with trace.stage(ROLE_DIRECTOR):
         agent = scheduler.route(
-            task, recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec)
+            task.task_kind,
+            task.task_id,
+            recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec),
         )
     backend_id = scheduler.get_agent(agent).backend_id
     outcome = act(backend_id, trace)

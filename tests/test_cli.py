@@ -676,6 +676,33 @@ class TestEvaluateAndRoute:
             latest[(r["task_kind"], r["agent_id"])] for r in rows
         ] == [1.0, 0.0, 0.0, 1.0]
 
+    def test_offline_evaluated_at_does_not_count_chats(self, tmp_path):
+        """A fixed clock ticks only for stamps that are written, so the
+        number of probes an evaluation sends moves no stamp."""
+        records = (REPO / "fixtures" / "golden" / "forecast.jsonl").read_text(
+            encoding="utf-8"
+        ).splitlines(keepends=True)
+        stamps = []
+        for kept in (records, records[:2]):
+            run_dir = tmp_path / f"kept{len(kept)}"
+            golden = run_dir / "golden"
+            shutil.copytree(REPO / "fixtures" / "golden", golden)
+            (golden / "forecast.jsonl").write_text(
+                "".join(kept), encoding="utf-8"
+            )
+            config = write_config(
+                run_dir,
+                MINIMAL.format(golden_dir=golden, fixture_dir=REPO / "fixtures"),
+            )
+            result = invoke(config, "evaluate", "--offline", "--kind", "forecast")
+            assert result.exit_code == 0, result.output
+            log = run_dir / "state" / "offline" / "task_scores.jsonl"
+            rows = [json.loads(line) for line in log.read_text().splitlines()]
+            assert len(rows) == 2
+            stamps.append([row["evaluated_at"] for row in rows])
+        assert len(records) > 2
+        assert stamps[0] == stamps[1]
+
     def test_offline_scores_never_route_a_live_task(
         self, config_path, monkeypatch
     ):

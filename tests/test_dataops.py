@@ -78,7 +78,7 @@ def test_price_series_rejects_duplicate_dates() -> None:
         )
 
 
-def test_price_series_window_is_inclusive_and_before_is_strict() -> None:
+def test_price_series_window_is_inclusive() -> None:
     series = PriceSeries.from_pairs(
         "T",
         [
@@ -89,8 +89,6 @@ def test_price_series_window_is_inclusive_and_before_is_strict() -> None:
     )
     window = series.window(dt.date(2024, 1, 1), dt.date(2024, 1, 2))
     assert window.dates() == [dt.date(2024, 1, 1), dt.date(2024, 1, 2)]
-    strict = series.before(dt.date(2024, 1, 3))
-    assert strict.dates() == [dt.date(2024, 1, 1), dt.date(2024, 1, 2)]
 
 
 def test_price_series_keeps_decimal_strings_until_computation() -> None:
@@ -124,6 +122,37 @@ def test_company_bundle_rejects_post_cutoff_data() -> None:
             news=(),
             financials=fin,
         )
+    # Data dated on the cutoff day is refused too: the cutoff is strict.
+    same_day_news = NewsItem(
+        headline="h", summary="s", dated=dt.date(2024, 1, 10), source_id="n2"
+    )
+    with pytest.raises(ValueError, match="news item dated 2024-01-10"):
+        CompanyBundle(
+            symbol="T",
+            cutoff=dt.date(2024, 1, 10),
+            profile=profile,
+            prices=PriceSeries("T", ()),
+            news=(same_day_news,),
+            financials=fin,
+        )
+    with pytest.raises(ValueError, match="price dated 2024-01-10"):
+        CompanyBundle(
+            symbol="T",
+            cutoff=dt.date(2024, 1, 10),
+            profile=profile,
+            prices=prices,
+            news=(),
+            financials=fin,
+        )
+    # The day before the cutoff is the last one allowed.
+    CompanyBundle(
+        symbol="T",
+        cutoff=dt.date(2024, 1, 11),
+        profile=profile,
+        prices=prices,
+        news=(same_day_news,),
+        financials=fin,
+    )
 
 
 def test_financial_snapshot_items_are_sorted_by_name() -> None:

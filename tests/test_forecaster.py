@@ -385,7 +385,7 @@ def build_pipeline(tmp_path: Path, assessment: dict | None = None):
     task_id = forecast_task_id("AAPL", dt.date(2024, 4, 19), 7, "en")
     assessment = assessment or {"reply": "score: 0.9 cited every block"}
     gateway = Gateway(
-        clock=FixedClock(), sleeper=lambda _s: None, rng=random.Random(0)
+        sleeper=lambda _s: None, rng=random.Random(0)
     )
     gateway.script_mock(
         "forecaster-backend",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import os
 import subprocess
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from finorch.clock import FixedClock
 from finorch.errors import (
     ConfigError,
     DuplicateBackend,
@@ -49,7 +47,6 @@ class TopOfRangeRng:
 def make_gateway(**kwargs) -> tuple[Gateway, list[float]]:
     sleeps: list[float] = []
     gateway = Gateway(
-        clock=FixedClock(),
         sleeper=sleeps.append,
         rng=TopOfRangeRng(),
         **kwargs,
@@ -255,14 +252,34 @@ def test_empty_messages_rejected():
         gateway.chat("m", [])
 
 
-def test_exchange_is_deterministic_with_fixed_clock():
-    gateway, _ = make_gateway()
-    gateway.script_mock("m", [MockRule(match="", reply="ok")])
-    exchange = gateway.chat("m", user("hi"))
-    assert exchange.latency == 1.0  # one fixed-clock tick
-    assert exchange.finished_at == dt.datetime(
-        2024, 1, 1, 0, 0, 1, tzinfo=dt.timezone.utc
+def test_latency_is_the_monotonic_time_of_one_call_with_its_retry_sleep():
+    now = [100.0]
+
+    def sleep(seconds: float) -> None:
+        now[0] += seconds
+
+    class SlowMock(MockTransport):
+        def send(self, spec, payload):
+            now[0] += 0.25  # each attempt takes a quarter second
+            return super().send(spec, payload)
+
+    gateway = Gateway(
+        sleeper=sleep, rng=TopOfRangeRng(), monotonic=lambda: now[0]
     )
+    gateway.register_backend(
+        BackendSpec(backend_id="m", base_url="mock://m", model_name="m"),
+        transport=SlowMock(
+            [
+                MockRule(match="", fail=True, times=1),
+                MockRule(match="", reply="ok"),
+            ]
+        ),
+    )
+    now[0] = 250.0  # time outside a call is not counted
+    exchange = gateway.chat("m", user("hi"))
+    assert exchange.attempt_count == 2
+    assert exchange.latency == 0.25 + BACKOFF_INITIAL + 0.25
+    assert gateway.chat("m", user("again")).latency == 0.25
 
 
 # ------------------------------------------------------------- http client
@@ -655,8 +672,6 @@ def test_chat_many_runs_mock_batches_inline_in_order():
     outcomes = gateway.chat_many(requests)
     assert [o.response_text for o in outcomes] == ["a", "b", "a"]
     assert seen == [(threading.current_thread(), t) for t in ("one", "two", "three")]
-    # FixedClock stamps follow submission order: two ticks per call.
-    assert [o.finished_at.second for o in outcomes] == [1, 3, 5]
 
 
 def test_chat_many_runs_a_single_request_inline():

@@ -17,7 +17,6 @@ from finorch.apps.forecaster import (
     FactorItem,
     ForecastResult,
     ForecastRun,
-    PerceptionBundle,
 )
 from finorch.apps.reports import (
     Discrepancy,
@@ -54,7 +53,6 @@ from finorch.tools.calls import ToolCall, ToolParam, ToolSchema
 from finorch.workflow import Outcome, Task, TaskRun
 
 DAY = dt.date(2024, 4, 18)
-AT = dt.datetime(2024, 4, 19, tzinfo=dt.timezone.utc)
 
 
 def backend() -> BackendSpec:
@@ -66,7 +64,7 @@ def message() -> ChatMessage:
 
 
 def exchange() -> ChatExchange:
-    return ChatExchange("b", (message(),), "reply", 0.5, 1, AT)
+    return ChatExchange("b", (message(),), "reply", 0.5, 1)
 
 
 def scores() -> dict[str, float]:
@@ -91,7 +89,8 @@ def profile() -> CompanyProfile:
 
 def bundle() -> CompanyBundle:
     return CompanyBundle(
-        "AAPL", DAY, profile(), prices(), (NewsItem("h", "s", DAY, "n1"),),
+        "AAPL", DAY + dt.timedelta(days=1), profile(), prices(),
+        (NewsItem("h", "s", DAY, "n1"),),
         FinancialSnapshot("FY23", {"pe": 28.0}),
     )
 
@@ -148,7 +147,6 @@ EXAMPLES = {
     "ToolCall": lambda: ToolCall("t", {"n": "x"}, "model text"),
     "FactorItem": lambda: FactorItem("growth", "News"),
     "ForecastResult": result,
-    "PerceptionBundle": lambda: PerceptionBundle(bundle(), "now"),
     "ForecastRun": lambda: ForecastRun(task(), result(), exchange()),
     "Indicator": lambda: Indicator("revenue", 1.5, "USD", "FY23", "revenue"),
     "Discrepancy": lambda: Discrepancy("eps", (1.0, 2.0), "eps"),
@@ -163,8 +161,8 @@ EXAMPLES = {
 #: dataclass, hashing them raises TypeError.
 HOLDS_A_MAPPING = {
     "EngineConfig", "TaskScore", "Outcome", "FinancialSnapshot",
-    "CompanyBundle", "PerceptionBundle", "Document", "RetrievedPassage",
-    "RetrievalIndex", "ToolCall",
+    "CompanyBundle", "Document", "RetrievedPassage", "RetrievalIndex",
+    "ToolCall",
 }
 
 #: The one field a repr leaves out, by record.

@@ -118,7 +118,7 @@ def extractor_script() -> list[dict]:
 
 def scripted_gateway(scripts: dict[str, list[dict]]) -> Gateway:
     gateway = Gateway(
-        clock=FixedClock(), sleeper=lambda _s: None, rng=random.Random(0)
+        sleeper=lambda _s: None, rng=random.Random(0)
     )
     gateway.script_mock("extractor", extractor_script())
     for backend_id, script in scripts.items():

@@ -262,7 +262,7 @@ def make_scheduler(
     weights: dict[str, float] | None = None,
 ) -> tuple[Scheduler, Gateway]:
     gateway = Gateway(
-        clock=FixedClock(), sleeper=lambda _s: None, rng=random.Random(0)
+        sleeper=lambda _s: None, rng=random.Random(0)
     )
     for backend_id, script in scripts.items():
         gateway.script_mock(backend_id, script)

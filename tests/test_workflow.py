@@ -98,13 +98,10 @@ def test_task_accepts_iso_date_string() -> None:
 
 
 def test_perceive_forecast_is_strictly_pre_cutoff() -> None:
-    perception = perceive(forecast_task(), market_data(), clock=FixedClock())
-    company = perception.company
-    assert company is not None
+    company = perceive(forecast_task(), market_data())
     assert all(o.date < dt.date(2024, 4, 19) for o in company.prices.observations)
     assert all(n.dated < dt.date(2024, 4, 19) for n in company.news)
     assert WATERMARK not in json.dumps(company.to_dict())
-    assert perception.assembled_at == "2024-01-01T00:00:00Z"
 
 
 def test_perceive_forecast_empty_bundle_before_any_data() -> None:
@@ -113,14 +110,14 @@ def test_perceive_forecast_empty_bundle_before_any_data() -> None:
 
 
 def full_perception():
-    return perceive(forecast_task(), market_data(), clock=FixedClock())
+    return perceive(forecast_task(), market_data())
 
 
 # ----------------------------------------------------------- prompt blocks
 
 
 def test_company_introduction_text() -> None:
-    company = full_perception().company
+    company = full_perception()
     text = company_introduction_text(company, "en")
     assert "Apple Inc" in text
     assert "Technology" in text
@@ -131,7 +128,7 @@ def test_company_introduction_text() -> None:
 
 
 def test_stock_price_changes_text_uses_original_close_strings() -> None:
-    company = full_perception().company
+    company = full_perception()
     text = stock_price_changes_text(company, "en")
     first = company.prices.observations[0]
     last = company.prices.observations[-1]
@@ -142,7 +139,7 @@ def test_stock_price_changes_text_uses_original_close_strings() -> None:
 
 
 def test_recent_news_text_lists_dated_headlines() -> None:
-    company = full_perception().company
+    company = full_perception()
     text = recent_news_text(company, "en")
     assert text.count("[Headline]:") == len(company.news)
     assert text.count("[Summary]:") == len(company.news)
@@ -154,7 +151,7 @@ def test_recent_news_text_lists_dated_headlines() -> None:
 
 
 def test_basic_financials_text_sorted_metrics() -> None:
-    company = full_perception().company
+    company = full_perception()
     text = basic_financials_text(company, "en")
     assert text.splitlines()[0] == "Reporting period: 2024-Q1"
     names = [line.split(":")[0] for line in text.splitlines()[1:]]
@@ -209,7 +206,7 @@ def build_scheduler(
     if judge is not None:
         scripts["judge"] = judge
     gateway = Gateway(
-        clock=FixedClock(), sleeper=lambda _s: None, rng=random.Random(0)
+        sleeper=lambda _s: None, rng=random.Random(0)
     )
     for backend_id, script in scripts.items():
         if remote is None:
