@@ -21,15 +21,16 @@ wins for routing. reflections.jsonl and evaluations.jsonl are audit logs
 that no command reads back: a workflow evaluation grades only its own run,
 from the output and the reflection the runner hands it.
 
-task_scores.jsonl is the source of truth. Beside it,
-task_scores.snapshot.json holds the fold of the log's first ``log_bytes``
-bytes (``log_lines`` lines): the latest row per (task kind, agent) in
-first-seen order, plus ``last_line``, the last line of that prefix. A load
-that finds the log still ending that prefix with that line starts from the
-snapshot and parses only the rows after it, so it costs O(agents + new
-rows) instead of O(history). A missing, unreadable or stale snapshot is
-ignored: the load replays the whole log and writes a fresh one. The
-snapshot can be deleted at any time.
+Loading reads task_scores.jsonl backward from its end and stops once it
+has each task kind's last roster. That relies on one rule, which every
+writer of the log keeps: a task kind's roster is written whole, sorted by
+agent id, and never with fewer agents than the one before it. A crash
+mid-append can leave only a sorted prefix of a roster, and the roster
+before it still holds the rest. Two processes with different agent sets
+appending to one log can break the rule: a stale, smaller roster appended
+last hides the agents it lacks. The load costs O(agents), not
+O(history), except for a task kind with no row at all: the read goes to
+the start of the file for it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
@@ -321,125 +321,64 @@ def load_golden_dataset(path: Path | str) -> list[GoldenRecord]:
     return records
 
 
-def _parse_row(path: Path, number: int, line: str | bytes, row_type: type):
-    """One state-file row; a torn or malformed line is a ConfigError
-    naming the file and the line."""
-    try:
-        return row_type(**json.loads(line))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"state file {path} line {number} is malformed: {exc}"
-        ) from None
-
-
 ScoreKey = tuple[str, str]  # (task_kind, agent_id)
 
-
-class _ScoreFold:
-    """The latest TaskScore per key over the log's first ``log_bytes``
-    bytes (``log_lines`` lines), of which ``last_line`` is the last."""
-
-    __slots__ = ("latest", "log_lines", "log_bytes", "last_line")
-
-    def __init__(
-        self, log_lines: int = 0, log_bytes: int = 0, last_line: bytes = b""
-    ) -> None:
-        self.latest: dict[ScoreKey, TaskScore] = {}
-        self.log_lines = log_lines
-        self.log_bytes = log_bytes
-        self.last_line = last_line
+#: Bytes taken per step of the backward read of task_scores.jsonl.
+_BLOCK = 1 << 12
 
 
-def _read_snapshot(path: Path) -> _ScoreFold | None:
-    """The fold a snapshot file holds, or None when it is absent or does
-    not parse."""
-    try:
-        snapshot = json.loads(path.read_bytes())
-        fold = _ScoreFold(
-            log_lines=snapshot["log_lines"],
-            log_bytes=snapshot["log_bytes"],
-            last_line=snapshot["last_line"].encode("utf-8", "surrogateescape"),
-        )
-        for row in snapshot["latest"]:
-            score = TaskScore(**row)
-            fold.latest[(score.task_kind, score.agent_id)] = score
-    except (
-        OSError, AttributeError, KeyError, TypeError, ValueError, EngineError
-    ):
-        return None
-    if (
-        type(fold.log_lines) is type(fold.log_bytes) is int
-        and fold.log_lines > 0
-        and fold.last_line.endswith(b"\n")
-        and len(fold.last_line) <= fold.log_bytes
-    ):
-        return fold
-    return None
+def _latest_rosters(log: Path) -> dict[ScoreKey, TaskScore]:
+    """Latest TaskScore per (task_kind, agent_id): each task kind's last
+    roster, read from the end of the log.
 
-
-def _write_snapshot(path: Path, fold: _ScoreFold) -> None:
-    """Replace the snapshot atomically (a unique temp file, then
-    ``os.replace``). The snapshot only saves time, so a state dir that
-    cannot take it is left without one."""
-    data = json.dumps(
-        {
-            "log_bytes": fold.log_bytes,
-            "log_lines": fold.log_lines,
-            "last_line": fold.last_line.decode("utf-8", "surrogateescape"),
-            "latest": [score.to_dict() for score in fold.latest.values()],
-        }
-    ).encode("ascii")
-    try:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
-        )
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except OSError:
-        os.unlink(tmp)
-
-
-def _replay_scores(log: Path, snapshot: Path) -> dict[ScoreKey, TaskScore]:
-    """Latest TaskScore per (task_kind, agent_id), in first-seen order.
-
-    Starts from the snapshot's fold when the log still ends that fold's
-    prefix with its last line, else from empty at offset 0 (a full
-    replay); then folds in every row after the offset. Rewrites the
-    snapshot when that read more rows than the snapshot keeps.
+    The log is read back in blocks. The first row seen per (kind, agent) is
+    that agent's latest; a kind's roster is complete when one of its agent
+    ids comes round again. The read stops when every kind in TASK_KINDS is
+    complete, or at the start of the file. A torn or malformed row it reads
+    is a ConfigError naming the file and the line.
     """
     try:
         handle = log.open("rb")
     except FileNotFoundError:
         return {}
+    latest: dict[ScoreKey, TaskScore] = {}
+    open_kinds = set(TASK_KINDS)
     with handle:
-        fold = _read_snapshot(snapshot)
-        if fold is not None:
-            handle.seek(fold.log_bytes - len(fold.last_line))
-            if handle.read(len(fold.last_line)) != fold.last_line:
-                fold = None
-        if fold is None:
-            fold = _ScoreFold()
-            handle.seek(0)
-        tail = handle.read()
-    read = 0
-    lines = tail.split(b"\n")
-    for number, line in enumerate(lines, start=fold.log_lines + 1):
-        if line.strip():
-            score = _parse_row(log, number, line, TaskScore)
-            fold.latest[(score.task_kind, score.agent_id)] = score
-            read += 1
-    # Only complete lines go into a snapshot: a tail that does not end in
-    # a newline is left for the next load to read again.
-    if read > len(fold.latest) and tail.endswith(b"\n"):
-        fold.log_lines += tail.count(b"\n")
-        fold.log_bytes += len(tail)
-        fold.last_line = tail[:-1].rpartition(b"\n")[2] + b"\n"
-        _write_snapshot(snapshot, fold)
-    return fold.latest
+        position = handle.seek(0, os.SEEK_END)
+        partial = b""
+        while open_kinds and position:
+            step = min(_BLOCK, position)
+            position -= step
+            handle.seek(position)
+            block = handle.read(step) + partial
+            end = position + len(block)
+            lines = block.split(b"\n")
+            # Unless the block starts the file, its first piece may be the
+            # end of a line that starts in the block before it.
+            partial = lines.pop(0) if position else b""
+            for line in reversed(lines):
+                if not open_kinds:
+                    break
+                start = end - len(line)
+                end = start - 1
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                    key = (row["task_kind"], row["agent_id"])
+                    if key[0] not in open_kinds:
+                        continue
+                    if key in latest:
+                        open_kinds.discard(key[0])
+                    else:
+                        latest[key] = TaskScore(**row)
+                except (KeyError, TypeError, ValueError) as exc:
+                    handle.seek(0)
+                    number = handle.read(start).count(b"\n") + 1
+                    raise ConfigError(
+                        f"state file {log} line {number} is malformed: {exc}"
+                    ) from None
+    return latest
 
 
 # --------------------------------------------------------------- scheduler
@@ -477,10 +416,6 @@ class Scheduler:
         return self._state_dir / "task_scores.jsonl"
 
     @property
-    def snapshot_path(self) -> Path:
-        return self._state_dir / "task_scores.snapshot.json"
-
-    @property
     def reflections_path(self) -> Path:
         return self._state_dir / "reflections.jsonl"
 
@@ -489,9 +424,7 @@ class Scheduler:
         return self._state_dir / "evaluations.jsonl"
 
     def _load_state(self) -> None:
-        self._latest: dict[ScoreKey, TaskScore] = _replay_scores(
-            self.scores_path, self.snapshot_path
-        )
+        self._latest = _latest_rosters(self.scores_path)
 
     def _append(self, path: Path, *rows: Mapping) -> None:
         """Append rows with one open and one write. A last line that a

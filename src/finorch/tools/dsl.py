@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Mapping
 
 from finorch.errors import DomainError, ParseError, UnboundVariable
 

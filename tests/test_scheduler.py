@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import shutil
 import tempfile
 import threading
 from pathlib import Path
@@ -37,6 +36,7 @@ from finorch.errors import (
 from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import (
+    _BLOCK,
     AgentProfile,
     GoldenRecord,
     Scheduler,
@@ -907,7 +907,7 @@ def test_malformed_golden_dataset_line_is_a_config_error(
             load_golden_dataset(path)
 
 
-# ----------------------------------------------------------------- snapshot
+# ---------------------------------------------------------------- score log
 
 SWAP_SCRIPTS = {
     "backend-a": correct_script("question-one")
@@ -929,28 +929,16 @@ def swap_scheduler(state_root: Path) -> Scheduler:
     return scheduler
 
 
-def full_replay(state_root: Path, tmp: Path) -> Scheduler:
-    """A scheduler over a copy of the score log alone, with no snapshot."""
-    (tmp / "state").mkdir(parents=True)
-    log = state_root / "state" / "task_scores.jsonl"
+def fold_every_line(log: Path) -> dict[tuple[str, str], TaskScore]:
+    """Oracle for a load: every row of the log folded in order into the
+    latest TaskScore per (task kind, agent id)."""
+    latest = {}
     if log.exists():
-        shutil.copyfile(log, tmp / "state" / "task_scores.jsonl")
-    return swap_scheduler(tmp)
-
-
-def ranking_or_none(scheduler: Scheduler, task_kind: str):
-    try:
-        return scheduler.rank_agents(task_kind)
-    except NoScoredAgents:
-        return None
-
-
-def assert_same_state(loaded: Scheduler, replayed: Scheduler) -> None:
-    for kind in ("forecast", "report"):
-        assert list(loaded.latest_scores(kind).items()) == list(
-            replayed.latest_scores(kind).items()
-        )
-        assert ranking_or_none(loaded, kind) == ranking_or_none(replayed, kind)
+        for line in log.read_bytes().splitlines():
+            if line.strip():
+                score = TaskScore(**json.loads(line))
+                latest[(score.task_kind, score.agent_id)] = score
+    return latest
 
 
 def hand_row(agent_id: str, task_kind: str, values: Sequence[float]) -> str:
@@ -969,14 +957,6 @@ def hand_row(agent_id: str, task_kind: str, values: Sequence[float]) -> str:
     return json.dumps(score.to_dict(), ensure_ascii=False) + "\n"
 
 
-def snapshot_of(state_root: Path) -> dict:
-    return json.loads(
-        (state_root / "state" / "task_scores.snapshot.json").read_text(
-            encoding="utf-8"
-        )
-    )
-
-
 def evaluate_both(scheduler: Scheduler, prefix: str) -> None:
     scheduler.evaluate_agent("alpha", golden_dataset(prefix))
     scheduler.evaluate_agent("omega", golden_dataset(prefix))
@@ -992,9 +972,11 @@ STEPS = st.lists(
         ),
         st.tuples(
             st.just("append"),
-            st.sampled_from(["alpha", "omega", "ghost"]),
             st.sampled_from(["forecast", "report"]),
-            st.tuples(unit, unit),
+            st.sampled_from([("alpha",), ("omega",), ("alpha", "omega")]),
+            st.fixed_dictionaries(
+                {"alpha": st.tuples(unit, unit), "omega": st.tuples(unit, unit)}
+            ),
         ),
         st.tuples(st.just("reload")),
     ),
@@ -1005,32 +987,26 @@ STEPS = st.lists(
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(steps=STEPS)
 def test_snapshot_load_equals_full_replay(steps) -> None:
+    """A load holds what folding the whole log gives, over logs of
+    evaluations and of whole sorted rosters appended by hand."""
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp) / "live"
+        root = Path(tmp)
         scheduler = swap_scheduler(root)
         log = root / "state" / "task_scores.jsonl"
         for step in steps:
             if step[0] == "evaluate":
                 scheduler.evaluate_agent(step[1], golden_dataset(step[2]))
-            elif step[0] == "append":
+                continue
+            if step[0] == "append":
+                _, kind, chosen, values = step
+                roster = {a for k, a in fold_every_line(log) if k == kind}
                 with log.open("a", encoding="utf-8") as handle:
-                    handle.write(hand_row(step[1], step[2], step[3]))
-            else:
-                scheduler = swap_scheduler(root)
-        loaded = swap_scheduler(root)
-        assert_same_state(loaded, full_replay(root, Path(tmp) / "replay"))
-        # the state a load left behind loads the same again
-        assert_same_state(swap_scheduler(root), loaded)
-
-
-def damage_delete(root: Path) -> None:
-    (root / "state" / "task_scores.snapshot.json").unlink()
-
-
-def damage_invalid_json(root: Path) -> None:
-    (root / "state" / "task_scores.snapshot.json").write_text(
-        '{"log_bytes": 12', encoding="utf-8"
-    )
+                    for agent in sorted(roster.union(chosen)):
+                        handle.write(hand_row(agent, kind, values[agent]))
+            # a scheduler loaded before another writer's roster would
+            # append a stale one
+            scheduler = swap_scheduler(root)
+        assert swap_scheduler(root)._latest == fold_every_line(log)
 
 
 def damage_truncate(root: Path) -> None:
@@ -1054,66 +1030,119 @@ def damage_rewrite_same_length(root: Path) -> None:
 
 @pytest.mark.parametrize(
     ("damage", "winner"),
-    [
-        (damage_delete, "omega"),
-        (damage_invalid_json, "omega"),
-        (damage_truncate, "alpha"),
-        (damage_rewrite_same_length, "alpha"),
-    ],
+    [(damage_truncate, "alpha"), (damage_rewrite_same_length, "alpha")],
 )
 def test_untrusted_snapshot_falls_back_to_full_replay(
     tmp_path: Path, damage, winner: str
 ) -> None:
+    """A log cut short or rewritten in place loads from its bytes: no
+    earlier load leaves anything behind that outlives the damage."""
     root = tmp_path / "live"
     first = swap_scheduler(root)
     evaluate_both(first, "question-one")
     evaluate_both(first, "question-two")
-    swap_scheduler(root)  # folds six rows into a snapshot of two
-    log = root / "state" / "task_scores.jsonl"
-    assert snapshot_of(root)["log_bytes"] == len(log.read_bytes())
-    assert first.route("forecast") == "omega"
+    assert swap_scheduler(root).route("forecast") == "omega"
     damage(root)
 
     loaded = swap_scheduler(root)
-    assert_same_state(loaded, full_replay(root, tmp_path / "replay"))
+    assert loaded._latest == fold_every_line(root / "state" / "task_scores.jsonl")
     assert loaded.route("forecast") == winner
-    assert snapshot_of(root)["log_bytes"] == len(log.read_bytes())
-    rebuilt = snapshot_of(root)
-    assert rebuilt["log_bytes"] == len(log.read_bytes())
-    assert rebuilt["log_lines"] == len(log.read_bytes().splitlines())
 
 
-def test_snapshot_is_only_written_when_it_saves_rows(tmp_path: Path) -> None:
-    root = tmp_path / "live"
-    first = swap_scheduler(root)
-    first.evaluate_agent("alpha", golden_dataset())
-    swap_scheduler(root)  # one row, one agent: nothing to compact
-    assert not (root / "state" / "task_scores.snapshot.json").exists()
-    first.evaluate_agent("omega", golden_dataset())
-    swap_scheduler(root)
-    assert snapshot_of(root)["log_lines"] == 3
-    assert [row["agent_id"] for row in snapshot_of(root)["latest"]] == [
-        "alpha",
-        "omega",
+def test_evaluate_and_route_leave_only_the_score_log(tmp_path: Path) -> None:
+    scheduler = swap_scheduler(tmp_path)
+    evaluate_both(scheduler, "question-one")
+    assert swap_scheduler(tmp_path).route("forecast") == "alpha"
+    evaluate_both(scheduler, "question-two")
+    assert swap_scheduler(tmp_path).route("forecast") == "omega"
+    assert [p.name for p in (tmp_path / "state").iterdir()] == [
+        "task_scores.jsonl"
     ]
 
 
-def test_torn_tail_after_snapshot_names_the_absolute_line(
-    tmp_path: Path,
-) -> None:
-    root = tmp_path / "live"
-    scheduler = swap_scheduler(root)
+def test_torn_tail_names_the_absolute_line(tmp_path: Path) -> None:
+    scheduler = swap_scheduler(tmp_path)
     evaluate_both(scheduler, "question-one")
-    swap_scheduler(root)
-    assert snapshot_of(root)["log_lines"] == 3
     evaluate_both(scheduler, "question-two")
-    log = root / "state" / "task_scores.jsonl"
+    log = tmp_path / "state" / "task_scores.jsonl"
     data = log.read_bytes()
     log.write_bytes(data[:-40])
     torn_line = len(data.splitlines())
     assert torn_line == 7
     with pytest.raises(ConfigError, match=rf"task_scores.jsonl line {torn_line}\b"):
-        swap_scheduler(root)
+        swap_scheduler(tmp_path)
+
+
+def rosters(*written: tuple[str, Sequence[str]]) -> str:
+    """Hand rows for each (task kind, agent ids) roster, in order."""
+    rng = random.Random(3)
+    return "".join(
+        hand_row(agent, kind, (rng.random(), rng.random()))
+        for kind, agents in written
+        for agent in agents
+    )
+
+
+def rows_longer_than_a_block() -> str:
+    long_id = "agent-" + "x" * (2 * _BLOCK)
+    return rosters(
+        ("forecast", (long_id, "alpha")),
+        ("report", (long_id,)),
+        ("forecast", (long_id, "alpha")),
+        ("report", (long_id,)),
+    )
+
+
+def blank_last_line() -> str:
+    return rosters(
+        ("forecast", ("alpha", "omega")), ("forecast", ("alpha", "omega"))
+    ) + "\n"
+
+
+def crash_mid_roster() -> str:
+    """A writer that appends a roster one row at a time can crash after a
+    sorted prefix of it: here delta joins the forecast roster, and the
+    crash comes before gamma's row."""
+    return rosters(
+        ("forecast", ("alpha",)),
+        ("report", ("alpha",)),
+        ("forecast", ("alpha", "beta")),
+        ("forecast", ("alpha", "beta", "gamma")),
+        ("report", ("alpha", "omega")),
+        ("forecast", ("alpha", "beta", "delta")),
+    )
+
+
+@pytest.mark.parametrize(
+    "log_text", [rows_longer_than_a_block, blank_last_line, crash_mid_roster]
+)
+def test_backward_read_loads_as_the_full_fold(tmp_path: Path, log_text) -> None:
+    (tmp_path / "state").mkdir()
+    log = tmp_path / "state" / "task_scores.jsonl"
+    log.write_text(log_text(), encoding="utf-8")
+    loaded, _ = make_scheduler(tmp_path, {})
+    assert loaded._latest == fold_every_line(log)
+
+
+def test_a_kind_with_no_row_is_read_to_the_start_of_the_log(
+    tmp_path: Path,
+) -> None:
+    agents = ("alpha", "beta", "gamma", "omega")
+    rows = rosters(*[("forecast", agents)] * 2_500).splitlines(keepends=True)
+    assert len(rows) == 10_000
+    (tmp_path / "state").mkdir()
+    log = tmp_path / "state" / "task_scores.jsonl"
+    log.write_text("".join(rows), encoding="utf-8")
+    loaded, _ = make_scheduler(tmp_path, {})
+    assert loaded._latest == fold_every_line(log)
+    assert {kind for kind, _ in loaded._latest} == {"forecast"}
+    # so a malformed row far back is read, and named by its line
+    log.write_text(
+        "".join(rows[:5_000]) + '{"agent_id": "alpha"}\n' + "".join(rows[5_000:]),
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match=r"task_scores.jsonl line 5001\b"):
+        make_scheduler(tmp_path, {})
 
 
 def test_load_with_current_snapshot_builds_one_score_per_agent(
@@ -1122,15 +1151,14 @@ def test_load_with_current_snapshot_builds_one_score_per_agent(
     agents = ("alpha", "beta", "gamma", "omega")
     rng = random.Random(5)
     (tmp_path / "state").mkdir()
-    with (tmp_path / "state" / "task_scores.jsonl").open(
-        "w", encoding="utf-8"
-    ) as handle:
+    log = tmp_path / "state" / "task_scores.jsonl"
+    with log.open("w", encoding="utf-8") as handle:
         for n in range(10_000):
             kind = ("forecast", "report")[n % 2]
             handle.write(
                 hand_row(agents[n // 2 % 4], kind, (rng.random(), rng.random()))
             )
-    before, _ = make_scheduler(tmp_path, {})  # full replay, then a snapshot
+    folded = fold_every_line(log)
     built: list[TaskScore] = []
     init = TaskScore.__init__
 
@@ -1139,6 +1167,6 @@ def test_load_with_current_snapshot_builds_one_score_per_agent(
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(TaskScore, "__init__", counting)
-    after, _ = make_scheduler(tmp_path, {})
+    loaded, _ = make_scheduler(tmp_path, {})
     assert len(built) == len(agents) * 2
-    assert after._latest == before._latest
+    assert loaded._latest == folded
