@@ -135,19 +135,18 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
 # ── perception (Assistant) ───────────────────────────────────────────────
 
 
-def perceive(task: Task, market_data: MarketData) -> CompanyBundle:
-    """Draw the task's strictly pre-cutoff company bundle."""
-    company = market_data.company_bundle(
-        task.subject, task.cutoff_date, WINDOW_DAYS
-    )
+def perceive(
+    symbol: str, cutoff: dt.date, market_data: MarketData
+) -> CompanyBundle:
+    """Draw ``symbol``'s company bundle from the ``WINDOW_DAYS`` strictly
+    before ``cutoff``; ``EmptyBundle`` when it holds no data at all."""
+    company = market_data.company_bundle(symbol, cutoff, WINDOW_DAYS)
     if (
         len(company.prices) == 0
         and not company.news
         and not company.financials.metrics
     ):
-        raise EmptyBundle(
-            f"no data for {task.subject!r} before {task.cutoff_date}"
-        )
+        raise EmptyBundle(f"no data for {symbol!r} before {cutoff}")
     return company
 
 
@@ -462,14 +461,13 @@ class ForecastRun(Record):
 
     def __init__(
         self, task: Task, result: ForecastResult, exchange: ChatExchange,
-        evaluation: WorkflowEvaluation | None = None,
-        run_dir: Path | None = None
+        evaluation: WorkflowEvaluation | None, run_dir: Path
     ) -> None:
         super().__init__(task, result, exchange, evaluation, run_dir)
 
     @property
-    def forecast_path(self) -> Path | None:
-        return self.run_dir / "forecast.json" if self.run_dir else None
+    def forecast_path(self) -> Path:
+        return self.run_dir / "forecast.json"
 
 
 def run_forecaster(
@@ -481,17 +479,16 @@ def run_forecaster(
     gateway: Gateway,
     prompt_store: PromptStore,
     market_data: MarketData,
+    runs_dir: Path,
+    clock: Clock,
     language: str = "en",
-    runs_dir: Path | None = None,
-    clock: Clock | None = None,
 ) -> ForecastRun:
-    """Perceive, prompt and parse one forecast through the task runner."""
+    """Perceive, prompt and parse one forecast through the task runner; a
+    horizon whose window holds no weekday is the Assistant's InvalidHorizon."""
     task = Task(
         task_id=forecast_task_id(symbol, cutoff, horizon, language),
         task_kind="forecast",
         subject=symbol,
-        cutoff_date=cutoff,
-        horizon=horizon,
         instruction_text=(
             f"Forecast {symbol} for the week after {cutoff.isoformat()}; "
             "give tagged positives, concerns, and a banded prediction."
@@ -501,9 +498,9 @@ def run_forecaster(
 
     def act(backend_id: str, trace: Trace) -> Outcome:
         with trace.stage(ROLE_ASSISTANT):
-            bundle = perceive(task, market_data)
+            bundle = perceive(symbol, cutoff, market_data)
             messages = build_forecast_prompt(
-                bundle, task.cutoff_date, horizon, language, prompt_store
+                bundle, cutoff, horizon, language, prompt_store
             )
         trace.emit(
             ROLE_ASSISTANT,
@@ -526,14 +523,14 @@ def run_forecaster(
                 "concerns": len(result.concerns),
             },
         )
-        start, end = horizon_window(task.cutoff_date, horizon)
+        start, end = horizon_window(cutoff, horizon)
         return Outcome(
             value=(result, exchange),
             final_output=exchange.response_text,
             artifact="forecast.json",
             payload={
                 "symbol": symbol,
-                "cutoff": task.cutoff_date.isoformat(),
+                "cutoff": cutoff.isoformat(),
                 "horizon_days": horizon,
                 "language": language,
                 "window": {"start": start.isoformat(), "end": end.isoformat()},

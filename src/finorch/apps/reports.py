@@ -272,7 +272,7 @@ def index_document(path: Path) -> DocumentAnalysis:
 
 
 def analyze_document(
-    document: Path | DocumentAnalysis,
+    document: DocumentAnalysis,
     *,
     gateway: Gateway,
     backend_id: str,
@@ -280,13 +280,11 @@ def analyze_document(
     topics: tuple[str, ...] = DEFAULT_TOPICS,
     language: str = "en",
 ) -> DocumentAnalysis:
-    """Extract one indicator per topic from a document, indexing it first
-    unless ``index_document`` already has.
+    """Extract one indicator per topic from the ``document`` that
+    ``index_document`` built.
 
     Topic-level failures are collected, not fatal; the analysis carries on.
     """
-    if not isinstance(document, DocumentAnalysis):
-        document = index_document(document)
     # Retrieve and render every topic first, then run the extractions
     # together; each topic keeps either its passages or its failure.
     staged: list[tuple[str, list[RetrievedPassage] | EngineError]] = []
@@ -370,9 +368,9 @@ def generate_report(
     scheduler: Scheduler,
     gateway: Gateway,
     prompt_store: PromptStore,
+    runs_dir: Path,
+    clock: Clock,
     language: str = "en",
-    runs_dir: Path | None = None,
-    clock: Clock | None = None,
     analyze: Callable[..., DocumentAnalysis] = analyze_document,
 ) -> ReportResult:
     """Extract the indicators of an indexed ``document`` and write the
@@ -387,8 +385,6 @@ def generate_report(
         task_id=task_id,
         task_kind="report",
         subject=subject,
-        cutoff_date="2100-01-01",  # reports have no market cutoff
-        horizon=0,
         instruction_text=(
             f"Write a five-section research note on {subject} grounded in "
             "the analyzed document."

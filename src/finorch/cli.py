@@ -87,8 +87,7 @@ def forecast(args: argparse.Namespace) -> None:
         f"prediction: {result.direction} {result.band_text()} "
         f"({len(result.positives)} positives, {len(result.concerns)} concerns)"
     )
-    if run.forecast_path is not None:
-        print(f"saved: {run.forecast_path}")
+    print(f"saved: {run.forecast_path}")
 
 
 def report(args: argparse.Namespace) -> None:
@@ -103,8 +102,7 @@ def report(args: argparse.Namespace) -> None:
         f"failures: {len(result.analysis.failures)}, "
         f"discrepancies: {len(result.analysis.discrepancies)}"
     )
-    if result.run_dir is not None:
-        print(f"saved: {result.run_dir / 'report.md'}")
+    print(f"saved: {result.run_dir / 'report.md'}")
 
 
 def selfcheck(args: argparse.Namespace) -> None:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
-import os
 import random
 from collections.abc import Mapping
 from pathlib import Path
@@ -134,9 +133,6 @@ class EngineConfig(Record):
             default_language,
         )
 
-    def backend_ids(self) -> list[str]:
-        return [b.backend_id for b in self.backends]
-
 
 def _require(row: Mapping[str, Any], key: str, where: str) -> str:
     if key not in row:
@@ -177,13 +173,7 @@ def _parse_backend(row: Any, index: int) -> BackendSpec:
     if not isinstance(row, Mapping):
         raise ConfigError(f"{where} must be a mapping")
     _reject_secrets(row, where)
-    unknown = set(row) - {
-        "backend_id",
-        "base_url",
-        "model_name",
-        "api_key_env",
-        *_BACKEND_NUMBERS,
-    }
+    unknown = set(row) - set(BackendSpec.__slots__)
     if unknown:
         raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
     api_key_env = row.get("api_key_env", "")
@@ -212,7 +202,7 @@ def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentProfile:
     where = f"agents[{index}]"
     if not isinstance(row, Mapping):
         raise ConfigError(f"{where} must be a mapping")
-    unknown = set(row) - {"agent_id", "backend_id", "task_kinds"}
+    unknown = set(row) - set(AgentProfile.__slots__)
     if unknown:
         raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
     agent_id = _require(row, "agent_id", where)
@@ -260,7 +250,7 @@ def _parse_provider(raw: Any) -> ProviderSettings:
     if not isinstance(raw, Mapping):
         raise ConfigError("'provider' must be a mapping")
     _reject_secrets(raw, "provider")
-    unknown = set(raw) - {"name", "base_url", "token_env"}
+    unknown = set(raw) - set(ProviderSettings.__slots__)
     if unknown:
         raise ConfigError(f"provider has unknown keys {sorted(unknown)}")
     return ProviderSettings(
@@ -362,20 +352,14 @@ def load_config(path: Path | str) -> EngineConfig:
 
     base = path.resolve().parent
 
-    def _dir(key: str, default: str) -> Path:
+    def _dir(key: str, default: str | None) -> Path | None:
         value = raw.get(key, default)
+        if value is None and default is None:  # an optional directory
+            return None
         if not isinstance(value, str) or not value:
             raise ConfigError(f"{key!r} must be a non-empty path string")
         candidate = Path(value)
         return candidate if candidate.is_absolute() else base / candidate
-
-    prompt_dir_raw = raw.get("prompt_dir")
-    prompt_dir = None
-    if prompt_dir_raw is not None:
-        if not isinstance(prompt_dir_raw, str) or not prompt_dir_raw:
-            raise ConfigError("'prompt_dir' must be a non-empty path string")
-        candidate = Path(prompt_dir_raw)
-        prompt_dir = candidate if candidate.is_absolute() else base / candidate
 
     return EngineConfig(
         backends=backends,
@@ -387,7 +371,7 @@ def load_config(path: Path | str) -> EngineConfig:
         cache_dir=_dir("cache_dir", "cache"),
         golden_dir=_dir("golden_dir", "fixtures/golden"),
         fixture_dir=_dir("fixture_dir", "fixtures"),
-        prompt_dir=prompt_dir,
+        prompt_dir=_dir("prompt_dir", None),
         judge_backend_id=judge,
         default_language=language,
     )
@@ -435,21 +419,18 @@ class _OfflineGuard:
 class Engine:
     """One assembled stack: gateway, scheduler, data, prompts, and dirs.
 
-    ``clock`` stamps task runs (traces and artifacts) and ``env`` is where
-    the live provider reads its token. Commands run in
-    ``config.default_language`` unless they name another."""
+    Every task run writes to ``config.runs_dir``, stamped by ``clock``.
+    Commands run in ``config.default_language`` unless they name another."""
 
     def __init__(
         self, config: EngineConfig, gateway: Gateway, scheduler: Scheduler,
-        prompt_store: PromptStore, clock: Clock, env: Mapping[str, str],
-        offline: bool = False
+        prompt_store: PromptStore, clock: Clock, offline: bool = False
     ) -> None:
         self.config = config
         self.gateway = gateway
         self.scheduler = scheduler
         self.prompt_store = prompt_store
         self.clock = clock
-        self.env = env
         self.offline = offline
         self._golden: dict[str, list[GoldenRecord]] = {}
 
@@ -472,7 +453,6 @@ class Engine:
             base_url=self.config.provider.base_url,
             token_env=self.config.provider.token_env,
             provider_id=self.config.provider.name,
-            env=self.env,
         )
         return MarketData(provider, ResponseCache(self.config.cache_dir))
 
@@ -487,7 +467,7 @@ class Engine:
                     f"no golden dataset for task kind {task_kind!r} "
                     f"(expected {path})"
                 )
-            self._golden[task_kind] = load_golden_dataset(path)
+            self._golden[task_kind] = load_golden_dataset(path, task_kind)
         return self._golden[task_kind]
 
     def evaluate_all(
@@ -573,14 +553,8 @@ class Engine:
         )
 
 
-def build_engine(
-    config: EngineConfig,
-    offline: bool = False,
-    env: Mapping[str, str] | None = None,
-) -> Engine:
+def build_engine(config: EngineConfig, offline: bool = False) -> Engine:
     """Assemble a live or offline engine from one validated config."""
-    if env is None:
-        env = os.environ
     clock: Clock = FixedClock() if offline else SystemClock()
     run_clock: Clock = FixedClock() if offline else clock
 
@@ -622,6 +596,5 @@ def build_engine(
         scheduler=scheduler,
         prompt_store=prompt_store,
         clock=run_clock,
-        env=env,
         offline=offline,
     )

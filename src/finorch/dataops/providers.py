@@ -158,7 +158,6 @@ class LiveProvider:
         client: HttpClient | None = None,
         provider_id: str = "finnhub",
         sleeper: Callable[[float], None] | None = None,
-        env: Mapping[str, str] | None = None,
         monotonic: Callable[[], float] | None = None,
     ):
         self._base_url = base_url.rstrip("/")
@@ -168,10 +167,9 @@ class LiveProvider:
         self._sleep = sleeper or time.sleep
         self._monotonic = monotonic or time.monotonic
         self._rng = random.Random()
-        self._env = env if env is not None else os.environ
 
     def _token(self) -> str:
-        token = self._env.get(self._token_env)
+        token = os.environ.get(self._token_env)
         if not token:
             raise ConfigError(
                 f"provider {self.provider_id!r} expects a token in environment "
@@ -381,14 +379,21 @@ class MarketData:
         self, symbol: str, cutoff: dt.date | str, window_days: int = 30
     ) -> CompanyBundle:
         """Assemble all four information blocks using only data strictly
-        before ``cutoff``."""
+        before ``cutoff``. A provider body that does not fit its schema is a
+        ``ProviderFailure`` naming the symbol, never the request."""
         cutoff_d = parse_date(cutoff)
         last_allowed = cutoff_d - dt.timedelta(days=1)
         start = cutoff_d - dt.timedelta(days=window_days)
-        profile = self.get_company_profile(symbol)
-        prices = self.get_price_window(symbol, start, last_allowed)
-        news = self.get_news(symbol, start, last_allowed)
-        financials = self.get_basic_financials(symbol, last_allowed)
+        try:
+            profile = self.get_company_profile(symbol)
+            prices = self.get_price_window(symbol, start, last_allowed)
+            news = self.get_news(symbol, start, last_allowed)
+            financials = self.get_basic_financials(symbol, last_allowed)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ProviderFailure(
+                f"{self._provider.provider_id} sent malformed market data "
+                f"for {symbol!r}: {type(exc).__name__}: {exc}"
+            ) from None
         return CompanyBundle(
             symbol=symbol,
             cutoff=cutoff_d,

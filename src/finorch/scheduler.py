@@ -291,10 +291,12 @@ def grade_token_f1(response: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def load_golden_dataset(path: Path | str) -> list[GoldenRecord]:
-    """Read a JSON-lines golden dataset file; a malformed line is a
-    ConfigError naming the file and the line."""
-    records = []
+def load_golden_dataset(path: Path | str, task_kind: str) -> list[GoldenRecord]:
+    """Read a JSON-lines golden dataset file for ``task_kind``. A malformed
+    line, a row of another task kind, or a row whose dimension labels
+    differ from the first row's is a ConfigError naming the file and the
+    line."""
+    records: list[GoldenRecord] = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -302,22 +304,31 @@ def load_golden_dataset(path: Path | str) -> list[GoldenRecord]:
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        where = f"golden dataset {path} line {number}"
         try:
             row = json.loads(line)
-            records.append(
-                GoldenRecord(
-                    record_id=row["record_id"],
-                    task_kind=row["task_kind"],
-                    input_text=row["input_text"],
-                    reference_answer=row["reference_answer"],
-                    dimension_labels=tuple(row["dimension_labels"]),
-                )
+            record = GoldenRecord(
+                record_id=row["record_id"],
+                task_kind=row["task_kind"],
+                input_text=row["input_text"],
+                reference_answer=row["reference_answer"],
+                dimension_labels=tuple(row["dimension_labels"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
-                f"golden dataset {path} line {number} is malformed: "
-                f"{type(exc).__name__}: {exc}"
+                f"{where} is malformed: {type(exc).__name__}: {exc}"
             ) from None
+        if record.task_kind != task_kind:
+            raise ConfigError(
+                f"{where} has task kind {record.task_kind!r}, not {task_kind!r}"
+            )
+        labels = records[0].dimension_labels if records else record.dimension_labels
+        if record.dimension_labels != labels:
+            raise ConfigError(
+                f"{where} has dimension labels {list(record.dimension_labels)}, "
+                f"not the first row's {list(labels)}"
+            )
+        records.append(record)
     return records
 
 
@@ -648,11 +659,13 @@ class Scheduler:
     # -------------------------------------------------------------- routing
 
     def latest_scores(self, task_kind: str) -> dict[str, TaskScore]:
-        """Latest TaskScore per agent for one task kind (registered agents)."""
+        """Latest TaskScore per agent registered for ``task_kind``."""
         return {
             agent: score
             for (kind, agent), score in self._latest.items()
-            if kind == task_kind and agent in self._agents
+            if kind == task_kind
+            and agent in self._agents
+            and task_kind in self._agents[agent].task_kinds
         }
 
     def rank_agents(self, task_kind: str) -> list[tuple[str, float]]:

@@ -8,13 +8,15 @@ A task flows through the paper's named roles:
   parses it, and assesses it.
 
 ``run_task`` owns routing, the audit trace, role tagging, self-assessment,
-finalization and artifact writing. Each app supplies only its act step:
-gather evidence, prompt, chat, parse, and name the artifacts to keep.
+finalization and artifact writing. Every run writes its trace and artifacts
+to ``<runs_dir>/<task_id>/``, stamped by the engine's clock. Each app
+supplies only its act step: gather evidence, prompt, chat, parse, and name
+the artifacts to keep. A ``Task`` holds only what the runner reads; what an
+app alone needs (a forecast's cutoff and horizon) stays with the app.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import os
 from collections.abc import Callable, Iterator, Mapping
@@ -22,8 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
-from finorch.clock import Clock, SystemClock, isoformat
-from finorch.dataops.types import parse_date
+from finorch.clock import Clock, isoformat
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
@@ -41,18 +42,15 @@ ROLE_FINANCIAL_ANALYST = "Financial Analyst"
 
 
 class Task(Record):
-    """One unit of routable work; ``cutoff_date`` is stored as a
-    ``dt.date``."""
+    """One unit of routable work, as the runner reads it."""
 
     __slots__ = (
-        "task_id", "task_kind", "subject", "cutoff_date", "horizon",
-        "instruction_text", "language",
+        "task_id", "task_kind", "subject", "instruction_text", "language",
     )
 
     def __init__(
         self, task_id: str, task_kind: str, subject: str,
-        cutoff_date: dt.date | str, horizon: int, instruction_text: str,
-        language: str = "en"
+        instruction_text: str, language: str = "en"
     ) -> None:
         if not task_id:
             raise ValueError("task_id must be non-empty")
@@ -62,33 +60,25 @@ class Task(Record):
             raise ValueError("subject must be non-empty")
         if language not in LANGUAGES:
             raise ValueError(f"unsupported language {language!r}")
-        if task_kind == "forecast" and horizon < 1:
-            raise ValueError(
-                f"forecast horizon must be at least 1 day, got {horizon}"
-            )
-        cutoff_date = parse_date(cutoff_date)
         super().__init__(
-            task_id, task_kind, subject, cutoff_date, horizon,
-            instruction_text, language,
+            task_id, task_kind, subject, instruction_text, language
         )
 
 
 class Trace:
     """The run's audit trace: one JSON line per record, stamped by role."""
 
-    def __init__(self, path: Path | None, clock: Clock):
+    def __init__(self, path: Path, clock: Clock):
         self._path = path
         self._clock = clock
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("", encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("", encoding="utf-8")
 
     def emit(self, role: str, record: dict[str, Any]) -> None:
         full = {"role": role, "at": isoformat(self._clock.now()), **record}
-        if self._path is not None:
-            with self._path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(full, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+        with self._path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(full, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
 
     def fail(self, role: str, exc: EngineError, **context: Any) -> EngineError:
         """Record ``exc`` as the failure of ``role``'s stage and tag it."""
@@ -145,8 +135,7 @@ class TaskRun(Record):
     __slots__ = ("value", "evaluation", "run_dir")
 
     def __init__(
-        self, value: Any, evaluation: WorkflowEvaluation | None,
-        run_dir: Path | None
+        self, value: Any, evaluation: WorkflowEvaluation | None, run_dir: Path
     ) -> None:
         super().__init__(value, evaluation, run_dir)
 
@@ -158,20 +147,20 @@ def run_task(
     scheduler: Scheduler,
     gateway: Gateway,
     prompt_store: PromptStore,
-    runs_dir: Path | None = None,
-    clock: Clock | None = None,
+    runs_dir: Path,
+    clock: Clock,
 ) -> TaskRun:
     """Route -> act -> self-assess and judge -> finalize -> write, for one
-    task.
+    task, in the run dir ``runs_dir / task.task_id``.
 
-    ``act`` receives the routed agent's backend id and the trace. When
+    ``act`` receives the routed agent's backend id and the trace. ``clock``
+    stamps every trace record and the artifact's ``generated_at``. When
     self-assessment or the judge fails after ``act`` returned, its
     artifacts are still written, with a null grade and self-score, before
     the error propagates.
     """
-    clock = clock or SystemClock()
-    run_dir = (runs_dir / task.task_id) if runs_dir is not None else None
-    trace = Trace(run_dir / "trace.jsonl" if run_dir is not None else None, clock)
+    run_dir = runs_dir / task.task_id
+    trace = Trace(run_dir / "trace.jsonl", clock)
 
     with trace.stage(ROLE_DIRECTOR):
         agent = scheduler.route(
@@ -183,8 +172,6 @@ def run_task(
     outcome = act(backend_id, trace)
 
     def write(grade: float | None, self_score: float | None) -> None:
-        if run_dir is None:
-            return
         for name, text in outcome.texts.items():
             _replace_text(run_dir / name, text)
         payload = {

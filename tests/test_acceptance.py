@@ -14,7 +14,6 @@ import json
 import math
 import random
 import time
-from pathlib import Path
 
 import pytest
 

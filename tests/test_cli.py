@@ -88,6 +88,22 @@ def score_row(agent_id: str, composite: float) -> dict:
     ).to_dict()
 
 
+def edited_golden(tmp_path: Path, edit) -> Path:
+    """A config over a copy of the golden sets whose forecast rows went
+    through ``edit(line number, row)``."""
+    golden = tmp_path / "golden"
+    shutil.copytree(REPO / "fixtures" / "golden", golden)
+    path = golden / "forecast.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text(
+        "".join(json.dumps(edit(n, row)) + "\n" for n, row in enumerate(rows, 1))
+    )
+    return write_config(
+        tmp_path,
+        MINIMAL.format(golden_dir=golden, fixture_dir=REPO / "fixtures"),
+    )
+
+
 class TestForecastCommand:
     def test_offline_forecast_succeeds(self, config_path, tmp_path):
         result = invoke(config_path, "forecast", "AAPL", "--offline")
@@ -711,10 +727,11 @@ class TestEvaluateAndRoute:
         credentials that fails."""
         result = invoke(config_path, "evaluate", "--offline")
         assert result.exit_code == 0, result.output
-        live = build_engine(load_config(config_path), offline=False, env={})
-        assert live.scheduler.latest_scores("forecast") == {}
         monkeypatch.delenv("EXAMPLE_API_KEY", raising=False)
         monkeypatch.delenv("OTHER_API_KEY", raising=False)
+        monkeypatch.delenv("FINNHUB_TOKEN", raising=False)
+        live = build_engine(load_config(config_path), offline=False)
+        assert live.scheduler.latest_scores("forecast") == {}
         result = invoke(config_path, "route", "forecast", "--json")
         assert result.exit_code == 1
         assert result.stdout == ""
@@ -741,6 +758,36 @@ class TestEvaluateAndRoute:
         assert result.exit_code == 1
         assert "no golden dataset" in result.stderr
 
+
+    def test_golden_row_with_other_labels_is_one_error_line(self, tmp_path):
+        def relabel(number, row):
+            if number == 2:
+                row["dimension_labels"] = ["token_f1"]
+            return row
+
+        result = invoke(edited_golden(tmp_path, relabel), "evaluate", "--offline")
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: golden dataset ")
+        assert "forecast.jsonl line 2 has dimension labels ['token_f1']" in line
+
+    def test_golden_rows_of_another_kind_route_no_foreign_agent(self, tmp_path):
+        def as_report(number, row):
+            row["task_kind"] = "report"
+            row["dimension_labels"] = ["token_f1"]
+            return row
+
+        config_path = edited_golden(tmp_path, as_report)
+        result = invoke(config_path, "evaluate", "--offline")
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert "forecast.jsonl line 1 has task kind 'report'" in line
+        result = invoke(config_path, "route", "report", "--offline", "--json")
+        assert result.exit_code == 0, result.output
+        ranking = json.loads(result.stdout)["ranking"]
+        assert sorted(agent for agent, _ in ranking) == [
+            "report-skeptic", "report-writer",
+        ]
 
     def test_bad_config_number_is_one_error_line(self, tmp_path):
         from test_config import minimal_text

@@ -104,7 +104,9 @@ class TestLoadConfig:
     def test_full_round_trip(self, tmp_path):
         config = load_config(write_config(tmp_path))
         assert isinstance(config, EngineConfig)
-        assert config.backend_ids() == ["primary", "secondary", "judge"]
+        assert [b.backend_id for b in config.backends] == [
+            "primary", "secondary", "judge",
+        ]
         assert config.backends[0] == BackendSpec(
             backend_id="primary",
             base_url="https://api.example.com/v1",
@@ -311,7 +313,9 @@ class TestLoadConfig:
 
     def test_repo_config_is_valid(self):
         config = load_config(REPO / "config.yaml")
-        assert config.backend_ids() == ["primary", "secondary", "judge"]
+        assert [b.backend_id for b in config.backends] == [
+            "primary", "secondary", "judge",
+        ]
         assert config.fixture_dir == REPO / "fixtures"
         assert (config.golden_dir / "forecast.jsonl").exists()
         assert (config.golden_dir / "report.jsonl").exists()
@@ -453,7 +457,6 @@ class TestBuildEngineOffline:
         run = engine.forecast("AAPL", dt.date(2024, 4, 19), 7)
         assert run.result.direction == "up"
         assert run.result.band_text() == "0-1%"
-        assert run.forecast_path is not None
         assert run.forecast_path.exists()
         assert run.forecast_path.parent.parent == tmp_path / "runs"
 
@@ -470,9 +473,7 @@ class TestBuildEngineOffline:
 
 class TestBuildEngineLive:
     def test_live_engine_uses_configured_specs(self, tmp_path):
-        engine = build_engine(
-            load_config(write_config(tmp_path)), offline=False, env={}
-        )
+        engine = build_engine(load_config(write_config(tmp_path)), offline=False)
         assert engine.offline is False
         spec = engine.gateway.get_backend("primary")
         assert spec.base_url == "https://api.example.com/v1"
@@ -480,9 +481,7 @@ class TestBuildEngineLive:
 
     def test_live_chat_without_key_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EXAMPLE_API_KEY", raising=False)
-        engine = build_engine(
-            load_config(write_config(tmp_path)), offline=False, env={}
-        )
+        engine = build_engine(load_config(write_config(tmp_path)), offline=False)
         with pytest.raises(ConfigError):
             engine.gateway.chat(
                 "primary", [ChatMessage(role="user", content="hi")]

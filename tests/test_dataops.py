@@ -728,22 +728,35 @@ def scripted(*first: Response):
     return lambda url: pending.pop(0) if pending else finnhub(url)
 
 
-def _live_provider(
-    answer, sleeps: list[float] | None = None, env: dict | None = None
-) -> LiveProvider:
+@pytest.fixture(autouse=True)
+def market_token(monkeypatch) -> None:
+    """The live providers here read their token from ``MARKET_TOKEN``."""
+    monkeypatch.setenv("MARKET_TOKEN", "unit-test-token")
+
+
+def _live_provider(answer, sleeps: list[float] | None = None) -> LiveProvider:
     return LiveProvider(
         base_url="https://example.invalid/api/v1",
         token_env="MARKET_TOKEN",
         client=FakeClient(answer),
         sleeper=(sleeps if sleeps is not None else []).append,
-        env={"MARKET_TOKEN": "unit-test-token"} if env is None else env,
     )
 
 
-def test_live_provider_requires_token() -> None:
-    provider = _live_provider(FinnhubFake(), env={})
+def test_live_provider_requires_token(monkeypatch) -> None:
+    monkeypatch.delenv("MARKET_TOKEN")
+    provider = _live_provider(FinnhubFake())
+    with pytest.raises(ConfigError, match="'MARKET_TOKEN', which is unset"):
+        provider.fetch("profile", {"symbol": "AAPL"})
+
+
+def test_live_provider_reads_the_token_at_request_time(monkeypatch) -> None:
+    provider = _live_provider(FinnhubFake())
+    monkeypatch.delenv("MARKET_TOKEN")
     with pytest.raises(ConfigError):
         provider.fetch("profile", {"symbol": "AAPL"})
+    monkeypatch.setenv("MARKET_TOKEN", "unit-test-token")
+    assert provider.fetch("profile", {"symbol": "AAPL"})["name"] == "Apple Inc"
 
 
 def test_live_provider_maps_profile_fields() -> None:
@@ -778,7 +791,6 @@ def test_live_provider_http_error_carries_status() -> None:
         token_env="MARKET_TOKEN",
         client=client,
         sleeper=sleeps.append,
-        env={"MARKET_TOKEN": "unit-test-token"},
     )
     with pytest.raises(ProviderFailure) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
@@ -795,7 +807,6 @@ def test_live_provider_fails_at_once_on_a_client_error(status: int) -> None:
         token_env="MARKET_TOKEN",
         client=client,
         sleeper=sleeps.append,
-        env={"MARKET_TOKEN": "unit-test-token"},
     )
     with pytest.raises(ProviderFailure) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
@@ -829,7 +840,6 @@ def test_live_provider_honors_retry_after_then_succeeds() -> None:
         token_env="MARKET_TOKEN",
         client=client,
         sleeper=sleeps.append,
-        env={"MARKET_TOKEN": "unit-test-token"},
     )
     got = provider.fetch("profile", {"symbol": "AAPL"})
     assert got["name"] == "Apple Inc"
@@ -859,7 +869,6 @@ def test_live_provider_refuses_a_retry_after_beyond_the_cap(header: str) -> None
         token_env="MARKET_TOKEN",
         client=client,
         sleeper=sleeps.append,
-        env={"MARKET_TOKEN": "unit-test-token"},
     )
     with pytest.raises(RateLimited) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
@@ -940,3 +949,55 @@ def test_live_and_fixture_providers_are_interchangeable(tmp_path: Path) -> None:
     assert from_live.news == from_fixture.news
     assert from_live.financials.metrics == from_fixture.financials.metrics
     assert WATERMARK not in json.dumps(from_live.to_dict(), ensure_ascii=False)
+
+
+def with_body(path: str, edit):
+    """FinnhubFake, but the JSON body it serves for ``path`` goes through
+    ``edit`` first."""
+    finnhub = FinnhubFake()
+
+    def answer(url: str) -> Response:
+        response = finnhub(url)
+        if not urlsplit(url).path.endswith(path):
+            return response
+        return reply(200, edit(json.loads(response.body)))
+
+    return answer
+
+
+def _null_cap(body: dict) -> dict:
+    return {**body, "marketCapitalization": None}
+
+
+def _null_news_stamp(body: list) -> list:
+    return [{**body[0], "datetime": None}, *body[1:]]
+
+
+def _two_closes_one_day(body: dict) -> dict:
+    # Noon and 13:00 UTC of the same day: two closes for one date.
+    return {**body, "t": [body["t"][0], body["t"][0] + 3600], "c": [1.0, 2.0]}
+
+
+MALFORMED_BODIES = [
+    ("/stock/profile2", _null_cap, "TypeError"),
+    ("/company-news", _null_news_stamp, "TypeError"),
+    ("/stock/candle", _two_closes_one_day, "ValueError"),
+]
+
+
+@pytest.mark.parametrize(
+    ("path", "edit", "cause"), MALFORMED_BODIES, ids=["cap", "news", "candle"]
+)
+def test_malformed_live_body_is_a_provider_failure(
+    tmp_path: Path, path, edit, cause
+) -> None:
+    market = MarketData(
+        _live_provider(with_body(path, edit)), ResponseCache(tmp_path)
+    )
+    with pytest.raises(ProviderFailure) as err:
+        market.company_bundle("AAPL", "2024-04-19", window_days=30)
+    message = str(err.value)
+    assert message.startswith("finnhub sent malformed market data for 'AAPL': ")
+    assert cause in message
+    assert "unit-test-token" not in message
+    assert err.value.__cause__ is None and err.value.__suppress_context__

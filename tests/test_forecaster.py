@@ -23,16 +23,19 @@ from finorch.apps.forecaster import (
     run_forecaster,
 )
 from finorch.clock import FixedClock
-from finorch.dataops.providers import FixtureProvider, MarketData
+from finorch.dataops.providers import FixtureProvider, LiveProvider, MarketData
 from finorch.errors import (
     EngineError,
     IncompleteBundle,
+    InvalidHorizon,
     MissingSection,
+    ProviderFailure,
     UnparseablePrediction,
 )
 from finorch.gateway import Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, GoldenRecord, Scheduler
+from test_dataops import MALFORMED_BODIES, FakeClient, with_body
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 TEST_FIXTURES = Path(__file__).parent / "fixtures"
@@ -425,16 +428,21 @@ def build_pipeline(tmp_path: Path, assessment: dict | None = None):
     return gateway, scheduler
 
 
-def run_once(tmp_path: Path, assessment: dict | None = None):
+def run_once(
+    tmp_path: Path,
+    assessment: dict | None = None,
+    horizon: int = 7,
+    market_data: MarketData | None = None,
+):
     gateway, scheduler = build_pipeline(tmp_path, assessment)
     return run_forecaster(
         "AAPL",
         dt.date(2024, 4, 19),
-        7,
+        horizon,
         scheduler=scheduler,
         gateway=gateway,
         prompt_store=PromptStore(),
-        market_data=MarketData(FixtureProvider(FIXTURES)),
+        market_data=market_data or MarketData(FixtureProvider(FIXTURES)),
         language="en",
         runs_dir=tmp_path / "runs",
         clock=FixedClock(),
@@ -510,3 +518,34 @@ def test_run_forecaster_self_assessment_failure_is_the_analysts(
     assert artifact["prediction"] == {"direction": "up", "low": 0.0, "high": 1.0}
     assert artifact["model_text"] == FORECAST_REPLY
     assert artifact["grade"] is None and artifact["self_score"] is None
+
+
+def test_run_forecaster_refuses_a_horizon_under_one_day(tmp_path: Path) -> None:
+    with pytest.raises(InvalidHorizon) as err:
+        run_once(tmp_path, horizon=0)
+    assert err.value.role == "Assistant"
+    trace = tmp_path / "runs" / "forecast-AAPL-20240419-h0-en" / "trace.jsonl"
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [(r["role"], r["event"]) for r in records] == [
+        ("Director", "route"),
+        ("Assistant", "error"),
+    ]
+
+
+@pytest.mark.parametrize(
+    ("path", "edit", "cause"), MALFORMED_BODIES, ids=["cap", "news", "candle"]
+)
+def test_malformed_market_body_is_the_assistants(
+    tmp_path: Path, monkeypatch, path, edit, cause
+) -> None:
+    monkeypatch.setenv("MARKET_TOKEN", "unit-test-token")
+    provider = LiveProvider(
+        base_url="https://example.invalid/api/v1",
+        token_env="MARKET_TOKEN",
+        client=FakeClient(with_body(path, edit)),
+    )
+    with pytest.raises(ProviderFailure) as err:
+        run_once(tmp_path, market_data=MarketData(provider))
+    assert err.value.role == "Assistant"
+    assert cause in str(err.value)
+    assert "unit-test-token" not in str(err.value)

@@ -59,6 +59,12 @@ def no_proxy_environment(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
 
 
+@pytest.fixture(autouse=True)
+def market_token(monkeypatch):
+    """The live providers here read their token from ``MARKET_TOKEN``."""
+    monkeypatch.setenv("MARKET_TOKEN", TOKEN)
+
+
 class Server(ThreadingHTTPServer):
     """Answers every request with ``respond(handler)``: a (status, headers,
     body) triple, body as JSON unless bytes. Counts accepted sockets and
@@ -234,8 +240,7 @@ def test_live_engines_and_providers_share_one_connection(tmp_path, monkeypatch):
             engine = live_engine(tmp_path / name, server.url)
             assert engine.gateway.chat("primary", user(name)).response_text == "ok"
         provider = LiveProvider(
-            base_url=server.url, token_env="MARKET_TOKEN",
-            env={"MARKET_TOKEN": TOKEN},
+            base_url=server.url, token_env="MARKET_TOKEN"
         )
         assert provider.fetch("profile", {"symbol": "AAPL"})["name"] == "Apple Inc"
         shared_client().close()
@@ -444,7 +449,6 @@ def test_a_provider_request_is_bounded_by_its_timeout_and_retries():
         token_env="MARKET_TOKEN",
         client=RateLimiting(),
         sleeper=clock.sleep,
-        env={"MARKET_TOKEN": TOKEN},
         monotonic=clock.monotonic,
     )
     with pytest.raises(RateLimited, match="2 attempt"):
@@ -496,7 +500,6 @@ def live_provider(url: str, sleeps: list[float], client: HttpClient) -> LiveProv
         token_env="MARKET_TOKEN",
         client=client,
         sleeper=sleeps.append,
-        env={"MARKET_TOKEN": TOKEN},
     )
 
 

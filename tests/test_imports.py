@@ -1,4 +1,5 @@
-"""Every name a finorch module imports is used in that module.
+"""Every name a finorch module or a test module imports is used in that
+module.
 
 An AST scan stands in for a linter, which the project does not depend on.
 A name listed in the module's ``__all__`` counts as used (a re-export),
@@ -11,7 +12,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "finorch"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "finorch"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,10 +48,10 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_does_not_use() -> None:
-    modules = sorted(SRC.rglob("*.py"))
+    modules = sorted([*SRC.rglob("*.py"), *TESTS.glob("*.py")])
     assert modules
     unused = {
-        str(path.relative_to(SRC)): names
+        str(path.relative_to(ROOT)): names
         for path in modules
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }

@@ -76,7 +76,7 @@ def evaluation() -> WorkflowEvaluation:
 
 
 def task() -> Task:
-    return Task("t", "forecast", "AAPL", "2024-04-19", 7, "forecast it")
+    return Task("t", "forecast", "AAPL", "forecast it")
 
 
 def prices() -> PriceSeries:
@@ -147,7 +147,9 @@ EXAMPLES = {
     "ToolCall": lambda: ToolCall("t", {"n": "x"}, "model text"),
     "FactorItem": lambda: FactorItem("growth", "News"),
     "ForecastResult": result,
-    "ForecastRun": lambda: ForecastRun(task(), result(), exchange()),
+    "ForecastRun": lambda: ForecastRun(
+        task(), result(), exchange(), evaluation(), Path("runs/t")
+    ),
     "Indicator": lambda: Indicator("revenue", 1.5, "USD", "FY23", "revenue"),
     "Discrepancy": lambda: Discrepancy("eps", (1.0, 2.0), "eps"),
     "DocumentAnalysis": analysis,
@@ -250,9 +252,8 @@ def test_replace_runs_the_checks_and_coercions_again():
         message().replace(colour="red")
     agent = AgentProfile("a", "b", ["forecast"]).replace(task_kinds=["report"])
     assert agent.task_kinds == frozenset({"report"})
-    assert task().replace(cutoff_date="2024-05-01").cutoff_date == dt.date(
-        2024, 5, 1
-    )
+    record = GoldenRecord("r1", "forecast", "in", "out", ["x"])
+    assert record.replace(dimension_labels=["y"]).dimension_labels == ("y",)
 
 
 def test_uncompared_fields_are_left_out_of_equality():

@@ -73,26 +73,20 @@ def test_chunk_text_validation() -> None:
 
 
 def test_unreadable_documents(tmp_path: Path) -> None:
-    gateway = scripted_gateway({})
-    kwargs = dict(
-        gateway=gateway,
-        backend_id="extractor",
-        prompt_store=PromptStore(),
-    )
     with pytest.raises(UnreadableDocument):
-        analyze_document(tmp_path / "missing.txt", **kwargs)
+        index_document(tmp_path / "missing.txt")
     empty = tmp_path / "empty.txt"
     empty.write_text("   \n", encoding="utf-8")
     with pytest.raises(UnreadableDocument):
-        analyze_document(empty, **kwargs)
+        index_document(empty)
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe\x00\x00junk")
     with pytest.raises(UnreadableDocument):
-        analyze_document(binary, **kwargs)
+        index_document(binary)
     leaders = tmp_path / "leaders.txt"
     leaders.write_text("." * 2500 + "\n" + "- " * 700 + "_ 1 é —", encoding="utf-8")
     with pytest.raises(UnreadableDocument, match="no indexable text"):
-        analyze_document(leaders, **kwargs)
+        index_document(leaders)
 
 
 # ------------------------------------------------------------- extraction
@@ -138,7 +132,7 @@ TOPICS = (
 
 def analyzed(tmp_path_unused: Path | None = None):
     return analyze_document(
-        FILING,
+        index_document(FILING),
         gateway=scripted_gateway({}),
         backend_id="extractor",
         prompt_store=PromptStore(),
@@ -180,7 +174,7 @@ def test_chunks_without_tokens_stay_out_of_the_index(
     text = pad_front + FILING.read_text(encoding="utf-8") + pad_back
     padded.write_text(text, encoding="utf-8")
     analysis = analyze_document(
-        padded,
+        index_document(padded),
         gateway=scripted_gateway({}),
         backend_id="extractor",
         prompt_store=PromptStore(),
@@ -442,6 +436,7 @@ def test_generate_report_requires_the_section_template(tmp_path: Path) -> None:
             scheduler=scheduler,
             gateway=gateway,
             prompt_store=PromptStore(bare),
+            runs_dir=tmp_path / "runs",
             clock=FixedClock(),
         )
 

@@ -831,7 +831,7 @@ def test_load_golden_dataset_round_trip(tmp_path: Path) -> None:
     path.write_text(
         "\n".join(json.dumps(row) for row in rows) + "\n", encoding="utf-8"
     )
-    assert load_golden_dataset(path) == golden_dataset()
+    assert load_golden_dataset(path, "forecast") == golden_dataset()
 
 
 def test_scores_jsonl_is_append_only(tmp_path: Path) -> None:
@@ -904,7 +904,58 @@ def test_malformed_golden_dataset_line_is_a_config_error(
             json.dumps(good) + "\n\n" + bad_line + "\n", encoding="utf-8"
         )
         with pytest.raises(ConfigError, match=r"golden.jsonl line 3\b"):
-            load_golden_dataset(path)
+            load_golden_dataset(path, "forecast")
+
+
+@pytest.mark.parametrize(
+    ("change", "problem"),
+    [
+        ({"task_kind": "report"}, "has task kind 'report', not 'forecast'"),
+        (
+            {"dimension_labels": ["token_f1"]},
+            "has dimension labels ['token_f1'], not the first row's "
+            "['exact_match', 'token_f1']",
+        ),
+    ],
+    ids=["other-kind", "other-labels"],
+)
+def test_golden_row_that_does_not_fit_the_set_is_a_config_error(
+    tmp_path: Path, change: dict, problem: str
+) -> None:
+    path = tmp_path / "golden.jsonl"
+    rows = [
+        {**record.to_dict(), "dimension_labels": list(record.dimension_labels)}
+        for record in golden_dataset()
+    ]
+    rows[2].update(change)
+    path.write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    with pytest.raises(ConfigError) as err:
+        load_golden_dataset(path, "forecast")
+    assert str(err.value) == f"golden dataset {path} line 3 {problem}"
+
+
+def test_latest_scores_keep_only_agents_registered_for_the_kind(
+    tmp_path: Path,
+) -> None:
+    # A report roster that lists a forecast-only agent, as a golden set of
+    # the wrong kind once wrote one: it must not route a report.
+    state = tmp_path / "state"
+    state.mkdir()
+    (state / "task_scores.jsonl").write_text(
+        hand_row("alpha", "report", [1.0]) + hand_row("gamma", "report", [0.2]),
+        encoding="utf-8",
+    )
+    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    register(scheduler, "alpha", "good")
+    scheduler.register_agent(
+        AgentProfile(
+            agent_id="gamma", backend_id="good", task_kinds=frozenset({"report"})
+        )
+    )
+    assert list(scheduler.latest_scores("report")) == ["gamma"]
+    assert scheduler.route("report") == "gamma"
 
 
 # ---------------------------------------------------------------- score log

@@ -43,13 +43,14 @@ def market_data() -> MarketData:
     return MarketData(FixtureProvider(FIXTURES))
 
 
+CUTOFF = dt.date(2024, 4, 19)
+
+
 def forecast_task(**overrides) -> Task:
     kwargs = dict(
         task_id="forecast-AAPL-20240419-h7-en",
         task_kind="forecast",
         subject="AAPL",
-        cutoff_date=dt.date(2024, 4, 19),
-        horizon=7,
         instruction_text="Forecast next week's move for AAPL.",
         language="en",
     )
@@ -62,8 +63,6 @@ def report_task(**overrides) -> Task:
         task_id="report-acme-q1",
         task_kind="report",
         subject="Acme",
-        cutoff_date=dt.date(2024, 4, 19),
-        horizon=0,
         instruction_text="revenue margin guidance",
         language="en",
     )
@@ -78,39 +77,30 @@ def test_task_validation() -> None:
     with pytest.raises(ValueError):
         forecast_task(task_kind="prediction")
     with pytest.raises(ValueError):
-        forecast_task(horizon=0)
-    with pytest.raises(ValueError):
         forecast_task(language="fr")
     with pytest.raises(ValueError):
         forecast_task(subject="")
     with pytest.raises(ValueError):
         forecast_task(task_id="")
-    # report tasks may carry horizon 0
-    assert report_task().horizon == 0
-
-
-def test_task_accepts_iso_date_string() -> None:
-    task = forecast_task(cutoff_date="2024-04-19")
-    assert task.cutoff_date == dt.date(2024, 4, 19)
 
 
 # -------------------------------------------------------------- perception
 
 
 def test_perceive_forecast_is_strictly_pre_cutoff() -> None:
-    company = perceive(forecast_task(), market_data())
-    assert all(o.date < dt.date(2024, 4, 19) for o in company.prices.observations)
-    assert all(n.dated < dt.date(2024, 4, 19) for n in company.news)
+    company = perceive("AAPL", CUTOFF, market_data())
+    assert all(o.date < CUTOFF for o in company.prices.observations)
+    assert all(n.dated < CUTOFF for n in company.news)
     assert WATERMARK not in json.dumps(company.to_dict())
 
 
 def test_perceive_forecast_empty_bundle_before_any_data() -> None:
     with pytest.raises(EmptyBundle):
-        perceive(forecast_task(cutoff_date=dt.date(2020, 1, 1)), market_data())
+        perceive("AAPL", dt.date(2020, 1, 1), market_data())
 
 
 def full_perception():
-    return perceive(forecast_task(), market_data())
+    return perceive("AAPL", CUTOFF, market_data())
 
 
 # ----------------------------------------------------------- prompt blocks
@@ -271,7 +261,6 @@ def run_note(
     task: Task | None = None,
     prompt: str = "write the note",
     prompt_store: PromptStore | None = None,
-    runs: bool = True,
     judge: list[dict] | None = ACCEPT,
     remote: Callable[[str, list[dict]], Any] | None = None,
 ):
@@ -282,7 +271,7 @@ def run_note(
         scheduler=scheduler,
         gateway=gateway,
         prompt_store=prompt_store or PromptStore(),
-        runs_dir=tmp_path / "runs" if runs else None,
+        runs_dir=tmp_path / "runs",
         clock=FixedClock(),
     )
     return run, scheduler
@@ -345,12 +334,6 @@ def test_run_task_without_judge_skips_grading(tmp_path: Path) -> None:
     assert "judge" in last["reason"]
     artifact = json.loads((run.run_dir / "note.json").read_text())
     assert artifact["grade"] is None and artifact["self_score"] == 0.9
-
-
-def test_run_task_without_runs_dir_writes_nothing(tmp_path: Path) -> None:
-    run, _ = run_note(tmp_path, runs=False)
-    assert run.run_dir is None and run.value.response_text == NOTE
-    assert not (tmp_path / "runs").exists()
 
 
 def failed_note(tmp_path: Path, **kwargs) -> tuple[EngineError, list[dict]]:
