@@ -48,6 +48,7 @@ import random
 from collections.abc import Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -168,6 +169,16 @@ def _reject_secrets(row: Mapping[str, Any], where: str) -> None:
             )
 
 
+def _base_url(row: Mapping[str, Any], where: str) -> str:
+    url = _require(row, "base_url", where)
+    if "@" in urlsplit(url).netloc:
+        raise ConfigError(
+            f"{where} key 'base_url' carries credentials; finorch sends none "
+            "in a URL, and credentials belong in environment variables"
+        )
+    return url
+
+
 def _parse_backend(row: Any, index: int) -> BackendSpec:
     where = f"backends[{index}]"
     if not isinstance(row, Mapping):
@@ -189,7 +200,7 @@ def _parse_backend(row: Any, index: int) -> BackendSpec:
     try:
         return BackendSpec(
             backend_id=_require(row, "backend_id", where),
-            base_url=_require(row, "base_url", where),
+            base_url=_base_url(row, where),
             model_name=_require(row, "model_name", where),
             api_key_env=api_key_env,
             **numbers,
@@ -255,7 +266,7 @@ def _parse_provider(raw: Any) -> ProviderSettings:
         raise ConfigError(f"provider has unknown keys {sorted(unknown)}")
     return ProviderSettings(
         name=_require(raw, "name", "provider"),
-        base_url=_require(raw, "base_url", "provider"),
+        base_url=_base_url(raw, "provider"),
         token_env=_require(raw, "token_env", "provider"),
     )
 

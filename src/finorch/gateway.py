@@ -147,6 +147,11 @@ class HttpTransport:
                     f"backend {spec.backend_id!r} expects a credential in "
                     f"environment variable {spec.api_key_env!r}, which is unset"
                 )
+            if "\r" in key or "\n" in key or "\0" in key:
+                raise ConfigError(
+                    f"environment variable {spec.api_key_env!r} holds CR, LF "
+                    "or NUL, which an HTTP header cannot carry"
+                )
             headers["Authorization"] = f"Bearer {key}"
         return self._client.request(
             "POST",

@@ -1,4 +1,4 @@
-"""Keep-alive JSON-over-HTTP client and the one retry policy.
+"""Keep-alive JSON-over-HTTP/1.1 client and the one retry policy.
 
 Both live wires use this module: the chat gateway (``gateway.HttpTransport``)
 and the market-data provider (``dataops.providers.LiveProvider``).
@@ -11,10 +11,14 @@ A request checks a connection out under a lock, so concurrent requests never
 share one, and checks it back in once the reply has been read in full. Every
 live wire built without a client of its own shares ``shared_client()``, so
 connections outlive the engine that opened them and serve the next one.
-``http.client``, ``ssl`` and ``urllib.request`` are imported only when a
-client is built, ``email.utils`` only to read a ``Retry-After`` date and
-``logging`` only to log a retry, so a run that opens no socket never loads
-them.
+The client speaks HTTP/1.1 on the socket through ``finorch.http11``: each
+request goes out in one write, and each reply is read with the message
+framing of RFC 9112 (1xx replies skipped; a chunked, sized or
+close-delimited body), within ``http.client``'s limits of 65 536 bytes a
+line and 100 header fields. ``finorch.http11`` and ``urllib.request`` are
+imported when a client is built, ``ssl`` on its first TLS connect,
+``email.utils`` only to read a ``Retry-After`` date and ``logging`` only to
+log a retry, so a run that opens no socket never loads them.
 
 Proxies follow ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and
 ``NO_PROXY`` (read by ``urllib.request.getproxies`` and ``proxy_bypass``).
@@ -34,7 +38,7 @@ import os
 import random
 import threading
 import time
-from typing import Any, Callable, Mapping, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, TypeVar
 from urllib.parse import urlsplit
 
 from finorch.errors import (
@@ -73,11 +77,14 @@ CONNECT_RETRY_AFTER = 0.25
 
 DEFAULT_PORTS = {"http": 80, "https": 443}
 
+if TYPE_CHECKING:
+    from finorch.http11 import Connection
+
 T = TypeVar("T")
 
 
 class Response(NamedTuple):
-    """One HTTP reply, read in full."""
+    """One HTTP reply, read in full; header names are title-cased."""
 
     status: int
     headers: Mapping[str, str]
@@ -157,19 +164,21 @@ class HttpClient:
     """JSON over HTTP/1.1 with a keep-alive connection pool per origin."""
 
     def __init__(self) -> None:
-        # Loaded with the client, which a live engine builds with itself,
-        # rather than on first use: worker threads that all wait on one
-        # import then connect in a single burst, which can overflow a small
+        # The wire code, and the proxy lookup of ``urllib.request``, load
+        # with the client, which a live engine builds with itself, rather
+        # than on first use: worker threads that all wait on one import
+        # then connect in a single burst, which can overflow a small
         # server's listen backlog and stall a connect for a second. Keep
         # building the client with the engine until the benchmark stand-in
         # listens with a larger backlog: building the gateway's client on
         # its first send instead made 10 of 30 alternating cold live
         # `evaluate` runs against `bench/standin.py` stall by more than
         # 0.45 s, where building it with the engine stalled 2 to 4 of 30.
-        import http.client  # noqa: F401
         import urllib.request  # noqa: F401
 
-        self._idle: dict[tuple[str, str, int], list[Any]] = {}
+        import finorch.http11  # noqa: F401
+
+        self._idle: dict[tuple[str, str, int], list[Connection]] = {}
         self._proxies: dict[tuple[str, str, int], tuple[str, int] | None] = {}
         self._lock = threading.Lock()
         self._tls: Any = None
@@ -185,18 +194,17 @@ class HttpClient:
     ) -> Any:
         """One attempt: send ``payload`` as JSON, give the decoded reply.
 
-        A connection error raises ``TransportError``, a timeout
-        ``TransportTimeout``, a status other than 200 a ``TransportError``
-        with ``status`` and ``retry_after`` set, and a body that is not
-        JSON ``MalformedResponse``. No message names the URL's query, which
-        can carry a token, and a connection error or timeout does not chain
-        the low-level exception. ``timeout`` bounds connecting and each
-        read.
+        A connection error or a reply that breaks HTTP/1.1 framing raises
+        ``TransportError``, a timeout ``TransportTimeout``, a status other
+        than 200 a ``TransportError`` with ``status`` and ``retry_after``
+        set, and a body that is not JSON ``MalformedResponse``. No message
+        names the URL's credentials or query, which can carry a token, and
+        a connection error or timeout does not chain the low-level
+        exception. ``timeout`` bounds connecting and each read.
         """
-        from http.client import HTTPException
-
         parts = urlsplit(url)
-        label = f"{method} {parts.scheme}://{parts.netloc}{parts.path}"
+        host_port = parts.netloc.rpartition("@")[2]  # never the credentials
+        label = f"{method} {parts.scheme}://{host_port}{parts.path}"
         sent = {"User-Agent": "finorch", "Accept": "application/json"}
         body = None
         if payload is not None:
@@ -208,13 +216,12 @@ class HttpClient:
             response = self.send(method, url, body, sent, timeout)
         except TimeoutError:
             failure = TransportTimeout(f"{label} timed out")
-        except (OSError, HTTPException) as exc:
+        except OSError as exc:
             # The class and the system's error text, never str(exc): an
             # exception may quote the URL it failed on.
-            reason = getattr(exc, "strerror", None)
             failure = TransportError(
                 f"{label} failed: {type(exc).__name__}"
-                + (f" ({reason})" if reason else "")
+                + (f" ({exc.strerror})" if exc.strerror else "")
             )
         if failure is not None:
             raise failure  # outside the handler, so nothing is chained
@@ -250,15 +257,22 @@ class HttpClient:
             port = parts.port or DEFAULT_PORTS[parts.scheme]
         except (KeyError, ValueError):
             port = None
-        if port is None or not parts.hostname:
-            raise ConfigError(f"cannot send to {parts.scheme}://{parts.netloc}")
+        authority = parts.netloc.rpartition("@")[2]  # never the credentials
+        origin = f"{parts.scheme}://{authority}"
+        if not authority.isascii():
+            try:
+                authority = authority.encode("idna").decode("ascii")
+            except UnicodeError:
+                raise ConfigError(f"cannot send to {origin}") from None
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if port is None or not parts.hostname or not _sendable(target):
+            raise ConfigError(f"cannot send to {origin}")
         key = (parts.scheme, parts.hostname, port)
-        if self._proxy(key) is not None and parts.scheme == "http":
-            target = f"http://{parts.netloc}{parts.path or '/'}"
-        else:
-            target = parts.path or "/"
-        if parts.query:
-            target += "?" + parts.query
+        if parts.scheme == "http" and self._proxy(key) is not None:
+            target = f"http://{authority}{target}"  # the absolute form
+        from finorch.http11 import encode_request
+
+        request = encode_request(method, target, authority, headers, body)
         with self._lock:
             idle = self._idle.get(key)
             conn = idle.pop() if idle else None
@@ -266,17 +280,16 @@ class HttpClient:
         if conn is None:
             conn = self._connect(key, timeout)
         else:
-            conn.timeout = timeout
             conn.sock.settimeout(timeout)
         try:
             try:
-                response, keep = _round_trip(conn, method, target, body, headers)
+                response, keep = conn.exchange(request)
             except ConnectionError:
                 if not reused:
                     raise
                 conn.close()
                 conn = self._connect(key, timeout)
-                response, keep = _round_trip(conn, method, target, body, headers)
+                response, keep = conn.exchange(request)
         except BaseException:
             conn.close()
             raise
@@ -295,26 +308,25 @@ class HttpClient:
             for conn in conns:
                 conn.close()
 
-    def _connect(self, key: tuple[str, str, int], timeout: float) -> Any:
-        import http.client
+    def _connect(self, key: tuple[str, str, int], timeout: float) -> Connection:
+        from finorch.http11 import Connection
 
         scheme, host, port = key
         proxy = self._proxy(key)
-        address = proxy or (host, port)
+        conn = Connection(_open_socket(proxy or (host, port), timeout))
         if scheme == "http":
-            conn = http.client.HTTPConnection(*address, timeout=timeout)
-        else:
+            return conn
+        try:
+            if proxy is not None:
+                conn.tunnel(host, port)
             if self._tls is None:
                 import ssl
 
                 self._tls = ssl.create_default_context()
-            conn = http.client.HTTPSConnection(
-                *address, timeout=timeout, context=self._tls
-            )
-            if proxy is not None:
-                conn.set_tunnel(host, port)
-        conn._create_connection = _open_socket  # http.client's connect hook
-        return conn
+            sock = self._tls.wrap_socket(conn.sock, server_hostname=host)
+        finally:
+            conn.close()  # the TLS socket holds the connection on by itself
+        return Connection(sock)
 
     def _proxy(self, key: tuple[str, str, int]) -> tuple[str, int] | None:
         """The proxy (host, port) the environment names for an origin, or
@@ -347,26 +359,13 @@ def _drop_inherited_connections() -> None:
 os.register_at_fork(after_in_child=_drop_inherited_connections)
 
 
-def _round_trip(
-    conn: Any,
-    method: str,
-    target: str,
-    body: bytes | None,
-    headers: Mapping[str, str],
-) -> tuple[Response, bool]:
-    """Send one request, read its whole reply; also say whether the
-    connection stays open for the next one."""
-    conn.request(method, target, body=body, headers=headers)
-    reply = conn.getresponse()
-    data = reply.read()
-    return Response(reply.status, reply.headers, data), not reply.will_close
+def _sendable(target: str) -> bool:
+    """Whether a request target has no space, control or non-ASCII
+    character, any of which would break the request line."""
+    return " " not in target and target.isascii() and target.isprintable()
 
 
-def _open_socket(
-    address: tuple[str, int],
-    timeout: float,
-    source_address: tuple[str, int] | None = None,
-) -> Any:
+def _open_socket(address: tuple[str, int], timeout: float) -> Any:
     """``socket.create_connection``, started over once after
     ``CONNECT_RETRY_AFTER``. A server whose accept queue is full drops the
     SYN, and TCP would resend it only after its one-second initial
@@ -377,11 +376,11 @@ def _open_socket(
 
     first = min(timeout, CONNECT_RETRY_AFTER)
     try:
-        sock = socket.create_connection(address, first, source_address)
+        sock = socket.create_connection(address, first)
     except TimeoutError:
         if timeout <= first:
             raise
-        sock = socket.create_connection(address, timeout - first, source_address)
+        sock = socket.create_connection(address, timeout - first)
     sock.settimeout(timeout)
     return sock
 

@@ -36,10 +36,12 @@ def placeholder_names(text: str) -> list[str]:
 
 
 class PromptStore:
-    """Read-only view over a directory of prompt template files."""
+    """Read-only view over a directory of prompt template files. Each
+    template is read once per store, on its first use."""
 
     def __init__(self, root: Path | str | None = None):
         self._root = Path(root) if root is not None else _DEFAULT_ROOT
+        self._texts: dict[tuple[str, str], str] = {}
 
     @property
     def root(self) -> Path:
@@ -53,6 +55,9 @@ class PromptStore:
         return self._root / f"{template_id}.{language}.txt"
 
     def template_text(self, template_id: str, language: str = "en") -> str:
+        text = self._texts.get((template_id, language))
+        if text is not None:
+            return text
         path = self._path(template_id, language)
         if not path.exists():
             raise UnknownTemplate(
@@ -60,9 +65,11 @@ class PromptStore:
                 f"under {self._root}"
             )
         try:
-            return path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise UnknownTemplate(f"cannot read template {path}: {exc}") from None
+        self._texts[template_id, language] = text
+        return text
 
     def placeholders(self, template_id: str, language: str = "en") -> list[str]:
         return placeholder_names(self.template_text(template_id, language))

@@ -739,6 +739,24 @@ class TestEvaluateAndRoute:
         assert line.startswith("error: ")
         assert "'EXAMPLE_API_KEY', which is unset" in line
 
+    def test_a_key_http_cannot_carry_is_one_error_line(
+        self, tmp_path, monkeypatch
+    ):
+        """A live evaluation whose API key holds CR LF fails before it
+        sends anything, in one line that names the variable, not the key."""
+        text = minimal_text()
+        for url in ("https://api.example.com/v1", "https://api.example.org/v1"):
+            text = text.replace(url, "http://127.0.0.1:9/v1")
+        config_path = write_config(tmp_path, text)
+        for name in ("EXAMPLE_API_KEY", "OTHER_API_KEY"):
+            monkeypatch.setenv(name, "sk-secret\r\nX-Evil: 1")
+        result = invoke(config_path, "evaluate")
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert "_API_KEY' holds CR, LF or NUL" in line
+        assert "sk-secret" not in result.output
+
     def test_route_unknown_kind_is_usage_error(self, config_path):
         result = invoke(config_path, "route", "poetry", "--offline")
         assert result.exit_code == 2

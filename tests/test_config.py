@@ -239,6 +239,22 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, base))
 
     @pytest.mark.parametrize(
+        "url, where",
+        [
+            ("https://api.example.org/v1", "backends[1]"),
+            ("https://finnhub.io/api/v1", "provider"),
+        ],
+    )
+    def test_a_base_url_with_credentials_is_refused(self, tmp_path, url, where):
+        text = minimal_text().replace(
+            url, url.replace("https://", "https://alice:hunter2@")
+        )
+        with pytest.raises(ConfigError, match="base_url") as err:
+            load_config(write_config(tmp_path, text))
+        assert where in str(err.value)
+        assert "hunter2" not in str(err.value)
+
+    @pytest.mark.parametrize(
         "setting, message",
         [
             ("timeout: 0", "timeout must be positive"),

@@ -346,6 +346,20 @@ def test_http_transport_missing_credential(monkeypatch):
         transport.send(spec(), {})
 
 
+@pytest.mark.parametrize(
+    "key", ["sk-secret\r\nX-Evil: 1", "sk-secret\nX-Evil: 1", "sk-secret\r"]
+)
+def test_http_transport_refuses_a_key_http_cannot_carry(monkeypatch, key):
+    """CR, LF or NUL in a header would end it early or smuggle in
+    another; the error names the variable, never the key."""
+    monkeypatch.setenv("EXAMPLE_KEY", key)
+    client = FakeClient(fake_response(200, ok_body("x")))
+    with pytest.raises(ConfigError, match="EXAMPLE_KEY") as err:
+        HttpTransport(client=client).send(spec(), {})
+    assert "sk-secret" not in str(err.value)
+    assert client.calls == []
+
+
 def test_http_transport_error_statuses(monkeypatch):
     monkeypatch.setenv("EXAMPLE_KEY", "k")
     transport = HttpTransport(client=FakeClient(fake_response(500, {"err": 1})))

@@ -1,5 +1,5 @@
-"""Every name a finorch module or a test module imports is used in that
-module.
+"""Every name a finorch module, a test module or a benchmark module
+imports is used in that module.
 
 An AST scan stands in for a linter, which the project does not depend on.
 A name listed in the module's ``__all__`` counts as used (a re-export),
@@ -15,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "finorch"
 TESTS = ROOT / "tests"
+BENCH = ROOT / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,7 +49,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_does_not_use() -> None:
-    modules = sorted([*SRC.rglob("*.py"), *TESTS.glob("*.py")])
+    modules = sorted([*SRC.rglob("*.py"), *TESTS.glob("*.py"), *BENCH.rglob("*.py")])
     assert modules
     unused = {
         str(path.relative_to(ROOT)): names

@@ -113,6 +113,25 @@ def test_custom_root_overrides_packaged_templates(tmp_path: Path) -> None:
         local.template_text("forecaster_user", "en")
 
 
+def test_a_template_is_read_once_per_store(tmp_path: Path) -> None:
+    template = tmp_path / "greeting.en.txt"
+    template.write_text("Hi {name}!", encoding="utf-8")
+    store = PromptStore(tmp_path)
+    assert store.render("greeting", {"name": "Ada"}) == "Hi Ada!"
+    template.write_text("Bye {name}!", encoding="utf-8")
+    assert store.render("greeting", {"name": "Ada"}) == "Hi Ada!"
+    assert PromptStore(tmp_path).render("greeting", {"name": "Ada"}) == "Bye Ada!"
+
+
+def test_a_missing_template_stays_unknown_until_it_appears(tmp_path: Path) -> None:
+    store = PromptStore(tmp_path)
+    for _ in range(2):
+        with pytest.raises(UnknownTemplate, match="no template 'greeting'"):
+            store.template_text("greeting")
+    (tmp_path / "greeting.en.txt").write_text("Hi!", encoding="utf-8")
+    assert store.template_text("greeting") == "Hi!"
+
+
 def test_forecaster_user_has_the_four_information_blocks(store: PromptStore) -> None:
     text = store.template_text("forecaster_user", "en")
     for block in (
