@@ -23,8 +23,9 @@ naming its key.
 Offline and live alike, a command evaluates only when no score exists.
 
 A command loads only the layers it runs. Every command loads the config,
-the gateway, the scheduler and the prompt store; a live one also builds
-the HTTP client with the engine. Beyond that:
+the gateway, the scheduler and the prompt store; a live gateway builds
+the HTTP client at its first chat, and only an offline engine loads the
+scripted replies of ``finorch.offline``. Beyond that:
 
 * ``evaluate`` and ``route`` (``evaluate_all``, ``ensure_scores``,
   ``route``) load no app, no workflow runner and nothing of
@@ -52,7 +53,6 @@ from urllib.parse import urlsplit
 
 import yaml
 
-from finorch import offline as offline_scripts
 from finorch.clock import Clock, FixedClock, SystemClock
 from finorch.errors import ConfigError, EngineError
 from finorch.gateway import BackendSpec, Gateway
@@ -570,6 +570,8 @@ def build_engine(config: EngineConfig, offline: bool = False) -> Engine:
     run_clock: Clock = FixedClock() if offline else clock
 
     if offline:
+        from finorch import offline as offline_scripts
+
         gateway = Gateway(
             transport=_OfflineGuard(),
             sleeper=lambda seconds: None,
@@ -583,8 +585,8 @@ def build_engine(config: EngineConfig, offline: bool = False) -> Engine:
                 ),
             )
     else:
-        # The HTTP client is built here, not on the first chat (see
-        # ``HttpClient.__init__``).
+        # The gateway builds its HTTP transport at the first chat, in the
+        # calling thread, so a route on persisted scores loads no HTTP stack.
         gateway = Gateway()
         for spec in config.backends:
             gateway.register_backend(spec)

@@ -6,6 +6,9 @@ protocol is the OpenAI-compatible chat-completions shape (POST
 {base_url}/chat/completions, response read from
 choices[0].message.content), which the supported backends all speak;
 ``HttpTransport`` sends it through the keep-alive ``httpclient.HttpClient``.
+A gateway given no transport builds that default at its first chat, in the
+calling thread, and with it the client and its modules, so a live ``route``
+on persisted scores, which sends nothing, never loads them.
 
 A deterministic scripted mock transport ships alongside the HTTP one so
 every higher layer is testable offline.
@@ -262,6 +265,9 @@ class Gateway:
     offline artifacts do not depend on how many chats ran. Every
     transport, the scripted mock included, is retried by
     ``httpclient.with_retries`` up to the backend's ``max_retries``.
+    Without ``transport``, the default ``HttpTransport`` is built at the
+    first chat that needs it, in the calling thread: ``chat_many`` resolves
+    every request's transport before any worker starts.
     """
 
     def __init__(
@@ -271,7 +277,7 @@ class Gateway:
         rng: random.Random | None = None,
         monotonic: Callable[[], float] | None = None,
     ):
-        self._default_transport: Transport = transport or HttpTransport()
+        self._default_transport: Transport | None = transport
         self._transports: dict[str, Transport] = {}
         self._backends: dict[str, BackendSpec] = {}
         self._sleep = sleeper or time.sleep
@@ -369,10 +375,8 @@ class Gateway:
         mock fail budgets in a fixed order.
         """
         batch = list(batch)
-        if len(batch) < 2 or all(
-            isinstance(self._transport_for(backend_id), MockTransport)
-            for backend_id, _ in batch
-        ):
+        transports = [self._transport_for(backend_id) for backend_id, _ in batch]
+        if len(batch) < 2 or all(isinstance(t, MockTransport) for t in transports):
             return [self._outcome(request) for request in batch]
         from concurrent.futures import wait
 
@@ -392,7 +396,11 @@ class Gateway:
             return exc
 
     def _transport_for(self, backend_id: str) -> Transport:
-        return self._transports.get(backend_id, self._default_transport)
+        if backend_id in self._transports:
+            return self._transports[backend_id]
+        if self._default_transport is None:
+            self._default_transport = HttpTransport()
+        return self._default_transport
 
 
 _pools: dict[str, Any] = {}

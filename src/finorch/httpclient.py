@@ -16,9 +16,10 @@ request goes out in one write, and each reply is read with the message
 framing of RFC 9112 (1xx replies skipped; a chunked, sized or
 close-delimited body), within ``http.client``'s limits of 65 536 bytes a
 line and 100 header fields. ``finorch.http11`` and ``urllib.request`` are
-imported when a client is built, ``ssl`` on its first TLS connect,
-``email.utils`` only to read a ``Retry-After`` date and ``logging`` only to
-log a retry, so a run that opens no socket never loads them.
+imported when a client is built (a gateway's at its first chat), ``ssl``
+on its first TLS connect, ``email.utils`` only to read a ``Retry-After``
+date and ``logging`` only to log a retry, so a run that opens no socket
+never loads them.
 
 Proxies follow ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and
 ``NO_PROXY`` (read by ``urllib.request.getproxies`` and ``proxy_bypass``).
@@ -165,15 +166,15 @@ class HttpClient:
 
     def __init__(self) -> None:
         # The wire code, and the proxy lookup of ``urllib.request``, load
-        # with the client, which a live engine builds with itself, rather
-        # than on first use: worker threads that all wait on one import
-        # then connect in a single burst, which can overflow a small
-        # server's listen backlog and stall a connect for a second. Keep
-        # building the client with the engine until the benchmark stand-in
-        # listens with a larger backlog: building the gateway's client on
-        # its first send instead made 10 of 30 alternating cold live
-        # `evaluate` runs against `bench/standin.py` stall by more than
-        # 0.45 s, where building it with the engine stalled 2 to 4 of 30.
+        # with the client, which a gateway builds at its first chat in the
+        # calling thread, rather than at a first send: worker threads that
+        # all wait on one import then connect in a single burst, which can
+        # overflow a small server's listen backlog and stall a connect for
+        # a second. Building the client inside the workers made 10 of 30
+        # alternating cold live `evaluate` runs against `bench/standin.py`
+        # stall by more than 0.45 s, where building it before they start
+        # stalled 2 to 4 of 30. Keep these imports eager until the stand-in
+        # listens with a larger backlog.
         import urllib.request  # noqa: F401
 
         import finorch.http11  # noqa: F401

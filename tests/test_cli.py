@@ -655,8 +655,9 @@ class TestEvaluateAndRoute:
     def test_live_route_on_persisted_scores_loads_no_record_machinery(
         self, config_path, tmp_path
     ):
-        """A live route builds the HTTP client, but loads neither
-        ``dataclasses`` nor ``inspect`` either."""
+        """A live route on persisted scores sends nothing, so it builds no
+        HTTP client and loads none of its modules, no offline scripts, and
+        neither ``dataclasses`` nor ``inspect``."""
         (tmp_path / "state").mkdir()
         (tmp_path / "state" / "task_scores.jsonl").write_text(
             "".join(
@@ -670,8 +671,10 @@ class TestEvaluateAndRoute:
         )
         dummy = {"EXAMPLE_API_KEY": "dummy-key", "OTHER_API_KEY": "dummy-key"}
         assert imported_by_command(
-            config_path, ["route", "forecast"], "http.client", env=dummy
-        ) == "['http.client']"
+            config_path, ["route", "forecast"], "http.client",
+            "urllib.request", "ssl", "email.parser", "socket",
+            "finorch.http11", "finorch.offline", env=dummy,
+        ) == "[]"
 
     def test_evaluate_writes_one_row_per_agent(
         self, config_path, tmp_path

@@ -694,3 +694,51 @@ def test_chat_many_runs_a_single_request_inline():
     assert outcome.response_text == "ok"
     assert transport.threads == [threading.current_thread()]
     assert gateway.chat_many([]) == []
+
+
+def test_the_default_transport_is_built_once_at_the_first_chat_in_the_caller(
+    monkeypatch,
+):
+    """The default transport, and with it the HTTP client and its imports,
+    is built at the first chat, in the calling thread, before any worker
+    sends: workers that all waited on one import would connect in a burst."""
+    caller = threading.current_thread()
+    events: list[tuple[str, bool]] = []  # (what, whether in the caller)
+
+    class Recorder:
+        def __init__(self):
+            events.append(("built", threading.current_thread() is caller))
+
+        def send(self, spec, payload):
+            events.append(("send", threading.current_thread() is caller))
+            return ok_body("ok")
+
+    monkeypatch.setattr("finorch.gateway.HttpTransport", Recorder)
+    live = BackendSpec(backend_id="live", base_url="http://live.test", model_name="m")
+    gateway, _ = make_gateway()
+    gateway.register_backend(live)
+    assert events == []
+
+    outcomes = gateway.chat_many([("live", user("one")), ("live", user("two"))])
+    assert [o.response_text for o in outcomes] == ["ok", "ok"]
+    assert events == [("built", True), ("send", False), ("send", False)]
+    gateway.chat_many([("live", user("three")), ("live", user("four"))])
+    assert [what for what, _ in events].count("built") == 1
+
+    # A batch whose first request has a transport of its own still builds
+    # the default for the second in the caller.
+    events.clear()
+    gateway, _ = fanout_gateway(lambda text: "ok")
+    gateway.register_backend(live)
+    gateway.chat_many([("remote", user("one")), ("live", user("two"))])
+    assert events == [("built", True), ("send", False)]
+
+    # A gateway given a transport never builds the default.
+    events.clear()
+    given = RecordingTransport(lambda text: "ok")
+    gateway, _ = make_gateway(transport=given)
+    gateway.register_backend(live)
+    gateway.chat("live", user("one"))
+    gateway.chat_many([("live", user("two")), ("live", user("three"))])
+    assert events == []
+    assert len(given.threads) == 3
