@@ -15,19 +15,21 @@ The client speaks HTTP/1.1 on the socket through ``finorch.http11``: each
 request goes out in one write, and each reply is read with the message
 framing of RFC 9112 (1xx replies skipped; a chunked, sized or
 close-delimited body), within ``http.client``'s limits of 65 536 bytes a
-line and 100 header fields. ``finorch.http11`` and ``urllib.request`` are
-imported when a client is built (a gateway's at its first chat), ``ssl``
-on its first TLS connect, ``email.utils`` only to read a ``Retry-After``
-date and ``logging`` only to log a retry, so a run that opens no socket
-never loads them.
+line and 100 header fields. ``finorch.http11``, ``socket`` and the
+``idna`` codec are loaded when a client is built (a gateway's at its first
+chat), ``ssl`` on its first TLS connect, ``email.utils`` only to read a
+``Retry-After`` date and ``logging`` only to log a retry, so a run that
+opens no socket never loads them. No client loads ``urllib.request``,
+``http.client`` or ``email.parser``.
 
 Proxies follow ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and
-``NO_PROXY`` (read by ``urllib.request.getproxies`` and ``proxy_bypass``).
-An ``http://`` target goes through the proxy in absolute form. An
-``https://`` target goes through a ``CONNECT`` tunnel. A proxy URL that
-carries credentials, or whose scheme is not ``http``, is refused with a
-``ConfigError``. TLS trusts the system CA store
-(``ssl.create_default_context``).
+``NO_PROXY``, read by the rules of ``urllib.request``'s
+``getproxies_environment`` and ``proxy_bypass_environment`` (CPython 3.11)
+on every platform. An ``http://`` target goes through the proxy in
+absolute form. An ``https://`` target goes through a ``CONNECT`` tunnel. A
+proxy URL that carries credentials, or whose scheme is not ``http``, is
+refused with a ``ConfigError``. TLS trusts the system CA store
+(``ssl.create_default_context``), through one context per client.
 """
 
 from __future__ import annotations
@@ -165,19 +167,19 @@ class HttpClient:
     """JSON over HTTP/1.1 with a keep-alive connection pool per origin."""
 
     def __init__(self) -> None:
-        # The wire code, and the proxy lookup of ``urllib.request``, load
-        # with the client, which a gateway builds at its first chat in the
-        # calling thread, rather than at a first send: worker threads that
-        # all wait on one import then connect in a single burst, which can
-        # overflow a small server's listen backlog and stall a connect for
-        # a second. Building the client inside the workers made 10 of 30
-        # alternating cold live `evaluate` runs against `bench/standin.py`
-        # stall by more than 0.45 s, where building it before they start
-        # stalled 2 to 4 of 30. Keep these imports eager until the stand-in
-        # listens with a larger backlog.
-        import urllib.request  # noqa: F401
+        # What a connect loads, loaded with the client, which a gateway
+        # builds at its first chat in the calling thread: the wire code,
+        # ``socket``, and the ``idna`` codec ``getaddrinfo`` encodes host
+        # names with. Workers that first import a module queue on one
+        # import lock, then connect in a burst that overflows a small
+        # listen backlog: left to them, these two loads took a cold live
+        # `evaluate` against `bench/standin.py` from 0.20 to 0.45 s.
+        import codecs
+        import socket  # noqa: F401
 
         import finorch.http11  # noqa: F401
+
+        codecs.lookup("idna")
 
         self._idle: dict[tuple[str, str, int], list[Connection]] = {}
         self._proxies: dict[tuple[str, str, int], tuple[str, int] | None] = {}
@@ -320,10 +322,11 @@ class HttpClient:
         try:
             if proxy is not None:
                 conn.tunnel(host, port)
-            if self._tls is None:
-                import ssl
+            with self._lock:  # one context, however many connect at once
+                if self._tls is None:
+                    import ssl
 
-                self._tls = ssl.create_default_context()
+                    self._tls = ssl.create_default_context()
             sock = self._tls.wrap_socket(conn.sock, server_hostname=host)
         finally:
             conn.close()  # the TLS socket holds the connection on by itself
@@ -387,11 +390,9 @@ def _open_socket(address: tuple[str, int], timeout: float) -> Any:
 
 
 def _proxy_for(scheme: str, host: str) -> tuple[str, int] | None:
-    from urllib.request import getproxies, proxy_bypass
-
-    proxies = getproxies()
+    proxies = _environment_proxies()
     name = next((n for n in (scheme, "all") if proxies.get(n)), None)
-    if name is None or proxy_bypass(host):
+    if name is None or _bypassed(host, proxies.get("no")):
         return None
     variable = f"{name.upper()}_PROXY"
     proxy = urlsplit(proxies[name])
@@ -409,3 +410,38 @@ def _proxy_for(scheme: str, host: str) -> tuple[str, int] | None:
             f"{variable} carries credentials; finorch sends none to a proxy"
         )
     return proxy.hostname, port
+
+
+def _environment_proxies() -> dict[str, str]:
+    """``urllib.request.getproxies_environment`` of CPython 3.11: a
+    ``<scheme>_proxy`` variable by its scheme, in any case, one with a
+    lower-case ``_proxy`` winning and, if empty, unsetting it; under CGI
+    (``REQUEST_METHOD``) an upper-case ``HTTP_PROXY`` is dropped."""
+    proxies = {}
+    for name, value in os.environ.items():
+        if value and name.lower()[-6:] == "_proxy":
+            proxies[name.lower()[:-6]] = value
+    if "REQUEST_METHOD" in os.environ:
+        proxies.pop("http", None)
+    for name, value in os.environ.items():
+        if name[-6:] == "_proxy":
+            proxies[name.lower()[:-6]] = value
+    return {scheme: url for scheme, url in proxies.items() if url}
+
+
+def _bypassed(host: str, no_proxy: str | None) -> bool:
+    """``urllib.request.proxy_bypass_environment`` of CPython 3.11: whether
+    ``NO_PROXY`` is ``*`` or names the host, with or without a trailing
+    ``:port``, or a domain it lies in."""
+    if no_proxy == "*":
+        return True
+    host = host.lower()
+    head, colon, port = host.rpartition(":")
+    hostonly = head if colon and port.isascii() and port.isdigit() else host
+    names = [name.strip() for name in (no_proxy or "").split(",")]
+    suffixes = [name.lstrip(".").lower() for name in names if name]
+    return any(
+        h == suffix or h.endswith("." + suffix)
+        for suffix in suffixes
+        for h in (hostonly, host)
+    )

@@ -1,8 +1,10 @@
 """Tests for the keep-alive HTTP client and its retry policy, against
 loopback servers on 127.0.0.1: connection reuse, the replay of a dropped
-idle connection, status classes, Retry-After, the per-backend in-flight
-cap, proxies, that no live provider failure carries its token, the
-HTTP/1.1 message framing against raw-socket servers, and TLS."""
+idle connection, that the gateway's workers import nothing, status
+classes, Retry-After, the per-backend in-flight cap, proxies (and the
+proxy rules against ``urllib.request``'s), that no live provider failure
+carries its token, the HTTP/1.1 message framing against raw-socket
+servers, and TLS."""
 
 from __future__ import annotations
 
@@ -16,12 +18,17 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from contextlib import contextmanager
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finorch import httpclient
 from finorch.dataops import providers
@@ -298,6 +305,44 @@ def test_a_forked_child_opens_its_own_connection():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["3", "2"]  # requests, accepted sockets
+
+
+WORKER_IMPORTS = """
+import json, sys, threading
+
+imports = []  # (module, importing thread)
+sys.addaudithook(
+    lambda event, args: event == "import"
+    and imports.append((args[0], threading.current_thread()))
+)
+from finorch.gateway import BackendSpec, ChatMessage, Gateway
+
+gateway = Gateway()
+gateway.register_backend(BackendSpec("live", sys.argv[1], "m"))
+batch = [("live", [ChatMessage("user", f"q{i}")]) for i in range(4)]
+assert [o.response_text for o in gateway.chat_many(batch)] == ["ok"] * 4
+print(json.dumps([
+    sorted(m for m, thread in imports if thread is not threading.main_thread()),
+    sorted({"urllib.request", "http.client", "email.parser"} & set(sys.modules)),
+]))
+"""
+
+
+def test_gateway_workers_import_nothing_and_no_stdlib_http_stack_loads():
+    """The client loads what a connect needs in the thread of the first
+    chat: workers that first import a module queue on one import lock and
+    then connect in a burst."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    with serve(answer()) as server:
+        done = subprocess.run(
+            [sys.executable, "-c", WORKER_IMPORTS, server.url + "/v1"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    assert done.returncode == 0, done.stderr
+    in_workers, http_stack = json.loads(done.stdout)
+    assert in_workers == []
+    assert http_stack == []
 
 
 # ------------------------------------------------------------ status classes
@@ -635,6 +680,109 @@ def test_a_proxy_that_cannot_be_honoured_is_refused(monkeypatch, value):
     assert "hunter2" not in str(err.value)
 
 
+def any_case(text: str):
+    """``text`` in lower case, upper case, an upper-case scheme before a
+    lower-case ``_proxy``, or each letter's case drawn."""
+    head, _, tail = text.rpartition("_")
+    return st.one_of(
+        st.just(text.lower()),
+        st.just(text.upper()),
+        st.just(f"{head.upper()}_{tail.lower()}" if head else text.upper()),
+        st.lists(st.booleans(), min_size=len(text), max_size=len(text)).map(
+            lambda upper: "".join(
+                c.upper() if u else c.lower() for c, u in zip(text, upper)
+            )
+        ),
+    )
+
+
+#: Hosts a request may name: domains, subdomains, a fully qualified name,
+#: addresses, IPv6 literals (``urlsplit`` gives them without brackets), and
+#: a name all digits.
+HOSTS = [
+    "example.com", "api.example.com", "a.api.example.com", "example.com.",
+    "example.com.test", "notexample.com", "localhost", "127.0.0.1", "8080",
+    "::1", "fe80::1", "2001:db8::80", "::ffff:127.0.0.1",
+]
+#: What a ``NO_PROXY`` entry may name besides the host's own parts.
+NO_PROXY_NAMES = ["example.com", "com", "le.com", "localhost", ":", "1", "80", "."]
+
+
+@st.composite
+def no_proxy_entries(draw, host: str) -> str:
+    """One entry: a name from ``NO_PROXY_NAMES``, the host, the host before
+    its last colon, or the domain the host lies in; with spaces around it,
+    leading dots and its case drawn."""
+    parts = [host, host.rpartition(":")[0], host.partition(".")[2]]
+    name = draw(st.sampled_from(NO_PROXY_NAMES) | st.sampled_from(parts))
+    return (
+        draw(st.sampled_from(["", " ", "  "]))
+        + "." * draw(st.integers(0, 2))
+        + draw(any_case(name))
+        + draw(st.sampled_from(["", " "]))
+    )
+
+
+@st.composite
+def proxy_cases(draw) -> tuple[dict[str, str], str]:
+    """A host and an environment: proxy variables in any case, each with
+    its own proxy URL or empty, a ``NO_PROXY`` list or ``*``, and perhaps
+    ``REQUEST_METHOD``."""
+    host = draw(st.sampled_from(HOSTS))
+    schemes = st.sampled_from(["http", "https", "all", "ftp", "no"])
+    names = draw(
+        st.lists(
+            schemes.flatmap(lambda s: any_case(f"{s}_proxy")), max_size=6, unique=True
+        )
+    )
+    if draw(st.integers(0, 3)):  # most cases carry a NO_PROXY
+        names.append(draw(any_case("no_proxy").filter(lambda n: n not in names)))
+    env = {}
+    for i, name in enumerate(names):
+        if name.lower() == "no_proxy":
+            env[name] = draw(
+                st.one_of(
+                    st.sampled_from(["*", ""]),
+                    st.lists(no_proxy_entries(host), max_size=4).map(",".join),
+                )
+            )
+        else:
+            env[name] = draw(st.sampled_from(["", f"http://proxy{i}.test:{3000 + i}"]))
+    if draw(st.booleans()):
+        env["REQUEST_METHOD"] = "GET"
+    return env, draw(any_case(host))
+
+
+PROXY = "http://proxy.test:3128"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=proxy_cases(), scheme=st.sampled_from(["http", "https"]))
+# ``urllib`` strips a trailing ``:digits`` from the host as a port, so an
+# IPv6 literal loses its last group ("fe80:" names "fe80::1"), and an entry
+# of dots alone names every host that ends in a dot.
+@example(case=({"no_proxy": "fe80:", "HTTP_PROXY": PROXY}, "fe80::1"), scheme="http")
+@example(case=({"NO_PROXY": ":", "ALL_PROXY": PROXY}, "::1"), scheme="https")
+@example(case=({"no_proxy": ".", "all_proxy": PROXY}, "8080"), scheme="http")
+@example(case=({"no_proxy": "..", "all_proxy": PROXY}, "example.com."), scheme="http")
+def test_the_proxy_decision_follows_urllib_environment_rules(case, scheme):
+    """finorch reads the proxy variables itself; its decision is the one
+    ``urllib.request``'s environment rules give, with ``ALL_PROXY`` as the
+    fallback for a scheme without a proxy of its own."""
+    env, host = case
+    with mock.patch.dict(os.environ, env, clear=True):
+        proxies = urllib.request.getproxies_environment()
+        bypassed = urllib.request.proxy_bypass_environment(host)
+        decided = httpclient._proxy_for(scheme, host)
+        finorch_proxies = httpclient._environment_proxies()
+    name = next((n for n in (scheme, "all") if n in proxies), None)
+    proxy = None if name is None else urlsplit(proxies[name])
+    expected = None if proxy is None or bypassed else (proxy.hostname, proxy.port)
+    assert finorch_proxies == proxies
+    assert httpclient._bypassed(host, proxies.get("no")) == bypassed
+    assert decided == expected
+
+
 @pytest.mark.parametrize(
     "url",
     [
@@ -909,3 +1057,26 @@ def test_an_untrusted_certificate_is_a_transport_error(monkeypatch, tmp_path):
         with pytest.raises(TransportError, match="SSLCertVerificationError"):
             HttpClient().request("GET", url + "/x", timeout=5.0)
     assert server.requests == []
+
+
+def test_a_first_concurrent_batch_over_tls_builds_one_context(monkeypatch):
+    """Every worker of a cold client's first batch connects at once; one
+    TLS context, with its CA store, serves them all."""
+    built = []
+    create = ssl.create_default_context
+
+    def slow_create(*args, **kwargs):
+        built.append(threading.current_thread())
+        time.sleep(0.05)  # about what loading the system CA store takes
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "create_default_context", slow_create)
+    monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    with serve(answer(), tls_server_context()) as server:
+        url = server.url.replace("http://", "https://")
+        gateway, _, client = chat_gateway(url)
+        outcomes = gateway.chat_many([("b0", user(f"q{i}")) for i in range(6)])
+        client.close()
+    assert [o.response_text for o in outcomes] == ["ok"] * 6
+    assert len(built) == 1
+
