@@ -59,10 +59,10 @@ def route(args: argparse.Namespace) -> None:
     """Pick the best-scored agent for a task kind."""
     engine = build_engine(load_config(args.config_path), offline=args.offline)
     engine.ensure_scores(args.task_kind)
-    ranking = engine.scheduler.rank_agents(args.task_kind)
-    chosen = engine.scheduler.route(args.task_kind)
+    decisions: list[dict] = []
+    chosen = engine.scheduler.route(args.task_kind, recorder=decisions.append)
     if args.as_json:
-        payload = {"task_kind": args.task_kind, "ranking": ranking, "chosen": chosen}
+        payload = {k: decisions[0][k] for k in ("task_kind", "ranking", "chosen")}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     print(chosen)

@@ -20,7 +20,8 @@ naming its key.
   can reach the network by accident. Chats are timed by the gateway's
   monotonic timer, never by a clock.
 
-Offline and live alike, a command evaluates only when no score exists.
+Offline and live alike, a command evaluates only those agents of its task
+kind with no score of the golden set's dimensions; ``evaluate``, all.
 
 A command loads only the layers it runs. Every command loads the config,
 the gateway, the scheduler and the prompt store; a live gateway builds
@@ -54,7 +55,7 @@ from urllib.parse import urlsplit
 import yaml
 
 from finorch.clock import Clock, FixedClock, SystemClock
-from finorch.errors import ConfigError, EngineError
+from finorch.errors import ConfigError, EngineError, WeightSumInvalid
 from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
 from finorch.record import Record
@@ -64,6 +65,7 @@ from finorch.scheduler import (
     GoldenRecord,
     Scheduler,
     TaskScore,
+    check_weights,
     load_golden_dataset,
 )
 
@@ -236,6 +238,7 @@ def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentProfile:
 
 
 def _parse_weights(raw: Any) -> dict[str, dict[str, float]]:
+    """Each task kind's weights, a distribution (``check_weights``)."""
     if raw is None:
         return {}
     if not isinstance(raw, Mapping):
@@ -246,14 +249,17 @@ def _parse_weights(raw: Any) -> dict[str, dict[str, float]]:
             raise ConfigError(
                 f"weights task kind {kind!r} is not one of {TASK_KINDS}"
             )
+        where = f"weights[{kind!r}]"
         if not isinstance(table, Mapping) or not table:
-            raise ConfigError(
-                f"weights[{kind!r}] must be a non-empty mapping"
-            )
+            raise ConfigError(f"{where} must be a non-empty mapping")
         weights[kind] = {
-            str(dim): _number(value, f"weights[{kind!r}]", str(dim), float)
+            str(dim): _number(value, where, str(dim), float)
             for dim, value in table.items()
         }
+        try:
+            check_weights(weights[kind])
+        except WeightSumInvalid as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return weights
 
 
@@ -497,9 +503,22 @@ class Engine:
         }
 
     def ensure_scores(self, task_kind: str) -> None:
-        """Evaluate the task kind only when none of its agents has a score."""
-        if not self.scheduler.latest_scores(task_kind):
-            self.evaluate_all(task_kind)
+        """Evaluate, in one batch, the agents registered for the task kind
+        with no score of the golden set's dimensions. A kind's weights name
+        those (an evaluation refuses others), so then the set is not read."""
+        labels = self.config.weights.get(task_kind)
+        if labels is None:
+            dataset = self.golden_dataset(task_kind)
+            labels = dataset[0].dimension_labels if dataset else ()
+        scored = self.scheduler.latest_scores(task_kind)
+        jobs = [
+            (profile.agent_id, self.golden_dataset(task_kind))
+            for profile in self.scheduler.agents_for(task_kind)
+            if profile.agent_id not in scored
+            or set(scored[profile.agent_id].raw_scores) != set(labels)
+        ]
+        if jobs:
+            self.scheduler.evaluate_agents(jobs)
 
     def route(self, task_kind: str) -> str:
         self.ensure_scores(task_kind)

@@ -4,9 +4,11 @@ scoring, task routing, reflections, and workflow evaluations.
 Scoring pipeline: per golden record the agent's adaptor prompt is sent
 through the gateway and the reply graded per dimension; one evaluation
 sends the probes of all the agents it covers as one batch. Raw dimension
-scores are averaged over records, min-max normalized across the roster of
-the task kind, and combined into a weighted composite in [0, 1]. Routing
-picks the highest composite, ties broken by ascending agent id.
+scores are averaged over records, and that is what a TaskScore row holds.
+Ranking derives the rest from the latest raw scores of the agents
+registered for the task kind: each dimension is min-max normalized across
+them and combined with the current weights into a composite in [0, 1].
+Routing picks the highest composite, ties broken by ascending agent id.
 
 Grading dimensions: ``exact_match`` (normalized-whitespace, case-folded
 equality) and ``token_f1`` (F1 over whitespace tokens) are computed
@@ -15,22 +17,17 @@ reply must contain "score: <x>".
 
 State is kept as append-only JSON-lines files under the state directory
 (task_scores.jsonl, reflections.jsonl, evaluations.jsonl). One evaluation
-appends every roster it scored in one write, one row per agent, and a
-failed one appends nothing; the latest TaskScore per (agent, task kind)
-wins for routing. reflections.jsonl and evaluations.jsonl are audit logs
-that no command reads back: a workflow evaluation grades only its own run,
-from the output and the reflection the runner hands it.
+appends one row per agent it scored, all in one write, and a failed one
+appends nothing; the latest TaskScore per (task kind, agent) wins for
+routing. reflections.jsonl and evaluations.jsonl are audit logs that no
+command reads back: a workflow evaluation grades only its own run, from
+the output and the reflection the runner hands it.
 
-Loading reads task_scores.jsonl backward from its end and stops once it
-has each task kind's last roster. That relies on one rule, which every
-writer of the log keeps: a task kind's roster is written whole, sorted by
-agent id, and never with fewer agents than the one before it. A crash
-mid-append can leave only a sorted prefix of a roster, and the roster
-before it still holds the rest. Two processes with different agent sets
-appending to one log can break the rule: a stale, smaller roster appended
-last hides the agents it lacks. The load costs O(agents), not
-O(history), except for a task kind with no row at all: the read goes to
-the start of the file for it.
+Scores are loaded on first need, once the agents are registered: the read
+goes backward from the end of task_scores.jsonl and stops once it holds
+the latest row of every registered (task kind, agent) pair. It costs
+O(agents), not O(history), unless a registered agent has no row: then the
+read goes to the start of the file.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -71,6 +69,7 @@ __all__ = [
     "Scheduler",
     "TaskScore",
     "WorkflowEvaluation",
+    "check_weights",
     "composite_score",
     "grade_exact_match",
     "grade_token_f1",
@@ -83,6 +82,7 @@ __all__ = [
 TASK_KINDS = ("forecast", "report")
 
 WEIGHT_TOLERANCE = 1e-9
+_MAX_FLOAT = sys.float_info.max
 MAX_EXCLUDED_FRACTION = 0.2
 
 _SELF_SCORE = re.compile(r"score:\s*(\d+(?:\.\d+)?)", re.IGNORECASE)
@@ -137,44 +137,27 @@ class GoldenRecord(Record):
 
 
 class TaskScore(Record):
-    """One agent's scores for one task kind; the three score mappings are
-    stored as private dict copies."""
+    """One agent's measured raw score per dimension for one task kind,
+    stored as a private dict copy: a non-empty mapping of finite,
+    non-negative numbers."""
 
-    __slots__ = (
-        "agent_id", "task_kind", "raw_scores", "normalized_scores", "weights",
-        "composite", "evaluated_at",
-    )
+    __slots__ = ("agent_id", "task_kind", "raw_scores", "evaluated_at")
 
     def __init__(
         self, agent_id: str, task_kind: str, raw_scores: Mapping[str, float],
-        normalized_scores: Mapping[str, float], weights: Mapping[str, float],
-        composite: float, evaluated_at: str
+        evaluated_at: str
     ) -> None:
-        raw_scores = dict(raw_scores)
-        normalized_scores = dict(normalized_scores)
-        weights = dict(weights)
-        for name, value in normalized_scores.items():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"normalized score {name}={value} out of [0, 1]"
-                )
-        total = math.fsum(weights.values())
-        if abs(total - 1.0) > WEIGHT_TOLERANCE:
-            raise WeightSumInvalid(f"weights sum to {total}, expected 1")
-        recomputed = math.fsum(
-            weights[d] * normalized_scores[d] for d in weights
-        )
-        if abs(recomputed - composite) > WEIGHT_TOLERANCE:
+        if not isinstance(raw_scores, Mapping) or not raw_scores:
             raise ValueError(
-                f"composite {composite} disagrees with weighted sum "
-                f"{recomputed}"
+                f"raw_scores must be a non-empty mapping, got {raw_scores!r}"
             )
-        if not 0.0 <= composite <= 1.0 + WEIGHT_TOLERANCE:
-            raise ValueError(f"composite {composite} out of [0, 1]")
-        super().__init__(
-            agent_id, task_kind, raw_scores, normalized_scores, weights,
-            composite, evaluated_at,
-        )
+        for name, value in raw_scores.items():  # NaN fails the comparison
+            if type(value) not in (int, float) or not 0 <= value <= _MAX_FLOAT:
+                raise ValueError(
+                    f"raw score {name}={value!r} is not a finite, "
+                    "non-negative number"
+                )
+        super().__init__(agent_id, task_kind, dict(raw_scores), evaluated_at)
 
 
 class Reflection(Record):
@@ -244,6 +227,16 @@ def normalize_scores(
     return normalized
 
 
+def check_weights(weights: Mapping[str, float]) -> None:
+    """WeightSumInvalid unless the weights are non-negative and sum to 1."""
+    negative = sorted(d for d, w in weights.items() if w < 0)
+    if negative:
+        raise WeightSumInvalid(f"negative weights for {negative}")
+    total = math.fsum(weights.values())
+    if abs(total - 1.0) > WEIGHT_TOLERANCE:
+        raise WeightSumInvalid(f"weights sum to {total}, expected 1")
+
+
 def composite_score(
     normalized: Mapping[str, float], weights: Mapping[str, float]
 ) -> float:
@@ -253,11 +246,7 @@ def composite_score(
             f"dimensions {sorted(normalized)} do not match weights "
             f"{sorted(weights)}"
         )
-    if any(w < 0 for w in weights.values()):
-        raise WeightSumInvalid("weights must be non-negative")
-    total = math.fsum(weights.values())
-    if abs(total - 1.0) > WEIGHT_TOLERANCE:
-        raise WeightSumInvalid(f"weights sum to {total}, expected 1")
+    check_weights(weights)
     return math.fsum(weights[d] * normalized[d] for d in sorted(weights))
 
 
@@ -338,26 +327,29 @@ ScoreKey = tuple[str, str]  # (task_kind, agent_id)
 _BLOCK = 1 << 12
 
 
-def _latest_rosters(log: Path) -> dict[ScoreKey, TaskScore]:
-    """Latest TaskScore per (task_kind, agent_id): each task kind's last
-    roster, read from the end of the log.
+def _latest_scores(
+    log: Path, wanted: set[ScoreKey]
+) -> dict[ScoreKey, TaskScore]:
+    """Latest TaskScore per wanted (task_kind, agent_id), read from the end
+    of the log.
 
-    The log is read back in blocks. The first row seen per (kind, agent) is
-    that agent's latest; a kind's roster is complete when one of its agent
-    ids comes round again. The read stops when every kind in TASK_KINDS is
-    complete, or at the start of the file. A torn or malformed row it reads
-    is a ConfigError naming the file and the line.
+    The log is read back in blocks. The first row seen per wanted pair is
+    that pair's latest, and rows of other pairs are skipped. The read stops
+    once every wanted pair is found, or at the start of the file. A row's
+    fields beyond TaskScore's own (the normalized scores, weights and
+    composite that older versions stored) are ignored. A torn or malformed
+    row it reads is a ConfigError naming the file and the line.
     """
     try:
         handle = log.open("rb")
     except FileNotFoundError:
         return {}
     latest: dict[ScoreKey, TaskScore] = {}
-    open_kinds = set(TASK_KINDS)
+    missing = set(wanted)
     with handle:
         position = handle.seek(0, os.SEEK_END)
         partial = b""
-        while open_kinds and position:
+        while missing and position:
             step = min(_BLOCK, position)
             position -= step
             handle.seek(position)
@@ -368,7 +360,7 @@ def _latest_rosters(log: Path) -> dict[ScoreKey, TaskScore]:
             # end of a line that starts in the block before it.
             partial = lines.pop(0) if position else b""
             for line in reversed(lines):
-                if not open_kinds:
+                if not missing:
                     break
                 start = end - len(line)
                 end = start - 1
@@ -377,12 +369,11 @@ def _latest_rosters(log: Path) -> dict[ScoreKey, TaskScore]:
                 try:
                     row = json.loads(line)
                     key = (row["task_kind"], row["agent_id"])
-                    if key[0] not in open_kinds:
-                        continue
-                    if key in latest:
-                        open_kinds.discard(key[0])
-                    else:
-                        latest[key] = TaskScore(**row)
+                    if key in missing:
+                        missing.discard(key)
+                        latest[key] = TaskScore(
+                            key[1], key[0], row["raw_scores"], row["evaluated_at"]
+                        )
                 except (KeyError, TypeError, ValueError) as exc:
                     handle.seek(0)
                     number = handle.read(start).count(b"\n") + 1
@@ -418,7 +409,7 @@ class Scheduler:
         self._clock = clock or SystemClock()
         self._agents: dict[str, AgentProfile] = {}
         self._write_lock = threading.Lock()
-        self._load_state()
+        self._latest: dict[ScoreKey, TaskScore] | None = None
 
     # ---------------------------------------------------------- persistence
 
@@ -435,7 +426,14 @@ class Scheduler:
         return self._state_dir / "evaluations.jsonl"
 
     def _load_state(self) -> None:
-        self._latest = _latest_rosters(self.scores_path)
+        wanted = {(k, a) for a, p in self._agents.items() for k in p.task_kinds}
+        self._latest = _latest_scores(self.scores_path, wanted)
+
+    def _scores(self) -> dict[ScoreKey, TaskScore]:
+        """Latest TaskScore per (task kind, agent id), read on first need."""
+        if self._latest is None:
+            self._load_state()
+        return self._latest
 
     def _append(self, path: Path, *rows: Mapping) -> None:
         """Append rows with one open and one write. A last line that a
@@ -460,6 +458,7 @@ class Scheduler:
             raise DuplicateAgent(f"agent {profile.agent_id!r} already registered")
         self._gateway.get_backend(profile.backend_id)  # UnknownBackend if not
         self._agents[profile.agent_id] = profile
+        self._latest = None  # the next read looks for this agent's rows too
         return profile.agent_id
 
     def get_agent(self, agent_id: str) -> AgentProfile:
@@ -523,15 +522,15 @@ class Scheduler:
 
         Every probe of every job is independent of the others, so all of
         them go out in one ``chat_many`` batch. The replies are graded job
-        by job, in the order given. Then each task kind's roster is
-        normalized once, against every agent's latest raw scores, and the
-        rows of all kinds go to the log in one append. A failed probe
-        raises GatewayFailure naming the first failed record in that
-        order, and a failed evaluation appends nothing.
+        by job, in the order given, and the rows of all jobs go to the log
+        in one append. A failed probe raises GatewayFailure naming the
+        first failed record in that order, and a failed evaluation appends
+        nothing.
         """
         checked = [
             self._check_job(agent_id, dataset) for agent_id, dataset in jobs
         ]
+        scores = self._scores()  # a malformed log fails before any probe
         requests = [
             (
                 profile.backend_id,
@@ -550,24 +549,18 @@ class Scheduler:
             for record in dataset
         ]
         outcomes = iter(self._gateway.chat_many(requests))
-        fresh: dict[str, dict[str, dict[str, float]]] = {}
-        for profile, dataset in checked:
-            graded = fresh.setdefault(dataset[0].task_kind, {})
-            graded[profile.agent_id] = self._grade_job(
-                profile, dataset, [next(outcomes) for _ in dataset]
-            )
-        evaluated_at = isoformat(self._clock.now())
-        rows = [
-            row for task_kind, raw in fresh.items()
-            for row in self._roster(task_kind, raw, evaluated_at)
-        ]
-        self._append(self.scores_path, *(row.to_dict() for row in rows))
-        for score in rows:
-            self._latest[(score.task_kind, score.agent_id)] = score
-        return [
-            self._latest[(dataset[0].task_kind, profile.agent_id)]
+        graded = [
+            self._grade_job(profile, dataset, [next(outcomes) for _ in dataset])
             for profile, dataset in checked
         ]
+        evaluated_at = isoformat(self._clock.now())
+        rows = [
+            TaskScore(profile.agent_id, dataset[0].task_kind, raw, evaluated_at)
+            for (profile, dataset), raw in zip(checked, graded)
+        ]
+        self._append(self.scores_path, *(row.to_dict() for row in rows))
+        scores.update(((row.task_kind, row.agent_id), row) for row in rows)
+        return rows
 
     def _check_job(
         self, agent_id: str, dataset: Sequence[GoldenRecord]
@@ -584,6 +577,13 @@ class Scheduler:
                 raise ValueError(
                     f"record {record.record_id!r} changes dimension labels"
                 )
+        task_kind = dataset[0].task_kind
+        weights = self._weights.get(task_kind)
+        if weights is not None and set(weights) != set(dimensions):
+            raise ConfigError(
+                f"weights[{task_kind!r}] has dimensions {sorted(weights)}, "
+                f"but its golden dataset has {sorted(dimensions)}"
+            )
         return profile, dataset
 
     def _grade_job(
@@ -625,57 +625,36 @@ class Scheduler:
             for d, vals in per_dimension.items()
         }
 
-    def _roster(
-        self,
-        task_kind: str,
-        fresh: Mapping[str, Mapping[str, float]],
-        evaluated_at: str,
-    ) -> list[TaskScore]:
-        """The task kind's whole roster, normalized over each agent's latest
-        raw scores: its fresh ones in ``fresh``, else its persisted ones."""
-        latest_raw: dict[str, Mapping[str, float]] = {
-            agent: score.raw_scores
-            for (kind, agent), score in self._latest.items()
-            if kind == task_kind
-        }
-        latest_raw.update(fresh)
-        dimensions = sorted(next(iter(fresh.values())))
-        uniform = dict.fromkeys(dimensions, 1.0 / len(dimensions))
-        weights = self._weights.get(task_kind, uniform)
-        normalized = normalize_scores(latest_raw)
-        return [
-            TaskScore(
-                agent_id=roster_agent,
-                task_kind=task_kind,
-                raw_scores=dict(latest_raw[roster_agent]),
-                normalized_scores=normalized[roster_agent],
-                weights=weights,
-                composite=composite_score(normalized[roster_agent], weights),
-                evaluated_at=evaluated_at,
-            )
-            for roster_agent in sorted(latest_raw)
-        ]
-
     # -------------------------------------------------------------- routing
 
     def latest_scores(self, task_kind: str) -> dict[str, TaskScore]:
         """Latest TaskScore per agent registered for ``task_kind``."""
+        scores = self._scores()
         return {
-            agent: score
-            for (kind, agent), score in self._latest.items()
-            if kind == task_kind
-            and agent in self._agents
-            and task_kind in self._agents[agent].task_kinds
+            profile.agent_id: scores[(task_kind, profile.agent_id)]
+            for profile in self.agents_for(task_kind)
+            if (task_kind, profile.agent_id) in scores
         }
 
     def rank_agents(self, task_kind: str) -> list[tuple[str, float]]:
+        """(agent id, composite) of each scored agent registered for
+        ``task_kind``, best first, ties by ascending agent id. Composites
+        come from the latest raw scores, normalized across these agents,
+        and the current weights, which are uniform over the dimensions
+        when the config sets none for the kind."""
         latest = self.latest_scores(task_kind)
         if not latest:
             raise NoScoredAgents(
                 f"no scored agents for task kind {task_kind!r}"
             )
+        normalized = normalize_scores(
+            {agent: score.raw_scores for agent, score in latest.items()}
+        )
+        dimensions = next(iter(normalized.values()))
+        uniform = dict.fromkeys(dimensions, 1.0 / len(dimensions))
+        weights = self._weights.get(task_kind, uniform)
         return sorted(
-            ((a, s.composite) for a, s in latest.items()),
+            ((a, composite_score(n, weights)) for a, n in normalized.items()),
             key=lambda item: (-item[1], item[0]),
         )
 

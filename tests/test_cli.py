@@ -74,16 +74,12 @@ PROBES = [
 ]
 
 
-def score_row(agent_id: str, composite: float) -> dict:
+def score_row(agent_id: str, raw: float) -> dict:
     """A persisted forecast score as an evaluation writes it."""
-    scores = {"exact_match": composite, "token_f1": composite}
     return TaskScore(
         agent_id=agent_id,
         task_kind="forecast",
-        raw_scores=scores,
-        normalized_scores=scores,
-        weights={"exact_match": 0.5, "token_f1": 0.5},
-        composite=composite,
+        raw_scores={"exact_match": raw, "token_f1": raw},
         evaluated_at="2024-01-01T00:00:00Z",
     ).to_dict()
 
@@ -634,8 +630,8 @@ class TestEvaluateAndRoute:
         (tmp_path / "state").mkdir()
         (tmp_path / "state" / "task_scores.jsonl").write_text(
             "".join(
-                json.dumps(score_row(agent_id, composite)) + "\n"
-                for agent_id, composite in (
+                json.dumps(score_row(agent_id, raw)) + "\n"
+                for agent_id, raw in (
                     ("forecaster-primary", 1.0),
                     ("forecaster-secondary", 0.0),
                 )
@@ -661,8 +657,8 @@ class TestEvaluateAndRoute:
         (tmp_path / "state").mkdir()
         (tmp_path / "state" / "task_scores.jsonl").write_text(
             "".join(
-                json.dumps(score_row(agent_id, composite)) + "\n"
-                for agent_id, composite in (
+                json.dumps(score_row(agent_id, raw)) + "\n"
+                for agent_id, raw in (
                     ("forecaster-primary", 1.0),
                     ("forecaster-secondary", 0.0),
                 )
@@ -689,11 +685,16 @@ class TestEvaluateAndRoute:
             ("report", "report-skeptic"),
             ("report", "report-writer"),
         ]
-        # no row is contradicted by a later row of the same evaluation
-        latest = {(r["task_kind"], r["agent_id"]): r["composite"] for r in rows}
-        assert [r["composite"] for r in rows] == [
-            latest[(r["task_kind"], r["agent_id"])] for r in rows
-        ] == [1.0, 0.0, 0.0, 1.0]
+        # a row holds what was measured; ranking derives the rest
+        assert {tuple(row) for row in rows} == {
+            ("agent_id", "task_kind", "raw_scores", "evaluated_at")
+        }
+        assert [row["raw_scores"] for row in rows] == [
+            {"exact_match": 1.0, "token_f1": 1.0},
+            {"exact_match": 0.0, "token_f1": 0.0},
+            {"token_f1": 0.0},
+            {"token_f1": 1.0},
+        ]
 
     def test_offline_evaluated_at_does_not_count_chats(self, tmp_path):
         """A fixed clock ticks only for stamps that are written, so the
@@ -827,6 +828,174 @@ class TestEvaluateAndRoute:
         assert "Traceback" not in done.stderr
         [line] = done.stderr.splitlines()
         assert line.startswith("error: weights['forecast'] key 'exact_match'")
+
+
+@pytest.fixture()
+def chats(monkeypatch) -> list[str]:
+    """The backend id of every chat sent from here on, in order."""
+    sent: list[str] = []
+    chat = Gateway.chat
+
+    def recording(self, backend_id, messages):
+        sent.append(backend_id)
+        return chat(self, backend_id, messages)
+
+    monkeypatch.setattr(Gateway, "chat", recording)
+    return sent
+
+
+#: One more forecast agent, on the backend no other agent uses; offline,
+#: the judge's script answers its probes.
+TERTIARY = (
+    "  - agent_id: forecaster-tertiary\n"
+    "    backend_id: judge\n"
+    "    task_kinds: [forecast]\n"
+)
+
+
+def with_tertiary(text: str) -> str:
+    return text.replace(
+        "  - agent_id: report-writer\n", TERTIARY + "  - agent_id: report-writer\n"
+    )
+
+
+def with_forecast_weights(text: str, exact_match: float) -> str:
+    return text.replace(
+        "exact_match: 0.5\n    token_f1: 0.5",
+        f"exact_match: {exact_match}\n    token_f1: {1 - exact_match}",
+    )
+
+
+def split_golden(number: int, row: dict) -> dict:
+    """Record 1 stays the primary's; the secondary's reply nearly matches
+    the other references. So the primary leads on exact match (raw 0.25
+    against 0) and the secondary on token F1 (0.68 against 0.25)."""
+    if number > 1:
+        row["reference_answer"] = offline.SECONDARY_REPLY + " today"
+    return row
+
+
+def route_json(config_path: Path) -> dict:
+    result = invoke(config_path, "route", "forecast", "--offline", "--json")
+    assert result.exit_code == 0, result.output
+    return json.loads(result.stdout)
+
+
+class TestRankingFollowsTheConfig:
+    """Scores store what was measured; ranking reads the current config."""
+
+    def test_changed_weights_reorder_the_ranking_without_a_chat(
+        self, tmp_path, chats
+    ):
+        config_path = edited_golden(tmp_path, split_golden)
+        text = config_path.read_text(encoding="utf-8")
+        config_path.write_text(with_forecast_weights(text, 0.75))
+        assert route_json(config_path)["ranking"] == [
+            ["forecaster-primary", 0.75], ["forecaster-secondary", 0.25],
+        ]
+        assert len(chats) == 8
+        chats.clear()
+        config_path.write_text(with_forecast_weights(text, 0.25))
+        assert route_json(config_path) == {
+            "task_kind": "forecast",
+            "ranking": [
+                ["forecaster-secondary", 0.75], ["forecaster-primary", 0.25],
+            ],
+            "chosen": "forecaster-secondary",
+        }
+        assert chats == []
+
+    def test_an_added_agent_is_evaluated_and_ranked(self, tmp_path, chats):
+        config_path = write_config(tmp_path)
+        assert len(route_json(config_path)["ranking"]) == 2
+        chats.clear()
+        write_config(tmp_path, with_tertiary(minimal_text()))
+        payload = route_json(config_path)
+        assert chats == ["judge"] * 4  # its four golden probes, and no more
+        assert [agent for agent, _ in payload["ranking"]] == [
+            "forecaster-primary", "forecaster-tertiary", "forecaster-secondary",
+        ]
+
+    def test_a_deconfigured_agent_moves_no_composite(self, tmp_path, chats):
+        retired = tmp_path / "retired"
+        retired.mkdir()
+        config_path = edited_golden(retired, split_golden)
+        text = config_path.read_text(encoding="utf-8")
+        config_path.write_text(with_tertiary(text))
+        result = invoke(config_path, "evaluate", "--offline", "--kind", "forecast")
+        assert result.exit_code == 0, result.output
+        config_path.write_text(text)
+        chats.clear()
+        kept = route_json(config_path)["ranking"]
+        assert chats == []
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert route_json(edited_golden(fresh, split_golden))["ranking"] == kept
+        assert kept == [
+            ["forecaster-primary", 0.5], ["forecaster-secondary", 0.5],
+        ]
+
+    def test_weights_that_miss_a_golden_dimension_send_no_probe(
+        self, tmp_path, chats
+    ):
+        config_path = write_config(
+            tmp_path,
+            minimal_text().replace(
+                "exact_match: 0.5\n    token_f1: 0.5", "token_f1: 1.0"
+            ),
+        )
+        result = invoke(config_path, "route", "forecast", "--offline")
+        assert result.exit_code == 1
+        assert chats == []
+        [line] = result.stderr.splitlines()
+        assert line == (
+            "error: weights['forecast'] has dimensions ['token_f1'], but its "
+            "golden dataset has ['exact_match', 'token_f1']"
+        )
+
+    @pytest.mark.parametrize(
+        "weights", ["token_f1: 1.0", None], ids=["weights", "no-weights"]
+    )
+    def test_rows_of_dimensions_the_golden_set_dropped_are_scored_again(
+        self, tmp_path, chats, weights
+    ):
+        config_path = edited_golden(tmp_path, lambda number, row: row)
+        text = config_path.read_text(encoding="utf-8")
+        old_weights = "  forecast:\n    exact_match: 0.5\n    token_f1: 0.5\n"
+        if weights is None:  # uniform over whatever the rows measured
+            config_path.write_text(text.replace(old_weights, ""))
+        assert len(route_json(config_path)["ranking"]) == 2
+        chats.clear()
+        golden = tmp_path / "golden" / "forecast.jsonl"
+        golden.write_text(
+            golden.read_text().replace(
+                '["exact_match", "token_f1"]', '["token_f1"]'
+            )
+        )
+        if weights is not None:
+            config_path.write_text(
+                text.replace(old_weights, f"  forecast:\n    {weights}\n")
+            )
+        assert route_json(config_path)["ranking"] == [
+            ["forecaster-primary", 1.0], ["forecaster-secondary", 0.0],
+        ]
+        assert len(chats) == 8  # both agents' four golden probes
+        chats.clear()
+        route_json(config_path)
+        assert chats == []
+
+    def test_route_ranks_once(self, config_path, monkeypatch):
+        ranked: list[str] = []
+        rank_agents = Scheduler.rank_agents
+
+        def counting(self, task_kind):
+            ranked.append(task_kind)
+            return rank_agents(self, task_kind)
+
+        monkeypatch.setattr(Scheduler, "rank_agents", counting)
+        payload = route_json(config_path)
+        assert ranked == ["forecast"]
+        assert payload["ranking"][0] == ["forecaster-primary", 1.0]
 
 
 def config_not_utf8(tmp_path):

@@ -327,6 +327,30 @@ class TestLoadConfig:
         ):
             load_config(write_config(tmp_path, base))
 
+    @pytest.mark.parametrize(
+        ("table", "message"),
+        [
+            (
+                "exact_match: 0.2\n    token_f1: 0.5",
+                r"weights\['forecast'\]: weights sum to 0.7, expected 1",
+            ),
+            (
+                "exact_match: 1.5\n    token_f1: -0.5",
+                r"weights\['forecast'\]: negative weights for "
+                r"\['token_f1'\]",
+            ),
+        ],
+        ids=["sum", "negative"],
+    )
+    def test_weight_table_that_is_no_distribution(
+        self, tmp_path, table, message
+    ):
+        base = minimal_text().replace(
+            "exact_match: 0.5\n    token_f1: 0.5", table
+        )
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, base))
+
     def test_repo_config_is_valid(self):
         config = load_config(REPO / "config.yaml")
         assert [b.backend_id for b in config.backends] == [
@@ -448,8 +472,15 @@ class TestBuildEngineOffline:
     def test_evaluate_all_ranks_scripted_agents(self, tmp_path):
         engine = build_engine(load_config(write_config(tmp_path)), offline=True)
         scores = engine.evaluate_all("forecast")
-        assert scores[("forecast", "forecaster-primary")].composite == 1.0
-        assert scores[("forecast", "forecaster-secondary")].composite == 0.0
+        assert scores[("forecast", "forecaster-primary")].raw_scores == {
+            "exact_match": 1.0, "token_f1": 1.0,
+        }
+        assert scores[("forecast", "forecaster-secondary")].raw_scores == {
+            "exact_match": 0.0, "token_f1": 0.0,
+        }
+        assert engine.scheduler.rank_agents("forecast") == [
+            ("forecaster-primary", 1.0), ("forecaster-secondary", 0.0),
+        ]
         assert engine.scheduler.route("forecast") == "forecaster-primary"
 
     def test_route_helper_evaluates_then_routes(self, tmp_path):

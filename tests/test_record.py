@@ -124,10 +124,7 @@ EXAMPLES = {
     "ChatExchange": exchange,
     "AgentProfile": lambda: AgentProfile("a", "b", ["forecast", "report"]),
     "GoldenRecord": lambda: GoldenRecord("r1", "forecast", "in", "out", ["x"]),
-    "TaskScore": lambda: TaskScore(
-        "a", "forecast", scores(), scores(),
-        {"exact_match": 0.5, "token_f1": 0.5}, 0.75, "now",
-    ),
+    "TaskScore": lambda: TaskScore("a", "forecast", scores(), "now"),
     "Reflection": lambda: Reflection("a", "t", 0.5, "score: 0.5", "now"),
     "WorkflowEvaluation": evaluation,
     "Task": task,

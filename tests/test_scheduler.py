@@ -37,6 +37,7 @@ from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import (
     _BLOCK,
+    TASK_KINDS,
     AgentProfile,
     GoldenRecord,
     Scheduler,
@@ -324,7 +325,8 @@ def test_evaluate_always_correct_agent_scores_one(tmp_path: Path) -> None:
     register(scheduler, "alpha", "good")
     score = scheduler.evaluate_agent("alpha", golden_dataset())
     assert score.raw_scores == {"exact_match": 1.0, "token_f1": 1.0}
-    assert score.composite == 1.0  # degenerate normalization on a 1-roster
+    # degenerate normalization over one agent
+    assert scheduler.rank_agents("forecast") == [("alpha", 1.0)]
 
 
 def test_evaluate_empty_reply_scores_zero_exact_match(tmp_path: Path) -> None:
@@ -459,9 +461,10 @@ def test_evaluate_agents_sends_every_probe_of_every_agent_together(
     alpha, beta = scheduler.evaluate_agents(
         [("alpha", golden_dataset()), ("beta", golden_dataset())]
     )
-    assert (alpha.agent_id, alpha.composite) == ("alpha", 1.0)
-    assert (beta.agent_id, beta.composite) == ("beta", 0.0)
-    # Graded job by job, then the roster is appended once: one row each.
+    assert (alpha.agent_id, alpha.raw_scores["exact_match"]) == ("alpha", 1.0)
+    assert (beta.agent_id, beta.raw_scores["exact_match"]) == ("beta", 0.0)
+    assert scheduler.rank_agents("forecast") == [("alpha", 1.0), ("beta", 0.0)]
+    # Graded job by job, then appended in one write: one row each.
     rows = scheduler.scores_path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(row)["agent_id"] for row in rows] == ["alpha", "beta"]
 
@@ -497,10 +500,9 @@ def test_correct_vs_wrong_agents_score_one_and_zero(tmp_path: Path) -> None:
     register(scheduler, "beta", "bad")
     scheduler.evaluate_agent("alpha", golden_dataset())
     beta_score = scheduler.evaluate_agent("beta", golden_dataset())
-    latest = scheduler.latest_scores("forecast")
-    assert latest["alpha"].composite == 1.0
-    assert latest["beta"].composite == 0.0
-    assert beta_score.composite == 0.0
+    assert beta_score.raw_scores == {"exact_match": 0.0, "token_f1": 0.0}
+    assert scheduler.latest_scores("forecast")["beta"] == beta_score
+    assert scheduler.rank_agents("forecast") == [("alpha", 1.0), ("beta", 0.0)]
 
 
 def test_judged_dimension_uses_judge_backend(tmp_path: Path) -> None:
@@ -609,23 +611,50 @@ def test_too_many_grade_failures_fail_the_run(tmp_path: Path) -> None:
 
 
 def test_weights_come_from_config_else_uniform(tmp_path: Path) -> None:
+    # alpha leads on exact match, beta on token F1
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "task_scores.jsonl").write_text(
+        hand_row("alpha", "forecast", [0.5, 0.2])
+        + hand_row("beta", "forecast", [0.0, 0.9]),
+        encoding="utf-8",
+    )
     configured, gateway = make_scheduler(
         tmp_path,
         {"good": correct_script()},
         weights={"exact_match": 0.25, "token_f1": 0.75},
     )
     register(configured, "alpha", "good")
-    score = configured.evaluate_agent("alpha", golden_dataset())
-    assert score.weights == {"exact_match": 0.25, "token_f1": 0.75}
+    register(configured, "beta", "good")
+    assert configured.rank_agents("forecast") == [
+        ("beta", 0.75), ("alpha", 0.25),
+    ]
     unweighted = Scheduler(
         gateway=gateway,
         prompt_store=PromptStore(),
-        state_dir=tmp_path / "unweighted",
+        state_dir=tmp_path / "state",
         clock=FixedClock(),
     )
     register(unweighted, "alpha", "good")
-    score = unweighted.evaluate_agent("alpha", golden_dataset())
-    assert score.weights == {"exact_match": 0.5, "token_f1": 0.5}
+    register(unweighted, "beta", "good")
+    assert unweighted.rank_agents("forecast") == [
+        ("alpha", 0.5), ("beta", 0.5),
+    ]
+
+
+def test_weights_that_miss_a_golden_dimension_send_no_probe(
+    tmp_path: Path,
+) -> None:
+    scheduler, gateway = make_scheduler(
+        tmp_path, {"good": correct_script()}, weights={"token_f1": 1.0}
+    )
+    register(scheduler, "alpha", "good")
+    sent = []
+    chat = gateway.chat
+    gateway.chat = lambda *args: sent.append(args) or chat(*args)
+    with pytest.raises(ConfigError, match=r"weights\['forecast'\] has dimensions"):
+        scheduler.evaluate_agent("alpha", golden_dataset())
+    assert sent == []
+    assert not scheduler.scores_path.exists()
 
 
 # ----------------------------------------------------------- rank and route
@@ -784,36 +813,26 @@ def test_finalize_grades_and_aggregates_self_scores(tmp_path: Path) -> None:
 
 
 def test_task_score_invariants_enforced() -> None:
-    with pytest.raises(ValueError):
-        TaskScore(
-            agent_id="a",
-            task_kind="forecast",
-            raw_scores={"d": 1.0},
-            normalized_scores={"d": 1.5},
-            weights={"d": 1.0},
-            composite=1.5,
-            evaluated_at="2024-01-01T00:00:00Z",
-        )
-    with pytest.raises(WeightSumInvalid):
-        TaskScore(
-            agent_id="a",
-            task_kind="forecast",
-            raw_scores={"d": 1.0},
-            normalized_scores={"d": 1.0},
-            weights={"d": 0.5},
-            composite=0.5,
-            evaluated_at="2024-01-01T00:00:00Z",
-        )
-    with pytest.raises(ValueError):
-        TaskScore(
-            agent_id="a",
-            task_kind="forecast",
-            raw_scores={"d": 1.0},
-            normalized_scores={"d": 1.0},
-            weights={"d": 1.0},
-            composite=0.25,  # disagrees with the weighted sum
-            evaluated_at="2024-01-01T00:00:00Z",
-        )
+    """Raw scores are a non-empty mapping of finite, non-negative numbers."""
+    for raw_scores in (
+        [1.0],
+        [["d", 1.0]],
+        {},
+        {"d": -0.1},
+        {"d": math.nan},
+        {"d": math.inf},
+        {"d": 10**400},
+        {"d": True},
+        {"d": "1.0"},
+        {"d": None},
+    ):
+        with pytest.raises(ValueError):
+            TaskScore(
+                agent_id="a",
+                task_kind="forecast",
+                raw_scores=raw_scores,
+                evaluated_at="2024-01-01T00:00:00Z",
+            )
 
 
 def test_load_golden_dataset_round_trip(tmp_path: Path) -> None:
@@ -856,8 +875,10 @@ def test_torn_state_line_is_a_config_error(tmp_path: Path) -> None:
     data = path.read_bytes()
     path.write_bytes(data[:-40])  # a crash in the middle of the last append
     torn_line = len(data.splitlines())
+    fresh, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    register(fresh, "alpha", "good")
     with pytest.raises(ConfigError, match=rf"task_scores.jsonl line {torn_line}\b"):
-        make_scheduler(tmp_path, {"good": correct_script()})
+        fresh.route("forecast")
 
 
 def test_torn_reflections_line_still_loads_and_routes(tmp_path: Path) -> None:
@@ -883,8 +904,41 @@ def test_malformed_state_row_is_a_config_error(tmp_path: Path) -> None:
     (tmp_path / "state" / "task_scores.jsonl").write_text(
         '{"agent_id": "alpha"}\n', encoding="utf-8"
     )
+    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    register(scheduler, "alpha", "good")
     with pytest.raises(ConfigError, match=r"task_scores.jsonl line 1\b"):
-        make_scheduler(tmp_path, {"good": correct_script()})
+        scheduler.route("forecast")
+
+
+@pytest.mark.parametrize(
+    ("raw_scores", "problem"),
+    [
+        ('[0.5, 0.5]', "must be a non-empty mapping"),
+        ('{"exact_match": -1, "token_f1": 0.5}', "exact_match=-1 is not"),
+        ('{"exact_match": NaN, "token_f1": 0.5}', "exact_match=nan is not"),
+        ('{"exact_match": "high", "token_f1": 0.5}', "exact_match='high'"),
+    ],
+    ids=["list", "negative", "nan", "string"],
+)
+def test_state_row_with_bad_raw_scores_is_a_config_error(
+    tmp_path: Path, raw_scores: str, problem: str
+) -> None:
+    """Raw scores feed the ranking, so a row whose raw scores are no
+    mapping of finite, non-negative numbers stops the load by its line."""
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "task_scores.jsonl").write_text(
+        hand_row("alpha", "forecast", [1.0, 1.0])
+        + '{"agent_id": "alpha", "task_kind": "forecast", "raw_scores": '
+        + raw_scores
+        + ', "evaluated_at": "2024-02-02T00:00:00Z"}\n',
+        encoding="utf-8",
+    )
+    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    register(scheduler, "alpha", "good")
+    with pytest.raises(ConfigError) as err:
+        scheduler.rank_agents("forecast")
+    assert "task_scores.jsonl line 2 is malformed" in str(err.value)
+    assert problem in str(err.value)
 
 
 def test_malformed_golden_dataset_line_is_a_config_error(
@@ -955,6 +1009,8 @@ def test_latest_scores_keep_only_agents_registered_for_the_kind(
         )
     )
     assert list(scheduler.latest_scores("report")) == ["gamma"]
+    # alpha's raw 1.0 does not take part in gamma's normalization
+    assert scheduler.rank_agents("report") == [("gamma", 1.0)]
     assert scheduler.route("report") == "gamma"
 
 
@@ -980,29 +1036,45 @@ def swap_scheduler(state_root: Path) -> Scheduler:
     return scheduler
 
 
-def fold_every_line(log: Path) -> dict[tuple[str, str], TaskScore]:
+def loaded(scheduler: Scheduler) -> dict[tuple[str, str], TaskScore]:
+    """Every score a scheduler routes on, by (task kind, agent id)."""
+    return {
+        (kind, agent): score
+        for kind in TASK_KINDS
+        for agent, score in scheduler.latest_scores(kind).items()
+    }
+
+
+def fold_every_line(
+    log: Path, registered: dict[str, Sequence[str]]
+) -> dict[tuple[str, str], TaskScore]:
     """Oracle for a load: every row of the log folded in order into the
-    latest TaskScore per (task kind, agent id)."""
+    latest TaskScore per (task kind, agent id), kept for the pairs of
+    ``registered`` (agent id to its task kinds) only."""
+    pairs = {(k, a) for a, kinds in registered.items() for k in kinds}
     latest = {}
     if log.exists():
         for line in log.read_bytes().splitlines():
             if line.strip():
-                score = TaskScore(**json.loads(line))
-                latest[(score.task_kind, score.agent_id)] = score
+                row = json.loads(line)
+                key = (row["task_kind"], row["agent_id"])
+                if key in pairs:
+                    latest[key] = TaskScore(
+                        row["agent_id"], row["task_kind"], row["raw_scores"],
+                        row["evaluated_at"],
+                    )
     return latest
+
+
+SWAP_AGENTS = {"alpha": ("forecast",), "omega": ("forecast",)}
 
 
 def hand_row(agent_id: str, task_kind: str, values: Sequence[float]) -> str:
     dims = ("exact_match", "token_f1") if task_kind == "forecast" else ("token_f1",)
-    scores = dict(zip(dims, values))
-    weights = {d: 1.0 / len(dims) for d in dims}
     score = TaskScore(
         agent_id=agent_id,
         task_kind=task_kind,
-        raw_scores=scores,
-        normalized_scores=scores,
-        weights=weights,
-        composite=math.fsum(weights[d] * scores[d] for d in weights),
+        raw_scores=dict(zip(dims, values)),
         evaluated_at="2024-02-01T00:00:00Z",
     )
     return json.dumps(score.to_dict(), ensure_ascii=False) + "\n"
@@ -1024,9 +1096,14 @@ STEPS = st.lists(
         st.tuples(
             st.just("append"),
             st.sampled_from(["forecast", "report"]),
-            st.sampled_from([("alpha",), ("omega",), ("alpha", "omega")]),
+            st.sampled_from(
+                [("alpha",), ("omega",), ("alpha", "omega"), ("zeta",)]
+            ),
             st.fixed_dictionaries(
-                {"alpha": st.tuples(unit, unit), "omega": st.tuples(unit, unit)}
+                {
+                    agent: st.tuples(unit, unit)
+                    for agent in ("alpha", "omega", "zeta")
+                }
             ),
         ),
         st.tuples(st.just("reload")),
@@ -1038,8 +1115,10 @@ STEPS = st.lists(
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(steps=STEPS)
 def test_snapshot_load_equals_full_replay(steps) -> None:
-    """A load holds what folding the whole log gives, over logs of
-    evaluations and of whole sorted rosters appended by hand."""
+    """A load holds what folding the whole log gives for the registered
+    pairs, over logs of evaluations and of rows appended by hand: one
+    agent's alone, rows of a kind the agents are not registered for, and
+    rows of an agent not registered at all."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         scheduler = swap_scheduler(root)
@@ -1049,22 +1128,19 @@ def test_snapshot_load_equals_full_replay(steps) -> None:
                 scheduler.evaluate_agent(step[1], golden_dataset(step[2]))
                 continue
             if step[0] == "append":
-                _, kind, chosen, values = step
-                roster = {a for k, a in fold_every_line(log) if k == kind}
+                _, kind, agents, values = step
                 with log.open("a", encoding="utf-8") as handle:
-                    for agent in sorted(roster.union(chosen)):
+                    for agent in agents:
                         handle.write(hand_row(agent, kind, values[agent]))
-            # a scheduler loaded before another writer's roster would
-            # append a stale one
             scheduler = swap_scheduler(root)
-        assert swap_scheduler(root)._latest == fold_every_line(log)
+        assert loaded(swap_scheduler(root)) == fold_every_line(log, SWAP_AGENTS)
 
 
 def damage_truncate(root: Path) -> None:
     # back to the first question-one round: alpha leads again
     log = root / "state" / "task_scores.jsonl"
     lines = log.read_bytes().splitlines(keepends=True)
-    log.write_bytes(b"".join(lines[:3]))
+    log.write_bytes(b"".join(lines[:2]))
 
 
 def damage_rewrite_same_length(root: Path) -> None:
@@ -1095,9 +1171,10 @@ def test_untrusted_snapshot_falls_back_to_full_replay(
     assert swap_scheduler(root).route("forecast") == "omega"
     damage(root)
 
-    loaded = swap_scheduler(root)
-    assert loaded._latest == fold_every_line(root / "state" / "task_scores.jsonl")
-    assert loaded.route("forecast") == winner
+    reloaded = swap_scheduler(root)
+    log = root / "state" / "task_scores.jsonl"
+    assert loaded(reloaded) == fold_every_line(log, SWAP_AGENTS)
+    assert reloaded.route("forecast") == winner
 
 
 def test_evaluate_and_route_leave_only_the_score_log(tmp_path: Path) -> None:
@@ -1119,9 +1196,23 @@ def test_torn_tail_names_the_absolute_line(tmp_path: Path) -> None:
     data = log.read_bytes()
     log.write_bytes(data[:-40])
     torn_line = len(data.splitlines())
-    assert torn_line == 7
+    assert torn_line == 4
     with pytest.raises(ConfigError, match=rf"task_scores.jsonl line {torn_line}\b"):
-        swap_scheduler(tmp_path)
+        swap_scheduler(tmp_path).route("forecast")
+
+
+def test_a_scheduler_reads_the_log_on_first_need(tmp_path: Path) -> None:
+    """Building a scheduler reads nothing; the read waits for the agents,
+    and an agent registered after it is looked for too."""
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "task_scores.jsonl").write_text(
+        "{torn\n" + rosters(("forecast", ("alpha", "omega")))
+    )
+    fresh = swap_scheduler(tmp_path)  # the torn first row is never reached
+    assert sorted(fresh.latest_scores("forecast")) == ["alpha", "omega"]
+    register(fresh, "beta", "backend-a")  # beta has no row: read it all
+    with pytest.raises(ConfigError, match=r"task_scores.jsonl line 1\b"):
+        fresh.route("forecast")
 
 
 def rosters(*written: tuple[str, Sequence[str]]) -> str:
@@ -1134,27 +1225,30 @@ def rosters(*written: tuple[str, Sequence[str]]) -> str:
     )
 
 
-def rows_longer_than_a_block() -> str:
-    long_id = "agent-" + "x" * (2 * _BLOCK)
-    return rosters(
-        ("forecast", (long_id, "alpha")),
-        ("report", (long_id,)),
-        ("forecast", (long_id, "alpha")),
-        ("report", (long_id,)),
+LONG_ID = "agent-" + "x" * (2 * _BLOCK)
+
+
+def rows_longer_than_a_block() -> tuple[str, dict[str, Sequence[str]]]:
+    text = rosters(
+        ("forecast", (LONG_ID, "alpha")),
+        ("report", (LONG_ID,)),
+        ("forecast", (LONG_ID, "alpha")),
+        ("report", (LONG_ID,)),
     )
+    return text, {LONG_ID: ("forecast", "report"), "alpha": ("forecast",)}
 
 
-def blank_last_line() -> str:
-    return rosters(
+def blank_last_line() -> tuple[str, dict[str, Sequence[str]]]:
+    text = rosters(
         ("forecast", ("alpha", "omega")), ("forecast", ("alpha", "omega"))
     ) + "\n"
+    return text, SWAP_AGENTS
 
 
-def crash_mid_roster() -> str:
-    """A writer that appends a roster one row at a time can crash after a
-    sorted prefix of it: here delta joins the forecast roster, and the
-    crash comes before gamma's row."""
-    return rosters(
+def crash_mid_roster() -> tuple[str, dict[str, Sequence[str]]]:
+    """A writer that appends one row at a time can crash part way: here
+    delta joins, and the crash comes before gamma's row."""
+    text = rosters(
         ("forecast", ("alpha",)),
         ("report", ("alpha",)),
         ("forecast", ("alpha", "beta")),
@@ -1162,44 +1256,84 @@ def crash_mid_roster() -> str:
         ("report", ("alpha", "omega")),
         ("forecast", ("alpha", "beta", "delta")),
     )
+    agents = ("alpha", "beta", "gamma", "delta")
+    return text, {**dict.fromkeys(agents, ("forecast",)), "omega": ("report",)}
+
+
+def partial_rosters_and_foreign_agents() -> (
+    tuple[str, dict[str, Sequence[str]]]
+):
+    """Rows appended one agent at a time, so a registered agent's latest
+    row lies far behind the others', among rows of an agent no longer
+    registered and of a kind an agent is not registered for."""
+    text = rosters(
+        ("forecast", ("gamma",)),
+        ("report", ("gamma", "alpha")),
+        *[("forecast", ("alpha", "retired"))] * 200,
+        ("report", ("retired",)),
+        ("forecast", ("retired", "alpha")),
+    )
+    return text, {"alpha": ("forecast",), "gamma": ("forecast", "report")}
+
+
+def registered_scheduler(
+    root: Path, registered: dict[str, Sequence[str]]
+) -> Scheduler:
+    """A scheduler over ``root/state`` with each agent of ``registered``
+    registered for its task kinds."""
+    scheduler, _ = make_scheduler(root, {"good": correct_script()})
+    for agent_id, kinds in registered.items():
+        scheduler.register_agent(
+            AgentProfile(agent_id=agent_id, backend_id="good", task_kinds=kinds)
+        )
+    return scheduler
 
 
 @pytest.mark.parametrize(
-    "log_text", [rows_longer_than_a_block, blank_last_line, crash_mid_roster]
+    "log_text",
+    [
+        rows_longer_than_a_block,
+        blank_last_line,
+        crash_mid_roster,
+        partial_rosters_and_foreign_agents,
+    ],
 )
 def test_backward_read_loads_as_the_full_fold(tmp_path: Path, log_text) -> None:
+    text, registered = log_text()
     (tmp_path / "state").mkdir()
     log = tmp_path / "state" / "task_scores.jsonl"
-    log.write_text(log_text(), encoding="utf-8")
-    loaded, _ = make_scheduler(tmp_path, {})
-    assert loaded._latest == fold_every_line(log)
+    log.write_text(text, encoding="utf-8")
+    scheduler = registered_scheduler(tmp_path, registered)
+    assert loaded(scheduler) == fold_every_line(log, registered)
 
 
 def test_a_kind_with_no_row_is_read_to_the_start_of_the_log(
     tmp_path: Path,
 ) -> None:
     agents = ("alpha", "beta", "gamma", "omega")
+    registered = {agent: ("forecast", "report") for agent in agents}
     rows = rosters(*[("forecast", agents)] * 2_500).splitlines(keepends=True)
     assert len(rows) == 10_000
     (tmp_path / "state").mkdir()
     log = tmp_path / "state" / "task_scores.jsonl"
     log.write_text("".join(rows), encoding="utf-8")
-    loaded, _ = make_scheduler(tmp_path, {})
-    assert loaded._latest == fold_every_line(log)
-    assert {kind for kind, _ in loaded._latest} == {"forecast"}
+    scheduler = registered_scheduler(tmp_path, registered)
+    assert loaded(scheduler) == fold_every_line(log, registered)
+    assert {kind for kind, _ in loaded(scheduler)} == {"forecast"}
     # so a malformed row far back is read, and named by its line
     log.write_text(
         "".join(rows[:5_000]) + '{"agent_id": "alpha"}\n' + "".join(rows[5_000:]),
         encoding="utf-8",
     )
     with pytest.raises(ConfigError, match=r"task_scores.jsonl line 5001\b"):
-        make_scheduler(tmp_path, {})
+        registered_scheduler(tmp_path, registered).route("forecast")
 
 
 def test_load_with_current_snapshot_builds_one_score_per_agent(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     agents = ("alpha", "beta", "gamma", "omega")
+    registered = {agent: ("forecast", "report") for agent in agents}
     rng = random.Random(5)
     (tmp_path / "state").mkdir()
     log = tmp_path / "state" / "task_scores.jsonl"
@@ -1209,7 +1343,7 @@ def test_load_with_current_snapshot_builds_one_score_per_agent(
             handle.write(
                 hand_row(agents[n // 2 % 4], kind, (rng.random(), rng.random()))
             )
-    folded = fold_every_line(log)
+    folded = fold_every_line(log, registered)
     built: list[TaskScore] = []
     init = TaskScore.__init__
 
@@ -1218,6 +1352,34 @@ def test_load_with_current_snapshot_builds_one_score_per_agent(
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(TaskScore, "__init__", counting)
-    loaded, _ = make_scheduler(tmp_path, {})
+    scheduler = registered_scheduler(tmp_path, registered)
+    assert loaded(scheduler) == folded
     assert len(built) == len(agents) * 2
-    assert loaded._latest == folded
+
+
+def test_rows_with_the_derived_fields_of_older_versions_load(
+    tmp_path: Path,
+) -> None:
+    """Rows that still carry normalized scores, weights and a composite
+    load as their measurement; the stored composite is not what ranks."""
+    old = {
+        "agent_id": "alpha",
+        "task_kind": "forecast",
+        "raw_scores": {"exact_match": 0.2, "token_f1": 0.4},
+        "normalized_scores": {"exact_match": 1.0, "token_f1": 1.0},
+        "weights": {"exact_match": 0.5, "token_f1": 0.5},
+        "composite": 1.0,
+        "evaluated_at": "2024-02-01T00:00:00Z",
+    }
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "task_scores.jsonl").write_text(
+        json.dumps(old) + "\n" + hand_row("beta", "forecast", (0.6, 0.8)),
+        encoding="utf-8",
+    )
+    scheduler = registered_scheduler(
+        tmp_path, {"alpha": ("forecast",), "beta": ("forecast",)}
+    )
+    assert scheduler.latest_scores("forecast")["alpha"] == TaskScore(
+        "alpha", "forecast", old["raw_scores"], old["evaluated_at"]
+    )
+    assert scheduler.rank_agents("forecast") == [("beta", 1.0), ("alpha", 0.0)]
