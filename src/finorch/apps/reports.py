@@ -20,11 +20,11 @@ from finorch.dataops.retrieval import (
     Document,
     RetrievalIndex,
     RetrievedPassage,
-    has_token,
     index_documents,
     retrieve,
 )
 from finorch.errors import (
+    EmptyCorpus,
     EngineError,
     ExtractionFailure,
     UnreadableDocument,
@@ -252,22 +252,23 @@ def _find_discrepancies(indicators: tuple[Indicator, ...]) -> tuple[Discrepancy,
 def index_document(path: Path) -> DocumentAnalysis:
     """Read, chunk and index a document: its analysis before extraction.
 
-    A chunk with no token can match no query, so it stays out of the index;
+    A chunk with no token can match no query, so the index leaves it out;
     the other chunks keep their ids. An unreadable, empty or tokenless
     document raises ``UnreadableDocument``.
     """
     text = _read_document(path)
     chunks = chunk_text(text)
-    indexable = [chunk for chunk in chunks if has_token(chunk.text)]
-    if not indexable:
-        raise UnreadableDocument(f"document {path} has no indexable text")
+    try:
+        index = index_documents(chunks)
+    except EmptyCorpus:
+        raise UnreadableDocument(f"document {path} has no indexable text") from None
     return DocumentAnalysis(
         doc_path=path,
         chunk_count=len(chunks),
         indicators=(),
         failures=(),
         discrepancies=(),
-        index=index_documents(indexable),
+        index=index,
     )
 
 

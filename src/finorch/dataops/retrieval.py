@@ -1,26 +1,27 @@
-r"""Lexical retrieval: inverted index plus BM25 scoring.
+r"""Lexical retrieval: per-document term counts plus BM25 scoring.
 
-Tokenization: a token is a lowercased run of two or more characters for
-which ``str.isalnum()`` holds; every other character, ``_`` included,
-ends a run. ``tokenize`` finds them in one C-level pass per text: it
-encodes the lowercased text as UTF-8 and lets one 256-entry byte table
-turn every ASCII byte outside ``[a-z0-9]`` into a space, so ``split()``
-yields the ASCII runs directly. The rare word that still holds a
-non-ASCII character goes through the regex ``[^\W_]{2,}``, which applies
-the same rule to any character.
+A token is a lowercased run of two or more characters for which
+``str.isalnum()`` holds; every other character, ``_`` included, ends a
+run. One C-level pass splits a text into words: it lowercases and
+UTF-8-encodes the text, and one 256-entry byte table turns every ASCII
+byte outside ``[a-z0-9]`` into a space, so ``split()`` yields the ASCII
+runs directly. The rare word that still holds a non-ASCII character goes
+through the regex ``[^\W_]{2,}``, which applies the same rule to any
+character. The index is each document's term counts from that one pass,
+in corpus order, and BM25 looks up only the query terms in them.
 
 Scoring uses k1 = 1.2, b = 0.75 and the always-positive idf variant
-idf(t) = ln(1 + (N - df + 0.5)/(df + 0.5)). Query terms are summed per
-occurrence, so a repeated query term counts twice. Only documents sharing
-at least one query term are returned, ordered by descending score with
-ties broken by ascending doc_id.
+idf(t) = ln(1 + (N - df + 0.5)/(df + 0.5)). A repeated query term counts
+twice. Only documents sharing a query term are returned, ordered by
+descending score with ties broken by ascending doc_id.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
+from itertools import compress, filterfalse, repeat
 from typing import Any, Mapping, Sequence
 
 from finorch.errors import EmptyCorpus, EmptyQuery
@@ -32,7 +33,6 @@ __all__ = [
     "Document",
     "RetrievalIndex",
     "RetrievedPassage",
-    "has_token",
     "index_documents",
     "retrieve",
     "tokenize",
@@ -45,31 +45,43 @@ BM25_B = 0.75
 # characters (0x80 and up) pass unchanged.
 _KEEP = b"abcdefghijklmnopqrstuvwxyz0123456789"
 _SEPARATORS = bytes(b if b >= 0x80 or b in _KEEP else 0x20 for b in range(256))
+_SHORT = tuple(_KEEP.decode())  # the one-character words: no token
 # unicode alphanumerics without the underscore, two or more
 _TOKEN = re.compile(r"[^\W_]{2,}")
 
 
-def tokenize(text: str) -> list[str]:
-    words = (
+def _words(text: str) -> list[str]:
+    return (
         text.lower()
         .encode("utf-8", "surrogatepass")
         .translate(_SEPARATORS)
         .decode("utf-8", "surrogatepass")
         .split()
     )
+
+
+def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
-    for word in words:
-        if word.isascii():
-            if len(word) > 1:
-                tokens.append(word)
-        else:
+    for word in _words(text):
+        if not word.isascii():
             tokens += _TOKEN.findall(word)
+        elif len(word) > 1:
+            tokens.append(word)
     return tokens
 
 
-def has_token(text: str) -> bool:
-    """Whether ``tokenize(text)`` is non-empty; stops at the first token."""
-    return _TOKEN.search(text.lower()) is not None
+def _term_counts(text: str) -> Counter[str]:
+    """``Counter(tokenize(text))``, with a loop only per distinct non-ASCII
+    word."""
+    counts = Counter(_words(text))
+    for char in _SHORT:
+        counts.pop(char, None)
+    if not text.isascii():
+        tokens: list[str] = []
+        for word in list(filterfalse(str.isascii, counts)):
+            tokens += _TOKEN.findall(word) * counts.pop(word)
+        counts.update(tokens)
+    return counts
 
 
 class Document(Record):
@@ -94,17 +106,18 @@ class RetrievedPassage(Record):
 
 
 class RetrievalIndex(Record):
-    """Immutable inverted index over a fixed corpus. ``documents`` maps
-    doc_id -> document in corpus order, ``postings`` term -> doc_id -> tf."""
+    """Immutable index over a fixed corpus. ``documents`` maps doc_id ->
+    document in corpus order; ``term_counts`` holds each document's
+    term -> tf and ``doc_lengths`` its token count, in the same order."""
 
-    __slots__ = ("documents", "postings", "doc_lengths", "average_doc_length")
+    __slots__ = ("documents", "term_counts", "doc_lengths", "average_doc_length")
 
     def __init__(
         self, documents: Mapping[str, Document],
-        postings: Mapping[str, Mapping[str, int]],
-        doc_lengths: Mapping[str, int], average_doc_length: float
+        term_counts: Sequence[Mapping[str, int]],
+        doc_lengths: Sequence[int], average_doc_length: float
     ) -> None:
-        super().__init__(documents, postings, doc_lengths, average_doc_length)
+        super().__init__(documents, term_counts, doc_lengths, average_doc_length)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -125,34 +138,22 @@ def _as_document(raw: Document | Sequence[Any]) -> Document:
 def index_documents(
     docs: Sequence[Document | Sequence[Any]],
 ) -> RetrievalIndex:
-    """Build the inverted index; deterministic for a given corpus.
-
-    Terms appear in ``postings`` in order of first use and each posting
-    list in corpus order.
-    """
-    documents: dict[str, Document] = {}
+    """Index ``docs``, leaving out each document that holds no token, as it
+    can match no query; EmptyCorpus when none is left."""
+    corpus: dict[str, Document] = {}
     for raw in docs:
         doc = _as_document(raw)
-        if doc.doc_id in documents:
+        if doc.doc_id in corpus:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        documents[doc.doc_id] = doc
+        corpus[doc.doc_id] = doc
+    counted = {doc_id: _term_counts(doc.text) for doc_id, doc in corpus.items()}
+    documents = {doc_id: corpus[doc_id] for doc_id, c in counted.items() if c}
     if not documents:
-        raise EmptyCorpus("no documents to index")
-    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
-    doc_lengths: dict[str, int] = {}
-    for doc_id, doc in documents.items():
-        tokens = tokenize(doc.text)
-        if not tokens:
-            raise EmptyCorpus(f"document {doc_id!r} has no indexable tokens")
-        doc_lengths[doc_id] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            postings[term][doc_id] = tf
-    average = sum(doc_lengths.values()) / len(documents)
+        raise EmptyCorpus("no document with indexable tokens")
+    term_counts = tuple(filter(None, counted.values()))
+    lengths = tuple(sum(counts.values()) for counts in term_counts)
     return RetrievalIndex(
-        documents=documents,
-        postings=dict(postings),
-        doc_lengths=doc_lengths,
-        average_doc_length=average,
+        documents, term_counts, lengths, sum(lengths) / len(lengths)
     )
 
 
@@ -164,14 +165,13 @@ def bm25_scores(index: RetrievalIndex, query: str) -> dict[str, float]:
     n_docs = len(index.documents)
     scores: dict[str, float] = {}
     for term in terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        df = len(plist)
+        tfs = list(map(dict.get, index.term_counts, repeat(term)))
+        hits = list(compress(zip(index.documents, tfs, index.doc_lengths), tfs))
+        df = len(hits)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        for doc_id, tf in plist.items():
+        for doc_id, tf, length in hits:
             length_norm = 1.0 - BM25_B + BM25_B * (
-                index.doc_lengths[doc_id] / index.average_doc_length
+                length / index.average_doc_length
             )
             gain = idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * length_norm)
             scores[doc_id] = scores.get(doc_id, 0.0) + gain

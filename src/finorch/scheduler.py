@@ -13,7 +13,8 @@ Routing picks the highest composite, ties broken by ascending agent id.
 Grading dimensions: ``exact_match`` (normalized-whitespace, case-folded
 equality) and ``token_f1`` (F1 over whitespace tokens) are computed
 locally; any other dimension name is judged by a grading prompt whose
-reply must contain "score: <x>".
+reply must contain "score: <x>". The judge chats of one evaluation go out
+as one more batch, once the probes are answered.
 
 State is kept as append-only JSON-lines files under the state directory
 (task_scores.jsonl, reflections.jsonl, evaluations.jsonl). One evaluation
@@ -40,7 +41,7 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from finorch.clock import Clock, SystemClock, isoformat
 from finorch.errors import (
@@ -280,6 +281,10 @@ def grade_token_f1(response: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+#: Dimensions graded locally; any other is sent to the judge backend.
+_LOCAL_GRADERS = {"exact_match": grade_exact_match, "token_f1": grade_token_f1}
+
+
 def load_golden_dataset(path: Path | str, task_kind: str) -> list[GoldenRecord]:
     """Read a JSON-lines golden dataset file for ``task_kind``. A malformed
     line, a row of another task kind, or a row whose dimension labels
@@ -480,26 +485,31 @@ class Scheduler:
             raise ConfigError("no judge backend configured for judged grading")
         return self._judge_backend_id
 
-    def _grade_dimension(
-        self, dimension: str, response: str, record: GoldenRecord
-    ) -> float:
-        if dimension == "exact_match":
-            return grade_exact_match(response, record.reference_answer)
-        if dimension == "token_f1":
-            return grade_token_f1(response, record.reference_answer)
+    def _judge_chat(
+        self, dimension: str, reply: ChatExchange, record: GoldenRecord
+    ) -> tuple[str, list[ChatMessage]]:
+        """The judge request grading ``reply`` to ``record`` on ``dimension``."""
         prompt = self._store.render(
             "grade_judged",
             {
                 "dimension": dimension,
                 "reference": record.reference_answer,
-                "response": response,
+                "response": reply.response_text,
             },
             self._language,
         )
-        exchange = self._gateway.chat(
-            self._judge_backend(), [ChatMessage(role="user", content=prompt)]
-        )
-        score = parse_self_score(exchange.response_text)
+        return self._judge_backend(), [ChatMessage(role="user", content=prompt)]
+
+    def _grade_dimension(
+        self, dimension: str, response: str, record: GoldenRecord,
+        verdict: ChatExchange | EngineError | None,
+    ) -> float:
+        local = _LOCAL_GRADERS.get(dimension)
+        if local is not None:
+            return local(response, record.reference_answer)
+        if isinstance(verdict, EngineError):
+            raise verdict
+        score = parse_self_score(verdict.response_text)
         if score is None:
             raise GradeParseFailure(
                 f"judge reply for record {record.record_id!r} dimension "
@@ -521,11 +531,13 @@ class Scheduler:
         """Score each (agent id, golden dataset) job; one TaskScore per job.
 
         Every probe of every job is independent of the others, so all of
-        them go out in one ``chat_many`` batch. The replies are graded job
-        by job, in the order given, and the rows of all jobs go to the log
-        in one append. A failed probe raises GatewayFailure naming the
-        first failed record in that order, and a failed evaluation appends
-        nothing.
+        them go out in one ``chat_many`` batch, and the judge chats of all
+        answered probes in one more. The replies are graded job by job, in
+        the order given, and the rows of all jobs go to the log in one
+        append. A failed probe raises GatewayFailure naming the first
+        failed record in that order, a failed judge chat its own error,
+        whichever comes first in (job, record, dimension) order; a failed
+        evaluation appends nothing.
         """
         checked = [
             self._check_job(agent_id, dataset) for agent_id, dataset in jobs
@@ -548,10 +560,12 @@ class Scheduler:
             for profile, dataset in checked
             for record in dataset
         ]
-        outcomes = iter(self._gateway.chat_many(requests))
+        replies = iter(self._gateway.chat_many(requests))
+        probed = [[next(replies) for _ in dataset] for _, dataset in checked]
+        verdicts = iter(self._judge(checked, probed))
         graded = [
-            self._grade_job(profile, dataset, [next(outcomes) for _ in dataset])
-            for profile, dataset in checked
+            self._grade_job(profile, dataset, outcomes, verdicts)
+            for (profile, dataset), outcomes in zip(checked, probed)
         ]
         evaluated_at = isoformat(self._clock.now())
         rows = [
@@ -584,17 +598,40 @@ class Scheduler:
                 f"weights[{task_kind!r}] has dimensions {sorted(weights)}, "
                 f"but its golden dataset has {sorted(dimensions)}"
             )
+        if any(d not in _LOCAL_GRADERS for d in dimensions):
+            self._judge_backend()  # ConfigError before any probe
         return profile, dataset
+
+    def _judge(
+        self,
+        checked: Sequence[tuple[AgentProfile, Sequence[GoldenRecord]]],
+        probed: Sequence[Sequence[ChatExchange | EngineError]],
+    ) -> list[ChatExchange | EngineError]:
+        """Send every judge chat of one evaluation in one ``chat_many``
+        batch: one per judged dimension of each answered probe, in (job,
+        record, dimension) order, which is the order grading reads them."""
+        requests = [
+            self._judge_chat(dimension, reply, record)
+            for (_, dataset), replies in zip(checked, probed)
+            for record, reply in zip(dataset, replies)
+            if not isinstance(reply, EngineError)
+            for dimension in record.dimension_labels
+            if dimension not in _LOCAL_GRADERS
+        ]
+        return self._gateway.chat_many(requests) if requests else []
 
     def _grade_job(
         self,
         profile: AgentProfile,
         dataset: Sequence[GoldenRecord],
         outcomes: Sequence[ChatExchange | EngineError],
+        verdicts: Iterator[ChatExchange | EngineError],
     ) -> dict[str, float]:
-        """Grade one agent's probe replies in dataset order; its raw score
-        per dimension, averaged over the graded records."""
+        """Grade one agent's probe replies in dataset order, taking from
+        ``verdicts`` the judge outcomes of each answered probe; its raw
+        score per dimension, averaged over the graded records."""
         dimensions = dataset[0].dimension_labels
+        judged = [d for d in dimensions if d not in _LOCAL_GRADERS]
         per_dimension: dict[str, list[float]] = {d: [] for d in dimensions}
         excluded = 0
         for record, outcome in zip(dataset, outcomes):
@@ -604,9 +641,12 @@ class Scheduler:
                     f"{record.record_id!r}: {outcome}",
                     record_id=record.record_id,
                 ) from outcome
+            verdict = {d: next(verdicts) for d in judged}
             try:
                 grades = {
-                    d: self._grade_dimension(d, outcome.response_text, record)
+                    d: self._grade_dimension(
+                        d, outcome.response_text, record, verdict.get(d)
+                    )
                     for d in dimensions
                 }
             except GradeParseFailure:

@@ -102,27 +102,41 @@ def oracle_bm25(
 
     Returns doc_id -> score for documents sharing at least one query term.
     """
+    return oracle_bm25_queries(docs, [query], k1, b)[0]
+
+
+def oracle_bm25_queries(
+    docs: list[tuple[str, str]],
+    queries: list[str],
+    k1: float = 1.2,
+    b: float = 0.75,
+) -> list[dict[str, float]]:
+    """``oracle_bm25`` for each query, tokenizing the corpus once."""
     tokenized = {doc_id: _bm25_tokenize(text) for doc_id, text in docs}
+    vocabularies = [set(toks) for toks in tokenized.values()]
     n_docs = len(docs)
     avg_len = sum(len(toks) for toks in tokenized.values()) / n_docs
-    query_terms = _bm25_tokenize(query)
-    scores: dict[str, float] = {}
-    for doc_id, toks in tokenized.items():
-        counts = Counter(toks)
-        score = 0.0
-        matched = False
-        for term in query_terms:
-            tf = counts.get(term, 0)
-            if tf == 0:
-                continue
-            matched = True
-            df = sum(1 for t in tokenized.values() if term in t)
-            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            denom = tf + k1 * (1.0 - b + b * len(toks) / avg_len)
-            score += idf * tf * (k1 + 1.0) / denom
-        if matched:
-            scores[doc_id] = score
-    return scores
+    out: list[dict[str, float]] = []
+    for query in queries:
+        query_terms = _bm25_tokenize(query)
+        df = {t: sum(t in vocab for vocab in vocabularies) for t in query_terms}
+        scores: dict[str, float] = {}
+        for doc_id, toks in tokenized.items():
+            counts = Counter(toks)
+            score = 0.0
+            matched = False
+            for term in query_terms:
+                tf = counts.get(term, 0)
+                if tf == 0:
+                    continue
+                matched = True
+                idf = math.log(1.0 + (n_docs - df[term] + 0.5) / (df[term] + 0.5))
+                denom = tf + k1 * (1.0 - b + b * len(toks) / avg_len)
+                score += idf * tf * (k1 + 1.0) / denom
+            if matched:
+                scores[doc_id] = score
+        out.append(scores)
+    return out
 
 
 def oracle_token_f1(prediction: str, reference: str) -> float:

@@ -9,10 +9,12 @@ fixture JSON files.
 from __future__ import annotations
 
 import datetime as dt
+import importlib.util
 import json
 import os
 import random
 import threading
+from collections import Counter
 from email.utils import format_datetime
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finorch.apps.reports import DEFAULT_TOPICS, REPORT_SECTIONS, chunk_text
 from finorch.dataops.cache import ResponseCache, cache_key, canonical_bytes
 from finorch.dataops.providers import (
     MAX_RETRY_AFTER,
@@ -30,7 +33,6 @@ from finorch.dataops.providers import (
 )
 from finorch.dataops.retrieval import (
     bm25_scores,
-    has_token,
     index_documents,
     retrieve,
     tokenize,
@@ -53,7 +55,7 @@ from finorch.errors import (
     UnknownSymbol,
 )
 from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
-from oracles import _bm25_tokenize, oracle_bm25
+from oracles import _bm25_tokenize, oracle_bm25, oracle_bm25_queries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MARKET_FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -290,7 +292,6 @@ def test_cache_failed_put_removes_its_temp_file(
 )
 def test_tokenize_cases(text: str, expected: list[str]) -> None:
     assert tokenize(text) == expected
-    assert has_token(text) == bool(expected)
 
 
 # Characters where a byte-level tokenizer could part from str.isalnum():
@@ -312,7 +313,14 @@ EDGE_CHARS = st.sampled_from(
 def test_tokenize_matches_isalnum_oracle(text: str) -> None:
     expected = _bm25_tokenize(text)
     assert tokenize(text) == expected
-    assert has_token(text) == bool(expected)
+    # the index counts words in its own pass; it must count the same tokens
+    if expected:
+        index = index_documents([("d1", text)])
+        assert index.term_counts == (Counter(expected),)
+        assert index.doc_lengths == (len(expected),)
+    else:
+        with pytest.raises(EmptyCorpus):
+            index_documents([("d1", text)])
 
 
 # -------------------------------------------------------------------- index
@@ -331,44 +339,56 @@ def _queries() -> list[str]:
 def test_index_rejects_empty_corpus_and_tokenless_documents() -> None:
     with pytest.raises(EmptyCorpus):
         index_documents([])
-    with pytest.raises(EmptyCorpus) as err:
-        index_documents([("d1", "ok words here"), ("d2", "!!!")])
-    assert "d2" in str(err.value)
+    with pytest.raises(EmptyCorpus):
+        index_documents([("d1", "!!!"), ("d2", "a b c")])
+    # a document with no token can match no query: it is left out
+    index = index_documents([("d1", "!!!"), ("d2", "ok words"), ("d3", "- -")])
+    assert list(index.documents) == ["d2"]
+    assert index.term_counts == (Counter(["ok", "words"]),)
+    assert index.doc_lengths == (2,)
+    assert index.average_doc_length == 2.0
 
 
 def test_index_rejects_duplicate_ids() -> None:
     with pytest.raises(ValueError):
         index_documents([("d1", "one two"), ("d1", "three four")])
+    with pytest.raises(ValueError):
+        index_documents([("d1", "---"), ("d1", "three four")])
 
 
 def test_index_rebuild_is_deterministic() -> None:
     docs = _corpus()
     first = index_documents(docs)
     second = index_documents(docs)
-    assert first.postings == second.postings
+    assert first.term_counts == second.term_counts
+    assert [list(c) for c in first.term_counts] == [
+        list(c) for c in second.term_counts
+    ]
     assert first.doc_lengths == second.doc_lengths
     assert first.average_doc_length == second.average_doc_length
     assert len(first) == 10
 
 
-def test_index_postings_are_consistent_with_tokenizer() -> None:
+def test_index_term_counts_are_consistent_with_tokenizer() -> None:
     docs = _corpus()
     index = index_documents(docs)
-    for doc_id, text in docs:
+    for (_, text), counts, length in zip(
+        docs, index.term_counts, index.doc_lengths, strict=True
+    ):
         tokens = tokenize(text)
-        assert index.doc_lengths[doc_id] == len(tokens)
-        for term in set(tokens):
-            assert index.postings[term][doc_id] == tokens.count(term)
+        assert length == len(tokens)
+        assert counts == {term: tokens.count(term) for term in tokens}
 
 
-def test_index_postings_keep_first_use_and_corpus_order() -> None:
+def test_index_term_counts_keep_corpus_order() -> None:
     docs = _corpus()
-    index = index_documents(docs)
-    first_use = dict.fromkeys(t for _, text in docs for t in tokenize(text))
-    assert list(index.postings) == list(first_use)
-    for term, plist in index.postings.items():
-        assert list(plist) == [d for d, text in docs if term in tokenize(text)]
-    assert list(index.doc_lengths) == [d for d, _ in docs]
+    index = index_documents(docs[::-1])
+    assert list(index.documents) == [d for d, _ in docs[::-1]]
+    assert index.term_counts == tuple(
+        Counter(tokenize(text)) for _, text in docs[::-1]
+    )
+    assert index.doc_lengths == tuple(len(tokenize(t)) for _, t in docs[::-1])
+    assert index.average_doc_length == sum(index.doc_lengths) / len(docs)
 
 
 def test_index_document_lookup() -> None:
@@ -463,6 +483,63 @@ def test_bm25_matches_oracle_on_random_corpora() -> None:
         assert set(actual) == set(expected)
         for doc_id, score in expected.items():
             assert actual[doc_id] == pytest.approx(score, abs=1e-9)
+
+
+def _load_bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _english_filing() -> str:
+    """The benchmark's synthetic English filing, at 200k characters."""
+    gen = _load_bench_gen()
+    rng = random.Random(7)
+    return gen.filing_text(rng, 200_000, gen.vocabulary(rng))
+
+
+def _chinese_filing() -> str:
+    """A Chinese filing without ASCII spaces: figures, full-width
+    punctuation, and now and then an English term in brackets."""
+    rng = random.Random(11)
+    terms = (
+        "营业收入 净利润 毛利率 经营活动现金流 总负债 公司业务 主要产品 "
+        "同业竞争 市场份额 风险因素 监管政策 诉讼 未来展望 业绩指引"
+    ).split()
+    english = "revenue net income gross margin debt guidance outlook risk"
+    pieces: list[str] = []
+    size = 0
+    while size < 200_000:
+        piece = rng.choice(terms) + rng.choice(("为", "同比增长", "约", "："))
+        piece += f"{rng.uniform(1, 99):.1f}" + rng.choice(("亿元", "%", "倍"))
+        if rng.random() < 0.2:
+            piece += f"（{rng.choice(english.split())}）"
+        piece += rng.choice("，。；、：")
+        pieces.append(piece)
+        size += len(piece)
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize(
+    "filing", [_english_filing, _chinese_filing], ids=["english", "chinese"]
+)
+def test_bm25_matches_oracle_on_a_chunked_filing(filing) -> None:
+    chunks = chunk_text(filing())
+    docs = [(chunk.doc_id, chunk.text) for chunk in chunks]
+    index = index_documents(chunks)
+    queries = [*DEFAULT_TOPICS, *(query for _, query in REPORT_SECTIONS)]
+    queries += ["营业收入 净利润", "风险因素"]
+    assert len(chunks) > 200
+    for query, expected in zip(queries, oracle_bm25_queries(docs, queries)):
+        actual = bm25_scores(index, query)
+        assert set(actual) == set(expected), query
+        for doc_id, score in expected.items():
+            assert actual[doc_id] == pytest.approx(score, abs=1e-9), (
+                query,
+                doc_id,
+            )
 
 
 def test_bm25_repeated_query_term_counts_twice() -> None:

@@ -24,6 +24,7 @@ from finorch.errors import (
     DuplicateAgent,
     EmptyDataset,
     EmptyInput,
+    EngineError,
     GatewayFailure,
     GradeParseFailure,
     MissingDimension,
@@ -608,6 +609,86 @@ def test_too_many_grade_failures_fail_the_run(tmp_path: Path) -> None:
     register(scheduler, "alpha", "good")
     with pytest.raises(GradeParseFailure):
         scheduler.evaluate_agent("alpha", dataset)
+
+
+def judged_dataset() -> list[GoldenRecord]:
+    return [r.replace(dimension_labels=("clarity",)) for r in golden_dataset()]
+
+
+def register_judge(gateway: Gateway, transport) -> None:
+    gateway.register_backend(
+        BackendSpec(
+            backend_id="judge",
+            base_url="http://judge.test",
+            model_name="m",
+            max_retries=0,
+        ),
+        transport=transport,
+    )
+
+
+def test_judged_dimension_without_judge_backend_sends_no_probe(
+    tmp_path: Path,
+) -> None:
+    def unreachable(_text: str) -> str:
+        raise AssertionError("a probe was sent")
+
+    scheduler, gateway = make_scheduler(tmp_path, {}, weights={"clarity": 1.0})
+    register_remote(scheduler, gateway, "alpha", RemoteTransport(unreachable))
+    with pytest.raises(ConfigError, match="no judge backend"):
+        scheduler.evaluate_agent("alpha", judged_dataset())
+
+
+def test_judge_chats_of_an_evaluation_go_out_together(tmp_path: Path) -> None:
+    # The judge answers only once the chats of all records are in flight.
+    barrier = threading.Barrier(2 * len(REFERENCE), timeout=5)
+    scheduler, gateway = make_scheduler(
+        tmp_path,
+        {"good": correct_script(), "bad": wrong_script()},
+        judge_backend_id="judge",
+        weights={"clarity": 1.0},
+    )
+    register_judge(gateway, RemoteTransport(lambda _t: "score: 0.5", barrier))
+    register(scheduler, "alpha", "good")
+    register(scheduler, "beta", "bad")
+    alpha, beta = scheduler.evaluate_agents(
+        [("alpha", judged_dataset()), ("beta", judged_dataset())]
+    )
+    assert alpha.raw_scores == beta.raw_scores == {"clarity": 0.5}
+
+
+def test_first_failed_judge_chat_in_grading_order_is_raised(
+    tmp_path: Path,
+) -> None:
+    """beta's g1 judge chat fails before alpha's g3 does; the error raised
+    is still alpha's, the first in (job, record, dimension) order."""
+    beta_failed = threading.Event()
+
+    class RacingJudge:
+        def send(self, spec, payload):
+            text = payload["messages"][-1]["content"]
+            if "no comment" in text and REFERENCE["g1"] in text:
+                beta_failed.set()
+                raise TransportError("beta g1 down")
+            if "no comment" not in text and REFERENCE["g3"] in text:
+                assert beta_failed.wait(timeout=5)
+                raise TransportError("alpha g3 down")
+            return {"choices": [{"message": {"content": "score: 0.5"}}]}
+
+    scheduler, gateway = make_scheduler(
+        tmp_path,
+        {"good": correct_script(), "bad": wrong_script()},
+        judge_backend_id="judge",
+        weights={"clarity": 1.0},
+    )
+    register_judge(gateway, RacingJudge())
+    register(scheduler, "alpha", "good")
+    register(scheduler, "beta", "bad")
+    with pytest.raises(EngineError, match="alpha g3 down"):
+        scheduler.evaluate_agents(
+            [("alpha", judged_dataset()), ("beta", judged_dataset())]
+        )
+    assert not scheduler.scores_path.exists()
 
 
 def test_weights_come_from_config_else_uniform(tmp_path: Path) -> None:
