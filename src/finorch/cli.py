@@ -33,7 +33,7 @@ def evaluate(args: argparse.Namespace) -> None:
     """Score every registered agent against its golden dataset."""
     engine = build_engine(load_config(args.config_path), offline=args.offline)
     kinds = TASK_KINDS if args.kind == "all" else (args.kind,)
-    engine.evaluate_all(*kinds)
+    engine.scheduler.evaluate_all(*kinds)
     payload: dict[str, list[dict]] = {}
     for task_kind in kinds:
         ranking = engine.scheduler.rank_agents(task_kind)
@@ -58,7 +58,7 @@ def evaluate(args: argparse.Namespace) -> None:
 def route(args: argparse.Namespace) -> None:
     """Pick the best-scored agent for a task kind."""
     engine = build_engine(load_config(args.config_path), offline=args.offline)
-    engine.ensure_scores(args.task_kind)
+    engine.scheduler.ensure_scores(args.task_kind)
     decisions: list[dict] = []
     chosen = engine.scheduler.route(args.task_kind, recorder=decisions.append)
     if args.as_json:
@@ -145,7 +145,7 @@ def selfcheck(args: argparse.Namespace) -> None:
     check("prompt templates load in both languages", templates_bilingual)
     check(
         "golden datasets load",
-        lambda: (engine.golden_dataset("forecast"), engine.golden_dataset("report")),
+        lambda: [engine.scheduler.golden_dataset(kind) for kind in TASK_KINDS],
     )
     check(
         "market fixtures answer a profile request",
@@ -178,9 +178,8 @@ def selfcheck(args: argparse.Namespace) -> None:
     check(
         "agents evaluate and route offline",
         lambda: (
-            engine.evaluate_all(*TASK_KINDS),
-            engine.route("forecast"),
-            engine.route("report"),
+            engine.scheduler.evaluate_all(*TASK_KINDS),
+            [engine.scheduler.route(kind) for kind in TASK_KINDS],
         ),
     )
 

@@ -20,17 +20,17 @@ naming its key.
   can reach the network by accident. Chats are timed by the gateway's
   monotonic timer, never by a clock.
 
-Offline and live alike, a command evaluates only those agents of its task
-kind with no score of the golden set's dimensions; ``evaluate``, all.
+The scheduler, built with the config's ``golden_dir``, decides when to
+score (``Scheduler.ensure_scores``); ``Engine.forecast`` and
+``Engine.report`` ask it before their run opens its trace.
 
 A command loads only the layers it runs. Every command loads the config,
 the gateway, the scheduler and the prompt store; a live gateway builds
 the HTTP client at its first chat, and only an offline engine loads the
 scripted replies of ``finorch.offline``. Beyond that:
 
-* ``evaluate`` and ``route`` (``evaluate_all``, ``ensure_scores``,
-  ``route``) load no app, no workflow runner and nothing of
-  ``finorch.dataops``;
+* ``evaluate`` and ``route`` call only the scheduler, and load no app, no
+  workflow runner and nothing of ``finorch.dataops``;
 * ``forecast`` loads ``finorch.apps.forecaster`` with the workflow runner,
   and builds ``Engine.market_data`` on first use: the fixture provider
   offline, the live provider behind the response cache (``hashlib``
@@ -59,15 +59,7 @@ from finorch.errors import ConfigError, EngineError, WeightSumInvalid
 from finorch.gateway import BackendSpec, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
 from finorch.record import Record
-from finorch.scheduler import (
-    TASK_KINDS,
-    AgentProfile,
-    GoldenRecord,
-    Scheduler,
-    TaskScore,
-    check_weights,
-    load_golden_dataset,
-)
+from finorch.scheduler import TASK_KINDS, AgentProfile, Scheduler, check_weights
 
 if TYPE_CHECKING:
     from finorch.apps.forecaster import ForecastRun
@@ -449,7 +441,6 @@ class Engine:
         self.prompt_store = prompt_store
         self.clock = clock
         self.offline = offline
-        self._golden: dict[str, list[GoldenRecord]] = {}
 
     @functools.cached_property
     def market_data(self) -> MarketData:
@@ -473,57 +464,6 @@ class Engine:
         )
         return MarketData(provider, ResponseCache(self.config.cache_dir))
 
-    def golden_path(self, task_kind: str) -> Path:
-        return self.config.golden_dir / f"{task_kind}.jsonl"
-
-    def golden_dataset(self, task_kind: str) -> list[GoldenRecord]:
-        if task_kind not in self._golden:
-            path = self.golden_path(task_kind)
-            if not path.exists():
-                raise ConfigError(
-                    f"no golden dataset for task kind {task_kind!r} "
-                    f"(expected {path})"
-                )
-            self._golden[task_kind] = load_golden_dataset(path, task_kind)
-        return self._golden[task_kind]
-
-    def evaluate_all(
-        self, *task_kinds: str
-    ) -> dict[tuple[str, str], TaskScore]:
-        """Score every agent registered for each task kind, with all their
-        probes in one batch; scores keyed by (task kind, agent id)."""
-        jobs = [
-            (profile.agent_id, self.golden_dataset(task_kind))
-            for task_kind in task_kinds
-            for profile in self.scheduler.agents_for(task_kind)
-        ]
-        return {
-            (score.task_kind, score.agent_id): score
-            for score in self.scheduler.evaluate_agents(jobs)
-        }
-
-    def ensure_scores(self, task_kind: str) -> None:
-        """Evaluate, in one batch, the agents registered for the task kind
-        with no score of the golden set's dimensions. A kind's weights name
-        those (an evaluation refuses others), so then the set is not read."""
-        labels = self.config.weights.get(task_kind)
-        if labels is None:
-            dataset = self.golden_dataset(task_kind)
-            labels = dataset[0].dimension_labels if dataset else ()
-        scored = self.scheduler.latest_scores(task_kind)
-        jobs = [
-            (profile.agent_id, self.golden_dataset(task_kind))
-            for profile in self.scheduler.agents_for(task_kind)
-            if profile.agent_id not in scored
-            or set(scored[profile.agent_id].raw_scores) != set(labels)
-        ]
-        if jobs:
-            self.scheduler.evaluate_agents(jobs)
-
-    def route(self, task_kind: str) -> str:
-        self.ensure_scores(task_kind)
-        return self.scheduler.route(task_kind)
-
     def forecast(
         self,
         symbol: str,
@@ -539,7 +479,7 @@ class Engine:
             horizon_window(cutoff, horizon)
         except EngineError as exc:
             raise exc.with_role(ROLE_ASSISTANT)
-        self.ensure_scores("forecast")
+        self.scheduler.ensure_scores("forecast")
         return run_forecaster(
             symbol,
             cutoff,
@@ -569,7 +509,7 @@ class Engine:
             document = index_document(doc_path)
         except EngineError as exc:
             raise exc.with_role(ROLE_ASSISTANT)
-        self.ensure_scores("report")
+        self.scheduler.ensure_scores("report")
         return generate_report(
             document,
             subject,
@@ -619,6 +559,7 @@ def build_engine(config: EngineConfig, offline: bool = False) -> Engine:
         judge_backend_id=config.judge_backend_id,
         language=config.default_language,
         clock=clock,
+        golden_dir=config.golden_dir,
     )
     for agent in config.agents:
         scheduler.register_agent(agent)

@@ -10,6 +10,11 @@ registered for the task kind: each dimension is min-max normalized across
 them and combined with the current weights into a composite in [0, 1].
 Routing picks the highest composite, ties broken by ascending agent id.
 
+The scheduler alone decides when to score: before a task kind routes,
+``ensure_scores`` evaluates its agents with no score of the dimensions
+that the kind's weights, or else its golden set, name; ``evaluate_all``
+scores all of them. Each call reads a golden set at most once.
+
 Grading dimensions: ``exact_match`` (normalized-whitespace, case-folded
 equality) and ``token_f1`` (F1 over whitespace tokens) are computed
 locally; any other dimension name is judged by a grading prompt whose
@@ -392,7 +397,8 @@ def _latest_scores(
 
 
 class Scheduler:
-    """Registry, evaluator, and router over one gateway and one state dir."""
+    """Registry, evaluator, and router over one gateway, one golden dir and
+    one state dir."""
 
     def __init__(
         self,
@@ -403,6 +409,7 @@ class Scheduler:
         judge_backend_id: str | None = None,
         language: str = "en",
         clock: Clock | None = None,
+        golden_dir: Path | str = "fixtures/golden",
     ):
         self._gateway = gateway
         self._store = prompt_store
@@ -412,6 +419,7 @@ class Scheduler:
         self._judge_backend_id = judge_backend_id
         self._language = language
         self._clock = clock or SystemClock()
+        self._golden_dir = Path(golden_dir)
         self._agents: dict[str, AgentProfile] = {}
         self._write_lock = threading.Lock()
         self._latest: dict[ScoreKey, TaskScore] | None = None
@@ -518,6 +526,57 @@ class Scheduler:
         return score
 
     # ----------------------------------------------------------- evaluation
+
+    def golden_dataset(self, task_kind: str) -> list[GoldenRecord]:
+        """``<task_kind>.jsonl`` in the golden dir; a missing or empty file
+        is a ConfigError naming the kind and the path."""
+        path = self._golden_dir / f"{task_kind}.jsonl"
+        if not path.exists():
+            raise ConfigError(
+                f"no golden dataset for task kind {task_kind!r} (expected {path})"
+            )
+        dataset = load_golden_dataset(path, task_kind)
+        if not dataset:
+            raise ConfigError(
+                f"golden dataset {path} for task kind {task_kind!r} is empty"
+            )
+        return dataset
+
+    def evaluate_all(self, *task_kinds: str) -> list[TaskScore]:
+        """Score every agent registered for each task kind, with all their
+        probes in one batch (``evaluate_agents``). A kind with no registered
+        agent is refused before any probe is sent."""
+        jobs = []
+        for task_kind in task_kinds:
+            agents = self.agents_for(task_kind)
+            if not agents:
+                raise ConfigError(
+                    f"no agent is registered for task kind {task_kind!r}"
+                )
+            dataset = self.golden_dataset(task_kind)
+            jobs += [(profile.agent_id, dataset) for profile in agents]
+        return self.evaluate_agents(jobs)
+
+    def ensure_scores(self, task_kind: str) -> None:
+        """Evaluate, in one batch, the agents registered for ``task_kind``
+        with no score of the golden set's dimensions. The kind's weights
+        name those when the config sets some (an evaluation refuses
+        others), and then the set is read only to score an agent."""
+        weights = self._weights.get(task_kind)
+        dataset = None if weights else self.golden_dataset(task_kind)
+        labels = set(weights or dataset[0].dimension_labels)
+        measured = {
+            agent_id: set(score.raw_scores)
+            for agent_id, score in self.latest_scores(task_kind).items()
+        }
+        stale = [
+            profile.agent_id
+            for profile in self.agents_for(task_kind)
+            if measured.get(profile.agent_id) != labels
+        ]
+        if stale:
+            dataset = dataset or self.golden_dataset(task_kind)
+            self.evaluate_agents([(agent_id, dataset) for agent_id in stale])
 
     def evaluate_agent(
         self, agent_id: str, dataset: Sequence[GoldenRecord]

@@ -84,6 +84,21 @@ def score_row(agent_id: str, raw: float) -> dict:
     ).to_dict()
 
 
+def persist_forecast_scores(state_dir: Path) -> None:
+    """Live scores for both forecast agents, the primary ahead."""
+    state_dir.mkdir()
+    (state_dir / "task_scores.jsonl").write_text(
+        "".join(
+            json.dumps(score_row(agent_id, raw)) + "\n"
+            for agent_id, raw in (
+                ("forecaster-primary", 1.0),
+                ("forecaster-secondary", 0.0),
+            )
+        ),
+        encoding="utf-8",
+    )
+
+
 def edited_golden(tmp_path: Path, edit) -> Path:
     """A config over a copy of the golden sets whose forecast rows went
     through ``edit(line number, row)``."""
@@ -627,17 +642,7 @@ class TestEvaluateAndRoute:
         self, config_path, tmp_path, monkeypatch
     ):
         """Market data is built on first use, and routing never uses it."""
-        (tmp_path / "state").mkdir()
-        (tmp_path / "state" / "task_scores.jsonl").write_text(
-            "".join(
-                json.dumps(score_row(agent_id, raw)) + "\n"
-                for agent_id, raw in (
-                    ("forecaster-primary", 1.0),
-                    ("forecaster-secondary", 0.0),
-                )
-            ),
-            encoding="utf-8",
-        )
+        persist_forecast_scores(tmp_path / "state")
 
         def refuse(*args, **kwargs):
             raise AssertionError("route built market data")
@@ -654,17 +659,7 @@ class TestEvaluateAndRoute:
         """A live route on persisted scores sends nothing, so it builds no
         HTTP client and loads none of its modules, no offline scripts, and
         neither ``dataclasses`` nor ``inspect``."""
-        (tmp_path / "state").mkdir()
-        (tmp_path / "state" / "task_scores.jsonl").write_text(
-            "".join(
-                json.dumps(score_row(agent_id, raw)) + "\n"
-                for agent_id, raw in (
-                    ("forecaster-primary", 1.0),
-                    ("forecaster-secondary", 0.0),
-                )
-            ),
-            encoding="utf-8",
-        )
+        persist_forecast_scores(tmp_path / "state")
         dummy = {"EXAMPLE_API_KEY": "dummy-key", "OTHER_API_KEY": "dummy-key"}
         assert imported_by_command(
             config_path, ["route", "forecast"], "http.client",
@@ -779,6 +774,66 @@ class TestEvaluateAndRoute:
         result = invoke(config_path, "evaluate", "--offline")
         assert result.exit_code == 1
         assert "no golden dataset" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args", [["route", "report"], ["evaluate"]], ids=["route", "evaluate"]
+    )
+    def test_empty_golden_set_names_the_file_and_the_kind(self, tmp_path, args):
+        golden = tmp_path / "golden"
+        shutil.copytree(REPO / "fixtures" / "golden", golden)
+        (golden / "report.jsonl").write_text("", encoding="utf-8")
+        config_path = write_config(
+            tmp_path,
+            MINIMAL.format(golden_dir=golden, fixture_dir=REPO / "fixtures"),
+        )
+        result = invoke(config_path, *args, "--offline")
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            f"error: golden dataset {golden / 'report.jsonl'} for task kind "
+            "'report' is empty"
+        ]
+        assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
+
+    @pytest.mark.parametrize("kind", ["all", "report"])
+    def test_evaluate_of_a_kind_with_no_agent_changes_no_state(
+        self, tmp_path, chats, kind
+    ):
+        """A kind no agent is registered for is refused before any probe,
+        so no row of another kind is written, and no empty log either."""
+        text = minimal_text()
+        for agent_id, backend_id in (
+            ("report-writer", "primary"), ("report-skeptic", "secondary")
+        ):
+            text = text.replace(
+                f"  - agent_id: {agent_id}\n    backend_id: {backend_id}\n"
+                "    task_kinds: [report]\n",
+                "",
+            )
+        config_path = write_config(tmp_path, text)
+        result = invoke(config_path, "evaluate", "--offline", "--kind", kind)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: no agent is registered for task kind 'report'"
+        ]
+        assert chats == []
+        assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
+
+    def test_route_on_persisted_weighted_scores_reads_no_golden_set(
+        self, tmp_path
+    ):
+        """The kind's weights name the dimensions its rows must hold, so a
+        route on such rows needs no golden set, here not even a golden dir."""
+        config_path = write_config(
+            tmp_path,
+            MINIMAL.format(
+                golden_dir=tmp_path / "no-golden", fixture_dir=REPO / "fixtures"
+            ),
+        )
+        persist_forecast_scores(tmp_path / "state")
+        result = invoke(config_path, "route", "forecast")
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "forecaster-primary\n"
 
 
     def test_golden_row_with_other_labels_is_one_error_line(self, tmp_path):

@@ -471,13 +471,11 @@ class TestBuildEngineOffline:
 
     def test_evaluate_all_ranks_scripted_agents(self, tmp_path):
         engine = build_engine(load_config(write_config(tmp_path)), offline=True)
-        scores = engine.evaluate_all("forecast")
-        assert scores[("forecast", "forecaster-primary")].raw_scores == {
-            "exact_match": 1.0, "token_f1": 1.0,
-        }
-        assert scores[("forecast", "forecaster-secondary")].raw_scores == {
-            "exact_match": 0.0, "token_f1": 0.0,
-        }
+        scores = engine.scheduler.evaluate_all("forecast")
+        assert [(s.task_kind, s.agent_id, s.raw_scores) for s in scores] == [
+            ("forecast", "forecaster-primary", {"exact_match": 1.0, "token_f1": 1.0}),
+            ("forecast", "forecaster-secondary", {"exact_match": 0.0, "token_f1": 0.0}),
+        ]
         assert engine.scheduler.rank_agents("forecast") == [
             ("forecaster-primary", 1.0), ("forecaster-secondary", 0.0),
         ]
@@ -485,7 +483,8 @@ class TestBuildEngineOffline:
 
     def test_route_helper_evaluates_then_routes(self, tmp_path):
         engine = build_engine(load_config(write_config(tmp_path)), offline=True)
-        assert engine.route("report") == "report-writer"
+        engine.scheduler.ensure_scores("report")
+        assert engine.scheduler.route("report") == "report-writer"
 
     def test_golden_dataset_missing_kind(self, tmp_path):
         base = MINIMAL.format(
@@ -497,7 +496,7 @@ class TestBuildEngineOffline:
             load_config(write_config(tmp_path, base)), offline=True
         )
         with pytest.raises(ConfigError, match="no golden dataset"):
-            engine.golden_dataset("forecast")
+            engine.scheduler.golden_dataset("forecast")
 
     def test_forecast_pipeline_offline(self, tmp_path):
         engine = build_engine(load_config(write_config(tmp_path)), offline=True)
