@@ -264,13 +264,8 @@ def build_forecast_prompt(
         "recent_news": recent_news_text(bundle, language),
         "basic_financials": basic_financials_text(bundle, language),
     }
-    for name in (
-        "company_introduction",
-        "stock_price_changes",
-        "recent_news",
-        "basic_financials",
-    ):
-        if not blocks[name]:
+    for name, text in blocks.items():
+        if not text:
             raise IncompleteBundle(name)
     start, end = horizon_window(cutoff, horizon)
     bindings = {

@@ -22,6 +22,7 @@ from finorch.dataops.retrieval import (
     RetrievedPassage,
     index_documents,
     retrieve,
+    tokenize,
 )
 from finorch.errors import (
     EmptyCorpus,
@@ -64,6 +65,12 @@ REPORT_SECTIONS = (
     ("Peer Comparison", "peers competitors market share industry position"),
     ("Risks", "risk debt regulation litigation competition headwinds"),
     ("Outlook", "outlook guidance forecast expectations next year"),
+)
+
+#: Every term of the topic and section queries. A chunk holding none of
+#: them is no passage of any topic or section.
+_QUERY_TERMS = frozenset(
+    tokenize(" ".join([*DEFAULT_TOPICS, *(query for _, query in REPORT_SECTIONS)]))
 )
 
 RECORD_INDICATOR = ToolSchema(
@@ -254,7 +261,9 @@ def index_document(path: Path) -> DocumentAnalysis:
 
     A chunk with no token can match no query, so the index leaves it out;
     the other chunks keep their ids. An unreadable, empty or tokenless
-    document raises ``UnreadableDocument``.
+    document raises ``UnreadableDocument``, and so does one in which no
+    chunk shares a term with the topic and section queries, as its report
+    would stand on no passage.
     """
     text = _read_document(path)
     chunks = chunk_text(text)
@@ -262,6 +271,11 @@ def index_document(path: Path) -> DocumentAnalysis:
         index = index_documents(chunks)
     except EmptyCorpus:
         raise UnreadableDocument(f"document {path} has no indexable text") from None
+    if all(counts.keys().isdisjoint(_QUERY_TERMS) for counts in index.term_counts):
+        raise UnreadableDocument(
+            f"document {path} shares no word with the report's topics and "
+            "section queries, so no passage could ground the report"
+        )
     return DocumentAnalysis(
         doc_path=path,
         chunk_count=len(chunks),

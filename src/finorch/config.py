@@ -397,12 +397,6 @@ def run_forecaster(*args: Any, **kwargs: Any) -> ForecastRun:
     return run_forecaster(*args, **kwargs)
 
 
-def index_document(*args: Any, **kwargs: Any) -> DocumentAnalysis:
-    from finorch.apps.reports import index_document
-
-    return index_document(*args, **kwargs)
-
-
 def analyze_document(*args: Any, **kwargs: Any) -> DocumentAnalysis:
     from finorch.apps.reports import analyze_document
 
@@ -499,6 +493,7 @@ class Engine:
         subject: str | None = None,
         language: str | None = None,
     ) -> ReportResult:
+        from finorch.apps.reports import index_document
         from finorch.workflow import ROLE_ASSISTANT
 
         doc_path = Path(doc_path)

@@ -48,7 +48,6 @@ __all__ = [
     "ChatMessage",
     "Gateway",
     "HttpTransport",
-    "MockRule",
     "MockTransport",
     "Transport",
 ]
@@ -165,57 +164,34 @@ class HttpTransport:
         )
 
 
-class MockRule:
-    """One scripted behaviour, selected by substring match.
-
-    ``reply`` rules answer with fixed text. ``fail`` rules raise a transient
-    transport error; with ``times`` set they do so only for that many
-    matching requests and are skipped afterwards (letting a later rule
-    answer), which scripts "fail twice, then succeed" flows.
-    """
-
-    __slots__ = ("match", "reply", "fail", "times")
-
-    def __init__(
-        self, match: str, reply: str | None = None, fail: bool = False,
-        times: int | None = None
-    ) -> None:
-        if fail == (reply is not None):
-            raise ValueError("rule must set exactly one of reply or fail")
-        if times is not None and not fail:
-            raise ValueError("times only applies to fail rules")
-        if times is not None and times < 1:
-            raise ValueError("times must be at least 1")
-        self.match = match
-        self.reply = reply
-        self.fail = fail
-        self.times = times
-
-
-def _as_rule(raw: MockRule | Mapping[str, Any]) -> MockRule:
-    if isinstance(raw, MockRule):
-        return raw
-    return MockRule(
-        match=raw.get("match", ""),
-        reply=raw.get("reply"),
-        fail=bool(raw.get("fail", False)),
-        times=raw.get("times"),
-    )
-
-
 class MockTransport:
     """In-process deterministic backend: first-substring-match scripting.
 
-    Responses are a pure function of the script and the request history
-    (fail rules with ``times`` consume one budget unit per matching
-    request). No network, no randomness.
+    A script is a non-empty sequence of rule dicts, each selected when its
+    ``match`` (default "") is in the request's last user message. A rule
+    sets exactly one of ``reply``, to answer with that text, or ``fail``,
+    to raise a transient transport error; with ``times`` (at least 1) a
+    fail rule does so only for that many matching requests and is skipped
+    afterwards (letting a later rule answer), which scripts "fail twice,
+    then succeed" flows. Responses are a pure function of the script and
+    the request history. No network, no randomness.
     """
 
-    def __init__(self, script: Sequence[MockRule | Mapping[str, Any]]):
+    def __init__(self, script: Sequence[Mapping[str, Any]]):
         if not script:
             raise ValueError("mock script must contain at least one rule")
-        self._rules = [_as_rule(r) for r in script]
-        self._remaining = [r.times for r in self._rules]
+        self._rules = []  # (match, reply or None for a fail rule)
+        self._remaining = []  # each fail rule's budget left, None if unlimited
+        for rule in script:
+            reply, times = rule.get("reply"), rule.get("times")
+            if bool(rule.get("fail", False)) == (reply is not None):
+                raise ValueError("rule must set exactly one of reply or fail")
+            if times is not None and reply is not None:
+                raise ValueError("times only applies to fail rules")
+            if times is not None and times < 1:
+                raise ValueError("times must be at least 1")
+            self._rules.append((rule.get("match", ""), reply))
+            self._remaining.append(times)
         self._lock = threading.Lock()
 
     def send(self, spec: BackendSpec, payload: dict[str, Any]) -> dict[str, Any]:
@@ -224,19 +200,17 @@ class MockTransport:
             if message.get("role") == "user":
                 last_user = message.get("content", "")
         with self._lock:
-            for i, rule in enumerate(self._rules):
-                if rule.match not in last_user:
+            for i, (match, reply) in enumerate(self._rules):
+                if match not in last_user:
                     continue
-                if rule.fail:
+                if reply is None:
                     left = self._remaining[i]
                     if left == 0:
                         continue  # budget spent: fall through to later rules
                     if left is not None:
                         self._remaining[i] = left - 1
-                    raise TransportError(
-                        f"scripted failure for match {rule.match!r}"
-                    )
-                return _completion_body(rule.reply or "")
+                    raise TransportError(f"scripted failure for match {match!r}")
+                return _completion_body(reply)
         return _completion_body(MOCK_SENTINEL)
 
 
@@ -299,7 +273,7 @@ class Gateway:
     def script_mock(
         self,
         backend_id: str,
-        script: Sequence[MockRule | Mapping[str, Any]],
+        script: Sequence[Mapping[str, Any]],
         **overrides: Any,
     ) -> BackendSpec:
         """Register an in-process scripted backend and return its spec."""

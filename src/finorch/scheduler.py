@@ -1,10 +1,11 @@
 """Smart Scheduler: agent registry, golden-dataset evaluation, composite
 scoring, task routing, reflections, and workflow evaluations.
 
-Scoring pipeline: per golden record the agent's adaptor prompt is sent
-through the gateway and the reply graded per dimension; one evaluation
-sends the probes of all the agents it covers as one batch. Raw dimension
-scores are averaged over records, and that is what a TaskScore row holds.
+Scoring pipeline: one evaluation is a flat list of probes, one per
+(agent, golden record), each the agent's adaptor prompt for that record;
+all of them go through the gateway as one batch, and each reply is graded
+per dimension. Raw dimension scores are averaged over an agent's records,
+and that is what a TaskScore row holds.
 Ranking derives the rest from the latest raw scores of the agents
 registered for the task kind: each dimension is min-max normalized across
 them and combined with the current weights into a composite in [0, 1].
@@ -19,7 +20,8 @@ Grading dimensions: ``exact_match`` (normalized-whitespace, case-folded
 equality) and ``token_f1`` (F1 over whitespace tokens) are computed
 locally; any other dimension name is judged by a grading prompt whose
 reply must contain "score: <x>". The judge chats of one evaluation go out
-as one more batch, once the probes are answered.
+as one more batch, once the probes are answered, and each verdict is
+looked up by the (probe index, dimension) it grades.
 
 State is kept as append-only JSON-lines files under the state directory
 (task_scores.jsonl, reflections.jsonl, evaluations.jsonl). One evaluation
@@ -46,7 +48,7 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from finorch.clock import Clock, SystemClock, isoformat
 from finorch.errors import (
@@ -493,20 +495,13 @@ class Scheduler:
             raise ConfigError("no judge backend configured for judged grading")
         return self._judge_backend_id
 
-    def _judge_chat(
-        self, dimension: str, reply: ChatExchange, record: GoldenRecord
+    def _request(
+        self, backend_id: str, template_id: str, bindings: Mapping[str, object]
     ) -> tuple[str, list[ChatMessage]]:
-        """The judge request grading ``reply`` to ``record`` on ``dimension``."""
-        prompt = self._store.render(
-            "grade_judged",
-            {
-                "dimension": dimension,
-                "reference": record.reference_answer,
-                "response": reply.response_text,
-            },
-            self._language,
-        )
-        return self._judge_backend(), [ChatMessage(role="user", content=prompt)]
+        """A chat to ``backend_id`` whose one user message is ``template_id``
+        rendered in the scheduler's language."""
+        text = self._store.render(template_id, bindings, self._language)
+        return backend_id, [ChatMessage(role="user", content=text)]
 
     def _grade_dimension(
         self, dimension: str, response: str, record: GoldenRecord,
@@ -589,43 +584,51 @@ class Scheduler:
     ) -> list[TaskScore]:
         """Score each (agent id, golden dataset) job; one TaskScore per job.
 
-        Every probe of every job is independent of the others, so all of
-        them go out in one ``chat_many`` batch, and the judge chats of all
-        answered probes in one more. The replies are graded job by job, in
-        the order given, and the rows of all jobs go to the log in one
-        append. A failed probe raises GatewayFailure naming the first
-        failed record in that order, a failed judge chat its own error,
-        whichever comes first in (job, record, dimension) order; a failed
-        evaluation appends nothing.
+        An evaluation sends one probe per (agent, golden record) of every
+        job, in the order given, all in one ``chat_many`` batch, and the
+        judge chats of all answered probes in one more. Each judge outcome
+        is kept under its (probe index, dimension), and grading looks it up
+        by the probe it grades. The rows of all jobs go to the log in one
+        append. A failed probe raises GatewayFailure naming its record, a
+        failed judge chat its own error, whichever comes first in probe
+        order, then dimension order; a failed evaluation appends nothing.
         """
-        checked = [
-            self._check_job(agent_id, dataset) for agent_id, dataset in jobs
-        ]
+        checked = [self._check_job(agent_id, dataset) for agent_id, dataset in jobs]
         scores = self._scores()  # a malformed log fails before any probe
-        requests = [
-            (
-                profile.backend_id,
-                [
-                    ChatMessage(
-                        role="user",
-                        content=self._store.render(
-                            ADAPTOR_PROMPT_ID,
-                            {"input_text": record.input_text},
-                            self._language,
-                        ),
-                    )
-                ],
+        probes = [
+            (profile, record) for profile, dataset in checked for record in dataset
+        ]
+        replies = self._gateway.chat_many(
+            [
+                self._request(
+                    profile.backend_id,
+                    ADAPTOR_PROMPT_ID,
+                    {"input_text": record.input_text},
+                )
+                for profile, record in probes
+            ]
+        )
+        judged = {
+            (index, dimension): self._request(
+                self._judge_backend_id,
+                "grade_judged",
+                {
+                    "dimension": dimension,
+                    "reference": record.reference_answer,
+                    "response": replies[index].response_text,
+                },
             )
-            for profile, dataset in checked
-            for record in dataset
-        ]
-        replies = iter(self._gateway.chat_many(requests))
-        probed = [[next(replies) for _ in dataset] for _, dataset in checked]
-        verdicts = iter(self._judge(checked, probed))
-        graded = [
-            self._grade_job(profile, dataset, outcomes, verdicts)
-            for (profile, dataset), outcomes in zip(checked, probed)
-        ]
+            for index, (_, record) in enumerate(probes)
+            if not isinstance(replies[index], EngineError)
+            for dimension in record.dimension_labels
+            if dimension not in _LOCAL_GRADERS
+        }
+        outcomes = self._gateway.chat_many(list(judged.values())) if judged else []
+        verdicts = dict(zip(judged, outcomes))
+        graded, first = [], 0
+        for profile, dataset in checked:
+            graded.append(self._grade_job(profile, dataset, first, replies, verdicts))
+            first += len(dataset)
         evaluated_at = isoformat(self._clock.now())
         rows = [
             TaskScore(profile.agent_id, dataset[0].task_kind, raw, evaluated_at)
@@ -661,50 +664,32 @@ class Scheduler:
             self._judge_backend()  # ConfigError before any probe
         return profile, dataset
 
-    def _judge(
-        self,
-        checked: Sequence[tuple[AgentProfile, Sequence[GoldenRecord]]],
-        probed: Sequence[Sequence[ChatExchange | EngineError]],
-    ) -> list[ChatExchange | EngineError]:
-        """Send every judge chat of one evaluation in one ``chat_many``
-        batch: one per judged dimension of each answered probe, in (job,
-        record, dimension) order, which is the order grading reads them."""
-        requests = [
-            self._judge_chat(dimension, reply, record)
-            for (_, dataset), replies in zip(checked, probed)
-            for record, reply in zip(dataset, replies)
-            if not isinstance(reply, EngineError)
-            for dimension in record.dimension_labels
-            if dimension not in _LOCAL_GRADERS
-        ]
-        return self._gateway.chat_many(requests) if requests else []
-
     def _grade_job(
         self,
         profile: AgentProfile,
         dataset: Sequence[GoldenRecord],
-        outcomes: Sequence[ChatExchange | EngineError],
-        verdicts: Iterator[ChatExchange | EngineError],
+        first: int,
+        replies: Sequence[ChatExchange | EngineError],
+        verdicts: Mapping[tuple[int, str], ChatExchange | EngineError],
     ) -> dict[str, float]:
-        """Grade one agent's probe replies in dataset order, taking from
-        ``verdicts`` the judge outcomes of each answered probe; its raw
-        score per dimension, averaged over the graded records."""
+        """Grade one agent's probes, which start at probe index ``first``,
+        in dataset order; its raw score per dimension, averaged over the
+        graded records."""
         dimensions = dataset[0].dimension_labels
-        judged = [d for d in dimensions if d not in _LOCAL_GRADERS]
         per_dimension: dict[str, list[float]] = {d: [] for d in dimensions}
         excluded = 0
-        for record, outcome in zip(dataset, outcomes):
+        for index, record in enumerate(dataset, first):
+            outcome = replies[index]
             if isinstance(outcome, EngineError):
                 raise GatewayFailure(
                     f"agent {profile.agent_id!r} failed on record "
                     f"{record.record_id!r}: {outcome}",
                     record_id=record.record_id,
                 ) from outcome
-            verdict = {d: next(verdicts) for d in judged}
             try:
                 grades = {
                     d: self._grade_dimension(
-                        d, outcome.response_text, record, verdict.get(d)
+                        d, outcome.response_text, record, verdicts.get((index, d))
                     )
                     for d in dimensions
                 }
@@ -807,13 +792,11 @@ class Scheduler:
         """The judge chat for one run's final output against its acceptance
         text, as (backend id, messages); ConfigError when no judge backend
         is configured."""
-        backend_id = self._judge_backend()
-        prompt = self._store.render(
+        return self._request(
+            self._judge_backend(),
             "judge",
             {"acceptance_text": acceptance_text, "final_output": final_output},
-            self._language,
         )
-        return backend_id, [ChatMessage(role="user", content=prompt)]
 
     def finalize_workflow(
         self, task_id: str, judge_reply: str, reflection: Reflection

@@ -437,8 +437,14 @@ class TestReportCommand:
         [
             ("   \n", "is empty"),
             ("." * 3000 + "\n", "has no indexable text"),
+            # 3,000 words, none of a topic or a section query: the note
+            # would be grounded in no passage
+            (
+                "lorem ipsum dolor sit amet consectetur adipiscing elit " * 375,
+                "shares no word with the report's topics",
+            ),
         ],
-        ids=["empty", "tokenless"],
+        ids=["empty", "tokenless", "no-query-word"],
     )
     def test_unusable_document_is_one_assistant_error_line(
         self, config_path, tmp_path, text, message
@@ -455,7 +461,7 @@ class TestReportCommand:
         assert "Traceback" not in done.stderr
         [line] = done.stderr.splitlines()
         assert line.startswith("error (Assistant): ")
-        assert message in line
+        assert str(doc) in line and message in line
         # Refused before any scoring: no agent was evaluated.
         assert not (tmp_path / "state" / "offline" / "task_scores.jsonl").exists()
 

@@ -29,7 +29,6 @@ from finorch.gateway import (
     ChatMessage,
     Gateway,
     HttpTransport,
-    MockRule,
     MockTransport,
 )
 from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
@@ -63,9 +62,9 @@ def user(text: str) -> list[ChatMessage]:
 
 def test_register_duplicate_rejected():
     gateway, _ = make_gateway()
-    gateway.script_mock("a", [MockRule(match="", reply="ok")])
+    gateway.script_mock("a", [{"match": "", "reply": "ok"}])
     with pytest.raises(DuplicateBackend):
-        gateway.script_mock("a", [MockRule(match="", reply="ok")])
+        gateway.script_mock("a", [{"match": "", "reply": "ok"}])
 
 
 def test_unknown_backend():
@@ -100,7 +99,7 @@ def test_message_validation():
 
 def test_scripted_reply():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [MockRule(match="forecast", reply="Up")])
+    gateway.script_mock("m", [{"match": "forecast", "reply": "Up"}])
     exchange = gateway.chat("m", user("please forecast"))
     assert exchange.response_text == "Up"
     assert exchange.attempt_count == 1
@@ -111,8 +110,8 @@ def test_first_match_wins():
     gateway.script_mock(
         "m",
         [
-            MockRule(match="forecast", reply="first"),
-            MockRule(match="forecast", reply="second"),
+            {"match": "forecast", "reply": "first"},
+            {"match": "forecast", "reply": "second"},
         ],
     )
     assert gateway.chat("m", user("forecast please")).response_text == "first"
@@ -120,13 +119,13 @@ def test_first_match_wins():
 
 def test_no_match_yields_sentinel():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [MockRule(match="forecast", reply="Up")])
+    gateway.script_mock("m", [{"match": "forecast", "reply": "Up"}])
     assert gateway.chat("m", user("hello")).response_text == MOCK_SENTINEL
 
 
 def test_match_against_last_user_message():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [MockRule(match="second", reply="matched")])
+    gateway.script_mock("m", [{"match": "second", "reply": "matched"}])
     messages = [
         ChatMessage(role="system", content="second to none"),
         ChatMessage(role="user", content="first question"),
@@ -142,9 +141,9 @@ def test_mock_is_pure_function_of_script_and_history():
         gateway.script_mock(
             "m",
             [
-                MockRule(match="flaky", fail=True, times=1),
-                MockRule(match="flaky", reply="recovered"),
-                MockRule(match="", reply="default"),
+                {"match": "flaky", "fail": True, "times": 1},
+                {"match": "flaky", "reply": "recovered"},
+                {"match": "", "reply": "default"},
             ],
         )
         outs = []
@@ -158,13 +157,15 @@ def test_mock_is_pure_function_of_script_and_history():
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
-        MockRule(match="x")  # neither reply nor fail
-    with pytest.raises(ValueError):
-        MockRule(match="x", reply="y", fail=True)
-    with pytest.raises(ValueError):
-        MockRule(match="x", reply="y", times=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one of reply or fail"):
+        MockTransport([{"match": "x"}])
+    with pytest.raises(ValueError, match="exactly one of reply or fail"):
+        MockTransport([{"match": "x", "reply": "y", "fail": True}])
+    with pytest.raises(ValueError, match="times only applies to fail rules"):
+        MockTransport([{"match": "x", "reply": "y", "times": 2}])
+    with pytest.raises(ValueError, match="times must be at least 1"):
+        MockTransport([{"match": "x", "fail": True, "times": 0}])
+    with pytest.raises(ValueError, match="at least one rule"):
         MockTransport([])
 
 
@@ -176,8 +177,8 @@ def test_fail_twice_then_succeed():
     gateway.script_mock(
         "m",
         [
-            MockRule(match="forecast", fail=True, times=2),
-            MockRule(match="forecast", reply="OK"),
+            {"match": "forecast", "fail": True, "times": 2},
+            {"match": "forecast", "reply": "OK"},
         ],
         max_retries=2,
     )
@@ -191,7 +192,7 @@ def test_fail_twice_then_succeed():
 def test_always_fail_exhausts():
     gateway, sleeps = make_gateway()
     gateway.script_mock(
-        "m", [MockRule(match="", fail=True)], max_retries=1
+        "m", [{"match": "", "fail": True}], max_retries=1
     )
     with pytest.raises(TransportExhausted) as exc:
         gateway.chat("m", user("anything"))
@@ -201,7 +202,7 @@ def test_always_fail_exhausts():
 
 def test_zero_retries_fails_fast():
     gateway, sleeps = make_gateway()
-    gateway.script_mock("m", [MockRule(match="", fail=True)], max_retries=0)
+    gateway.script_mock("m", [{"match": "", "fail": True}], max_retries=0)
     with pytest.raises(TransportExhausted):
         gateway.chat("m", user("x"))
     assert sleeps == []
@@ -247,7 +248,7 @@ def test_malformed_response_not_retried():
 
 def test_empty_messages_rejected():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [MockRule(match="", reply="ok")])
+    gateway.script_mock("m", [{"match": "", "reply": "ok"}])
     with pytest.raises(ValueError):
         gateway.chat("m", [])
 
@@ -270,8 +271,8 @@ def test_latency_is_the_monotonic_time_of_one_call_with_its_retry_sleep():
         BackendSpec(backend_id="m", base_url="mock://m", model_name="m"),
         transport=SlowMock(
             [
-                MockRule(match="", fail=True, times=1),
-                MockRule(match="", reply="ok"),
+                {"match": "", "fail": True, "times": 1},
+                {"match": "", "reply": "ok"},
             ]
         ),
     )
@@ -680,7 +681,7 @@ def test_chat_many_runs_mock_batches_inline_in_order():
     for backend_id in ("a", "b"):
         gateway.register_backend(
             BackendSpec(backend_id=backend_id, base_url="mock://x", model_name="m"),
-            transport=WatchedMock([MockRule(match="", reply=backend_id)]),
+            transport=WatchedMock([{"match": "", "reply": backend_id}]),
         )
     requests = [("a", user("one")), ("b", user("two")), ("a", user("three"))]
     outcomes = gateway.chat_many(requests)

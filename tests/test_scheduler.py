@@ -640,7 +640,12 @@ def test_judged_dimension_without_judge_backend_sends_no_probe(
 
 
 def test_judge_chats_of_an_evaluation_go_out_together(tmp_path: Path) -> None:
-    # The judge answers only once the chats of all records are in flight.
+    # The judge answers only once the chats of all records are in flight,
+    # and scores the response it grades: a verdict read for another probe
+    # than its own moves alpha's or beta's mean.
+    def judge(text: str) -> str:
+        return "score: 0.1" if "no comment" in text else "score: 0.9"
+
     barrier = threading.Barrier(2 * len(REFERENCE), timeout=5)
     scheduler, gateway = make_scheduler(
         tmp_path,
@@ -648,13 +653,14 @@ def test_judge_chats_of_an_evaluation_go_out_together(tmp_path: Path) -> None:
         judge_backend_id="judge",
         weights={"clarity": 1.0},
     )
-    register_judge(gateway, RemoteTransport(lambda _t: "score: 0.5", barrier))
+    register_judge(gateway, RemoteTransport(judge, barrier))
     register(scheduler, "alpha", "good")
     register(scheduler, "beta", "bad")
     alpha, beta = scheduler.evaluate_agents(
         [("alpha", judged_dataset()), ("beta", judged_dataset())]
     )
-    assert alpha.raw_scores == beta.raw_scores == {"clarity": 0.5}
+    assert alpha.raw_scores == {"clarity": 0.9}
+    assert beta.raw_scores == {"clarity": 0.1}
 
 
 def test_first_failed_judge_chat_in_grading_order_is_raised(
