@@ -198,6 +198,16 @@ def _nonblank(value: str) -> str:
     return value
 
 
+def _symbol(value: str) -> str:
+    """A ticker names a run dir and a fixture file: no path separator or
+    control character in it (``BRK.B`` and ``^GSPC`` pass)."""
+    if any(ch in "/\\" or not ch.isprintable() for ch in _nonblank(value)):
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a ticker: it holds '/', '\\' or a control character"
+        )
+    return value
+
+
 def _date(value: str) -> dt.date:
     try:
         return dt.datetime.strptime(value, "%Y-%m-%d").date()
@@ -263,7 +273,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     command(route, "--offline", "--json").add_argument("task_kind", choices=TASK_KINDS)
     sub = command(forecast, "--offline", "--lang")
-    sub.add_argument("symbol", metavar="SYMBOL", type=_nonblank)
+    sub.add_argument("symbol", metavar="SYMBOL", type=_symbol)
     sub.add_argument(
         "--cutoff",
         type=_date,

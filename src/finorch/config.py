@@ -13,12 +13,12 @@ naming its key.
 ``build_engine`` wires the whole stack two ways:
 
 * live — HTTP transport, real provider, disk response cache, wall clock;
-* offline — scripted mock backends, fixture provider, scores under
-  ``state_dir/offline``, a fixed clock for scoring and another for task
-  runs (so a run's stamps do not depend on whether it evaluated first),
-  each ticking once per stamp written, and a guard transport so nothing
-  can reach the network by accident. Chats are timed by the gateway's
-  monotonic timer, never by a clock.
+* offline — the config's own backends, each answered by a scripted
+  ``MockTransport``, fixture provider, scores under ``state_dir/offline``,
+  a fixed clock for scoring and another for task runs (so a run's stamps
+  do not depend on whether it evaluated first), each ticking once per
+  stamp written; no HTTP client is ever built. Chats are timed by the
+  gateway's monotonic timer, never by a clock.
 
 The scheduler, built with the config's ``golden_dir``, decides when to
 score (``Scheduler.ensure_scores``); ``Engine.forecast`` and
@@ -46,7 +46,6 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
-import random
 from collections.abc import Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -56,7 +55,7 @@ import yaml
 
 from finorch.clock import Clock, FixedClock, SystemClock
 from finorch.errors import ConfigError, EngineError, WeightSumInvalid
-from finorch.gateway import BackendSpec, Gateway
+from finorch.gateway import BackendSpec, Gateway, MockTransport
 from finorch.prompts import LANGUAGES, PromptStore
 from finorch.record import Record
 from finorch.scheduler import TASK_KINDS, AgentProfile, Scheduler, check_weights
@@ -409,16 +408,6 @@ def generate_report(*args: Any, **kwargs: Any) -> ReportResult:
     return generate_report(*args, **kwargs)
 
 
-class _OfflineGuard:
-    """Default transport in offline mode: any use is a wiring bug."""
-
-    def send(self, spec: BackendSpec, payload: dict[str, Any]) -> dict[str, Any]:
-        raise ConfigError(
-            f"offline mode: backend {spec.backend_id!r} has no script and "
-            "may not touch the network"
-        )
-
-
 class Engine:
     """One assembled stack: gateway, scheduler, data, prompts, and dirs.
 
@@ -523,27 +512,19 @@ def build_engine(config: EngineConfig, offline: bool = False) -> Engine:
     clock: Clock = FixedClock() if offline else SystemClock()
     run_clock: Clock = FixedClock() if offline else clock
 
+    # Offline, each configured backend answers from its script. Live, the
+    # gateway builds its HTTP transport at the first chat, in the calling
+    # thread, so a route on persisted scores loads no HTTP stack.
+    gateway = Gateway()
     if offline:
-        from finorch import offline as offline_scripts
-
-        gateway = Gateway(
-            transport=_OfflineGuard(),
-            sleeper=lambda seconds: None,
-            rng=random.Random(0),
+        from finorch.offline import script_for
+    for spec in config.backends:
+        gateway.register_backend(
+            spec,
+            MockTransport(script_for(spec.backend_id, config.judge_backend_id))
+            if offline
+            else None,
         )
-        for spec in config.backends:
-            gateway.script_mock(
-                spec.backend_id,
-                offline_scripts.script_for(
-                    spec.backend_id, config.judge_backend_id
-                ),
-            )
-    else:
-        # The gateway builds its HTTP transport at the first chat, in the
-        # calling thread, so a route on persisted scores loads no HTTP stack.
-        gateway = Gateway()
-        for spec in config.backends:
-            gateway.register_backend(spec)
 
     prompt_store = PromptStore(config.prompt_dir)
     scheduler = Scheduler(

@@ -15,7 +15,7 @@ import threading
 from pathlib import Path
 from typing import Any, Mapping
 
-from finorch.errors import CacheMiss, ImmutableEntry
+from finorch.errors import CacheMiss, ImmutableEntry, unusable_path
 
 __all__ = ["ResponseCache", "cache_key", "canonical_bytes"]
 
@@ -42,7 +42,8 @@ class ResponseCache:
 
     def __init__(self, root: Path | str):
         self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
+        with unusable_path("use cache directory", self._root):
+            self._root.mkdir(parents=True, exist_ok=True)
         self._write_lock = threading.Lock()
         self.hits = 0
         self.misses = 0

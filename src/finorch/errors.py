@@ -7,6 +7,9 @@ workflow carry the role that owned the failing stage in ``role``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class EngineError(Exception):
     """Base class for all domain errors."""
@@ -276,3 +279,13 @@ class ExtractionFailure(EngineError):
 
 class ConfigError(EngineError):
     pass
+
+
+@contextmanager
+def unusable_path(action: str, path: object) -> Iterator[None]:
+    """An ``OSError`` in the block, such as a file where a directory
+    belongs, is a ``ConfigError`` that reads ``cannot <action> <path>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot {action} {path}: {exc}") from None

@@ -10,8 +10,8 @@ A gateway given no transport builds that default at its first chat, in the
 calling thread, and with it the client and its modules, so a live ``route``
 on persisted scores, which sends nothing, never loads them.
 
-A deterministic scripted mock transport ships alongside the HTTP one so
-every higher layer is testable offline.
+``MockTransport`` is the scripted, deterministic stand-in: offline, each
+configured backend is registered with one.
 
 Independent requests go through ``Gateway.chat_many``, which keeps up to
 ``MAX_IN_FLIGHT`` of them in flight per backend id, on workers that live as
@@ -270,22 +270,6 @@ class Gateway:
             self._transports[spec.backend_id] = transport
         return spec.backend_id
 
-    def script_mock(
-        self,
-        backend_id: str,
-        script: Sequence[Mapping[str, Any]],
-        **overrides: Any,
-    ) -> BackendSpec:
-        """Register an in-process scripted backend and return its spec."""
-        spec = BackendSpec(
-            backend_id=backend_id,
-            base_url="mock://" + backend_id,
-            model_name=overrides.pop("model_name", "mock-model"),
-            **overrides,
-        )
-        self.register_backend(spec, transport=MockTransport(script))
-        return spec
-
     def get_backend(self, backend_id: str) -> BackendSpec:
         try:
             return self._backends[backend_id]
@@ -349,7 +333,8 @@ class Gateway:
         mock fail budgets in a fixed order.
         """
         batch = list(batch)
-        transports = [self._transport_for(backend_id) for backend_id, _ in batch]
+        # An unknown backend fails with UnknownBackend and needs no transport.
+        transports = [self._transport_for(b) for b, _ in batch if b in self._backends]
         if len(batch) < 2 or all(isinstance(t, MockTransport) for t in transports):
             return [self._outcome(request) for request in batch]
         from concurrent.futures import wait

@@ -64,6 +64,7 @@ from finorch.errors import (
     NoScoredAgents,
     UnknownAgent,
     WeightSumInvalid,
+    unusable_path,
 )
 from finorch.gateway import ChatExchange, ChatMessage, Gateway
 from finorch.prompts import PromptStore
@@ -352,10 +353,11 @@ def _latest_scores(
     composite that older versions stored) are ignored. A torn or malformed
     row it reads is a ConfigError naming the file and the line.
     """
-    try:
-        handle = log.open("rb")
-    except FileNotFoundError:
-        return {}
+    with unusable_path("read state file", log):
+        try:
+            handle = log.open("rb")
+        except FileNotFoundError:
+            return {}
     latest: dict[ScoreKey, TaskScore] = {}
     missing = set(wanted)
     with handle:
@@ -416,7 +418,8 @@ class Scheduler:
         self._gateway = gateway
         self._store = prompt_store
         self._state_dir = Path(state_dir)
-        self._state_dir.mkdir(parents=True, exist_ok=True)
+        with unusable_path("use state directory", self._state_dir):
+            self._state_dir.mkdir(parents=True, exist_ok=True)
         self._weights = {k: dict(v) for k, v in (weights or {}).items()}
         self._judge_backend_id = judge_backend_id
         self._language = language
@@ -457,7 +460,7 @@ class Scheduler:
         text = "".join(
             json.dumps(row, ensure_ascii=False) + "\n" for row in rows
         )
-        with self._write_lock:
+        with self._write_lock, unusable_path("write state file", path):
             with path.open("a+b") as handle:
                 end = handle.seek(0, os.SEEK_END)
                 if end:

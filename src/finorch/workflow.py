@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from finorch.clock import Clock, isoformat
-from finorch.errors import ConfigError, EngineError
+from finorch.errors import ConfigError, EngineError, unusable_path
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
 from finorch.record import Record
@@ -71,8 +71,9 @@ class Trace:
     def __init__(self, path: Path, clock: Clock):
         self._path = path
         self._clock = clock
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("", encoding="utf-8")
+        with unusable_path("write run trace", path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("", encoding="utf-8")
 
     def emit(self, role: str, record: dict[str, Any]) -> None:
         full = {"role": role, "at": isoformat(self._clock.now()), **record}
@@ -100,14 +101,15 @@ def _replace_text(path: Path, text: str) -> None:
     never a torn one, and a failed write leaves no temporary file. The
     file is opened like any new one, so the umask sets its mode."""
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    handle = open(tmp, "x", encoding="utf-8")
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with unusable_path("write run artifact", path):
+        handle = open(tmp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 class Outcome(Record):

@@ -21,6 +21,8 @@ from finorch.gateway import Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, Scheduler
 
+from scripted import script_backend
+
 GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
@@ -37,7 +39,7 @@ def test_grown_history_routes_to_the_expected_agents(gen, tmp_path, seed):
     gen.write_history(tmp_path, seed)
     gateway = Gateway(sleeper=lambda _s: None, rng=random.Random(0))
     for backend_id in sorted({backend for _, backend, _ in gen.AGENTS}):
-        gateway.script_mock(backend_id, [{"match": "", "reply": "unused"}])
+        script_backend(gateway, backend_id, [{"match": "", "reply": "unused"}])
     scheduler = Scheduler(gateway, PromptStore(), tmp_path, weights=gen.WEIGHTS)
     for agent_id, backend_id, kind in gen.AGENTS:
         scheduler.register_agent(AgentProfile(agent_id, backend_id, [kind]))

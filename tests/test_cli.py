@@ -289,6 +289,26 @@ class TestForecastCommand:
         result = invoke(config_path, "forecast", "--offline")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "symbol",
+        ["/../../escape", "..\\..\\escape", "AA/PL", "AAPL\n", "AA\x00PL"],
+        ids=["slash-traversal", "backslash-traversal", "slash", "newline", "nul"],
+    )
+    def test_symbol_that_is_not_a_ticker_is_usage_error(
+        self, config_path, tmp_path, symbol
+    ):
+        """SYMBOL names the run directory and the fixture file, so a path
+        separator or a control character in it is refused before the config
+        loads, and nothing is written."""
+        result = invoke(config_path, "forecast", symbol, "--offline")
+        assert result.exit_code == 2
+        assert "is not a ticker" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    @pytest.mark.parametrize("symbol", ["BRK.B", "^GSPC", "AAPL"])
+    def test_real_tickers_are_symbols(self, symbol):
+        assert _parser().parse_args(["forecast", symbol]).symbol == symbol
+
     def test_offline_runs_with_network_disabled(
         self, config_path, monkeypatch
     ):
@@ -586,12 +606,13 @@ class TestEvaluateAndRoute:
         ids=["forecast", "report", "evaluate", "route"],
     )
     def test_offline_command_loads_no_http_client(self, config_path, args):
-        """Offline never opens a socket, so no offline command pays for
-        importing an HTTP client, or the date parser it reads a
+        """Offline never opens a socket: every backend answers from its
+        script, so no offline command pays for importing an HTTP client,
+        its wire code, ``socket``, or the date parser it reads a
         Retry-After header with."""
         assert imported_by_offline_command(
             config_path, args, "requests", "urllib3", "http.client",
-            "email.utils",
+            "email.utils", "socket", "finorch.http11",
         ) == "[]"
 
     @pytest.mark.parametrize(
@@ -1118,6 +1139,81 @@ def test_an_unreadable_input_file_is_one_error_line(tmp_path, setup, prefix):
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith(f"{prefix} {broken}: ")
+
+
+def a_file_at(path: Path) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("not a directory\n", encoding="utf-8")
+    return path
+
+
+def a_dir_at(path: Path) -> Path:
+    path.mkdir(parents=True)
+    return path
+
+
+@pytest.mark.parametrize(
+    "args, unusable, prefix",
+    [
+        (["evaluate", "--offline"], lambda tmp: a_file_at(tmp / "state"),
+         "error: cannot use state directory"),
+        (["route", "forecast"], lambda tmp: a_file_at(tmp / "state"),
+         "error: cannot use state directory"),
+        (["forecast", "AAPL", "--offline"], lambda tmp: a_file_at(tmp / "runs"),
+         "error: cannot write run trace"),
+        (["route", "forecast", "--offline"],
+         lambda tmp: a_dir_at(tmp / "state" / "offline" / "task_scores.jsonl"),
+         "error: cannot read state file"),
+        (["evaluate", "--offline"],
+         lambda tmp: a_dir_at(tmp / "state" / "offline" / "task_scores.jsonl"),
+         "error: cannot read state file"),
+        (["forecast", "AAPL", "--offline"],
+         lambda tmp: a_dir_at(tmp / "state" / "offline" / "reflections.jsonl"),
+         "error (Financial Analyst): cannot write state file"),
+        (["forecast", "AAPL", "--offline"],
+         lambda tmp: a_dir_at(
+             tmp / "runs" / "forecast-AAPL-20240419-h7-en" / "forecast.json"
+         ),
+         "error: cannot write run artifact"),
+    ],
+    ids=[
+        "state-dir-offline", "state-dir-live", "runs-dir", "scores-read",
+        "scores-write", "reflections", "artifact",
+    ],
+)
+def test_an_unusable_state_or_runs_path_is_one_error_line(
+    config_path, tmp_path, args, unusable, prefix
+):
+    """A state or runs path that is a file where a directory belongs, or a
+    directory where a file belongs, is one error line naming the path (or
+    the file under it that could not be made), and leaves no temporary
+    file behind."""
+    path = unusable(tmp_path)
+    result = invoke(config_path, *args)
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"{prefix} {path}")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_an_unusable_cache_dir_is_one_error_line(
+    config_path, tmp_path, monkeypatch
+):
+    """A live forecast on persisted scores builds the response cache before
+    any request, and a cache_dir that is a file is one error line."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the test attempted a network call")
+
+    monkeypatch.setattr(socket, "socket", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    persist_forecast_scores(tmp_path / "state")
+    path = a_file_at(tmp_path / "cache")
+    result = invoke(config_path, "forecast", "AAPL")
+    assert result.exit_code == 1, result.output
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: cannot use cache directory {path}: ")
 
 
 class TestSelfcheck:

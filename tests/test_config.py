@@ -8,14 +8,15 @@ from pathlib import Path
 import pytest
 import yaml
 
+from finorch import httpclient
 from finorch.config import (
     EngineConfig,
     _yaml_loader,
     build_engine,
     load_config,
 )
-from finorch.errors import ConfigError
-from finorch.gateway import BackendSpec, ChatMessage
+from finorch.errors import ConfigError, UnknownBackend
+from finorch.gateway import BackendSpec, ChatMessage, MockTransport
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -444,21 +445,46 @@ class TestBuildEngineOffline:
         profile = engine.market_data.get_company_profile("AAPL")
         assert profile.name == "Apple Inc"
 
-    def test_offline_guard_blocks_unscripted_backends(self, tmp_path):
+    def test_offline_engine_builds_no_http_client(self, tmp_path, monkeypatch):
+        """Offline, every configured backend answers from its script, and a
+        chat to any other backend id is an UnknownBackend before a
+        transport is built, so no offline chat can reach the network."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an offline engine built an HTTP client")
+
+        monkeypatch.setattr(httpclient, "_shared", None)
+        monkeypatch.setattr(httpclient.HttpClient, "__init__", refuse)
         engine = build_engine(load_config(write_config(tmp_path)), offline=True)
-        # Simulate a wiring bug: a freshly registered backend with no
-        # script must hit the guard, not the network.
-        engine.gateway.register_backend(
-            BackendSpec(
-                backend_id="rogue",
-                base_url="https://live.example.com/v1",
-                model_name="rogue-model",
-            )
+        hello = [ChatMessage(role="user", content="hello")]
+        scripted, rogue = engine.gateway.chat_many(
+            [("primary", hello), ("rogue", hello)]
         )
-        with pytest.raises(ConfigError, match="offline mode"):
-            engine.gateway.chat(
-                "rogue", [ChatMessage(role="user", content="hello")]
-            )
+        assert scripted.response_text
+        assert isinstance(rogue, UnknownBackend)
+        with pytest.raises(UnknownBackend):
+            engine.gateway.chat("rogue", hello)
+
+    def test_offline_chats_carry_the_configured_backend(
+        self, tmp_path, monkeypatch
+    ):
+        """An offline engine registers the config's own backends, so a
+        scripted chat is sent with the configured model and settings."""
+        sent = []
+        send = MockTransport.send
+
+        def spy(transport, spec, payload):
+            sent.append((spec, payload))
+            return send(transport, spec, payload)
+
+        monkeypatch.setattr(MockTransport, "send", spy)
+        config = load_config(write_config(tmp_path))
+        engine = build_engine(config, offline=True)
+        engine.gateway.chat("judge", [ChatMessage(role="user", content="hi")])
+        [(spec, payload)] = sent
+        assert spec == config.backends[2]
+        assert payload["model"] == "judge-model"
+        assert payload["max_tokens"] == spec.max_tokens
 
     def test_offline_clock_is_fixed(self, tmp_path):
         engine_a = build_engine(

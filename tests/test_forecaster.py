@@ -35,6 +35,7 @@ from finorch.errors import (
 from finorch.gateway import Gateway
 from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, GoldenRecord, Scheduler
+from scripted import script_backend
 from test_dataops import MALFORMED_BODIES, FakeClient, with_body
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -390,7 +391,8 @@ def build_pipeline(tmp_path: Path, assessment: dict | None = None):
     gateway = Gateway(
         sleeper=lambda _s: None, rng=random.Random(0)
     )
-    gateway.script_mock(
+    script_backend(
+        gateway,
         "forecaster-backend",
         [
             {"match": task_id, **assessment},
@@ -398,7 +400,7 @@ def build_pipeline(tmp_path: Path, assessment: dict | None = None):
             {"match": "AAPL", "reply": FORECAST_REPLY},
         ],
     )
-    gateway.script_mock("judge", [{"match": "", "reply": "score: 1.0 accepted"}])
+    script_backend(gateway, "judge", [{"match": "", "reply": "score: 1.0 accepted"}])
     scheduler = Scheduler(
         gateway=gateway,
         prompt_store=PromptStore(),

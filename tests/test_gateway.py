@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from finorch import httpclient
 from finorch.errors import (
     ConfigError,
     DuplicateBackend,
@@ -32,6 +33,8 @@ from finorch.gateway import (
     MockTransport,
 )
 from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
+
+from scripted import script_backend
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -62,15 +65,32 @@ def user(text: str) -> list[ChatMessage]:
 
 def test_register_duplicate_rejected():
     gateway, _ = make_gateway()
-    gateway.script_mock("a", [{"match": "", "reply": "ok"}])
+    script_backend(gateway, "a", [{"match": "", "reply": "ok"}])
     with pytest.raises(DuplicateBackend):
-        gateway.script_mock("a", [{"match": "", "reply": "ok"}])
+        script_backend(gateway, "a", [{"match": "", "reply": "ok"}])
 
 
 def test_unknown_backend():
     gateway, _ = make_gateway()
     with pytest.raises(UnknownBackend):
         gateway.chat("ghost", user("hi"))
+
+
+def test_unknown_backend_in_a_batch_builds_no_http_client(monkeypatch):
+    """A request to an unknown backend ends in UnknownBackend before any
+    transport is built, so it never builds the HTTP client."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an HTTP client")
+
+    monkeypatch.setattr(httpclient, "_shared", None)
+    monkeypatch.setattr(HttpClient, "__init__", refuse)
+    gateway, _ = make_gateway()
+    script_backend(gateway, "m", [{"match": "", "reply": "ok"}])
+    for batch in ([("ghost", user("hi"))], [("m", user("a")), ("ghost", user("b"))]):
+        *answered, outcome = gateway.chat_many(batch)
+        assert [a.response_text for a in answered] == ["ok"] * len(answered)
+        assert isinstance(outcome, UnknownBackend)
 
 
 def test_spec_validation():
@@ -99,7 +119,7 @@ def test_message_validation():
 
 def test_scripted_reply():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [{"match": "forecast", "reply": "Up"}])
+    script_backend(gateway, "m", [{"match": "forecast", "reply": "Up"}])
     exchange = gateway.chat("m", user("please forecast"))
     assert exchange.response_text == "Up"
     assert exchange.attempt_count == 1
@@ -107,7 +127,8 @@ def test_scripted_reply():
 
 def test_first_match_wins():
     gateway, _ = make_gateway()
-    gateway.script_mock(
+    script_backend(
+        gateway,
         "m",
         [
             {"match": "forecast", "reply": "first"},
@@ -119,13 +140,13 @@ def test_first_match_wins():
 
 def test_no_match_yields_sentinel():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [{"match": "forecast", "reply": "Up"}])
+    script_backend(gateway, "m", [{"match": "forecast", "reply": "Up"}])
     assert gateway.chat("m", user("hello")).response_text == MOCK_SENTINEL
 
 
 def test_match_against_last_user_message():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [{"match": "second", "reply": "matched"}])
+    script_backend(gateway, "m", [{"match": "second", "reply": "matched"}])
     messages = [
         ChatMessage(role="system", content="second to none"),
         ChatMessage(role="user", content="first question"),
@@ -138,7 +159,8 @@ def test_match_against_last_user_message():
 def test_mock_is_pure_function_of_script_and_history():
     def run() -> list[str]:
         gateway, _ = make_gateway()
-        gateway.script_mock(
+        script_backend(
+            gateway,
             "m",
             [
                 {"match": "flaky", "fail": True, "times": 1},
@@ -174,7 +196,8 @@ def test_rule_validation():
 
 def test_fail_twice_then_succeed():
     gateway, sleeps = make_gateway()
-    gateway.script_mock(
+    script_backend(
+        gateway,
         "m",
         [
             {"match": "forecast", "fail": True, "times": 2},
@@ -191,7 +214,8 @@ def test_fail_twice_then_succeed():
 
 def test_always_fail_exhausts():
     gateway, sleeps = make_gateway()
-    gateway.script_mock(
+    script_backend(
+        gateway,
         "m", [{"match": "", "fail": True}], max_retries=1
     )
     with pytest.raises(TransportExhausted) as exc:
@@ -202,7 +226,7 @@ def test_always_fail_exhausts():
 
 def test_zero_retries_fails_fast():
     gateway, sleeps = make_gateway()
-    gateway.script_mock("m", [{"match": "", "fail": True}], max_retries=0)
+    script_backend(gateway, "m", [{"match": "", "fail": True}], max_retries=0)
     with pytest.raises(TransportExhausted):
         gateway.chat("m", user("x"))
     assert sleeps == []
@@ -248,7 +272,7 @@ def test_malformed_response_not_retried():
 
 def test_empty_messages_rejected():
     gateway, _ = make_gateway()
-    gateway.script_mock("m", [{"match": "", "reply": "ok"}])
+    script_backend(gateway, "m", [{"match": "", "reply": "ok"}])
     with pytest.raises(ValueError):
         gateway.chat("m", [])
 

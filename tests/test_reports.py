@@ -36,6 +36,8 @@ from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, GoldenRecord, Scheduler
 from finorch.workflow import ROLE_ASSISTANT, ROLE_FINANCIAL_ANALYST
 
+from scripted import script_backend
+
 FILING = Path(__file__).parent / "fixtures" / "acme_filing.txt"
 
 
@@ -114,9 +116,9 @@ def scripted_gateway(scripts: dict[str, list[dict]]) -> Gateway:
     gateway = Gateway(
         sleeper=lambda _s: None, rng=random.Random(0)
     )
-    gateway.script_mock("extractor", extractor_script())
+    script_backend(gateway, "extractor", extractor_script())
     for backend_id, script in scripts.items():
-        gateway.script_mock(backend_id, script)
+        script_backend(gateway, backend_id, script)
     return gateway
 
 
@@ -285,7 +287,7 @@ def report_setup(tmp_path: Path, writer_transport=None):
             ),
             transport=writer_transport,
         )
-    gateway.script_mock("judge", [{"match": "", "reply": "score: 1.0"}])
+    script_backend(gateway, "judge", [{"match": "", "reply": "score: 1.0"}])
     scheduler = Scheduler(
         gateway=gateway,
         prompt_store=PromptStore(),

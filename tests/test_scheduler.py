@@ -56,6 +56,7 @@ from oracles import (
     oracle_ranking,
     oracle_token_f1,
 )
+from scripted import script_backend
 
 
 # ------------------------------------------------------------ score mathema
@@ -267,7 +268,7 @@ def make_scheduler(
         sleeper=lambda _s: None, rng=random.Random(0)
     )
     for backend_id, script in scripts.items():
-        gateway.script_mock(backend_id, script)
+        script_backend(gateway, backend_id, script)
     scheduler = Scheduler(
         gateway=gateway,
         prompt_store=PromptStore(),

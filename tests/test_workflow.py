@@ -35,6 +35,8 @@ from finorch.workflow import (
     run_task,
 )
 
+from scripted import script_backend
+
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 WATERMARK = "ZZWATERMARKQ7"
 
@@ -200,7 +202,7 @@ def build_scheduler(
     )
     for backend_id, script in scripts.items():
         if remote is None:
-            gateway.script_mock(backend_id, script)
+            script_backend(gateway, backend_id, script)
         else:
             gateway.register_backend(
                 BackendSpec(backend_id, f"http://{backend_id}.test", "m"),
