@@ -483,7 +483,6 @@ def run_forecaster(
     task = Task(
         task_id=forecast_task_id(symbol, cutoff, horizon, language),
         task_kind="forecast",
-        subject=symbol,
         instruction_text=(
             f"Forecast {symbol} for the week after {cutoff.isoformat()}; "
             "give tagged positives, concerns, and a banded prediction."

@@ -201,13 +201,7 @@ def chunk_text(
         piece = text[start : start + chunk_size]
         if not piece:
             break
-        chunks.append(
-            Document(
-                doc_id=f"chunk-{n:04d}",
-                text=piece,
-                metadata={"offset": start},
-            )
-        )
+        chunks.append(Document(doc_id=f"chunk-{n:04d}", text=piece))
         if start + chunk_size >= len(text):
             break
     return chunks
@@ -399,7 +393,6 @@ def generate_report(
     task = Task(
         task_id=task_id,
         task_kind="report",
-        subject=subject,
         instruction_text=(
             f"Write a five-section research note on {subject} grounded in "
             "the analyzed document."

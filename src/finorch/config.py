@@ -73,21 +73,6 @@ __all__ = [
     "load_config",
 ]
 
-_TOP_LEVEL_KEYS = {
-    "backends",
-    "agents",
-    "weights",
-    "provider",
-    "judge_backend_id",
-    "default_language",
-    "state_dir",
-    "runs_dir",
-    "cache_dir",
-    "golden_dir",
-    "fixture_dir",
-    "prompt_dir",
-}
-
 _SECRET_KEYS = ("api_key", "token", "secret", "password")
 
 # Optional numeric backend keys; absent ones take the BackendSpec default.
@@ -322,7 +307,7 @@ def load_config(path: Path | str) -> EngineConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config {path} must be a YAML mapping")
 
-    unknown = set(raw) - _TOP_LEVEL_KEYS
+    unknown = set(raw) - set(EngineConfig.__slots__)
     if unknown:
         raise ConfigError(f"config has unknown top-level keys {sorted(unknown)}")
 

@@ -58,11 +58,12 @@ class ResponseCache:
 
     def get(self, key: str) -> bytes:
         path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            self.misses += 1
-            raise CacheMiss(f"no cache entry for {key}") from None
+        with unusable_path("read cache entry", path):
+            try:
+                data = path.read_bytes()
+            except FileNotFoundError:
+                self.misses += 1
+                raise CacheMiss(f"no cache entry for {key}") from None
         self.hits += 1
         return data
 
@@ -70,7 +71,9 @@ class ResponseCache:
         path = self._path(key)
         with self._write_lock:
             if path.exists():
-                if path.read_bytes() == data:
+                with unusable_path("read cache entry", path):
+                    existing = path.read_bytes()
+                if existing == data:
                     return  # identical re-put: no-op
                 raise ImmutableEntry(
                     f"cache entry {key} already exists with different bytes"

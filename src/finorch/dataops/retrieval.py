@@ -85,24 +85,17 @@ def _term_counts(text: str) -> Counter[str]:
 
 
 class Document(Record):
-    __slots__ = ("doc_id", "text", "metadata")
+    __slots__ = ("doc_id", "text")
 
-    def __init__(
-        self, doc_id: str, text: str, metadata: Mapping[str, Any] | None = None
-    ) -> None:
-        metadata = {} if metadata is None else metadata
-        super().__init__(doc_id, text, metadata)
+    def __init__(self, doc_id: str, text: str) -> None:
+        super().__init__(doc_id, text)
 
 
 class RetrievedPassage(Record):
-    __slots__ = ("doc_id", "text", "score", "metadata")
+    __slots__ = ("doc_id", "text", "score")
 
-    def __init__(
-        self, doc_id: str, text: str, score: float,
-        metadata: Mapping[str, Any] | None = None
-    ) -> None:
-        metadata = {} if metadata is None else metadata
-        super().__init__(doc_id, text, score, metadata)
+    def __init__(self, doc_id: str, text: str, score: float) -> None:
+        super().__init__(doc_id, text, score)
 
 
 class RetrievalIndex(Record):
@@ -129,10 +122,8 @@ class RetrievalIndex(Record):
 def _as_document(raw: Document | Sequence[Any]) -> Document:
     if isinstance(raw, Document):
         return raw
-    if len(raw) == 2:
-        return Document(doc_id=str(raw[0]), text=str(raw[1]))
-    doc_id, text, metadata = raw
-    return Document(doc_id=str(doc_id), text=str(text), metadata=metadata)
+    doc_id, text = raw
+    return Document(doc_id=str(doc_id), text=str(text))
 
 
 def index_documents(
@@ -184,12 +175,7 @@ def retrieve(index: RetrievalIndex, query: str, k: int) -> list[RetrievedPassage
         raise ValueError(f"k must be at least 1, got {k}")
     scores = bm25_scores(index, query)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    out: list[RetrievedPassage] = []
-    for doc_id, score in ranked[:k]:
-        doc = index.document(doc_id)
-        out.append(
-            RetrievedPassage(
-                doc_id=doc_id, text=doc.text, score=score, metadata=doc.metadata
-            )
-        )
-    return out
+    return [
+        RetrievedPassage(doc_id, index.document(doc_id).text, score)
+        for doc_id, score in ranked[:k]
+    ]

@@ -89,10 +89,6 @@ class DimensionMismatch(EngineError):
     pass
 
 
-class EmptyDataset(EngineError):
-    pass
-
-
 class GatewayFailure(EngineError):
     """Gateway error during evaluation, annotated with the record id."""
 

@@ -55,7 +55,6 @@ from finorch.errors import (
     ConfigError,
     DimensionMismatch,
     DuplicateAgent,
-    EmptyDataset,
     EmptyInput,
     EngineError,
     GatewayFailure,
@@ -123,8 +122,8 @@ class AgentProfile(Record):
 
 
 class GoldenRecord(Record):
-    """One golden-dataset record; ``dimension_labels`` is stored as a
-    tuple."""
+    """One golden-dataset record, as ``load_golden_dataset`` checks it;
+    ``dimension_labels`` is stored as a tuple."""
 
     __slots__ = (
         "record_id", "task_kind", "input_text", "reference_answer",
@@ -135,13 +134,9 @@ class GoldenRecord(Record):
         self, record_id: str, task_kind: str, input_text: str,
         reference_answer: str, dimension_labels: Iterable[str]
     ) -> None:
-        dimension_labels = tuple(dimension_labels)
-        if not dimension_labels:
-            raise ValueError(
-                f"record {record_id!r} needs at least one dimension"
-            )
         super().__init__(
-            record_id, task_kind, input_text, reference_answer, dimension_labels
+            record_id, task_kind, input_text, reference_answer,
+            tuple(dimension_labels),
         )
 
 
@@ -293,29 +288,56 @@ def grade_token_f1(response: str, reference: str) -> float:
 _LOCAL_GRADERS = {"exact_match": grade_exact_match, "token_f1": grade_token_f1}
 
 
+def _golden_record(row: object) -> GoldenRecord:
+    """The record a golden row holds; TypeError for a row or a field of
+    the wrong type, KeyError for a missing field."""
+    if not isinstance(row, dict):
+        raise TypeError(f"row is {type(row).__name__}, not a JSON object")
+    for key in ("record_id", "input_text", "reference_answer"):
+        if not isinstance(row[key], str):
+            raise TypeError(f"{key} is {row[key]!r}, not a string")
+    labels = row["dimension_labels"]
+    if not (
+        isinstance(labels, list)
+        and labels
+        and all(isinstance(label, str) and label for label in labels)
+        and len(set(labels)) == len(labels)
+    ):
+        raise TypeError(
+            f"dimension_labels is {labels!r}, not a non-empty list of "
+            "distinct, non-empty strings"
+        )
+    return GoldenRecord(
+        row["record_id"], row["task_kind"], row["input_text"],
+        row["reference_answer"], labels,
+    )
+
+
 def load_golden_dataset(path: Path | str, task_kind: str) -> list[GoldenRecord]:
-    """Read a JSON-lines golden dataset file for ``task_kind``. A malformed
-    line, a row of another task kind, or a row whose dimension labels
-    differ from the first row's is a ConfigError naming the file and the
-    line."""
-    records: list[GoldenRecord] = []
+    """The golden set of ``task_kind`` in the JSON-lines file at ``path``:
+    the one check of what a golden file holds. Each non-blank line is a
+    JSON object of string ``record_id``, ``input_text`` and
+    ``reference_answer``, ``task_kind`` equal to ``task_kind``, and the
+    first row's ``dimension_labels``, a non-empty list of distinct,
+    non-empty strings. A missing, unreadable or empty file is a ConfigError
+    naming the file, and a line that breaks a rule one naming the line.
+    """
+    path = Path(path)
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        raise ConfigError(
+            f"no golden dataset for task kind {task_kind!r} (expected {path})"
+        ) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read golden dataset {path}: {exc}") from None
+    records: list[GoldenRecord] = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         where = f"golden dataset {path} line {number}"
         try:
-            row = json.loads(line)
-            record = GoldenRecord(
-                record_id=row["record_id"],
-                task_kind=row["task_kind"],
-                input_text=row["input_text"],
-                reference_answer=row["reference_answer"],
-                dimension_labels=tuple(row["dimension_labels"]),
-            )
+            record = _golden_record(json.loads(line))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{where} is malformed: {type(exc).__name__}: {exc}"
@@ -331,6 +353,10 @@ def load_golden_dataset(path: Path | str, task_kind: str) -> list[GoldenRecord]:
                 f"not the first row's {list(labels)}"
             )
         records.append(record)
+    if not records:
+        raise ConfigError(
+            f"golden dataset {path} for task kind {task_kind!r} is empty"
+        )
     return records
 
 
@@ -526,19 +552,11 @@ class Scheduler:
     # ----------------------------------------------------------- evaluation
 
     def golden_dataset(self, task_kind: str) -> list[GoldenRecord]:
-        """``<task_kind>.jsonl`` in the golden dir; a missing or empty file
-        is a ConfigError naming the kind and the path."""
-        path = self._golden_dir / f"{task_kind}.jsonl"
-        if not path.exists():
-            raise ConfigError(
-                f"no golden dataset for task kind {task_kind!r} (expected {path})"
-            )
-        dataset = load_golden_dataset(path, task_kind)
-        if not dataset:
-            raise ConfigError(
-                f"golden dataset {path} for task kind {task_kind!r} is empty"
-            )
-        return dataset
+        """The golden set of ``task_kind``: ``load_golden_dataset`` of
+        ``<task_kind>.jsonl`` in the golden dir."""
+        return load_golden_dataset(
+            self._golden_dir / f"{task_kind}.jsonl", task_kind
+        )
 
     def evaluate_all(self, *task_kinds: str) -> list[TaskScore]:
         """Score every agent registered for each task kind, with all their
@@ -586,6 +604,7 @@ class Scheduler:
         self, jobs: Sequence[tuple[str, Sequence[GoldenRecord]]]
     ) -> list[TaskScore]:
         """Score each (agent id, golden dataset) job; one TaskScore per job.
+        Each dataset is a golden set as ``load_golden_dataset`` returns it.
 
         An evaluation sends one probe per (agent, golden record) of every
         job, in the order given, all in one ``chat_many`` batch, and the
@@ -596,7 +615,9 @@ class Scheduler:
         failed judge chat its own error, whichever comes first in probe
         order, then dimension order; a failed evaluation appends nothing.
         """
-        checked = [self._check_job(agent_id, dataset) for agent_id, dataset in jobs]
+        checked = [(self.get_agent(agent_id), dataset) for agent_id, dataset in jobs]
+        for _, dataset in checked:
+            self._check_dimensions(dataset)  # a ConfigError sends no probe
         scores = self._scores()  # a malformed log fails before any probe
         probes = [
             (profile, record) for profile, dataset in checked for record in dataset
@@ -641,22 +662,10 @@ class Scheduler:
         scores.update(((row.task_kind, row.agent_id), row) for row in rows)
         return rows
 
-    def _check_job(
-        self, agent_id: str, dataset: Sequence[GoldenRecord]
-    ) -> tuple[AgentProfile, Sequence[GoldenRecord]]:
-        profile = self.get_agent(agent_id)
-        if not dataset:
-            raise EmptyDataset("golden dataset is empty")
-        kinds = {record.task_kind for record in dataset}
-        if len(kinds) != 1:
-            raise ValueError(f"dataset mixes task kinds {sorted(kinds)}")
-        dimensions = dataset[0].dimension_labels
-        for record in dataset:
-            if record.dimension_labels != dimensions:
-                raise ValueError(
-                    f"record {record.record_id!r} changes dimension labels"
-                )
-        task_kind = dataset[0].task_kind
+    def _check_dimensions(self, dataset: Sequence[GoldenRecord]) -> None:
+        """ConfigError unless the kind's weights, if any, name exactly the
+        set's dimensions and a judged dimension has a judge backend."""
+        task_kind, dimensions = dataset[0].task_kind, dataset[0].dimension_labels
         weights = self._weights.get(task_kind)
         if weights is not None and set(weights) != set(dimensions):
             raise ConfigError(
@@ -664,8 +673,7 @@ class Scheduler:
                 f"but its golden dataset has {sorted(dimensions)}"
             )
         if any(d not in _LOCAL_GRADERS for d in dimensions):
-            self._judge_backend()  # ConfigError before any probe
-        return profile, dataset
+            self._judge_backend()
 
     def _grade_job(
         self,

@@ -44,25 +44,19 @@ ROLE_FINANCIAL_ANALYST = "Financial Analyst"
 class Task(Record):
     """One unit of routable work, as the runner reads it."""
 
-    __slots__ = (
-        "task_id", "task_kind", "subject", "instruction_text", "language",
-    )
+    __slots__ = ("task_id", "task_kind", "instruction_text", "language")
 
     def __init__(
-        self, task_id: str, task_kind: str, subject: str,
-        instruction_text: str, language: str = "en"
+        self, task_id: str, task_kind: str, instruction_text: str,
+        language: str = "en"
     ) -> None:
         if not task_id:
             raise ValueError("task_id must be non-empty")
         if task_kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {task_kind!r}")
-        if not subject:
-            raise ValueError("subject must be non-empty")
         if language not in LANGUAGES:
             raise ValueError(f"unsupported language {language!r}")
-        super().__init__(
-            task_id, task_kind, subject, instruction_text, language
-        )
+        super().__init__(task_id, task_kind, instruction_text, language)
 
 
 class Trace:

@@ -863,17 +863,48 @@ class TestEvaluateAndRoute:
         assert result.stdout == "forecaster-primary\n"
 
 
-    def test_golden_row_with_other_labels_is_one_error_line(self, tmp_path):
-        def relabel(number, row):
-            if number == 2:
-                row["dimension_labels"] = ["token_f1"]
-            return row
+    def test_golden_row_with_other_labels_is_one_error_line(self, tmp_path, chats):
+        """A golden row that breaks a rule is one error line, before any
+        chat. The kind has no weights here to refuse a row: split into
+        characters, "token_f1" made eight judged dimensions that every
+        agent, a junk one too, scored 1.0 on."""
+        cases = [  # (first edited row, edit, what the error says of it)
+            (
+                2,
+                {"dimension_labels": ["token_f1"]},
+                "has dimension labels ['token_f1']",
+            ),
+            (
+                2,
+                {"reference_answer": None},
+                "is malformed: TypeError: reference_answer is None, not a string",
+            ),
+            (
+                1,
+                {"dimension_labels": "token_f1"},
+                "is malformed: TypeError: dimension_labels is 'token_f1', not a "
+                "non-empty list of distinct, non-empty strings",
+            ),
+        ]
+        for case, (first, change, problem) in enumerate(cases):
+            run = tmp_path / f"case-{case}"
+            run.mkdir()
 
-        result = invoke(edited_golden(tmp_path, relabel), "evaluate", "--offline")
-        assert result.exit_code == 1
-        [line] = result.stderr.splitlines()
-        assert line.startswith("error: golden dataset ")
-        assert "forecast.jsonl line 2 has dimension labels ['token_f1']" in line
+            def edit(number, row, first=first, change=change):
+                return {**row, **change} if number >= first else row
+
+            config_path = edited_golden(run, edit)
+            text = config_path.read_text(encoding="utf-8")
+            weights = "  forecast:\n    exact_match: 0.5\n    token_f1: 0.5\n"
+            assert weights in text
+            config_path.write_text(text.replace(weights, ""))
+            result = invoke(config_path, "evaluate", "--offline")
+            assert result.exit_code == 1
+            [line] = result.stderr.splitlines()
+            assert line.startswith("error: golden dataset ")
+            assert f"forecast.jsonl line {first} {problem}" in line
+            assert chats == []
+            assert not (run / "state" / "offline" / "task_scores.jsonl").exists()
 
     def test_golden_rows_of_another_kind_route_no_foreign_agent(self, tmp_path):
         def as_report(number, row):

@@ -251,6 +251,31 @@ def test_cache_concurrent_puts_from_two_instances_leave_one_entry(
         assert (root / key).read_bytes() == payload
 
 
+@pytest.mark.parametrize("method", ["get", "put"])
+def test_cache_entry_that_is_a_directory_is_a_config_error(
+    tmp_path: Path, method: str
+) -> None:
+    cache = ResponseCache(tmp_path)
+    key = cache_key("p", "profile", {"symbol": "AAPL"})
+    (tmp_path / key).mkdir()
+    args = (key,) if method == "get" else (key, b"x")
+    with pytest.raises(ConfigError, match="^cannot read cache entry "):
+        getattr(cache, method)(*args)
+    assert (cache.hits, cache.misses) == (0, 0)
+
+
+def test_market_data_over_a_directory_cache_entry_is_a_config_error(
+    tmp_path: Path,
+) -> None:
+    provider = FixtureProvider(MARKET_FIXTURES)
+    key = cache_key(provider.provider_id, "profile", {"symbol": "AAPL"})
+    (tmp_path / key).mkdir()
+    service = MarketData(provider, ResponseCache(tmp_path))
+    with pytest.raises(ConfigError, match=f"cannot read cache entry .*{key}"):
+        service.company_bundle("AAPL", "2024-04-19")
+    assert provider.calls["profile"] == 0
+
+
 def test_cache_failed_put_removes_its_temp_file(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:

@@ -1,5 +1,6 @@
 """Every name a finorch module, a test module or a benchmark module
-imports is used in that module.
+imports is used in that module, and every error class is used outside
+``errors.py``.
 
 An AST scan stands in for a linter, which the project does not depend on.
 A name listed in the module's ``__all__`` counts as used (a re-export),
@@ -69,3 +70,22 @@ def test_the_scan_sees_an_unused_import() -> None:
         "def f(x: M) -> None: ...\n"
     )
     assert unused_imports(source) == ["line 2: os"]
+
+
+def test_every_error_class_is_used_in_another_module() -> None:
+    errors = SRC / "errors.py"
+    classes = [
+        node.name
+        for node in ast.parse(errors.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert classes
+    used: set[str] = set()
+    for path in SRC.rglob("*.py"):
+        if path != errors:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert [name for name in classes if name not in used] == []

@@ -59,7 +59,6 @@ def test_chunk_text_overlap() -> None:
     assert chunks[2].text == text[1600:2600]
     # consecutive chunks share exactly the overlap
     assert chunks[0].text[-200:] == chunks[1].text[:200]
-    assert chunks[1].metadata["offset"] == 800
 
 
 def test_chunk_text_validation() -> None:

@@ -52,7 +52,6 @@ def forecast_task(**overrides) -> Task:
     kwargs = dict(
         task_id="forecast-AAPL-20240419-h7-en",
         task_kind="forecast",
-        subject="AAPL",
         instruction_text="Forecast next week's move for AAPL.",
         language="en",
     )
@@ -64,7 +63,6 @@ def report_task(**overrides) -> Task:
     kwargs = dict(
         task_id="report-acme-q1",
         task_kind="report",
-        subject="Acme",
         instruction_text="revenue margin guidance",
         language="en",
     )
@@ -80,8 +78,6 @@ def test_task_validation() -> None:
         forecast_task(task_kind="prediction")
     with pytest.raises(ValueError):
         forecast_task(language="fr")
-    with pytest.raises(ValueError):
-        forecast_task(subject="")
     with pytest.raises(ValueError):
         forecast_task(task_id="")
 
