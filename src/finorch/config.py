@@ -5,10 +5,10 @@ provider, and the directories the engine writes to. Credentials never live
 in the file: each backend names the environment variable that holds its key
 (``api_key_env``) and the provider names its token variable (``token_env``).
 
-The file is parsed with LibYAML (``yaml.CSafeLoader``) when PyYAML was
-built with it, and with the pure-Python ``yaml.SafeLoader`` otherwise. Both
-refuse a key repeated in one mapping, and a bad number is a ``ConfigError``
-naming its key.
+LibYAML (``yaml.CSafeLoader``) parses the file into a node graph when
+PyYAML was built with it, else the pure-Python ``yaml.SafeLoader`` does,
+and ``_ConfigConstructor`` builds the values from it. Both refuse a key
+repeated in one mapping, and a bad number is a ``ConfigError`` naming it.
 
 ``build_engine`` wires the whole stack two ways:
 
@@ -253,40 +253,62 @@ def _parse_provider(raw: Any) -> ProviderSettings:
     )
 
 
-class _UniqueKeys:
-    """Mixin for a YAML loader: a key repeated in one mapping is an error,
-    where PyYAML would let the last one win silently."""
+_STR, _SEQ, _MAP, _MERGE = (
+    f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map", "merge")
+)
 
-    def construct_mapping(self, node: Any, deep: bool = False) -> Any:
-        seen = set()
-        for key_node, _ in node.value:
-            if (
-                not isinstance(key_node, yaml.ScalarNode)
-                or key_node.tag == "tag:yaml.org,2002:merge"
-            ):
-                continue
-            key = self.construct_object(key_node, deep=deep)
-            if key in seen:
+
+class _ConfigConstructor(yaml.constructor.SafeConstructor):
+    """Builds plain strings, lists and mappings itself, and refuses a key
+    repeated in one mapping; a key a ``<<`` merge brings in may be
+    overridden. PyYAML's ``SafeConstructor`` builds every other node."""
+
+    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
+        built = self.constructed_objects
+        if node in built:
+            return built[node]
+        if node.tag == _STR and isinstance(node, yaml.ScalarNode):
+            return node.value
+        # A container is stored before it is filled, so every alias shares
+        # it, and nested or recursive aliases cost no more than their nodes.
+        if node.tag == _SEQ and isinstance(node, yaml.SequenceNode):
+            built[node] = items = []
+            items.extend([self.construct_object(item) for item in node.value])
+            return items
+        if node.tag != _MAP or not isinstance(node, yaml.MappingNode):
+            return super().construct_object(node, deep)
+        built[node] = mapping = {}
+        own = sum(key.tag != _MERGE for key, _ in node.value)
+        self.flatten_mapping(node)  # puts the merged pairs before the own
+        merged, own_keys = len(node.value) - own, set()
+        for index, (key_node, value_node) in enumerate(node.value):
+            key = self.construct_object(key_node)
+            try:
+                repeated = key in own_keys
+            except TypeError:
+                repeated = None
+            if repeated is not False:
                 raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping",
-                    node.start_mark,
-                    f"found duplicate key {key!r}",
-                    key_node.start_mark,
+                    "while constructing a mapping", node.start_mark,
+                    "found unhashable key" if repeated is None
+                    else f"found duplicate key {key!r}", key_node.start_mark,
                 )
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
-
-
-@functools.cache
-def _with_unique_keys(base: type) -> type:
-    return type("ConfigLoader", (_UniqueKeys, base), {})
+            if index >= merged:
+                own_keys.add(key)
+            mapping[key] = self.construct_object(value_node)
+        return mapping
 
 
 def _yaml_loader() -> type:
     """LibYAML's parser (``yaml.CSafeLoader``) when PyYAML was built with
-    it, else the pure-Python ``yaml.SafeLoader``. Both build the document
-    with the same Python ``SafeConstructor``, so both give equal values."""
-    return _with_unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    it, else the pure-Python ``yaml.SafeLoader``."""
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse_yaml(text: str) -> Any:
+    """The one YAML document in ``text``, None if it holds none."""
+    node = yaml.compose(text, Loader=_yaml_loader())
+    return node and _ConfigConstructor().construct_document(node)
 
 
 def load_config(path: Path | str) -> EngineConfig:
@@ -301,9 +323,11 @@ def load_config(path: Path | str) -> EngineConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.load(text, Loader=_yaml_loader())
+        raw = _parse_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply") from None
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config {path} must be a YAML mapping")
 

@@ -79,11 +79,12 @@ class ResponseCache:
                     f"cache entry {key} already exists with different bytes"
                 )
             # A unique temp name: other processes may put the same key.
-            fd, tmp = tempfile.mkstemp(dir=self._root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            with unusable_path("write cache entry", path):
+                fd, tmp = tempfile.mkstemp(dir=self._root, suffix=".tmp")
+                try:
+                    with os.fdopen(fd, "wb") as handle:
+                        handle.write(data)
+                    os.replace(tmp, path)
+                except BaseException:
+                    os.unlink(tmp)
+                    raise

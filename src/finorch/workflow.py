@@ -71,9 +71,10 @@ class Trace:
 
     def emit(self, role: str, record: dict[str, Any]) -> None:
         full = {"role": role, "at": isoformat(self._clock.now()), **record}
-        with self._path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(full, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+        with unusable_path("write run trace", self._path):
+            with self._path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(full, ensure_ascii=False, sort_keys=True))
+                fh.write("\n")
 
     def fail(self, role: str, exc: EngineError, **context: Any) -> EngineError:
         """Record ``exc`` as the failure of ``role``'s stage and tag it."""

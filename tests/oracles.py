@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
+from typing import Any
+
+import yaml
 
 
 def oracle_log_returns(prices: list[float], f: int) -> list[float]:
@@ -151,3 +154,41 @@ def oracle_token_f1(prediction: str, reference: str) -> float:
     precision = overlap / len(pred)
     recall = overlap / len(ref)
     return 2 * precision * recall / (precision + recall)
+
+
+class _UniqueKeys:
+    """Mixin for a YAML loader: a key repeated in one mapping is an error,
+    where PyYAML would let the last one win silently. Containers are filled
+    depth first, where PyYAML fills nested ones later: a mapping merged by a
+    later ``<<`` before it was filled would read the merged keys as its
+    own."""
+
+    def construct_object(self, node: Any, deep: bool = False) -> Any:
+        return super().construct_object(node, deep=True)
+
+    def construct_mapping(self, node: Any, deep: bool = False) -> Any:
+        seen = set()
+        for key_node, _ in node.value:
+            if (
+                not isinstance(key_node, yaml.ScalarNode)
+                or key_node.tag == "tag:yaml.org,2002:merge"
+            ):
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping",
+                    node.start_mark,
+                    f"found duplicate key {key!r}",
+                    key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def oracle_config_yaml(text: str) -> Any:
+    """The config document as PyYAML's own ``SafeConstructor`` builds it,
+    on the parser ``load_config`` picks (LibYAML's when present), with a
+    key repeated in one mapping refused and a ``<<`` merge key exempt."""
+    base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return yaml.load(text, Loader=type("UniqueKeyLoader", (_UniqueKeys, base), {}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -1226,6 +1227,30 @@ def test_an_unusable_state_or_runs_path_is_one_error_line(
     [line] = result.stderr.splitlines()
     assert line.startswith(f"{prefix} {path}")
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_full_disk_under_the_run_trace_is_one_error_line(
+    config_path, tmp_path, monkeypatch
+):
+    """A trace append that fails mid-run, as on a full disk, is one error
+    line naming the trace, not a traceback."""
+    appends = []
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if self.name == "trace.jsonl" and mode == "a":
+            appends.append(self)
+            if len(appends) > 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+    result = invoke(config_path, "forecast", "AAPL", "--offline")
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: cannot write run trace {appends[0]}: ")
+    assert line.endswith(os.strerror(errno.ENOSPC))
 
 
 def test_an_unusable_cache_dir_is_one_error_line(

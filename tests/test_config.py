@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import datetime as dt
+import importlib.util
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from yaml.constructor import ConstructorError, SafeConstructor
 
 from finorch import httpclient
 from finorch.config import (
     EngineConfig,
+    _parse_yaml,
     _yaml_loader,
     build_engine,
     load_config,
 )
 from finorch.errors import ConfigError, UnknownBackend
 from finorch.gateway import BackendSpec, ChatMessage, MockTransport
+
+from oracles import oracle_config_yaml
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -362,6 +369,128 @@ class TestLoadConfig:
         assert (config.golden_dir / "report.jsonl").exists()
 
 
+#: Key spellings grouped by the value each reads as (``1 == 1.0 == True``),
+#: so a generated mapping repeats a key only when it draws one twice.
+KEY_GROUPS = [
+    ["a", "'a'", '"a"'],
+    ["b"],
+    ["name"],
+    ["1", "+1", "0x1", "1.0", "yes", "On", "true"],
+    ["0", "0o0", "no", "off", "False", "0.0"],
+    ["~", "null", "Null"],
+    [".nan", ".NaN"],
+    ["2001-12-14"],
+    ["190:20:30", "685230"],
+]
+
+#: Every core scalar form YAML 1.1 gives PyYAML, plus explicit tags.
+SCALARS = [
+    "plain", "'quoted'", '"double"', "'12'", "!!str 12", "0o17",
+    "0", "-7", "+12", "1_000", "0x1F", "017", "0b101", "190:20:30",
+    "1.5", "-2.5", "6.8523015e+5", "190:20:30.15", "!!float 1",
+    ".inf", "-.Inf", ".nan", ".NaN",
+    "yes", "No", "on", "OFF", "true", "False",
+    "~", "null",
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10",
+    "2002-12-14T00:00:00Z", "!!binary aGVsbG8=", "!!set {x, y}",
+]
+
+
+@st.composite
+def mapping_keys(draw, min_size=0):
+    """Up to four keys of distinct values; now and then one drawn twice."""
+    groups = draw(st.lists(
+        st.integers(0, len(KEY_GROUPS) - 1), min_size=min_size, max_size=4,
+        unique=True,
+    ))
+    keys = [draw(st.sampled_from(KEY_GROUPS[g])) for g in groups]
+    if keys and draw(st.integers(0, 7)) == 0:
+        again = draw(st.sampled_from(KEY_GROUPS[draw(st.sampled_from(groups))]))
+        keys.insert(draw(st.integers(0, len(keys))), again)
+    return keys
+
+
+@st.composite
+def yaml_documents(draw):
+    """A block mapping of flow values: nested maps and lists of scalars,
+    anchors, aliases to anchored nodes already closed, and ``<<`` merges of
+    one mapping, of a list of mappings, or of an inline mapping."""
+    anchors: list[tuple[str, bool]] = []  # closed anchors; names a mapping?
+    count = iter(range(1000))
+
+    def value(depth: int) -> str:
+        kind = draw(st.sampled_from(
+            ["scalar", "scalar", "alias", "list", "map"] if depth < 3
+            else ["scalar", "alias"]
+        ))
+        if kind == "alias" and anchors:
+            return "*" + draw(st.sampled_from(anchors))[0]
+        name = f"a{next(count)}" if draw(st.booleans()) else ""
+        if kind == "list":
+            size = draw(st.integers(0, 3))
+            text = "[" + ", ".join(value(depth + 1) for _ in range(size)) + "]"
+        elif kind == "map":
+            text = mapping(depth + 1)
+        else:
+            text = draw(st.sampled_from(SCALARS))
+        if name:
+            anchors.append((name, kind == "map"))
+            text = f"&{name} {text}"
+        return text
+
+    def merge_source() -> str | None:
+        maps = [name for name, is_map in anchors if is_map]
+        kind = draw(st.sampled_from(["none", "one", "list", "inline"]))
+        if kind == "one" and maps:
+            return "*" + draw(st.sampled_from(maps))
+        if kind == "list" and maps:
+            names = draw(st.lists(st.sampled_from(maps), min_size=1, max_size=3))
+            return "[" + ", ".join("*" + name for name in names) + "]"
+        if kind == "inline":
+            pairs = [
+                f"{key}: {draw(st.sampled_from(SCALARS))}"
+                for key in draw(mapping_keys())
+            ]
+            return "{" + ", ".join(pairs) + "}"
+        return None
+
+    def mapping(depth: int) -> str:
+        source = merge_source()  # of anchors closed before this mapping
+        pairs = [f"{key}: {value(depth)}" for key in draw(mapping_keys())]
+        if source is not None:
+            pairs.insert(draw(st.integers(0, len(pairs))), f"<<: {source}")
+        return "{" + ", ".join(pairs) + "}"
+
+    lines = [f"{key}: {value(0)}" for key in draw(mapping_keys(min_size=1))]
+    source = merge_source()
+    if source is not None:
+        lines.append(f"<<: {source}")
+    return "\n".join(lines) + "\n"
+
+
+def same(a, b) -> bool:
+    """Equal values of one type each, in one order, a NaN equal to a NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and a != a:
+        return b != b
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return same(list(a), list(b)) and same(list(a.values()), list(b.values()))
+    return a == b
+
+
+def bench_config_text() -> str:
+    """The JSON config the benchmark writes (``bench/gen.py``)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", REPO / "bench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.config_text(REPO)
+
+
 class TestYamlLoaders:
     def test_libyaml_is_chosen_when_present(self, yaml_loader):
         assert issubclass(_yaml_loader(), getattr(yaml, yaml_loader))
@@ -430,6 +559,107 @@ class TestYamlLoaders:
         assert config.weights["report"] == {
             "exact_match": 0.25, "token_f1": 0.75,
         }
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=yaml_documents())
+    @example(text=(REPO / "config.yaml").read_text(encoding="utf-8"))
+    @example(text=minimal_text())
+    def test_values_match_pyyamls_constructor(self, yaml_loader, text):
+        """The config reader gives what PyYAML's own ``SafeConstructor``
+        with the duplicate-key rule gives, and refuses what it refuses."""
+        try:
+            expected = oracle_config_yaml(text)
+        except ConstructorError as exc:
+            with pytest.raises(ConstructorError) as info:
+                _parse_yaml(text)
+            assert ("duplicate" in info.value.problem) == (
+                "duplicate" in exc.problem
+            ), (info.value, exc)
+        else:
+            assert same(_parse_yaml(text), expected)
+
+    def test_an_overridden_key_of_a_mapping_merged_before_it_is_built(self):
+        """PyYAML fills nested containers after their siblings, so the old
+        duplicate-key rule checked ``x`` only after ``two`` had merged it
+        in place: the ``k`` that ``x`` merges from ``base`` then read as a
+        second ``k`` of its own."""
+        text = (
+            "base: &b {k: 0}\n"
+            "one: {x: &x {<<: *b, k: 1}}\n"
+            "two: {<<: *x}\n"
+        )
+        assert _parse_yaml(text) == {
+            "base": {"k": 0}, "one": {"x": {"k": 1}}, "two": {"k": 1},
+        }
+
+    def test_aliases_share_one_object(self, tmp_path, yaml_loader):
+        """Nested aliases that expand to 10**9 strings load at once, and a
+        config that holds them is one ConfigError. A recursive alias loads
+        as a container that holds itself."""
+        value = _parse_yaml("a: &x [*x]\nb: &y {self: *y}\n")
+        assert value["a"][0] is value["a"]
+        assert value["b"]["self"] is value["b"]
+        levels = ["a: &a [" + ", ".join(["x"] * 10) + "]"] + [
+            f"{high}: &{high} [" + ", ".join([f"*{low}"] * 10) + "]"
+            for low, high in zip("abcdefgh", "bcdefghi")
+        ]
+        value = _parse_yaml("\n".join(levels))
+        assert value["i"][0] is value["i"][9] is value["h"]
+        text = minimal_text() + "laughs:\n" + "".join(
+            f"  {line}\n" for line in levels
+        )
+        with pytest.raises(ConfigError, match=r"unknown top-level keys \['laughs'\]"):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("task_kinds: [forecast]\n", "task_kinds: &x [*x]\n",
+             r"agents\[0\] task kind \[\[...\]\] is not one of"),
+            ("state_dir: state\n", "? [1]\n: x\nstate_dir: state\n",
+             "found unhashable key"),
+            ("provider:\n", "provider: !!python/object:builtins.dict\n",
+             r"could not determine a constructor for the tag "
+             r"'tag:yaml.org,2002:python/object:builtins.dict'"),
+        ],
+        ids=["recursive-alias", "unhashable-key", "python-object"],
+    )
+    def test_hostile_yaml_is_one_config_error(
+        self, tmp_path, yaml_loader, old, new, message
+    ):
+        text = minimal_text().replace(old, new, 1)
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("source", ["repo", "bench"])
+    def test_plain_maps_and_lists_skip_pyyamls_constructor(
+        self, tmp_path, monkeypatch, yaml_loader, source
+    ):
+        """Plain mappings and lists are built from the node graph, never by
+        ``SafeConstructor``'s own map and list constructors."""
+
+        def refuse(constructor, node):
+            raise AssertionError(f"SafeConstructor built {node.tag}")
+
+        for kind in ("map", "seq"):
+            monkeypatch.setitem(
+                SafeConstructor.yaml_constructors,
+                f"tag:yaml.org,2002:{kind}", refuse,
+            )
+        if source == "repo":
+            path = REPO / "config.yaml"
+        else:
+            path = write_config(tmp_path, bench_config_text())
+        assert [b.backend_id for b in load_config(path).backends]
+
+    def test_nesting_too_deep_is_one_config_error(self, tmp_path, yaml_loader):
+        """Not a RecursionError from the parser or the builder."""
+        text = minimal_text() + "deep: " + "[" * 600 + "]" * 600 + "\n"
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, text))
 
 
 class TestBuildEngineOffline:

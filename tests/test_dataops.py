@@ -286,9 +286,17 @@ def test_cache_failed_put_removes_its_temp_file(
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ConfigError, match="cannot write cache entry .*disk full"):
         cache.put(key, b"payload")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_put_under_a_removed_root_is_a_config_error(tmp_path: Path) -> None:
+    cache = ResponseCache(tmp_path / "cache")
+    (tmp_path / "cache").rmdir()
+    key = cache_key("p", "profile", {"symbol": "AAPL"})
+    with pytest.raises(ConfigError, match=f"cannot write cache entry .*{key}"):
+        cache.put(key, b"payload")
 
 
 # ---------------------------------------------------------------- tokenizer
