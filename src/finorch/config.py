@@ -46,6 +46,7 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
+import reprlib
 from collections.abc import Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -82,6 +83,11 @@ _BACKEND_NUMBERS = {
     "timeout": float,
     "max_retries": int,
 }
+
+# A value in a message shows one level of its containers and a few of their
+# items: a value built from nested aliases is shared, not small.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxstring = 1, 80
 
 
 class ProviderSettings(Record):
@@ -134,7 +140,9 @@ def _number(value: Any, where: str, key: str, kind: type) -> Any:
         if math.isfinite(number) and (kind is float or number.is_integer()):
             return kind(value)
     what = "a whole number" if kind is int else "a finite number"
-    raise ConfigError(f"{where} key {key!r} must be {what}, got {value!r}")
+    raise ConfigError(
+        f"{where} key {key!r} must be {what}, got {_SHOWN.repr(value)}"
+    )
 
 
 def _reject_secrets(row: Mapping[str, Any], where: str) -> None:
@@ -168,7 +176,8 @@ def _parse_backend(row: Any, index: int) -> BackendSpec:
     api_key_env = row.get("api_key_env", "")
     if not isinstance(api_key_env, str):
         raise ConfigError(
-            f"{where} key 'api_key_env' must be a str, got {api_key_env!r}"
+            f"{where} key 'api_key_env' must be a str, "
+            f"got {_SHOWN.repr(api_key_env)}"
         )
     numbers = {
         key: _number(row[key], where, key, kind)
@@ -206,7 +215,8 @@ def _parse_agent(row: Any, index: int, backend_ids: set[str]) -> AgentProfile:
     for kind in kinds:
         if kind not in TASK_KINDS:
             raise ConfigError(
-                f"{where} task kind {kind!r} is not one of {TASK_KINDS}"
+                f"{where} task kind {_SHOWN.repr(kind)} is not one of "
+                f"{TASK_KINDS}"
             )
     return AgentProfile(
         agent_id=agent_id, backend_id=backend_id, task_kinds=frozenset(kinds)
@@ -305,9 +315,28 @@ def _yaml_loader() -> type:
     return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+#: Nesting beyond this is refused before LibYAML composes the text: its
+#: composer recurses in C and crashes the process some 20000 levels down.
+#: Building the values recurses in Python, so no deeper config loads anyway.
+_MAX_DEPTH = 1000
+
+
 def _parse_yaml(text: str) -> Any:
-    """The one YAML document in ``text``, None if it holds none."""
-    node = yaml.compose(text, Loader=_yaml_loader())
+    """The one YAML document in ``text``, None if it holds none. Nesting
+    deeper than ``_MAX_DEPTH`` is a RecursionError, as building it would
+    be. Each level takes one of ``[{-?:``, so only a text with more of
+    those than the limit has its parser events walked first."""
+    loader = _yaml_loader()
+    if sum(map(text.count, "[{-?:")) > _MAX_DEPTH:
+        depth = 0
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    raise RecursionError(f"nesting deeper than {_MAX_DEPTH}")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    node = yaml.compose(text, Loader=loader)
     return node and _ConfigConstructor().construct_document(node)
 
 
@@ -358,13 +387,14 @@ def load_config(path: Path | str) -> EngineConfig:
     judge = raw.get("judge_backend_id")
     if judge is not None and judge not in ids:
         raise ConfigError(
-            f"judge_backend_id {judge!r} is not a configured backend"
+            f"judge_backend_id {_SHOWN.repr(judge)} is not a configured "
+            "backend"
         )
 
     language = raw.get("default_language", "en")
     if language not in LANGUAGES:
         raise ConfigError(
-            f"default_language {language!r} must be 'en' or 'zh'"
+            f"default_language {_SHOWN.repr(language)} must be 'en' or 'zh'"
         )
 
     base = path.resolve().parent

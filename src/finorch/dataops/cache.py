@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Mapping
 
+from finorch import files
 from finorch.errors import CacheMiss, ImmutableEntry, unusable_path
 
 __all__ = ["ResponseCache", "cache_key", "canonical_bytes"]
@@ -78,13 +77,4 @@ class ResponseCache:
                 raise ImmutableEntry(
                     f"cache entry {key} already exists with different bytes"
                 )
-            # A unique temp name: other processes may put the same key.
-            with unusable_path("write cache entry", path):
-                fd, tmp = tempfile.mkstemp(dir=self._root, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(data)
-                    os.replace(tmp, path)
-                except BaseException:
-                    os.unlink(tmp)
-                    raise
+            files.replace(path, data, "write cache entry")

@@ -50,6 +50,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from finorch import files
 from finorch.clock import Clock, SystemClock, isoformat
 from finorch.errors import (
     ConfigError,
@@ -480,20 +481,10 @@ class Scheduler:
         return self._latest
 
     def _append(self, path: Path, *rows: Mapping) -> None:
-        """Append rows with one open and one write. A last line that a
-        crash left without its newline is closed first, so the new rows
-        start on a line of their own."""
-        text = "".join(
-            json.dumps(row, ensure_ascii=False) + "\n" for row in rows
-        )
-        with self._write_lock, unusable_path("write state file", path):
-            with path.open("a+b") as handle:
-                end = handle.seek(0, os.SEEK_END)
-                if end:
-                    handle.seek(end - 1)
-                    if handle.read(1) != b"\n":
-                        text = "\n" + text
-                handle.write(text.encode("utf-8"))
+        """Append rows, one JSON line each, in one write."""
+        text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        with self._write_lock:
+            files.append(path, text.encode(), "write state file")
 
     # ------------------------------------------------------------- registry
 

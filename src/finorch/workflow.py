@@ -18,12 +18,12 @@ app alone needs (a forecast's cutoff and horizon) stays with the app.
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
+from finorch import files
 from finorch.clock import Clock, isoformat
 from finorch.errors import ConfigError, EngineError, unusable_path
 from finorch.gateway import ChatMessage, Gateway
@@ -67,14 +67,12 @@ class Trace:
         self._clock = clock
         with unusable_path("write run trace", path):
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("", encoding="utf-8")
+        files.replace(path, b"", "write run trace")
 
     def emit(self, role: str, record: dict[str, Any]) -> None:
         full = {"role": role, "at": isoformat(self._clock.now()), **record}
-        with unusable_path("write run trace", self._path):
-            with self._path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(full, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+        line = json.dumps(full, ensure_ascii=False, sort_keys=True) + "\n"
+        files.append(self._path, line.encode(), "write run trace")
 
     def fail(self, role: str, exc: EngineError, **context: Any) -> EngineError:
         """Record ``exc`` as the failure of ``role``'s stage and tag it."""
@@ -88,23 +86,6 @@ class Trace:
             yield
         except EngineError as exc:
             raise self.fail(role, exc, **context)
-
-
-def _replace_text(path: Path, text: str) -> None:
-    """Write ``text`` to a unique temporary file beside ``path``, then
-    rename it over ``path``: a reader finds the old file or the new one,
-    never a torn one, and a failed write leaves no temporary file. The
-    file is opened like any new one, so the umask sets its mode."""
-    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    with unusable_path("write run artifact", path):
-        handle = open(tmp, "x", encoding="utf-8")
-        try:
-            with handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
 
 
 class Outcome(Record):
@@ -170,7 +151,7 @@ def run_task(
 
     def write(grade: float | None, self_score: float | None) -> None:
         for name, text in outcome.texts.items():
-            _replace_text(run_dir / name, text)
+            files.replace(run_dir / name, text.encode(), "write run artifact")
         payload = {
             **outcome.payload,
             "task_id": task.task_id,
@@ -179,10 +160,9 @@ def run_task(
             "self_score": self_score,
             "generated_at": isoformat(clock.now()),
         }
-        _replace_text(
-            run_dir / outcome.artifact,
-            json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
-            + "\n",
+        text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
+        files.replace(
+            run_dir / outcome.artifact, f"{text}\n".encode(), "write run artifact"
         )
 
     try:

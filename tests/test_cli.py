@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import errno
 import gc
@@ -12,6 +13,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -1173,6 +1175,30 @@ def test_an_unreadable_input_file_is_one_error_line(tmp_path, setup, prefix):
     assert line.startswith(f"{prefix} {broken}: ")
 
 
+@pytest.mark.parametrize(
+    "deep",
+    ["deep: " + "[" * 50000 + "]" * 50000 + "\n",
+     "deep:\n" + "- " * 30000 + "x\n"],
+    ids=["flow", "block"],
+)
+def test_a_config_nested_past_libyamls_stack_is_one_error_line(tmp_path, deep):
+    """LibYAML's composer recurses in C and crashes the process some 20000
+    levels down, so such a config is refused before it composes."""
+    config_path = write_config(tmp_path, minimal_text() + deep)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "finorch.cli", "route", "forecast",
+         "--offline", "--config", str(config_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - started < 2
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.splitlines() == [
+        f"error: config {config_path} nests too deeply"
+    ]
+
+
 def a_file_at(path: Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("not a directory\n", encoding="utf-8")
@@ -1229,35 +1255,9 @@ def test_an_unusable_state_or_runs_path_is_one_error_line(
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_a_full_disk_under_the_run_trace_is_one_error_line(
-    config_path, tmp_path, monkeypatch
-):
-    """A trace append that fails mid-run, as on a full disk, is one error
-    line naming the trace, not a traceback."""
-    appends = []
-    real_open = Path.open
-
-    def open_(self, mode="r", *args, **kwargs):
-        if self.name == "trace.jsonl" and mode == "a":
-            appends.append(self)
-            if len(appends) > 2:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return real_open(self, mode, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "open", open_)
-    result = invoke(config_path, "forecast", "AAPL", "--offline")
-    assert result.exit_code == 1, result.output
-    assert result.stdout == ""
-    [line] = result.stderr.splitlines()
-    assert line.startswith(f"error: cannot write run trace {appends[0]}: ")
-    assert line.endswith(os.strerror(errno.ENOSPC))
-
-
-def test_an_unusable_cache_dir_is_one_error_line(
-    config_path, tmp_path, monkeypatch
-):
-    """A live forecast on persisted scores builds the response cache before
-    any request, and a cache_dir that is a file is one error line."""
+def no_network_and_forecast_scores(tmp_path, monkeypatch) -> None:
+    """A live forecast that evaluates nothing, on persisted scores, and
+    reaches no network: every socket is refused."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the test attempted a network call")
@@ -1265,6 +1265,86 @@ def test_an_unusable_cache_dir_is_one_error_line(
     monkeypatch.setattr(socket, "socket", refuse)
     monkeypatch.setattr(socket, "create_connection", refuse)
     persist_forecast_scores(tmp_path / "state")
+
+
+class FullDisk:
+    """An open file whose every write fails, as on a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "live, full, prefix",
+    [
+        (False, lambda path: path.name == "trace.jsonl",
+         "error: cannot write run trace"),
+        (False, lambda path: path.name.startswith("forecast.json."),
+         "error: cannot write run artifact"),
+        (False, lambda path: path.name == "reflections.jsonl",
+         "error (Financial Analyst): cannot write state file"),
+        (True, lambda path: path.parent.name == "cache",
+         "error (Assistant): cannot write cache entry"),
+    ],
+    ids=["trace", "artifact", "state-row", "cache-entry"],
+)
+def test_a_full_disk_is_one_error_line(
+    config_path, tmp_path, monkeypatch, live, full, prefix
+):
+    """A write that fails mid-run, as on a full disk, is one error line
+    naming the file it was for, and leaves no temporary file behind. The
+    fault is in ``open``'s file, so ``finorch.files`` maps it itself. The
+    live forecast misses the cache, so it puts the provider's answer."""
+    failed = []
+    real_open = builtins.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if set(mode) & set("wax+") and full(Path(file)):
+            failed.append(Path(file))
+            return FullDisk(handle)
+        return handle
+
+    args = ["forecast", "AAPL"]
+    if live:
+        no_network_and_forecast_scores(tmp_path, monkeypatch)
+        fixture = providers.FixtureProvider(REPO / "fixtures")
+        monkeypatch.setattr(
+            providers.LiveProvider, "fetch",
+            lambda self, endpoint, params: fixture.fetch(endpoint, params),
+        )
+    else:
+        args.append("--offline")
+    monkeypatch.setattr(builtins, "open", open_)
+    result = invoke(config_path, *args)
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    target = failed[0]
+    if target.suffix == ".tmp":  # a replace: the temporary file's target
+        target = target.with_name(target.name.rsplit(".", 2)[0])
+    enospc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert result.stderr.splitlines() == [f"{prefix} {target}: {enospc}"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_an_unusable_cache_dir_is_one_error_line(
+    config_path, tmp_path, monkeypatch
+):
+    """A live forecast on persisted scores builds the response cache before
+    any request, and a cache_dir that is a file is one error line."""
+    no_network_and_forecast_scores(tmp_path, monkeypatch)
     path = a_file_at(tmp_path / "cache")
     result = invoke(config_path, "forecast", "AAPL")
     assert result.exit_code == 1, result.output

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,29 @@ class TestLoadConfig:
         ).replace(line, setting)
         with pytest.raises(ConfigError, match=rf"backends\[1\].*{message}"):
             load_config(write_config(tmp_path, base))
+
+    def test_a_value_of_nested_aliases_prints_bounded(
+        self, tmp_path, yaml_loader
+    ):
+        """A one-line value that aliases nested six deep make a million
+        strings long loads at once, and its message shows a bounded part
+        of it, not the million."""
+        value = "[" + ", ".join(["x"] * 10) + "]"
+        for anchor in "abcde":
+            value = f"[&{anchor} {value}, " + ", ".join([f"*{anchor}"] * 9) + "]"
+        base = minimal_text().replace(
+            "api_key_env: OTHER_API_KEY",
+            f"api_key_env: OTHER_API_KEY\n    max_tokens: {value}",
+        )
+        started = time.perf_counter()
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, base))
+        assert time.perf_counter() - started < 1
+        message = str(info.value)
+        assert message.startswith(
+            "backends[1] key 'max_tokens' must be a whole number, got [[...], "
+        )
+        assert len(message) < 1024
 
     @pytest.mark.parametrize(
         "setting, expected",

@@ -1,6 +1,6 @@
 """Every name a finorch module, a test module or a benchmark module
-imports is used in that module, and every error class is used outside
-``errors.py``.
+imports is used in that module, every error class is used outside
+``errors.py``, and only ``finorch.files`` writes files.
 
 An AST scan stands in for a linter, which the project does not depend on.
 A name listed in the module's ``__all__`` counts as used (a re-export),
@@ -89,3 +89,94 @@ def test_every_error_class_is_used_in_another_module() -> None:
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
     assert [name for name in classes if name not in used] == []
+
+
+#: ``os`` calls that write, rename or open a file below ``open``.
+OS_WRITES = {"replace", "rename", "fdopen", "open"}
+
+
+def file_writes(source: str) -> list[str]:
+    """Each place in ``source`` that writes a file itself: an ``os`` call
+    of ``OS_WRITES``, an import of ``tempfile``, a ``write_text`` or
+    ``write_bytes`` call, or an ``open`` or ``.open`` whose mode is not a
+    constant without ``w``, ``a``, ``x`` or ``+``. Reads and ``mkdir``
+    pass."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if "tempfile" in [alias.name for alias in node.names]:
+                found.append((node.lineno, "import tempfile"))
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "tempfile":
+                found.append((node.lineno, "import tempfile"))
+            elif node.module == "os":
+                found.extend(
+                    (node.lineno, f"os.{alias.name}")
+                    for alias in node.names if alias.name in OS_WRITES
+                )
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+                if (
+                    isinstance(func.value, ast.Name) and func.value.id == "os"
+                    and name in OS_WRITES
+                ):
+                    found.append((node.lineno, f"os.{name}"))
+                    continue
+            elif isinstance(func, ast.Name):
+                name = func.id
+            else:
+                continue
+            if name in ("write_text", "write_bytes"):
+                found.append((node.lineno, name))
+            elif name == "open":
+                # open(file, mode) or path.open(mode)
+                at = 1 if isinstance(func, ast.Name) else 0
+                modes = node.args[at:at + 1] + [
+                    kw.value for kw in node.keywords if kw.arg == "mode"
+                ]
+                if not all(
+                    isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")
+                    for mode in modes
+                ):
+                    found.append((node.lineno, "open for writing"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_finorch_files_writes_files() -> None:
+    """Every file finorch writes goes through one atomic replace or one
+    line append, so each write fails the same way."""
+    writers = {
+        str(path.relative_to(ROOT)): found
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "files.py"
+        and (found := file_writes(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {}
+
+
+def test_the_scan_sees_a_write() -> None:
+    source = (
+        "import os, tempfile\n"
+        "from os import rename, path\n"
+        "p = open('f'); q = open('f', 'rb'); p.open(); p.open(mode='r')\n"
+        "p.read_text(); p.parent.mkdir(); 'a'.replace('a', 'b')\n"
+        "os.replace(p, q); os.open(p, 0)\n"
+        "p.write_text(''); p.write_bytes(b'')\n"
+        "open(p, 'x'); p.open(mode='a+b'); p.open('r+'); open(p, MODE)\n"
+    )
+    assert file_writes(source) == [
+        "line 1: import tempfile",
+        "line 2: os.rename",
+        "line 5: os.open",
+        "line 5: os.replace",
+        "line 6: write_bytes",
+        "line 6: write_text",
+        "line 7: open for writing",
+        "line 7: open for writing",
+        "line 7: open for writing",
+        "line 7: open for writing",
+    ]
