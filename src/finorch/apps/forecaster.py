@@ -19,13 +19,7 @@ from typing import Any
 from finorch.clock import Clock
 from finorch.dataops.providers import MarketData
 from finorch.dataops.types import CompanyBundle
-from finorch.errors import (
-    EmptyBundle,
-    IncompleteBundle,
-    InvalidHorizon,
-    MissingSection,
-    UnparseablePrediction,
-)
+from finorch.errors import EngineError, UnparseablePrediction
 from finorch.gateway import ChatExchange, ChatMessage, Gateway
 from finorch.prompts import PromptStore
 from finorch.record import Record
@@ -109,9 +103,7 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
     the cutoff that perception reads to the end of the window.
     """
     if horizon_days < 1:
-        raise InvalidHorizon(
-            f"horizon must be at least 1 day, got {horizon_days}"
-        )
+        raise EngineError(f"horizon must be at least 1 day, got {horizon_days}")
     try:
         cutoff - dt.timedelta(days=WINDOW_DAYS)
         start = cutoff + dt.timedelta(days=1)
@@ -119,14 +111,14 @@ def horizon_window(cutoff: dt.date, horizon_days: int) -> tuple[dt.date, dt.date
             start += dt.timedelta(days=1)
         end = cutoff + dt.timedelta(days=horizon_days)
     except OverflowError:
-        raise InvalidHorizon(
+        raise EngineError(
             f"dates from {WINDOW_DAYS} days before {cutoff} to "
             f"{horizon_days} day(s) after it leave the calendar"
         ) from None
     while end.weekday() >= 5:
         end -= dt.timedelta(days=1)
     if end < start:
-        raise InvalidHorizon(
+        raise EngineError(
             f"horizon of {horizon_days} day(s) from {cutoff} spans no weekday"
         )
     return start, end
@@ -139,14 +131,14 @@ def perceive(
     symbol: str, cutoff: dt.date, market_data: MarketData
 ) -> CompanyBundle:
     """Draw ``symbol``'s company bundle from the ``WINDOW_DAYS`` strictly
-    before ``cutoff``; ``EmptyBundle`` when it holds no data at all."""
+    before ``cutoff``; an ``EngineError`` when it holds no data at all."""
     company = market_data.company_bundle(symbol, cutoff, WINDOW_DAYS)
     if (
         len(company.prices) == 0
         and not company.news
         and not company.financials.metrics
     ):
-        raise EmptyBundle(f"no data for {symbol!r} before {cutoff}")
+        raise EngineError(f"no data for {symbol!r} before {cutoff}")
     return company
 
 
@@ -266,7 +258,7 @@ def build_forecast_prompt(
     }
     for name, text in blocks.items():
         if not text:
-            raise IncompleteBundle(name)
+            raise EngineError(f"bundle missing block '{name}'")
     start, end = horizon_window(cutoff, horizon)
     bindings = {
         **blocks,
@@ -359,8 +351,9 @@ def _prediction_pattern(language: str) -> re.Pattern[str]:
 def parse_forecast(model_text: str, language: str = "en") -> ForecastResult:
     """Parse a forecast reply into structured data.
 
-    Raises MissingSection (by canonical section name) when a required block
-    is absent and UnparseablePrediction when the band line cannot be read.
+    Raises an ``EngineError`` naming the canonical section when a required
+    block is absent, and UnparseablePrediction when the band line cannot be
+    read.
     """
     sections: dict[str, list[str]] = {}
     current: str | None = None
@@ -374,7 +367,7 @@ def parse_forecast(model_text: str, language: str = "en") -> ForecastResult:
     names = _headers()["section_names"]
     for key in _SECTION_KEYS:
         if key not in sections:
-            raise MissingSection(names[key])
+            raise EngineError(f"missing section '{names[key]}'")
 
     positives = _parse_items(sections["positive"])
     concerns = _parse_items(sections["concerns"])
@@ -479,7 +472,7 @@ def run_forecaster(
     language: str = "en",
 ) -> ForecastRun:
     """Perceive, prompt and parse one forecast through the task runner; a
-    horizon whose window holds no weekday is the Assistant's InvalidHorizon."""
+    horizon whose window holds no weekday is the Assistant's error."""
     task = Task(
         task_id=forecast_task_id(symbol, cutoff, horizon, language),
         task_kind="forecast",

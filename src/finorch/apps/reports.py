@@ -24,12 +24,7 @@ from finorch.dataops.retrieval import (
     retrieve,
     tokenize,
 )
-from finorch.errors import (
-    EmptyCorpus,
-    EngineError,
-    ExtractionFailure,
-    UnreadableDocument,
-)
+from finorch.errors import EmptyCorpus, EngineError, ExtractionFailure
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import PromptStore
 from finorch.record import Record
@@ -211,9 +206,9 @@ def _read_document(path: Path) -> str:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise UnreadableDocument(f"cannot read {path}: {exc}") from exc
+        raise EngineError(f"cannot read {path}: {exc}") from exc
     if not text.strip():
-        raise UnreadableDocument(f"document {path} is empty")
+        raise EngineError(f"document {path} is empty")
     return text
 
 
@@ -255,7 +250,7 @@ def index_document(path: Path) -> DocumentAnalysis:
 
     A chunk with no token can match no query, so the index leaves it out;
     the other chunks keep their ids. An unreadable, empty or tokenless
-    document raises ``UnreadableDocument``, and so does one in which no
+    document raises an ``EngineError``, and so does one in which no
     chunk shares a term with the topic and section queries, as its report
     would stand on no passage.
     """
@@ -264,9 +259,9 @@ def index_document(path: Path) -> DocumentAnalysis:
     try:
         index = index_documents(chunks)
     except EmptyCorpus:
-        raise UnreadableDocument(f"document {path} has no indexable text") from None
+        raise EngineError(f"document {path} has no indexable text") from None
     if all(counts.keys().isdisjoint(_QUERY_TERMS) for counts in index.term_counts):
-        raise UnreadableDocument(
+        raise EngineError(
             f"document {path} shares no word with the report's topics and "
             "section queries, so no passage could ground the report"
         )
@@ -292,27 +287,28 @@ def analyze_document(
     """Extract one indicator per topic from the ``document`` that
     ``index_document`` built.
 
-    Topic-level failures are collected, not fatal; the analysis carries on.
+    A topic no passage matches, and a reply that fails or holds no valid
+    tool call, are that topic's failure, and the analysis carries on; any
+    other error, such as a missing template, fails it.
     """
     # Retrieve and render every topic first, then run the extractions
     # together; each topic keeps either its passages or its failure.
-    staged: list[tuple[str, list[RetrievedPassage] | EngineError]] = []
+    staged: list[tuple[str, list[RetrievedPassage] | ExtractionFailure]] = []
     requests = []
     for topic in topics:
-        try:
-            passages = retrieve(
-                document.index, topic, k=min(TOP_K, document.chunk_count)
+        passages = retrieve(
+            document.index, topic, k=min(TOP_K, document.chunk_count)
+        )
+        if not passages:
+            staged.append(
+                (topic, ExtractionFailure(topic, "no passages matched the topic"))
             )
-            if not passages:
-                raise ExtractionFailure(topic, "no passages matched the topic")
-            prompt = prompt_store.render(
-                "extract_indicator",
-                {"topic": topic, "passages": _passages_block(passages)},
-                language,
-            )
-        except EngineError as exc:
-            staged.append((topic, exc))
             continue
+        prompt = prompt_store.render(
+            "extract_indicator",
+            {"topic": topic, "passages": _passages_block(passages)},
+            language,
+        )
         staged.append((topic, passages))
         requests.append((backend_id, [ChatMessage(role="user", content=prompt)]))
     outcomes = iter(gateway.chat_many(requests))
@@ -320,7 +316,7 @@ def analyze_document(
     failures: list[tuple[str, str]] = []
     for topic, prepared in staged:
         try:
-            if isinstance(prepared, EngineError):
+            if isinstance(prepared, ExtractionFailure):
                 raise prepared
             outcome = next(outcomes)
             if isinstance(outcome, EngineError):

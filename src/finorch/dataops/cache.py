@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from finorch import files
-from finorch.errors import CacheMiss, ImmutableEntry, unusable_path
+from finorch.errors import CacheMiss, EngineError, unusable_path
 
 __all__ = ["ResponseCache", "cache_key", "canonical_bytes"]
 
@@ -74,7 +74,7 @@ class ResponseCache:
                     existing = path.read_bytes()
                 if existing == data:
                     return  # identical re-put: no-op
-                raise ImmutableEntry(
+                raise EngineError(
                     f"cache entry {key} already exists with different bytes"
                 )
             files.replace(path, data, "write cache entry")

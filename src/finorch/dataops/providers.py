@@ -42,7 +42,6 @@ from finorch.errors import (
     ProviderFailure,
     RateLimited,
     TransportError,
-    UnknownSymbol,
 )
 from finorch.httpclient import (
     MAX_RETRY_AFTER,
@@ -94,7 +93,7 @@ class FixtureProvider:
         if symbol not in self._files:
             path = self._root / f"{symbol}.json"
             if not path.exists():
-                raise UnknownSymbol(
+                raise ProviderFailure(
                     f"no fixture for symbol {symbol!r} under {self._root}"
                 )
             try:
@@ -215,7 +214,7 @@ class LiveProvider:
         if endpoint == "profile":
             body = self._get("/stock/profile2", {"symbol": symbol})
             if not body:
-                raise UnknownSymbol(f"profile lookup found nothing for {symbol!r}")
+                raise ProviderFailure(f"profile lookup found nothing for {symbol!r}")
             return {
                 "name": body.get("name", symbol),
                 "exchange": body.get("exchange", ""),

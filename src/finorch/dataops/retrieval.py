@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import compress, filterfalse, repeat
 from typing import Any, Mapping, Sequence
 
-from finorch.errors import EmptyCorpus, EmptyQuery
+from finorch.errors import EmptyCorpus, EngineError
 from finorch.record import Record
 
 __all__ = [
@@ -152,7 +152,7 @@ def bm25_scores(index: RetrievalIndex, query: str) -> dict[str, float]:
     """Raw BM25 scores for documents sharing at least one query term."""
     terms = tokenize(query)
     if not terms:
-        raise EmptyQuery(f"query {query!r} has no indexable tokens")
+        raise EngineError(f"query {query!r} has no indexable tokens")
     n_docs = len(index.documents)
     scores: dict[str, float] = {}
     for term in terms:

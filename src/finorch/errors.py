@@ -3,6 +3,13 @@
 Every domain error raised by the engine derives from EngineError so the CLI
 can map them to exit code 1. Errors that surface through the multi-agent
 workflow carry the role that owned the failing stage in ``role``.
+
+A user sees the role and the message, never the class. So a class exists
+only where the program tells it apart: an ``except`` or an ``isinstance``
+names it, a class derives from it, or a caller reads a field of it that
+its message does not hold. Any other failure raises EngineError, or
+ConfigError for a mistake in the config or setup, with a message that says
+what went wrong.
 """
 
 from __future__ import annotations
@@ -24,14 +31,6 @@ class EngineError(Exception):
 
 # ── gateway ──────────────────────────────────────────────────────────────
 
-class DuplicateBackend(EngineError):
-    pass
-
-
-class UnknownBackend(EngineError):
-    pass
-
-
 class TransportError(EngineError):
     """One failed request attempt: a connection error, a timeout, or an
     HTTP status other than 200. ``status`` is that status and
@@ -51,16 +50,9 @@ class TransportError(EngineError):
         self.attempts = 1
 
 
-class TransportTimeout(TransportError):
-    """A failed attempt that was specifically a timeout."""
-
-
 class TransportExhausted(EngineError):
-    """A chat failed and is not retried again."""
-
-
-class Timeout(TransportExhausted):
-    """A chat whose last attempt timed out."""
+    """A chat failed and is not retried again, whether or not its last
+    attempt timed out."""
 
 
 class MalformedResponse(EngineError):
@@ -69,91 +61,12 @@ class MalformedResponse(EngineError):
 
 # ── scheduler ────────────────────────────────────────────────────────────
 
-class DuplicateAgent(EngineError):
-    pass
-
-
-class EmptyInput(EngineError):
-    pass
-
-
-class MissingDimension(EngineError):
-    pass
-
-
 class WeightSumInvalid(EngineError):
     pass
 
 
-class DimensionMismatch(EngineError):
-    pass
-
-
-class GatewayFailure(EngineError):
-    """Gateway error during evaluation, annotated with the record id."""
-
-    def __init__(self, message: str, record_id: str | None = None):
-        super().__init__(message)
-        self.record_id = record_id
-
-
 class GradeParseFailure(EngineError):
     pass
-
-
-class NoScoredAgents(EngineError):
-    pass
-
-
-class UnknownAgent(EngineError):
-    pass
-
-
-# ── workflow ─────────────────────────────────────────────────────────────
-
-class UnknownTemplate(EngineError):
-    pass
-
-
-class MissingBinding(EngineError):
-    def __init__(self, placeholder: str, template_id: str | None = None):
-        self.placeholder = placeholder
-        self.template_id = template_id
-        where = f" in template '{template_id}'" if template_id else ""
-        super().__init__(f"missing binding '{placeholder}'{where}")
-
-
-class EmptyBundle(EngineError):
-    pass
-
-
-# ── tools ────────────────────────────────────────────────────────────────
-
-class NoCallBlock(EngineError):
-    pass
-
-
-class UnknownTool(EngineError):
-    pass
-
-
-class MissingRequiredParam(EngineError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"missing required parameter '{name}'")
-
-
-class TypeMismatch(EngineError):
-    def __init__(self, name: str, expected: str):
-        self.name = name
-        self.expected = expected
-        super().__init__(f"parameter '{name}' does not coerce to {expected}")
-
-
-class UnknownParam(EngineError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unknown parameter '{name}'")
 
 
 # ── expression DSL ───────────────────────────────────────────────────────
@@ -181,10 +94,6 @@ class DomainError(EngineError):
 
 # ── dataops ──────────────────────────────────────────────────────────────
 
-class UnknownSymbol(EngineError):
-    pass
-
-
 class ProviderFailure(EngineError):
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
@@ -201,15 +110,7 @@ class CacheMiss(EngineError):
     pass
 
 
-class ImmutableEntry(EngineError):
-    pass
-
-
 class EmptyCorpus(EngineError):
-    pass
-
-
-class EmptyQuery(EngineError):
     pass
 
 
@@ -237,31 +138,10 @@ class RaggedTable(EngineError):
 
 # ── apps ─────────────────────────────────────────────────────────────────
 
-class IncompleteBundle(EngineError):
-    def __init__(self, missing_block: str):
-        self.missing_block = missing_block
-        super().__init__(f"bundle missing block '{missing_block}'")
-
-
-class MissingSection(EngineError):
-    def __init__(self, section: str):
-        self.section = section
-        super().__init__(f"missing section '{section}'")
-
-
 class UnparseablePrediction(EngineError):
     def __init__(self, text: str):
         self.text = text
         super().__init__("prediction line could not be parsed")
-
-
-class InvalidHorizon(EngineError, ValueError):
-    """A forecast horizon under one day, or whose window holds no
-    weekday or leaves the calendar."""
-
-
-class UnreadableDocument(EngineError):
-    pass
 
 
 class ExtractionFailure(EngineError):
@@ -274,7 +154,9 @@ class ExtractionFailure(EngineError):
 # ── config / cli ─────────────────────────────────────────────────────────
 
 class ConfigError(EngineError):
-    pass
+    """A mistake in the config or setup: a bad value, an unknown or
+    duplicate backend, agent or template, a missing template binding, or a
+    path that cannot be used."""
 
 
 @contextmanager

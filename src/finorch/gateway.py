@@ -28,14 +28,10 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from finorch.errors import (
     ConfigError,
-    DuplicateBackend,
     EngineError,
     MalformedResponse,
-    Timeout,
     TransportError,
     TransportExhausted,
-    TransportTimeout,
-    UnknownBackend,
 )
 from finorch.httpclient import HttpClient, shared_client, with_retries
 from finorch.record import Record
@@ -264,7 +260,7 @@ class Gateway:
         self, spec: BackendSpec, transport: Transport | None = None
     ) -> str:
         if spec.backend_id in self._backends:
-            raise DuplicateBackend(f"backend {spec.backend_id!r} already registered")
+            raise ConfigError(f"backend {spec.backend_id!r} already registered")
         self._backends[spec.backend_id] = spec
         if transport is not None:
             self._transports[spec.backend_id] = transport
@@ -274,7 +270,7 @@ class Gateway:
         try:
             return self._backends[backend_id]
         except KeyError:
-            raise UnknownBackend(f"no backend registered as {backend_id!r}") from None
+            raise ConfigError(f"no backend registered as {backend_id!r}") from None
 
     # -- chat --------------------------------------------------------------
 
@@ -304,8 +300,7 @@ class Gateway:
                 self._monotonic,
             )
         except TransportError as exc:
-            timed_out = isinstance(exc, TransportTimeout)
-            raise (Timeout if timed_out else TransportExhausted)(
+            raise TransportExhausted(
                 f"backend {backend_id!r}: {exc.attempts} attempt(s) failed: {exc}"
             ) from exc
         text = _extract_content(body)
@@ -333,7 +328,7 @@ class Gateway:
         mock fail budgets in a fixed order.
         """
         batch = list(batch)
-        # An unknown backend fails with UnknownBackend and needs no transport.
+        # An unknown backend fails with a ConfigError and needs no transport.
         transports = [self._transport_for(b) for b, _ in batch if b in self._backends]
         if len(batch) < 2 or all(isinstance(t, MockTransport) for t in transports):
             return [self._outcome(request) for request in batch]

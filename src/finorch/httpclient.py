@@ -44,12 +44,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, TypeVar
 from urllib.parse import urlsplit
 
-from finorch.errors import (
-    ConfigError,
-    MalformedResponse,
-    TransportError,
-    TransportTimeout,
-)
+from finorch.errors import ConfigError, MalformedResponse, TransportError
 
 __all__ = [
     "BACKOFF_INITIAL",
@@ -197,13 +192,13 @@ class HttpClient:
     ) -> Any:
         """One attempt: send ``payload`` as JSON, give the decoded reply.
 
-        A connection error or a reply that breaks HTTP/1.1 framing raises
-        ``TransportError``, a timeout ``TransportTimeout``, a status other
-        than 200 a ``TransportError`` with ``status`` and ``retry_after``
-        set, and a body that is not JSON ``MalformedResponse``. No message
-        names the URL's credentials or query, which can carry a token, and
-        a connection error or timeout does not chain the low-level
-        exception. ``timeout`` bounds connecting and each read.
+        A connection error, a timeout or a reply that breaks HTTP/1.1
+        framing raises ``TransportError``, a status other than 200 one with
+        ``status`` and ``retry_after`` set, and a body that is not JSON
+        ``MalformedResponse``. No message names the URL's credentials or
+        query, which can carry a token, and a connection error or timeout
+        does not chain the low-level exception. ``timeout`` bounds
+        connecting and each read.
         """
         parts = urlsplit(url)
         host_port = parts.netloc.rpartition("@")[2]  # never the credentials
@@ -218,7 +213,7 @@ class HttpClient:
         try:
             response = self.send(method, url, body, sent, timeout)
         except TimeoutError:
-            failure = TransportTimeout(f"{label} timed out")
+            failure = TransportError(f"{label} timed out")
         except OSError as exc:
             # The class and the system's error text, never str(exc): an
             # exception may quote the URL it failed on.

@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Mapping
 
-from finorch.errors import MissingBinding, UnknownTemplate
+from finorch.errors import ConfigError
 
 __all__ = ["LANGUAGES", "PromptStore", "placeholder_names"]
 
@@ -49,7 +49,7 @@ class PromptStore:
 
     def _path(self, template_id: str, language: str) -> Path:
         if language not in LANGUAGES:
-            raise UnknownTemplate(
+            raise ConfigError(
                 f"unsupported language {language!r}; expected one of {LANGUAGES}"
             )
         return self._root / f"{template_id}.{language}.txt"
@@ -60,14 +60,14 @@ class PromptStore:
             return text
         path = self._path(template_id, language)
         if not path.exists():
-            raise UnknownTemplate(
+            raise ConfigError(
                 f"no template {template_id!r} for language {language!r} "
                 f"under {self._root}"
             )
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise UnknownTemplate(f"cannot read template {path}: {exc}") from None
+            raise ConfigError(f"cannot read template {path}: {exc}") from None
         self._texts[template_id, language] = text
         return text
 
@@ -86,7 +86,9 @@ class PromptStore:
         def _substitute(match: re.Match[str]) -> str:
             name = match.group(1)
             if name not in bindings:
-                raise MissingBinding(name, template_id=template_id)
+                raise ConfigError(
+                    f"missing binding '{name}' in template '{template_id}'"
+                )
             return str(bindings[name])
 
         return _PLACEHOLDER.sub(_substitute, text)

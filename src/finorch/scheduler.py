@@ -54,15 +54,8 @@ from finorch import files
 from finorch.clock import Clock, SystemClock, isoformat
 from finorch.errors import (
     ConfigError,
-    DimensionMismatch,
-    DuplicateAgent,
-    EmptyInput,
     EngineError,
-    GatewayFailure,
     GradeParseFailure,
-    MissingDimension,
-    NoScoredAgents,
-    UnknownAgent,
     WeightSumInvalid,
     unusable_path,
 )
@@ -71,6 +64,7 @@ from finorch.prompts import PromptStore
 from finorch.record import Record
 
 __all__ = [
+    "NO_JUDGE_BACKEND",
     "TASK_KINDS",
     "AgentProfile",
     "GoldenRecord",
@@ -98,6 +92,9 @@ _SELF_SCORE = re.compile(r"score:\s*(\d+(?:\.\d+)?)", re.IGNORECASE)
 
 #: Template that wraps a golden record's input for the agent under test.
 ADAPTOR_PROMPT_ID = "adaptor_default"
+
+#: Why a judged dimension is refused and a run's grading is skipped.
+NO_JUDGE_BACKEND = "no judge backend configured for judged grading"
 
 
 # ------------------------------------------------------------------- types
@@ -206,15 +203,13 @@ def normalize_scores(
     (uniform excellence should not zero out the dimension).
     """
     if not raw:
-        raise EmptyInput("no agents to normalize")
+        raise EngineError("no agents to normalize")
     agents = sorted(raw)
     dimensions = sorted({d for scores in raw.values() for d in scores})
     for agent in agents:
         for dim in dimensions:
             if dim not in raw[agent]:
-                raise MissingDimension(
-                    f"agent {agent!r} is missing dimension {dim!r}"
-                )
+                raise EngineError(f"agent {agent!r} is missing dimension {dim!r}")
             if raw[agent][dim] < 0:
                 raise ValueError(
                     f"raw score must be non-negative, got "
@@ -247,7 +242,7 @@ def composite_score(
 ) -> float:
     """Weighted sum of normalized dimension scores."""
     if set(normalized) != set(weights):
-        raise DimensionMismatch(
+        raise EngineError(
             f"dimensions {sorted(normalized)} do not match weights "
             f"{sorted(weights)}"
         )
@@ -490,8 +485,8 @@ class Scheduler:
 
     def register_agent(self, profile: AgentProfile) -> str:
         if profile.agent_id in self._agents:
-            raise DuplicateAgent(f"agent {profile.agent_id!r} already registered")
-        self._gateway.get_backend(profile.backend_id)  # UnknownBackend if not
+            raise ConfigError(f"agent {profile.agent_id!r} already registered")
+        self._gateway.get_backend(profile.backend_id)  # ConfigError if not
         self._agents[profile.agent_id] = profile
         self._latest = None  # the next read looks for this agent's rows too
         return profile.agent_id
@@ -500,7 +495,7 @@ class Scheduler:
         try:
             return self._agents[agent_id]
         except KeyError:
-            raise UnknownAgent(f"no agent registered as {agent_id!r}") from None
+            raise ConfigError(f"no agent registered as {agent_id!r}") from None
 
     def agents_for(self, task_kind: str) -> list[AgentProfile]:
         return sorted(
@@ -509,11 +504,6 @@ class Scheduler:
         )
 
     # ------------------------------------------------------------- grading
-
-    def _judge_backend(self) -> str:
-        if self._judge_backend_id is None:
-            raise ConfigError("no judge backend configured for judged grading")
-        return self._judge_backend_id
 
     def _request(
         self, backend_id: str, template_id: str, bindings: Mapping[str, object]
@@ -602,7 +592,7 @@ class Scheduler:
         judge chats of all answered probes in one more. Each judge outcome
         is kept under its (probe index, dimension), and grading looks it up
         by the probe it grades. The rows of all jobs go to the log in one
-        append. A failed probe raises GatewayFailure naming its record, a
+        append. A failed probe raises an EngineError naming its record, a
         failed judge chat its own error, whichever comes first in probe
         order, then dimension order; a failed evaluation appends nothing.
         """
@@ -663,8 +653,10 @@ class Scheduler:
                 f"weights[{task_kind!r}] has dimensions {sorted(weights)}, "
                 f"but its golden dataset has {sorted(dimensions)}"
             )
-        if any(d not in _LOCAL_GRADERS for d in dimensions):
-            self._judge_backend()
+        if self._judge_backend_id is None and any(
+            d not in _LOCAL_GRADERS for d in dimensions
+        ):
+            raise ConfigError(NO_JUDGE_BACKEND)
 
     def _grade_job(
         self,
@@ -683,10 +675,9 @@ class Scheduler:
         for index, record in enumerate(dataset, first):
             outcome = replies[index]
             if isinstance(outcome, EngineError):
-                raise GatewayFailure(
+                raise EngineError(
                     f"agent {profile.agent_id!r} failed on record "
-                    f"{record.record_id!r}: {outcome}",
-                    record_id=record.record_id,
+                    f"{record.record_id!r}: {outcome}"
                 ) from outcome
             try:
                 grades = {
@@ -730,9 +721,7 @@ class Scheduler:
         when the config sets none for the kind."""
         latest = self.latest_scores(task_kind)
         if not latest:
-            raise NoScoredAgents(
-                f"no scored agents for task kind {task_kind!r}"
-            )
+            raise EngineError(f"no scored agents for task kind {task_kind!r}")
         normalized = normalize_scores(
             {agent: score.raw_scores for agent, score in latest.items()}
         )
@@ -775,7 +764,7 @@ class Scheduler:
         self, agent_id: str, task_id: str, self_assessment_text: str
     ) -> Reflection:
         if agent_id not in self._agents:
-            raise UnknownAgent(f"no agent registered as {agent_id!r}")
+            raise ConfigError(f"no agent registered as {agent_id!r}")
         reflection = Reflection(
             agent_id=agent_id,
             task_id=task_id,
@@ -790,12 +779,14 @@ class Scheduler:
 
     def judge_request(
         self, final_output: str, acceptance_text: str
-    ) -> tuple[str, list[ChatMessage]]:
+    ) -> tuple[str, list[ChatMessage]] | None:
         """The judge chat for one run's final output against its acceptance
-        text, as (backend id, messages); ConfigError when no judge backend
-        is configured."""
+        text, as (backend id, messages); None when no judge backend is
+        configured."""
+        if self._judge_backend_id is None:
+            return None
         return self._request(
-            self._judge_backend(),
+            self._judge_backend_id,
             "judge",
             {"acceptance_text": acceptance_text, "final_output": final_output},
         )

@@ -13,13 +13,7 @@ import math
 import re
 from typing import Any, Mapping, Sequence
 
-from finorch.errors import (
-    MissingRequiredParam,
-    NoCallBlock,
-    TypeMismatch,
-    UnknownParam,
-    UnknownTool,
-)
+from finorch.errors import EngineError
 from finorch.record import Record
 
 __all__ = [
@@ -93,7 +87,7 @@ def _coerce(param: ToolParam, value: Any) -> Any:
         else:
             if math.isfinite(number):
                 return number
-    raise TypeMismatch(param.name, param.type)
+    raise EngineError(f"parameter '{param.name}' does not coerce to {param.type}")
 
 
 def _validate_arguments(
@@ -103,11 +97,11 @@ def _validate_arguments(
     out: dict[str, Any] = {}
     for name, value in raw.items():
         if name not in params:
-            raise UnknownParam(name)
+            raise EngineError(f"unknown parameter '{name}'")
         out[name] = _coerce(params[name], value)
     for p in schema.parameters:
         if p.required and p.name not in raw:
-            raise MissingRequiredParam(p.name)
+            raise EngineError(f"missing required parameter '{p.name}'")
     return out
 
 
@@ -119,20 +113,20 @@ def text2params(model_text: str, schemas: Sequence[ToolSchema]) -> ToolCall:
     """
     match = _CALL_BLOCK.search(model_text)
     if match is None:
-        raise NoCallBlock("no fenced tool block found in model text")
+        raise EngineError("no fenced tool block found in model text")
     try:
         payload = json.loads(match.group(1))
     except json.JSONDecodeError as exc:
-        raise NoCallBlock(f"tool block is not valid JSON: {exc}") from exc
+        raise EngineError(f"tool block is not valid JSON: {exc}") from exc
     tool_name = payload.get("tool") if isinstance(payload, dict) else None
     if not isinstance(tool_name, str):
-        raise NoCallBlock("tool block must be an object with a string 'tool'")
+        raise EngineError("tool block must be an object with a string 'tool'")
     args = payload.get("args", {})
     if not isinstance(args, dict):
-        raise NoCallBlock("'args' must be an object")
+        raise EngineError("'args' must be an object")
     by_name = {s.tool_name: s for s in schemas}
     if tool_name not in by_name:
-        raise UnknownTool(f"unknown tool {tool_name!r}")
+        raise EngineError(f"unknown tool {tool_name!r}")
     schema = by_name[tool_name]
     arguments = _validate_arguments(args, schema)
     return ToolCall(

@@ -25,11 +25,12 @@ from typing import Any
 
 from finorch import files
 from finorch.clock import Clock, isoformat
-from finorch.errors import ConfigError, EngineError, unusable_path
+from finorch.errors import EngineError, unusable_path
 from finorch.gateway import ChatMessage, Gateway
 from finorch.prompts import LANGUAGES, PromptStore
 from finorch.record import Record
 from finorch.scheduler import (
+    NO_JUDGE_BACKEND,
     TASK_KINDS,
     Reflection,
     Scheduler,
@@ -193,16 +194,12 @@ def _assess(
             task.language,
         )
     requests = [(backend_id, [ChatMessage(role="user", content=prompt)])]
-    skipped: ConfigError | None = None
     with trace.stage(ROLE_DIRECTOR):
-        try:
-            requests.append(
-                scheduler.judge_request(
-                    outcome.final_output, task.instruction_text
-                )
-            )
-        except ConfigError as exc:  # no judge backend: grading is skipped
-            skipped = exc
+        judge_chat = scheduler.judge_request(
+            outcome.final_output, task.instruction_text
+        )
+    if judge_chat is not None:
+        requests.append(judge_chat)
     assessment, *judged = gateway.chat_many(requests)
 
     with trace.stage(ROLE_FINANCIAL_ANALYST):
@@ -218,10 +215,10 @@ def _assess(
 
     evaluation: WorkflowEvaluation | None = None
     with trace.stage(ROLE_DIRECTOR):
-        if skipped is not None:
+        if judge_chat is None:
             trace.emit(
                 ROLE_DIRECTOR,
-                {"event": "finalize_skipped", "reason": str(skipped)},
+                {"event": "finalize_skipped", "reason": NO_JUDGE_BACKEND},
             )
         else:
             [judge] = judged

@@ -1352,6 +1352,74 @@ def test_an_unusable_cache_dir_is_one_error_line(
     assert line.startswith(f"error: cannot use cache directory {path}: ")
 
 
+def without_template(tmp_path: Path, template_id: str) -> tuple[Path, Path]:
+    """A config whose prompt dir lacks ``<template_id>.en.txt``, and that
+    prompt dir."""
+    prompts = tmp_path / "prompts"
+    shutil.copytree(REPO / "src" / "finorch" / "prompts", prompts)
+    (prompts / f"{template_id}.en.txt").unlink()
+    return write_config(tmp_path, minimal_text() + f"prompt_dir: {prompts}\n"), prompts
+
+
+def unknown_symbol(tmp_path):
+    return write_config(tmp_path), ["forecast", "ZZZZ"], (
+        f"error (Assistant): no fixture for symbol 'ZZZZ' under {REPO / 'fixtures'}"
+    )
+
+
+def weekday_free_horizon(tmp_path):
+    args = ["forecast", "AAPL", "--cutoff", "2024-04-19", "--horizon", "1"]
+    return write_config(tmp_path), args, (
+        "error (Assistant): horizon of 1 day(s) from 2024-04-19 spans no weekday"
+    )
+
+
+def empty_document(tmp_path):
+    document = tmp_path / "empty.txt"
+    document.write_text("", encoding="utf-8")
+    return write_config(tmp_path), ["report", str(document)], (
+        f"error (Assistant): document {document} is empty"
+    )
+
+
+def no_judge_template(tmp_path):
+    """A judge backend is configured, so its missing template is an error,
+    not a skipped grade."""
+    config_path, prompts = without_template(tmp_path, "judge")
+    return config_path, ["forecast", "AAPL"], (
+        f"error (Director): no template 'judge' for language 'en' under {prompts}"
+    )
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [unknown_symbol, weekday_free_horizon, empty_document, no_judge_template],
+    ids=["unknown-symbol", "weekday-free-horizon", "empty-document",
+         "no-judge-template"],
+)
+def test_an_offline_error_is_its_exact_line(tmp_path, setup):
+    """The role and the message are all a failed command prints."""
+    config_path, args, line = setup(tmp_path)
+    result = invoke(config_path, *args, "--offline")
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line]
+
+
+def test_a_missing_extraction_template_fails_the_report(tmp_path):
+    """Every topic renders the one template, so its absence is the
+    report's error, not a failure per topic."""
+    config_path, prompts = without_template(tmp_path, "extract_indicator")
+    document = REPO / "tests" / "fixtures" / "acme_filing.txt"
+    result = invoke(config_path, "report", str(document), "--offline")
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error (Assistant): no template 'extract_indicator' for language 'en' "
+        f"under {prompts}"
+    ]
+
+
 class TestSelfcheck:
     def test_selfcheck_passes(self, config_path):
         result = run_cli(["selfcheck", "--config", str(config_path)])

@@ -21,7 +21,7 @@ from finorch.config import (
     build_engine,
     load_config,
 )
-from finorch.errors import ConfigError, UnknownBackend
+from finorch.errors import ConfigError
 from finorch.gateway import BackendSpec, ChatMessage, MockTransport
 
 from oracles import oracle_config_yaml
@@ -701,7 +701,7 @@ class TestBuildEngineOffline:
 
     def test_offline_engine_builds_no_http_client(self, tmp_path, monkeypatch):
         """Offline, every configured backend answers from its script, and a
-        chat to any other backend id is an UnknownBackend before a
+        chat to any other backend id is a ConfigError before a
         transport is built, so no offline chat can reach the network."""
 
         def refuse(*args, **kwargs):
@@ -715,8 +715,9 @@ class TestBuildEngineOffline:
             [("primary", hello), ("rogue", hello)]
         )
         assert scripted.response_text
-        assert isinstance(rogue, UnknownBackend)
-        with pytest.raises(UnknownBackend):
+        assert isinstance(rogue, ConfigError)
+        assert str(rogue) == "no backend registered as 'rogue'"
+        with pytest.raises(ConfigError, match="no backend registered as 'rogue'"):
             engine.gateway.chat("rogue", hello)
 
     def test_offline_chats_carry_the_configured_backend(

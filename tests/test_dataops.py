@@ -48,11 +48,9 @@ from finorch.errors import (
     CacheMiss,
     ConfigError,
     EmptyCorpus,
-    EmptyQuery,
-    ImmutableEntry,
+    EngineError,
     ProviderFailure,
     RateLimited,
-    UnknownSymbol,
 )
 from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
 from oracles import _bm25_tokenize, oracle_bm25, oracle_bm25_queries
@@ -203,7 +201,9 @@ def test_cache_reput_same_bytes_is_noop_different_bytes_raises(
     cache.put(key, b"same")
     cache.put(key, b"same")  # no-op
     assert cache.get(key) == b"same"
-    with pytest.raises(ImmutableEntry):
+    with pytest.raises(
+        EngineError, match=f"^cache entry {key} already exists with different bytes$"
+    ):
         cache.put(key, b"different")
     assert cache.get(key) == b"same"
 
@@ -591,7 +591,7 @@ def test_bm25_scores_only_matching_documents() -> None:
 
 def test_bm25_rejects_tokenless_query() -> None:
     index = index_documents(_corpus())
-    with pytest.raises(EmptyQuery):
+    with pytest.raises(EngineError, match="^query 'a !' has no indexable tokens$"):
         bm25_scores(index, "a !")
 
 
@@ -630,7 +630,7 @@ def _raw_fixture(symbol: str) -> dict:
 
 def test_fixture_provider_unknown_symbol() -> None:
     provider = FixtureProvider(MARKET_FIXTURES)
-    with pytest.raises(UnknownSymbol):
+    with pytest.raises(ProviderFailure, match="^no fixture for symbol 'ZZZZ' under "):
         provider.fetch("profile", {"symbol": "ZZZZ"})
 
 
@@ -879,7 +879,9 @@ def test_live_provider_maps_profile_fields() -> None:
 
 def test_live_provider_empty_profile_is_unknown_symbol() -> None:
     provider = _live_provider(lambda url: reply(200, {}))
-    with pytest.raises(UnknownSymbol):
+    with pytest.raises(
+        ProviderFailure, match="^profile lookup found nothing for 'ZZZZ'$"
+    ):
         provider.fetch("profile", {"symbol": "ZZZZ"})
 
 

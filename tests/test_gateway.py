@@ -15,13 +15,9 @@ import pytest
 from finorch import httpclient
 from finorch.errors import (
     ConfigError,
-    DuplicateBackend,
     MalformedResponse,
-    Timeout,
     TransportError,
     TransportExhausted,
-    TransportTimeout,
-    UnknownBackend,
 )
 from finorch.gateway import (
     MAX_IN_FLIGHT,
@@ -66,18 +62,18 @@ def user(text: str) -> list[ChatMessage]:
 def test_register_duplicate_rejected():
     gateway, _ = make_gateway()
     script_backend(gateway, "a", [{"match": "", "reply": "ok"}])
-    with pytest.raises(DuplicateBackend):
+    with pytest.raises(ConfigError, match="backend 'a' already registered"):
         script_backend(gateway, "a", [{"match": "", "reply": "ok"}])
 
 
 def test_unknown_backend():
     gateway, _ = make_gateway()
-    with pytest.raises(UnknownBackend):
+    with pytest.raises(ConfigError, match="no backend registered as 'ghost'"):
         gateway.chat("ghost", user("hi"))
 
 
 def test_unknown_backend_in_a_batch_builds_no_http_client(monkeypatch):
-    """A request to an unknown backend ends in UnknownBackend before any
+    """A request to an unknown backend ends in a ConfigError before any
     transport is built, so it never builds the HTTP client."""
 
     def refuse(*args, **kwargs):
@@ -90,7 +86,8 @@ def test_unknown_backend_in_a_batch_builds_no_http_client(monkeypatch):
     for batch in ([("ghost", user("hi"))], [("m", user("a")), ("ghost", user("b"))]):
         *answered, outcome = gateway.chat_many(batch)
         assert [a.response_text for a in answered] == ["ok"] * len(answered)
-        assert isinstance(outcome, UnknownBackend)
+        assert isinstance(outcome, ConfigError)
+        assert str(outcome) == "no backend registered as 'ghost'"
 
 
 def test_spec_validation():
@@ -235,7 +232,7 @@ def test_zero_retries_fails_fast():
 def test_timeout_failures_surface_as_timeout():
     class TimeoutTransport:
         def send(self, spec, payload):
-            raise TransportTimeout("scripted timeout")
+            raise TransportError("scripted timed out")
 
     gateway, _ = make_gateway(transport=TimeoutTransport())
     gateway.register_backend(
@@ -243,12 +240,26 @@ def test_timeout_failures_surface_as_timeout():
             backend_id="t", base_url="http://x", model_name="m", max_retries=1
         )
     )
-    with pytest.raises(Timeout):
+    with pytest.raises(
+        TransportExhausted,
+        match=r"^backend 't': 2 attempt\(s\) failed: scripted timed out$",
+    ):
         gateway.chat("t", user("x"))
 
 
-def test_timeout_is_a_transport_exhausted():
-    assert issubclass(Timeout, TransportExhausted)
+def test_timeout_is_a_transport_exhausted(monkeypatch):
+    """A chat whose request timed out in the HTTP client ends like any
+    chat that ran out of attempts, and says it timed out."""
+    monkeypatch.setenv("EXAMPLE_KEY", "k")
+    client = FakeClient(TimeoutError("timed out"))
+    gateway, _ = make_gateway(transport=HttpTransport(client=client))
+    gateway.register_backend(spec(max_retries=0))
+    with pytest.raises(TransportExhausted) as err:
+        gateway.chat("remote", user("x"))
+    assert str(err.value) == (
+        "backend 'remote': 1 attempt(s) failed: "
+        "POST https://api.example.test/v1/chat/completions timed out"
+    )
 
 
 def test_malformed_response_not_retried():
@@ -396,8 +407,9 @@ def test_http_transport_error_statuses(monkeypatch):
 def test_http_transport_timeout(monkeypatch):
     monkeypatch.setenv("EXAMPLE_KEY", "k")
     transport = HttpTransport(client=FakeClient(TimeoutError("timed out")))
-    with pytest.raises(TransportTimeout):
+    with pytest.raises(TransportError, match=" timed out$") as err:
         transport.send(spec(), {})
+    assert err.value.status is None
 
 
 def test_http_transport_non_json(monkeypatch):

@@ -91,6 +91,121 @@ def test_every_error_class_is_used_in_another_module() -> None:
     assert [name for name in classes if name not in used] == []
 
 
+#: Error classes kept though no other module tells them apart, and why.
+UNTOLD_ERRORS = {
+    "ConfigError": "what every config or setup mistake raises",
+    "TransportExhausted": "what a chat that failed for good raises",
+    "ProviderFailure": "carries the HTTP status, which its message lacks",
+    "RateLimited": "carries the Retry-After delay, which its message lacks",
+    "UnparseablePrediction": "carries the reply text, which its message lacks",
+    "HorizonTooLong": "an analytics.py failure, kept by maintainer decision",
+    "NonPositivePrice": "an analytics.py failure, kept by maintainer decision",
+    "OutOfRangeProbability": "an analytics.py failure, kept by maintainer decision",
+    "TooFewPeers": "an analytics.py failure, kept by maintainer decision",
+    "RaggedTable": "an analytics.py failure, kept by maintainer decision",
+}
+
+
+def _names(node: ast.expr | None) -> set[str]:
+    """The class names an ``except`` or ``isinstance`` type names."""
+    if isinstance(node, ast.Tuple):
+        return {n.id for n in node.elts if isinstance(n, ast.Name)}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def told_apart(errors_source: str, sources: list[str]) -> set[str]:
+    """The classes of ``errors_source`` that one of ``sources`` names in an
+    ``except``, an ``isinstance`` or a class base, or whose own field it
+    reads from an error caught as that class or a base of it."""
+    classes = [
+        node for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    bases = {c.name: _names(ast.Tuple(elts=c.bases)) for c in classes}
+    fields = {
+        c.name: {
+            node.target.id if isinstance(node, ast.AnnAssign) else node.attr
+            for node in ast.walk(c)
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        }
+        for c in classes
+    }
+
+    def lineage(name: str) -> set[str]:
+        return {name}.union(*(lineage(b) for b in bases.get(name, ())))
+
+    told: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler):
+                caught = _names(node.type)
+                told |= caught
+                read = {
+                    n.attr for n in ast.walk(ast.Module(body=node.body))
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id == node.name
+                }
+                told |= {
+                    name for name in fields
+                    if fields[name] & read and lineage(name) & caught
+                }
+            elif isinstance(node, ast.ClassDef):
+                told |= _names(ast.Tuple(elts=node.bases))
+            elif (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+            ):
+                told |= _names(node.args[1])
+    return told & set(fields)
+
+
+def test_every_error_class_is_told_apart_or_listed() -> None:
+    """A user sees an error's role and message, never its class, so a class
+    earns its place only where the program tells it apart. The list of
+    exceptions holds no class that is told apart, or that is gone."""
+    errors = SRC / "errors.py"
+    source = errors.read_text(encoding="utf-8")
+    classes = {
+        node.name for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    others = [
+        path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py")) if path != errors
+    ]
+    assert classes - told_apart(source, others) == set(UNTOLD_ERRORS)
+
+
+def test_the_scan_sees_an_error_told_apart() -> None:
+    errors = (
+        "class Base(Exception):\n"
+        "    role: str | None = None\n"
+        "class Caught(Base): pass\n"
+        "class Checked(Base): pass\n"
+        "class Parent(Base): pass\n"
+        "class Child(Parent): pass\n"
+        "class Fielded(Base):\n"
+        "    def __init__(self, code):\n"
+        "        self.code = code\n"
+        "class Elsewhere(Base):\n"
+        "    def __init__(self, code):\n"
+        "        self.code = code\n"
+        "class Raised(Base): pass\n"
+    )
+    other = (
+        "try: f()\n"
+        "except (Caught, KeyError): pass\n"
+        "except Base as exc: print(exc.code, exc.role)\n"
+        "if isinstance(e, Checked): raise Raised('x')\n"
+        "class Local(Parent): pass\n"
+        "class Child: code = 1\n"
+    )
+    assert told_apart(errors, [other]) == {
+        "Base", "Caught", "Checked", "Parent", "Fielded", "Elsewhere",
+    }
+
+
 #: ``os`` calls that write, rename or open a file below ``open``.
 OS_WRITES = {"replace", "rename", "fdopen", "open"}
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
+import shutil
 import threading
 from pathlib import Path
 
@@ -25,11 +27,10 @@ from finorch.apps.reports import (
 )
 from finorch.clock import FixedClock
 from finorch.errors import (
+    ConfigError,
     EngineError,
     TransportError,
     TransportExhausted,
-    UnknownTemplate,
-    UnreadableDocument,
 )
 from finorch.gateway import BackendSpec, Gateway, MockTransport
 from finorch.prompts import PromptStore
@@ -74,20 +75,21 @@ def test_chunk_text_validation() -> None:
 
 
 def test_unreadable_documents(tmp_path: Path) -> None:
-    with pytest.raises(UnreadableDocument):
-        index_document(tmp_path / "missing.txt")
+    missing = tmp_path / "missing.txt"
     empty = tmp_path / "empty.txt"
     empty.write_text("   \n", encoding="utf-8")
-    with pytest.raises(UnreadableDocument):
-        index_document(empty)
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe\x00\x00junk")
-    with pytest.raises(UnreadableDocument):
-        index_document(binary)
     leaders = tmp_path / "leaders.txt"
     leaders.write_text("." * 2500 + "\n" + "- " * 700 + "_ 1 é —", encoding="utf-8")
-    with pytest.raises(UnreadableDocument, match="no indexable text"):
-        index_document(leaders)
+    for path, pattern in [
+        (missing, "^cannot read {}: "),
+        (empty, "^document {} is empty$"),
+        (binary, "^cannot read {}: "),
+        (leaders, "^document {} has no indexable text$"),
+    ]:
+        with pytest.raises(EngineError, match=pattern.format(re.escape(str(path)))):
+            index_document(path)
 
 
 # ------------------------------------------------------------- extraction
@@ -413,9 +415,9 @@ def test_report_extracts_through_the_routed_backend(tmp_path: Path) -> None:
 
 def test_extraction_failure_is_the_assistants(tmp_path: Path) -> None:
     def unreadable(document, **kwargs):
-        raise UnreadableDocument("document vanished")
+        raise EngineError("document vanished")
 
-    with pytest.raises(UnreadableDocument) as err:
+    with pytest.raises(EngineError, match="^document vanished$") as err:
         run_report(tmp_path, analyze=unreadable)
     assert err.value.role == ROLE_ASSISTANT
     trace = tmp_path / "runs" / REPORT_TASK_ID / "trace.jsonl"
@@ -428,15 +430,18 @@ def test_extraction_failure_is_the_assistants(tmp_path: Path) -> None:
 
 def test_generate_report_requires_the_section_template(tmp_path: Path) -> None:
     document, gateway, scheduler = report_setup(tmp_path)
-    bare = tmp_path / "bare_prompts"
-    bare.mkdir()
-    with pytest.raises(UnknownTemplate):
+    prompts = tmp_path / "prompts"
+    shutil.copytree(PromptStore().root, prompts)
+    (prompts / "report_section.en.txt").unlink()
+    with pytest.raises(
+        ConfigError, match="^no template 'report_section' for language 'en' under "
+    ):
         generate_report(
             document,
             "Acme Industrial",
             scheduler=scheduler,
             gateway=gateway,
-            prompt_store=PromptStore(bare),
+            prompt_store=PromptStore(prompts),
             runs_dir=tmp_path / "runs",
             clock=FixedClock(),
         )

@@ -20,17 +20,9 @@ from hypothesis import strategies as st
 from finorch.clock import FixedClock
 from finorch.errors import (
     ConfigError,
-    DimensionMismatch,
-    DuplicateAgent,
-    EmptyInput,
     EngineError,
-    GatewayFailure,
     GradeParseFailure,
-    MissingDimension,
-    NoScoredAgents,
     TransportError,
-    UnknownAgent,
-    UnknownBackend,
     WeightSumInvalid,
 )
 from finorch.gateway import BackendSpec, Gateway
@@ -72,9 +64,11 @@ def test_normalize_hand_cases() -> None:
 
 
 def test_normalize_validation() -> None:
-    with pytest.raises(EmptyInput):
+    with pytest.raises(EngineError, match="^no agents to normalize$"):
         normalize_scores({})
-    with pytest.raises(MissingDimension):
+    with pytest.raises(
+        EngineError, match="^agent 'a' is missing dimension 'e'$"
+    ):
         normalize_scores({"a": {"d": 1.0}, "b": {"e": 1.0}})
     with pytest.raises(ValueError):
         normalize_scores({"a": {"d": -0.1}, "b": {"d": 1.0}})
@@ -118,7 +112,10 @@ def test_composite_validation() -> None:
         composite_score({"x": 1.0}, {"x": 0.9})
     with pytest.raises(WeightSumInvalid):
         composite_score({"x": 1.0, "y": 0.0}, {"x": 1.5, "y": -0.5})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(
+        EngineError,
+        match=r"^dimensions \['x'\] do not match weights \['y'\]$",
+    ):
         composite_score({"x": 1.0}, {"y": 1.0})
 
 
@@ -295,9 +292,11 @@ def register(scheduler: Scheduler, agent_id: str, backend_id: str) -> None:
 def test_register_rejects_duplicates_and_unknown_backends(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
     register(scheduler, "alpha", "good")
-    with pytest.raises(DuplicateAgent):
+    with pytest.raises(ConfigError, match="^agent 'alpha' already registered$"):
         register(scheduler, "alpha", "good")
-    with pytest.raises(UnknownBackend):
+    with pytest.raises(
+        ConfigError, match="^no backend registered as 'missing-backend'$"
+    ):
         register(scheduler, "beta", "missing-backend")
 
 
@@ -340,7 +339,7 @@ def test_evaluate_empty_reply_scores_zero_exact_match(tmp_path: Path) -> None:
 def test_evaluate_validates_inputs(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
     register(scheduler, "alpha", "good")
-    with pytest.raises(UnknownAgent):
+    with pytest.raises(ConfigError, match="^no agent registered as 'ghost'$"):
         scheduler.evaluate_agent("ghost", golden_dataset())
     assert not scheduler.scores_path.exists()
 
@@ -350,9 +349,10 @@ def test_gateway_failure_carries_record_id(tmp_path: Path) -> None:
         tmp_path, {"flaky": [{"match": "", "fail": True}]}
     )
     register(scheduler, "alpha", "flaky")
-    with pytest.raises(GatewayFailure) as err:
+    with pytest.raises(
+        EngineError, match="^agent 'alpha' failed on record 'g1': "
+    ):
         scheduler.evaluate_agent("alpha", golden_dataset())
-    assert err.value.record_id == "g1"
 
 
 def test_gateway_failure_names_first_failing_record_in_dataset_order(
@@ -363,9 +363,10 @@ def test_gateway_failure_names_first_failing_record_in_dataset_order(
         {"flaky": [{"match": "g3:", "fail": True}, *correct_script()]},
     )
     register(scheduler, "alpha", "flaky")
-    with pytest.raises(GatewayFailure) as err:
+    with pytest.raises(
+        EngineError, match="^agent 'alpha' failed on record 'g3': "
+    ):
         scheduler.evaluate_agent("alpha", golden_dataset())
-    assert err.value.record_id == "g3"
 
 
 def test_concurrent_probe_failures_report_the_earliest_record(
@@ -396,9 +397,10 @@ def test_concurrent_probe_failures_report_the_earliest_record(
         transport=RacingTransport(),
     )
     register(scheduler, "alpha", "remote")
-    with pytest.raises(GatewayFailure) as err:
+    with pytest.raises(
+        EngineError, match="^agent 'alpha' failed on record 'g2': "
+    ):
         scheduler.evaluate_agent("alpha", golden_dataset())
-    assert err.value.record_id == "g2"
     assert not scheduler.scores_path.exists()
 
 
@@ -470,15 +472,17 @@ def test_failed_probe_of_a_later_agent_appends_no_rows(
     scheduler, gateway = make_scheduler(tmp_path, {})
     register_remote(scheduler, gateway, "alpha", RemoteTransport(correct_answer))
     register_remote(scheduler, gateway, "beta", RemoteTransport(flaky))
-    with pytest.raises(GatewayFailure) as err:
+    with pytest.raises(
+        EngineError, match="^agent 'beta' failed on record 'g2': "
+    ):
         scheduler.evaluate_agents(
             [("alpha", golden_dataset()), ("beta", golden_dataset())]
         )
-    assert err.value.record_id == "g2"
-    assert "'beta'" in str(err.value)
     # alpha was graded, but a failed evaluation leaves no half roster.
     assert not scheduler.scores_path.exists()
-    with pytest.raises(NoScoredAgents):
+    with pytest.raises(
+        EngineError, match="^no scored agents for task kind 'forecast'$"
+    ):
         scheduler.rank_agents("forecast")
 
 
@@ -766,7 +770,9 @@ def test_rank_ties_break_lexicographically(tmp_path: Path) -> None:
 def test_route_without_scores_raises(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
     register(scheduler, "alpha", "good")
-    with pytest.raises(NoScoredAgents):
+    with pytest.raises(
+        EngineError, match="^no scored agents for task kind 'forecast'$"
+    ):
         scheduler.route("forecast")
 
 
@@ -833,12 +839,17 @@ def test_record_reflection_parses_and_appends(tmp_path: Path) -> None:
 def test_record_reflection_validates_agent(tmp_path: Path) -> None:
     scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
     register(scheduler, "alpha", "good")
-    with pytest.raises(UnknownAgent):
+    with pytest.raises(ConfigError, match="^no agent registered as 'ghost'$"):
         scheduler.record_reflection("ghost", "task-1", "score: 0.5")
     assert not scheduler.reflections_path.exists()
 
 
 # -------------------------------------------------------------- evaluations
+
+
+def test_no_judge_backend_is_no_judge_request(tmp_path: Path) -> None:
+    scheduler, _ = make_scheduler(tmp_path, {"good": correct_script()})
+    assert scheduler.judge_request("final text", "must mention text") is None
 
 
 def test_finalize_grades_and_aggregates_self_scores(tmp_path: Path) -> None:

@@ -23,7 +23,7 @@ from finorch.apps.forecaster import (
 )
 from finorch.clock import FixedClock
 from finorch.dataops.providers import FixtureProvider, MarketData
-from finorch.errors import EmptyBundle, EngineError, UnknownTemplate
+from finorch.errors import ConfigError, EngineError
 from finorch.gateway import BackendSpec, ChatMessage, Gateway, MockTransport
 from finorch.prompts import PromptStore
 from finorch.scheduler import AgentProfile, GoldenRecord, Scheduler
@@ -93,7 +93,7 @@ def test_perceive_forecast_is_strictly_pre_cutoff() -> None:
 
 
 def test_perceive_forecast_empty_bundle_before_any_data() -> None:
-    with pytest.raises(EmptyBundle):
+    with pytest.raises(EngineError, match="^no data for 'AAPL' before 2020-01-01$"):
         perceive("AAPL", dt.date(2020, 1, 1), market_data())
 
 
@@ -329,7 +329,7 @@ def test_run_task_without_judge_skips_grading(tmp_path: Path) -> None:
     assert run.evaluation is None
     last = trace_records(tmp_path)[-1]
     assert (last["role"], last["event"]) == ("Director", "finalize_skipped")
-    assert "judge" in last["reason"]
+    assert last["reason"] == "no judge backend configured for judged grading"
     artifact = json.loads((run.run_dir / "note.json").read_text())
     assert artifact["grade"] is None and artifact["self_score"] == 0.9
 
@@ -364,7 +364,10 @@ def test_run_task_self_assessment_failure_carries_analyst_role(
     bare = tmp_path / "bare_prompts"
     bare.mkdir()
     error, records = failed_note(tmp_path, prompt_store=PromptStore(bare))
-    assert isinstance(error, UnknownTemplate)
+    assert isinstance(error, ConfigError)
+    assert str(error) == (
+        f"no template 'self_assessment' for language 'en' under {bare}"
+    )
     assert error.role == "Financial Analyst"
     assert [r["event"] for r in records] == ["route", "perception", "error"]
     assert records[-1]["error"] == str(error)
