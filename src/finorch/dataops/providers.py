@@ -54,14 +54,11 @@ if TYPE_CHECKING:
     from finorch.dataops.cache import ResponseCache
 
 __all__ = [
-    "ENDPOINTS",
     "FixtureProvider",
     "LiveProvider",
     "MarketData",
     "Provider",
 ]
-
-ENDPOINTS = ("profile", "candles", "news", "metrics")
 
 #: Seconds a live request may wait to connect or for each read.
 REQUEST_TIMEOUT = 15.0
@@ -192,10 +189,7 @@ class LiveProvider:
             if exc.status == 429:
                 retry_after = exc.retry_after or 0.0
                 if retry_after > MAX_RETRY_AFTER:
-                    reason = (
-                        f"the server asks for {retry_after:g}s, "
-                        f"more than {MAX_RETRY_AFTER:g}s"
-                    )
+                    reason = f"the server asks for more than {MAX_RETRY_AFTER:g}s"
                 else:
                     reason = f"{exc.attempts} attempt(s)"
                 raise RateLimited(

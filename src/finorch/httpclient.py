@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import math
 import os
 import random
 import threading
@@ -92,7 +91,8 @@ class Response(NamedTuple):
 def _retry_delay(header: str, now: dt.datetime) -> float:
     """Seconds to wait for a Retry-After value (RFC 9110 §10.2.3):
     delay-seconds, or an HTTP date (the delay until then, never negative).
-    An unreadable value waits one second."""
+    A delay too big for a float is infinite, and fails the cap like any
+    other; a negative, NaN or unreadable value waits one second."""
     try:
         seconds = float(header)
     except ValueError:
@@ -105,7 +105,7 @@ def _retry_delay(header: str, now: dt.datetime) -> float:
         if when.tzinfo is None:  # "-0000": UTC with no stated zone
             when = when.replace(tzinfo=dt.timezone.utc)
         return max(0.0, (when - now).total_seconds())
-    return seconds if 0.0 <= seconds < math.inf else 1.0
+    return seconds if seconds >= 0.0 else 1.0
 
 
 def with_retries(

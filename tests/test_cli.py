@@ -30,34 +30,6 @@ from clirun import run_cli
 from test_config import MINIMAL, REPO, minimal_text, write_config
 
 
-#: Modules no command may import: the CLI runs on ``argparse``, and
-#: finorch's records are plain classes, so nothing loads ``dataclasses``
-#: or the ``inspect`` it imports.
-NEVER_IMPORTED = ["click", "dataclasses", "inspect"]
-
-
-def imported_by_command(config_path, args, *modules, env=None):
-    """Which of ``modules`` and ``NEVER_IMPORTED`` one command imports, in
-    a fresh interpreter with ``env`` added to the environment."""
-    code = (
-        "import sys; from finorch.cli import main; "
-        "main(sys.argv[1:], standalone_mode=False); "
-        f"print(sorted(set({[*modules, *NEVER_IMPORTED]!r}) & set(sys.modules)))"
-    )
-    env = {**os.environ, **(env or {}), "PYTHONPATH": str(REPO / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args, "--config", str(config_path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
-
-
-def imported_by_offline_command(config_path, args, *modules):
-    """``imported_by_command`` for the offline form of the command."""
-    return imported_by_command(config_path, [*args, "--offline"], *modules)
-
-
 @pytest.fixture()
 def config_path(tmp_path) -> Path:
     return write_config(tmp_path)
@@ -65,6 +37,31 @@ def config_path(tmp_path) -> Path:
 
 def invoke(config_path, *args):
     return run_cli([*args, "--config", str(config_path)])
+
+
+def error_line(config_path, *args) -> str:
+    """The one line a failing command prints, run as a shell runs it: in a
+    fresh interpreter, where a traceback would show."""
+    done = subprocess.run(
+        [sys.executable, "-m", "finorch.cli", *args, "--config", str(config_path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    return line
+
+
+def loaded_offline(mode: str, *modules: str) -> list[str]:
+    """Which of ``modules`` the cost oracle's offline ``mode`` loads, and of
+    the CLI framework and reflection no command may load (it runs on
+    ``argparse``; records are plain classes)."""
+    from test_cost import observed  # test_cost imports this module
+
+    seen = observed(mode)
+    never = {"click", "dataclasses", "inspect"}
+    return sorted({*modules, *never} & {*seen["finorch"], *seen["modules"]})
 
 
 #: The input texts of the forecast golden set, which every probe carries.
@@ -184,16 +181,10 @@ class TestForecastCommand:
         self, config_path, tmp_path
     ):
         # Friday cutoff, one day: the window holds only a Saturday
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run(
-            [sys.executable, "-m", "finorch.cli", "forecast", "AAPL",
-             "--offline", "--cutoff", "2024-04-19", "--horizon", "1",
-             "--config", str(config_path)],
-            capture_output=True, text=True, env=env, timeout=60,
+        line = error_line(
+            config_path, "forecast", "AAPL", "--offline",
+            "--cutoff", "2024-04-19", "--horizon", "1",
         )
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        [line] = done.stderr.splitlines()
         assert line.startswith("error (Assistant): ")
         assert "spans no weekday" in line
         # refused before any scoring, fetch or trace
@@ -212,15 +203,7 @@ class TestForecastCommand:
     def test_dates_off_the_calendar_are_one_error_line(
         self, config_path, tmp_path, args
     ):
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run(
-            [sys.executable, "-m", "finorch.cli", "forecast", "AAPL",
-             "--offline", *args, "--config", str(config_path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        [line] = done.stderr.splitlines()
+        line = error_line(config_path, "forecast", "AAPL", "--offline", *args)
         assert line.startswith("error (Assistant): ")
         assert "leave the calendar" in line
         # refused before any scoring, fetch or trace
@@ -275,8 +258,6 @@ class TestForecastCommand:
     ):
         """Offline, the backend that ``judge_backend_id`` names answers as
         the judge, whatever its id."""
-        from test_config import minimal_text
-
         config_path = write_config(
             tmp_path, minimal_text().replace(": judge", ": grader")
         )
@@ -312,16 +293,13 @@ class TestForecastCommand:
     def test_real_tickers_are_symbols(self, symbol):
         assert _parser().parse_args(["forecast", symbol]).symbol == symbol
 
-    def test_offline_runs_with_network_disabled(
-        self, config_path, monkeypatch
-    ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("offline command attempted a network call")
+    def test_offline_runs_with_network_disabled(self):
+        """An offline forecast creates no socket and connects nowhere."""
+        from test_cost import observed  # test_cost imports this module
 
-        monkeypatch.setattr(socket, "socket", refuse)
-        monkeypatch.setattr(socket, "create_connection", refuse)
-        result = invoke(config_path, "forecast", "AAPL", "--offline")
-        assert result.exit_code == 0, result.output
+        assert observed("forecast")["sockets"] == {
+            "socket.__new__": 0, "socket.connect": 0,
+        }
 
 
 class TestReportCommand:
@@ -359,24 +337,13 @@ class TestReportCommand:
             assert (run_dir / name).read_bytes() == blob, name
         assert second.output == first.output
 
-    def _imported_by_offline_report(self, config_path, *modules):
-        return imported_by_offline_command(
-            config_path, ["report", str(self.DOC)], *modules
-        )
+    def test_offline_report_starts_no_thread_pool(self):
+        assert loaded_offline("report", "concurrent.futures") == []
 
-    def test_offline_report_starts_no_thread_pool(self, config_path):
-        """Scripted backends answer inline, so an offline run never even
-        imports the executor."""
-        assert self._imported_by_offline_report(
-            config_path, "concurrent.futures"
-        ) == "[]"
-
-    def test_offline_report_imports_no_dsl_or_analytics(self, config_path):
-        """No command runs the expression language or the analytics
-        formulas, so no command pays for importing them."""
-        assert self._imported_by_offline_report(
-            config_path, "finorch.analytics", "finorch.tools.dsl"
-        ) == "[]"
+    def test_offline_report_imports_no_dsl_or_analytics(self):
+        """No command runs the expression language or analytics."""
+        dsl = "finorch.tools.dsl"
+        assert loaded_offline("report", "finorch.analytics", dsl) == []
 
     def test_report_routes_once(self, config_path, monkeypatch):
         """The Director routes a report once, in the task runner; the
@@ -474,15 +441,7 @@ class TestReportCommand:
     ):
         doc = tmp_path / "filing.txt"
         doc.write_text(text, encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run(
-            [sys.executable, "-m", "finorch.cli", "report", str(doc),
-             "--offline", "--config", str(config_path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        [line] = done.stderr.splitlines()
+        line = error_line(config_path, "report", str(doc), "--offline")
         assert line.startswith("error (Assistant): ")
         assert str(doc) in line and message in line
         # Refused before any scoring: no agent was evaluated.
@@ -586,87 +545,46 @@ class TestEvaluateAndRoute:
         # 4 forecast records for 2 agents, 2 report records for 2 agents
         assert batches == [12]
 
-    @pytest.mark.parametrize(
-        "args",
-        [["forecast", "AAPL"], ["evaluate"], ["route", "report"]],
-        ids=["forecast", "evaluate", "route"],
-    )
-    def test_offline_command_starts_no_thread_pool(self, config_path, args):
-        """Scripted backends answer inline, which keeps offline runs
-        byte-deterministic, so no offline command imports the executor."""
-        assert imported_by_offline_command(
-            config_path, args, "concurrent.futures"
-        ) == "[]"
+    @pytest.mark.parametrize("mode", ["forecast", "evaluate", "route"])
+    def test_offline_command_starts_no_thread_pool(self, mode):
+        """Scripted backends answer inline, keeping offline runs
+        byte-deterministic, so nothing offline imports the executor."""
+        assert loaded_offline(mode, "concurrent.futures") == []
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["forecast", "AAPL"],
-            ["report", str(TestReportCommand.DOC)],
-            ["evaluate"],
-            ["route", "report"],
-        ],
-        ids=["forecast", "report", "evaluate", "route"],
-    )
-    def test_offline_command_loads_no_http_client(self, config_path, args):
-        """Offline never opens a socket: every backend answers from its
-        script, so no offline command pays for importing an HTTP client,
-        its wire code, ``socket``, or the date parser it reads a
-        Retry-After header with."""
-        assert imported_by_offline_command(
-            config_path, args, "requests", "urllib3", "http.client",
-            "email.utils", "socket", "finorch.http11",
-        ) == "[]"
+    @pytest.mark.parametrize("mode", ["forecast", "report", "evaluate", "route"])
+    def test_offline_command_loads_no_http_client(self, mode):
+        """Nothing offline loads an HTTP client, its wire code, ``socket``
+        or the date parser a Retry-After header is read with."""
+        assert loaded_offline(
+            mode, "requests", "urllib3", "http.client", "email.utils",
+            "socket", "finorch.http11",
+        ) == []
 
-    @pytest.mark.parametrize(
-        "args, expected",
-        [
-            (["evaluate"], []),
-            (["route", "report"], []),
-            (["forecast", "AAPL"], ["finorch.apps.forecaster"]),
-        ],
-        ids=["evaluate", "route", "forecast"],
-    )
-    def test_offline_command_imports_only_its_app(
-        self, config_path, args, expected
-    ):
-        """An app is imported on its first call, so scoring and routing load
-        no app code and a forecast loads no report code."""
-        assert imported_by_offline_command(
-            config_path, args, "finorch.apps.forecaster",
-            "finorch.apps.reports", "finorch.dataops.retrieval",
-            "finorch.tools.calls",
-        ) == str(expected)
+    @pytest.mark.parametrize("mode, expected", [
+        ("evaluate", []), ("route", []),
+        ("forecast", ["finorch.apps.forecaster"]),
+    ], ids=["evaluate", "route", "forecast"])
+    def test_offline_command_imports_only_its_app(self, mode, expected):
+        """An app is imported on its first call."""
+        assert loaded_offline(
+            mode, "finorch.apps.forecaster", "finorch.apps.reports",
+            "finorch.dataops.retrieval", "finorch.tools.calls",
+        ) == expected
 
-    @pytest.mark.parametrize(
-        "args",
-        [["evaluate"], ["route", "report"]],
-        ids=["evaluate", "route"],
-    )
+    @pytest.mark.parametrize("mode", ["evaluate", "route"])
     def test_offline_scoring_loads_no_runner_market_data_or_logging(
-        self, config_path, args
+        self, mode
     ):
-        """Scoring and routing run no task and read no market data, so they
-        load neither the workflow runner nor any of ``finorch.dataops``
-        (whose submodules all load the package), and nothing they run
-        logs."""
-        assert imported_by_offline_command(
-            config_path, args, "finorch.workflow", "finorch.dataops",
-            "hashlib", "logging",
-        ) == "[]"
+        """Scoring and routing run no task and read no market data."""
+        assert loaded_offline(
+            mode, "finorch.workflow", "finorch.dataops", "hashlib", "logging"
+        ) == []
 
-    @pytest.mark.parametrize(
-        "args",
-        [["forecast", "AAPL"], ["report", str(TestReportCommand.DOC)]],
-        ids=["forecast", "report"],
-    )
-    def test_offline_app_loads_no_response_cache(self, config_path, args):
-        """Offline market data comes straight from the fixtures, so no
-        offline command loads the response cache or the hash it keys
-        entries with."""
-        assert imported_by_offline_command(
-            config_path, args, "finorch.dataops.cache", "hashlib"
-        ) == "[]"
+    @pytest.mark.parametrize("mode", ["forecast", "report"])
+    def test_offline_app_loads_no_response_cache(self, mode):
+        """Offline market data comes straight from the fixtures."""
+        cached = ("finorch.dataops.cache", "hashlib")
+        assert loaded_offline(mode, *cached) == []
 
     def test_live_route_on_persisted_scores_builds_no_market_data(
         self, config_path, tmp_path, monkeypatch
@@ -682,20 +600,6 @@ class TestEvaluateAndRoute:
         result = invoke(config_path, "route", "forecast")
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "forecaster-primary"
-
-    def test_live_route_on_persisted_scores_loads_no_record_machinery(
-        self, config_path, tmp_path
-    ):
-        """A live route on persisted scores sends nothing, so it builds no
-        HTTP client and loads none of its modules, no offline scripts, and
-        neither ``dataclasses`` nor ``inspect``."""
-        persist_forecast_scores(tmp_path / "state")
-        dummy = {"EXAMPLE_API_KEY": "dummy-key", "OTHER_API_KEY": "dummy-key"}
-        assert imported_by_command(
-            config_path, ["route", "forecast"], "http.client",
-            "urllib.request", "ssl", "email.parser", "socket",
-            "finorch.http11", "finorch.offline", env=dummy,
-        ) == "[]"
 
     def test_evaluate_writes_one_row_per_agent(
         self, config_path, tmp_path
@@ -791,8 +695,6 @@ class TestEvaluateAndRoute:
         assert result.exit_code == 2
 
     def test_evaluate_missing_golden_exits_one(self, tmp_path):
-        from test_config import MINIMAL
-
         (tmp_path / "no-golden").mkdir()
         config_path = write_config(
             tmp_path,
@@ -928,21 +830,11 @@ class TestEvaluateAndRoute:
         ]
 
     def test_bad_config_number_is_one_error_line(self, tmp_path):
-        from test_config import minimal_text
-
         config_path = write_config(
             tmp_path,
             minimal_text().replace("exact_match: 0.5", 'exact_match: "abc"'),
         )
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        done = subprocess.run(
-            [sys.executable, "-m", "finorch.cli", "evaluate", "--offline",
-             "--config", str(config_path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        [line] = done.stderr.splitlines()
+        line = error_line(config_path, "evaluate", "--offline")
         assert line.startswith("error: weights['forecast'] key 'exact_match'")
 
 
@@ -1163,15 +1055,7 @@ def test_an_unreadable_input_file_is_one_error_line(tmp_path, setup, prefix):
     """A file that is not UTF-8, or a fixture that is not JSON, is one
     error line naming the file."""
     config_path, args, broken = setup(tmp_path)
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "finorch.cli", *args, "--offline",
-         "--config", str(config_path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    [line] = done.stderr.splitlines()
+    line = error_line(config_path, *args, "--offline")
     assert line.startswith(f"{prefix} {broken}: ")
 
 
@@ -1185,18 +1069,10 @@ def test_a_config_nested_past_libyamls_stack_is_one_error_line(tmp_path, deep):
     """LibYAML's composer recurses in C and crashes the process some 20000
     levels down, so such a config is refused before it composes."""
     config_path = write_config(tmp_path, minimal_text() + deep)
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     started = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "finorch.cli", "route", "forecast",
-         "--offline", "--config", str(config_path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    line = error_line(config_path, "route", "forecast", "--offline")
     assert time.perf_counter() - started < 2
-    assert done.returncode == 1, done.stderr
-    assert done.stderr.splitlines() == [
-        f"error: config {config_path} nests too deeply"
-    ]
+    assert line == f"error: config {config_path} nests too deeply"
 
 
 def a_file_at(path: Path) -> Path:
@@ -1442,8 +1318,6 @@ class TestSelfcheck:
     def test_selfcheck_with_a_renamed_primary_backend(self, tmp_path):
         """The round trip goes to a configured backend that carries the
         primary script, whatever its id."""
-        from test_config import minimal_text
-
         config_path = write_config(
             tmp_path,
             minimal_text().replace("backend_id: primary", "backend_id: openai"),

@@ -82,10 +82,7 @@ fixture_dir: {fixture_dir}
 
 def write_config(tmp_path: Path, text: str | None = None) -> Path:
     path = tmp_path / "config.yaml"
-    content = text if text is not None else MINIMAL.format(
-        golden_dir=REPO / "fixtures" / "golden",
-        fixture_dir=REPO / "fixtures",
-    )
+    content = text if text is not None else minimal_text()
     path.write_text(content, encoding="utf-8")
     return path
 
@@ -155,10 +152,7 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, "- just\n- a list\n"))
 
     def test_unknown_top_level_key(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        )
+        base = minimal_text()
         with pytest.raises(ConfigError, match="unknown top-level"):
             load_config(write_config(tmp_path, base + "\nsurprise: 1\n"))
 
@@ -171,10 +165,7 @@ class TestLoadConfig:
     )
     def test_empty_required_lists(self, tmp_path, mutation, message):
         key = mutation.split(":")[0]
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        )
+        base = minimal_text()
         lines = []
         skipping = False
         for line in base.splitlines(keepends=True):
@@ -189,61 +180,44 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, mutation + "".join(lines)))
 
     def test_agent_references_unknown_backend(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace("backend_id: secondary\n    task_kinds: [forecast]",
-                  "backend_id: ghost\n    task_kinds: [forecast]")
+        base = minimal_text().replace(
+            "backend_id: secondary\n    task_kinds: [forecast]",
+            "backend_id: ghost\n    task_kinds: [forecast]",
+        )
         with pytest.raises(ConfigError, match="unknown backend 'ghost'"):
             load_config(write_config(tmp_path, base))
 
     def test_unknown_task_kind(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace("task_kinds: [report]", "task_kinds: [poetry]", 1)
+        base = minimal_text().replace("task_kinds: [report]", "task_kinds: [poetry]", 1)
         with pytest.raises(ConfigError, match="'poetry'"):
             load_config(write_config(tmp_path, base))
 
     def test_duplicate_backend_ids(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace("backend_id: secondary", "backend_id: primary", 1)
+        base = minimal_text().replace("backend_id: secondary", "backend_id: primary", 1)
         with pytest.raises(ConfigError, match="duplicate backend ids"):
             load_config(write_config(tmp_path, base))
 
     def test_unknown_judge_backend(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace("judge_backend_id: judge", "judge_backend_id: nobody")
+        base = minimal_text().replace(
+            "judge_backend_id: judge", "judge_backend_id: nobody"
+        )
         with pytest.raises(ConfigError, match="judge_backend_id 'nobody'"):
             load_config(write_config(tmp_path, base))
 
     def test_unsupported_language(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace("default_language: en", "default_language: fr")
+        base = minimal_text().replace("default_language: en", "default_language: fr")
         with pytest.raises(ConfigError, match="default_language 'fr'"):
             load_config(write_config(tmp_path, base))
 
     def test_inline_credential_rejected(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace(
+        base = minimal_text().replace(
             "api_key_env: OTHER_API_KEY", "api_key: sk-verysecret"
         )
         with pytest.raises(ConfigError, match="environment"):
             load_config(write_config(tmp_path, base))
 
     def test_inline_provider_token_rejected(self, tmp_path):
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace("token_env: FINNHUB_TOKEN", "token: hub-secret")
+        base = minimal_text().replace("token_env: FINNHUB_TOKEN", "token: hub-secret")
         with pytest.raises(ConfigError, match="environment"):
             load_config(write_config(tmp_path, base))
 
@@ -294,10 +268,7 @@ class TestLoadConfig:
         line = "api_key_env: OTHER_API_KEY"
         if not setting.startswith("api_key_env:"):
             setting = f"{line}\n    {setting}"
-        base = MINIMAL.format(
-            golden_dir=REPO / "fixtures" / "golden",
-            fixture_dir=REPO / "fixtures",
-        ).replace(line, setting)
+        base = minimal_text().replace(line, setting)
         with pytest.raises(ConfigError, match=rf"backends\[1\].*{message}"):
             load_config(write_config(tmp_path, base))
 

@@ -845,10 +845,11 @@ def market_token(monkeypatch) -> None:
 
 
 def _live_provider(answer, sleeps: list[float] | None = None) -> LiveProvider:
+    """A live provider on ``answer``: a ``FakeClient``, or its answer."""
     return LiveProvider(
         base_url="https://example.invalid/api/v1",
         token_env="MARKET_TOKEN",
-        client=FakeClient(answer),
+        client=answer if isinstance(answer, FakeClient) else FakeClient(answer),
         sleeper=(sleeps if sleeps is not None else []).append,
     )
 
@@ -898,12 +899,7 @@ def test_live_provider_http_error_carries_status() -> None:
     surfaces with its status."""
     sleeps: list[float] = []
     client = FakeClient(lambda url: reply(500, {"error": "boom"}))
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        client=client,
-        sleeper=sleeps.append,
-    )
+    provider = _live_provider(client, sleeps)
     with pytest.raises(ProviderFailure) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert err.value.status == 500
@@ -914,12 +910,7 @@ def test_live_provider_http_error_carries_status() -> None:
 def test_live_provider_fails_at_once_on_a_client_error(status: int) -> None:
     sleeps: list[float] = []
     client = FakeClient(lambda url: reply(status, {"error": "no"}))
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        client=client,
-        sleeper=sleeps.append,
-    )
+    provider = _live_provider(client, sleeps)
     with pytest.raises(ProviderFailure) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert err.value.status == status
@@ -947,12 +938,7 @@ def test_live_provider_non_json_body_is_a_provider_failure() -> None:
 def test_live_provider_honors_retry_after_then_succeeds() -> None:
     sleeps: list[float] = []
     client = FakeClient(scripted(reply(429, {}, {"Retry-After": "2.5"})))
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        client=client,
-        sleeper=sleeps.append,
-    )
+    provider = _live_provider(client, sleeps)
     got = provider.fetch("profile", {"symbol": "AAPL"})
     assert got["name"] == "Apple Inc"
     assert sleeps == [2.5]
@@ -971,22 +957,24 @@ def test_live_provider_persistent_rate_limit_raises() -> None:
 
 
 @pytest.mark.parametrize(
-    "header", ["1e300", "Fri, 31 Dec 9999 23:59:59 GMT", str(MAX_RETRY_AFTER + 1)]
+    "header",
+    [
+        "1e300",
+        "Fri, 31 Dec 9999 23:59:59 GMT",
+        str(MAX_RETRY_AFTER + 1),
+        pytest.param("9" * 400, id="400-digits"),  # inf as a float
+    ],
 )
 def test_live_provider_refuses_a_retry_after_beyond_the_cap(header: str) -> None:
     sleeps: list[float] = []
     client = FakeClient(lambda url: reply(429, {}, {"Retry-After": header}))
-    provider = LiveProvider(
-        base_url="https://example.invalid/api/v1",
-        token_env="MARKET_TOKEN",
-        client=client,
-        sleeper=sleeps.append,
-    )
+    provider = _live_provider(client, sleeps)
     with pytest.raises(RateLimited) as err:
         provider.fetch("profile", {"symbol": "AAPL"})
     assert sleeps == []
     assert len(client.urls) == 1
     assert err.value.retry_after > MAX_RETRY_AFTER
+    assert str(err.value).endswith(f"asks for more than {MAX_RETRY_AFTER:g}s")
 
 
 @pytest.mark.parametrize(

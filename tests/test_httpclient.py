@@ -403,8 +403,12 @@ def test_retry_after_as_a_date_waits_until_then():
     assert 25.0 < delay <= 30.0
 
 
-def test_retry_after_above_the_cap_fails_at_once():
-    too_long = {"Retry-After": str(MAX_RETRY_AFTER + 1)}
+@pytest.mark.parametrize(
+    "header", [str(MAX_RETRY_AFTER + 1), "9" * 400], ids=["cap-plus-1", "400-digits"]
+)
+def test_retry_after_above_the_cap_fails_at_once(header):
+    """Delay-seconds too big for a float read as an infinite wait."""
+    too_long = {"Retry-After": header}
     with serve(then_ok((429, too_long))) as server:
         gateway, sleeps, client = chat_gateway(server.url)
         with pytest.raises(TransportExhausted, match="HTTP 429"):
