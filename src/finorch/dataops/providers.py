@@ -12,7 +12,8 @@ and cached bodies are interchangeable:
 The fixture provider reads one JSON file per symbol; the live provider
 speaks a Finnhub-compatible REST dialect for the US market, through the
 process-wide keep-alive ``httpclient.shared_client()`` unless given a
-client of its own, and its retry policy.
+client of its own, under the gateway's retry policy,
+``gateway.with_retries``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,11 @@ from finorch.errors import (
     RateLimited,
     TransportError,
 )
-from finorch.httpclient import (
-    MAX_RETRY_AFTER,
-    HttpClient,
-    shared_client,
-    with_retries,
-)
+from finorch.gateway import MAX_RETRY_AFTER, with_retries
 
 if TYPE_CHECKING:
     from finorch.dataops.cache import ResponseCache
+    from finorch.httpclient import HttpClient
 
 __all__ = [
     "FixtureProvider",
@@ -63,7 +60,7 @@ __all__ = [
 #: Seconds a live request may wait to connect or for each read.
 REQUEST_TIMEOUT = 15.0
 
-#: Times a failed live request is retried (``httpclient.with_retries``).
+#: Times a failed live request is retried (``gateway.with_retries``).
 RETRIES = 2
 
 
@@ -141,7 +138,7 @@ class LiveProvider:
     The API token is read from the environment variable named by
     ``token_env`` at request time; it never appears in config files, and
     no error message or chained exception carries it. Failed requests are
-    retried under ``httpclient.with_retries``: a Retry-After delay is
+    retried under ``gateway.with_retries``: a Retry-After delay is
     waited out unless it exceeds ``MAX_RETRY_AFTER`` or would end past the
     request's deadline. ``sleeper`` and ``monotonic`` replace
     ``time.sleep`` and ``time.monotonic`` there.
@@ -156,9 +153,13 @@ class LiveProvider:
         sleeper: Callable[[float], None] | None = None,
         monotonic: Callable[[], float] | None = None,
     ):
+        if client is None:
+            from finorch.httpclient import shared_client
+
+            client = shared_client()
         self._base_url = base_url.rstrip("/")
         self._token_env = token_env
-        self._client = client or shared_client()
+        self._client = client
         self.provider_id = provider_id
         self._sleep = sleeper or time.sleep
         self._monotonic = monotonic or time.monotonic

@@ -35,7 +35,7 @@ class TransportError(EngineError):
     """One failed request attempt: a connection error, a timeout, or an
     HTTP status other than 200. ``status`` is that status and
     ``retry_after`` the server's Retry-After delay in seconds, each None
-    when absent. ``httpclient.with_retries`` retries it and, when it gives
+    when absent. ``gateway.with_retries`` retries it and, when it gives
     up, sets ``attempts``; callers surface it as their own error."""
 
     def __init__(

@@ -1,7 +1,8 @@
 """The one place finorch writes files: run artifacts and cache entries
-are replaced whole, the run trace and the state logs grow a line at a
-time. The umask sets each new file's mode, and an ``OSError`` is the
-``ConfigError`` that reads ``cannot <action> <path>: <reason>``."""
+are replaced whole, the state logs and the run trace grow a line at a
+time, the trace through one handle held for the run. The umask sets each
+new file's mode, and an ``OSError`` is the ``ConfigError`` that reads
+``cannot <action> <path>: <reason>``."""
 
 from __future__ import annotations
 
@@ -37,3 +38,24 @@ def append(path: Path, data: bytes, action: str) -> None:
             if handle.read(1) != b"\n":
                 data = b"\n" + data
         handle.write(data)
+
+
+class Log:
+    """A run log, opened truncated for the run that writes it. Each
+    ``write`` is one line, flushed before it returns, so the file holds
+    every line written once ``close`` has run."""
+
+    def __init__(self, path: Path, action: str) -> None:
+        self._path = path
+        self._action = action
+        with unusable_path(action, path):
+            self._handle = open(path, "wb")
+
+    def write(self, line: bytes) -> None:
+        with unusable_path(self._action, self._path):
+            self._handle.write(line)
+            self._handle.flush()
+
+    def close(self) -> None:
+        with unusable_path(self._action, self._path):
+            self._handle.close()

@@ -1,8 +1,10 @@
-"""Multi-source chat gateway.
+"""Multi-source chat gateway and the one retry policy.
 
 Registers heterogeneous chat backends behind one interface and executes
-requests under the retry policy of ``httpclient.with_retries``. The wire
-protocol is the OpenAI-compatible chat-completions shape (POST
+requests under the retry policy of ``with_retries``, the only retry loop in
+finorch: the market-data provider's requests go through it too, and so do
+in-process transports, so scripted failures are retried by the same rules.
+The wire protocol is the OpenAI-compatible chat-completions shape (POST
 {base_url}/chat/completions, response read from
 choices[0].message.content), which the supported backends all speak;
 ``HttpTransport`` sends it through the keep-alive ``httpclient.HttpClient``.
@@ -24,7 +26,9 @@ import os
 import random
 import threading
 import time
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence, TypeVar,
+)
 
 from finorch.errors import (
     ConfigError,
@@ -33,11 +37,15 @@ from finorch.errors import (
     TransportError,
     TransportExhausted,
 )
-from finorch.httpclient import HttpClient, shared_client, with_retries
 from finorch.record import Record
 
+if TYPE_CHECKING:
+    from finorch.httpclient import HttpClient
+
 __all__ = [
+    "BACKOFF_INITIAL",
     "MAX_IN_FLIGHT",
+    "MAX_RETRY_AFTER",
     "MOCK_SENTINEL",
     "BackendSpec",
     "ChatExchange",
@@ -45,7 +53,9 @@ __all__ = [
     "Gateway",
     "HttpTransport",
     "MockTransport",
+    "RETRY_STATUSES",
     "Transport",
+    "with_retries",
 ]
 
 ROLES = ("system", "user", "assistant")
@@ -56,6 +66,71 @@ MAX_IN_FLIGHT = 8
 
 #: Reply for mock requests no scripted rule matches.
 MOCK_SENTINEL = "MOCK-NO-MATCH"
+
+#: HTTP statuses worth another attempt (RFC 9110 §15): request timeout,
+#: too many requests, and the transient server errors. Every other status
+#: fails at once.
+RETRY_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
+
+#: First backoff window in seconds; each retry doubles it (full jitter).
+BACKOFF_INITIAL = 0.5
+
+#: Longest Retry-After delay, in seconds, that a request waits out; a
+#: longer one fails the request at once. It is also what a call's retries
+#: may wait beyond its attempts' own timeouts (see ``with_retries``).
+MAX_RETRY_AFTER = 120.0
+
+T = TypeVar("T")
+
+
+def with_retries(
+    send: Callable[[], T],
+    retries: int,
+    sleep: Callable[[float], None],
+    rng: random.Random,
+    timeout: float,
+    monotonic: Callable[[], float] = time.monotonic,
+) -> tuple[T, int]:
+    """Call ``send`` until it returns; give its value and the attempts made.
+
+    A ``TransportError`` with no status, or with one in ``RETRY_STATUSES``,
+    is retried up to ``retries`` times. The wait before a retry is the
+    error's Retry-After delay when it has one, else a full-jitter backoff
+    drawn from ``rng``. A Retry-After above ``MAX_RETRY_AFTER`` is not
+    waited out. A failure that is not retried propagates, with
+    ``attempts`` set on a ``TransportError``.
+
+    The call has one deadline, read from ``monotonic`` and counted from
+    its first attempt: the attempts' timeouts combined, ``timeout *
+    (retries + 1)``, plus ``MAX_RETRY_AFTER`` of waiting. A retry whose
+    wait would end past it is not taken.
+    """
+    deadline = monotonic() + timeout * (retries + 1) + MAX_RETRY_AFTER
+    for attempt in range(retries + 1):
+        try:
+            return send(), attempt + 1
+        except TransportError as exc:
+            exc.attempts = attempt + 1
+            retryable = exc.status is None or exc.status in RETRY_STATUSES
+            if (
+                not retryable
+                or attempt == retries
+                or (exc.retry_after or 0.0) > MAX_RETRY_AFTER
+            ):
+                raise
+            if exc.retry_after is not None:
+                delay = exc.retry_after
+            else:
+                delay = rng.uniform(0.0, BACKOFF_INITIAL * 2**attempt)
+            if monotonic() + delay > deadline:
+                raise
+            import logging  # only a retry logs, so only a retry loads it
+
+            logging.getLogger(__name__).debug(
+                "attempt %d failed (%s); retrying in %.3fs", attempt + 1, exc, delay
+            )
+            sleep(delay)
+    raise AssertionError("unreachable")
 
 
 class BackendSpec(Record):
@@ -134,7 +209,11 @@ class HttpTransport:
     the env var that ``BackendSpec.api_key_env`` names."""
 
     def __init__(self, client: HttpClient | None = None):
-        self._client = client or shared_client()
+        if client is None:
+            from finorch.httpclient import shared_client
+
+            client = shared_client()
+        self._client = client
 
     def send(self, spec: BackendSpec, payload: dict[str, Any]) -> dict[str, Any]:
         headers = {}
@@ -234,7 +313,7 @@ class Gateway:
     ``latency``) and its retry deadline; the gateway stamps nothing, so
     offline artifacts do not depend on how many chats ran. Every
     transport, the scripted mock included, is retried by
-    ``httpclient.with_retries`` up to the backend's ``max_retries``.
+    ``with_retries`` up to the backend's ``max_retries``.
     Without ``transport``, the default ``HttpTransport`` is built at the
     first chat that needs it, in the calling thread: ``chat_many`` resolves
     every request's transport before any worker starts.

@@ -1,10 +1,9 @@
-"""Keep-alive JSON-over-HTTP/1.1 client and the one retry policy.
+"""Keep-alive JSON-over-HTTP/1.1 client.
 
 Both live wires use this module: the chat gateway (``gateway.HttpTransport``)
-and the market-data provider (``dataops.providers.LiveProvider``).
-``with_retries`` is the only retry loop in finorch. The gateway also runs
-its in-process transports through it, so scripted failures are retried by
-the same rules.
+and the market-data provider (``dataops.providers.LiveProvider``), each
+under the retry policy of ``gateway.with_retries``. Neither loads it until
+it is built without a client of its own, so no offline command loads it.
 
 ``HttpClient`` keeps connections alive in one pool per (scheme, host, port).
 A request checks a connection out under a lock, so concurrent requests never
@@ -17,10 +16,9 @@ framing of RFC 9112 (1xx replies skipped; a chunked, sized or
 close-delimited body), within ``http.client``'s limits of 65 536 bytes a
 line and 100 header fields. ``finorch.http11``, ``socket`` and the
 ``idna`` codec are loaded when a client is built (a gateway's at its first
-chat), ``ssl`` on its first TLS connect, ``email.utils`` only to read a
-``Retry-After`` date and ``logging`` only to log a retry, so a run that
-opens no socket never loads them. No client loads ``urllib.request``,
-``http.client`` or ``email.parser``.
+chat), ``ssl`` on its first TLS connect and ``email.utils`` only to read
+a ``Retry-After`` date, so a run that opens no socket never loads them.
+No client loads ``urllib.request``, ``http.client`` or ``email.parser``.
 
 Proxies follow ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and
 ``NO_PROXY``, read by the rules of ``urllib.request``'s
@@ -37,36 +35,17 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
-import random
 import threading
-import time
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 from urllib.parse import urlsplit
 
 from finorch.errors import ConfigError, MalformedResponse, TransportError
 
 __all__ = [
-    "BACKOFF_INITIAL",
-    "MAX_RETRY_AFTER",
-    "RETRY_STATUSES",
     "HttpClient",
     "Response",
     "shared_client",
-    "with_retries",
 ]
-
-#: HTTP statuses worth another attempt (RFC 9110 §15): request timeout,
-#: too many requests, and the transient server errors. Every other status
-#: fails at once.
-RETRY_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
-
-#: First backoff window in seconds; each retry doubles it (full jitter).
-BACKOFF_INITIAL = 0.5
-
-#: Longest Retry-After delay, in seconds, that a request waits out; a
-#: longer one fails the request at once. It is also what a call's retries
-#: may wait beyond its attempts' own timeouts (see ``with_retries``).
-MAX_RETRY_AFTER = 120.0
 
 #: Seconds after which a TCP connect still in progress is started over
 #: once on a new socket (the connection-attempt delay of RFC 8305).
@@ -76,8 +55,6 @@ DEFAULT_PORTS = {"http": 80, "https": 443}
 
 if TYPE_CHECKING:
     from finorch.http11 import Connection
-
-T = TypeVar("T")
 
 
 class Response(NamedTuple):
@@ -106,56 +83,6 @@ def _retry_delay(header: str, now: dt.datetime) -> float:
             when = when.replace(tzinfo=dt.timezone.utc)
         return max(0.0, (when - now).total_seconds())
     return seconds if seconds >= 0.0 else 1.0
-
-
-def with_retries(
-    send: Callable[[], T],
-    retries: int,
-    sleep: Callable[[float], None],
-    rng: random.Random,
-    timeout: float,
-    monotonic: Callable[[], float] = time.monotonic,
-) -> tuple[T, int]:
-    """Call ``send`` until it returns; give its value and the attempts made.
-
-    A ``TransportError`` with no status, or with one in ``RETRY_STATUSES``,
-    is retried up to ``retries`` times. The wait before a retry is the
-    error's Retry-After delay when it has one, else a full-jitter backoff
-    drawn from ``rng``. A Retry-After above ``MAX_RETRY_AFTER`` is not
-    waited out. A failure that is not retried propagates, with
-    ``attempts`` set on a ``TransportError``.
-
-    The call has one deadline, read from ``monotonic`` and counted from
-    its first attempt: the attempts' timeouts combined, ``timeout *
-    (retries + 1)``, plus ``MAX_RETRY_AFTER`` of waiting. A retry whose
-    wait would end past it is not taken.
-    """
-    deadline = monotonic() + timeout * (retries + 1) + MAX_RETRY_AFTER
-    for attempt in range(retries + 1):
-        try:
-            return send(), attempt + 1
-        except TransportError as exc:
-            exc.attempts = attempt + 1
-            retryable = exc.status is None or exc.status in RETRY_STATUSES
-            if (
-                not retryable
-                or attempt == retries
-                or (exc.retry_after or 0.0) > MAX_RETRY_AFTER
-            ):
-                raise
-            if exc.retry_after is not None:
-                delay = exc.retry_after
-            else:
-                delay = rng.uniform(0.0, BACKOFF_INITIAL * 2**attempt)
-            if monotonic() + delay > deadline:
-                raise
-            import logging  # only a retry logs, so only a retry loads it
-
-            logging.getLogger(__name__).debug(
-                "attempt %d failed (%s); retrying in %.3fs", attempt + 1, exc, delay
-            )
-            sleep(delay)
-    raise AssertionError("unreachable")
 
 
 class HttpClient:

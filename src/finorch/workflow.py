@@ -61,19 +61,22 @@ class Task(Record):
 
 
 class Trace:
-    """The run's audit trace: one JSON line per record, stamped by role."""
+    """The run's audit trace: one JSON line per record, stamped by role,
+    through one handle that ``close`` releases."""
 
     def __init__(self, path: Path, clock: Clock):
-        self._path = path
         self._clock = clock
         with unusable_path("write run trace", path):
             path.parent.mkdir(parents=True, exist_ok=True)
-        files.replace(path, b"", "write run trace")
+        self._log = files.Log(path, "write run trace")
 
     def emit(self, role: str, record: dict[str, Any]) -> None:
         full = {"role": role, "at": isoformat(self._clock.now()), **record}
         line = json.dumps(full, ensure_ascii=False, sort_keys=True) + "\n"
-        files.append(self._path, line.encode(), "write run trace")
+        self._log.write(line.encode())
+
+    def close(self) -> None:
+        self._log.close()
 
     def fail(self, role: str, exc: EngineError, **context: Any) -> EngineError:
         """Record ``exc`` as the failure of ``role``'s stage and tag it."""
@@ -141,43 +144,51 @@ def run_task(
     run_dir = runs_dir / task.task_id
     trace = Trace(run_dir / "trace.jsonl", clock)
 
-    with trace.stage(ROLE_DIRECTOR):
-        agent = scheduler.route(
-            task.task_kind,
-            task.task_id,
-            recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec),
-        )
-    backend_id = scheduler.get_agent(agent).backend_id
-    outcome = act(backend_id, trace)
-
-    def write(grade: float | None, self_score: float | None) -> None:
-        for name, text in outcome.texts.items():
-            files.replace(run_dir / name, text.encode(), "write run artifact")
-        payload = {
-            **outcome.payload,
-            "task_id": task.task_id,
-            "agent": agent,
-            "grade": grade,
-            "self_score": self_score,
-            "generated_at": isoformat(clock.now()),
-        }
-        text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
-        files.replace(
-            run_dir / outcome.artifact, f"{text}\n".encode(), "write run artifact"
-        )
-
     try:
-        reflection, evaluation = _assess(
-            task, agent, backend_id, outcome, trace,
-            scheduler, gateway, prompt_store,
+        with trace.stage(ROLE_DIRECTOR):
+            agent = scheduler.route(
+                task.task_kind,
+                task.task_id,
+                recorder=lambda rec: trace.emit(ROLE_DIRECTOR, rec),
+            )
+        backend_id = scheduler.get_agent(agent).backend_id
+        outcome = act(backend_id, trace)
+
+        def write(grade: float | None, self_score: float | None) -> None:
+            for name, text in outcome.texts.items():
+                files.replace(run_dir / name, text.encode(), "write run artifact")
+            payload = {
+                **outcome.payload,
+                "task_id": task.task_id,
+                "agent": agent,
+                "grade": grade,
+                "self_score": self_score,
+                "generated_at": isoformat(clock.now()),
+            }
+            text = json.dumps(
+                payload, ensure_ascii=False, indent=2, sort_keys=True
+            )
+            files.replace(
+                run_dir / outcome.artifact, f"{text}\n".encode(),
+                "write run artifact",
+            )
+
+        try:
+            reflection, evaluation = _assess(
+                task, agent, backend_id, outcome, trace,
+                scheduler, gateway, prompt_store,
+            )
+        except EngineError:
+            # The parsed output is kept; a null grade and self-score, beside
+            # the trace's error record, mark it as never assessed.
+            write(None, None)
+            raise
+        write(evaluation.grade if evaluation else None, reflection.self_score)
+        return TaskRun(
+            value=outcome.value, evaluation=evaluation, run_dir=run_dir
         )
-    except EngineError:
-        # The parsed output is kept; a null grade and self-score, beside the
-        # trace's error record, mark it as never assessed.
-        write(None, None)
-        raise
-    write(evaluation.grade if evaluation else None, reflection.self_score)
-    return TaskRun(value=outcome.value, evaluation=evaluation, run_dir=run_dir)
+    finally:
+        trace.close()
 
 
 def _assess(

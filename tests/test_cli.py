@@ -557,7 +557,7 @@ class TestEvaluateAndRoute:
         or the date parser a Retry-After header is read with."""
         assert loaded_offline(
             mode, "requests", "urllib3", "http.client", "email.utils",
-            "socket", "finorch.http11",
+            "socket", "finorch.httpclient", "finorch.http11",
         ) == []
 
     @pytest.mark.parametrize("mode, expected", [

@@ -57,11 +57,11 @@ MODES = {
 GUARDED = (
     "click", "dataclasses", "inspect", "concurrent.futures", "socket", "ssl",
     "http.client", "email.utils", "email.parser", "urllib.request",
-    "requests", "urllib3", "hashlib", "logging", "finorch.http11",
-    "finorch.offline", "finorch.apps.forecaster", "finorch.apps.reports",
-    "finorch.workflow", "finorch.dataops", "finorch.dataops.cache",
-    "finorch.dataops.retrieval", "finorch.tools.calls", "finorch.tools.dsl",
-    "finorch.analytics",
+    "requests", "urllib3", "hashlib", "logging", "finorch.httpclient",
+    "finorch.http11", "finorch.offline", "finorch.apps.forecaster",
+    "finorch.apps.reports", "finorch.workflow", "finorch.dataops",
+    "finorch.dataops.cache", "finorch.dataops.retrieval", "finorch.tools.calls",
+    "finorch.tools.dsl", "finorch.analytics",
 )
 
 #: Runs ``exec(argv[1])``, then the command ``argv[2:]`` if any, and prints

@@ -52,7 +52,8 @@ from finorch.errors import (
     ProviderFailure,
     RateLimited,
 )
-from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
+from finorch.gateway import BACKOFF_INITIAL
+from finorch.httpclient import HttpClient, Response
 from oracles import _bm25_tokenize, oracle_bm25, oracle_bm25_queries
 
 FIXTURES = Path(__file__).parent / "fixtures"

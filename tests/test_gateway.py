@@ -20,6 +20,7 @@ from finorch.errors import (
     TransportExhausted,
 )
 from finorch.gateway import (
+    BACKOFF_INITIAL,
     MAX_IN_FLIGHT,
     MOCK_SENTINEL,
     BackendSpec,
@@ -28,7 +29,7 @@ from finorch.gateway import (
     HttpTransport,
     MockTransport,
 )
-from finorch.httpclient import BACKOFF_INITIAL, HttpClient, Response
+from finorch.httpclient import HttpClient, Response
 
 from scripted import script_backend
 

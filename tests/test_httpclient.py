@@ -42,19 +42,16 @@ from finorch.errors import (
 )
 from finorch.gateway import (
     MAX_IN_FLIGHT,
+    MAX_RETRY_AFTER,
+    RETRY_STATUSES,
     BackendSpec,
     ChatMessage,
     Gateway,
     HttpTransport,
-)
-from finorch.config import build_engine, load_config
-from finorch.httpclient import (
-    MAX_RETRY_AFTER,
-    RETRY_STATUSES,
-    HttpClient,
-    shared_client,
     with_retries,
 )
+from finorch.config import build_engine, load_config
+from finorch.httpclient import HttpClient, shared_client
 
 from test_config import minimal_text, write_config
 
